@@ -7,6 +7,11 @@ Gaussian elimination does on restriction matrices.  Reduced echelon forms
 are finished with a cheap rational back-substitution pass, and subspaces are
 canonicalized to reduced column echelon form so equality is a plain
 entry-wise comparison.
+
+Claims "span(gens) == ker(m)" are certified by certify_kernel_span: the
+inclusion is checked exactly, ranks mod a prime serve only as lower bounds
+on ranks over Q, and when those fall short nothing is proven and callers
+decide the claim with the exact canonical subspaces.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .rng import Rng
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+PRIME = (1 << 61) - 1
 
 
 def frac(x) -> Fraction:
@@ -207,32 +213,57 @@ def solve(m: Matrix, rhs):
     return m.solve(rhs)
 
 
-def rank_modular(m: Matrix, p: int = (1 << 61) - 1) -> int:
-    """Rank of the matrix over GF(p); a cheap cross-check of Bareiss."""
-    rows = []
-    for row in m.data:
-        rows.append([(x.numerator * pow(x.denominator, p - 2, p)) % p for x in row])
-    nr, nc = len(rows), m.ncols
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
+def rank_modular(m, p: int = PRIME) -> int:
+    """Rank over GF(p) of a Matrix or a list of rational rows.
+
+    Each row is scaled to integers (which keeps the rank over Q) before it
+    is reduced mod p, so every nonzero minor mod p is a nonzero integer
+    minor: the result is a lower bound on the rank over Q, never an upper
+    one.  Elimination is sparse, on dicts of the nonzero entries.
+    """
+    pivots = {}
+    for row in (m.data if isinstance(m, Matrix) else m):
+        cols = [j for j, x in enumerate(row) if x]
+        ints = _integer_rows([[row[j] for j in cols]])[0]
+        r = {j: v % p for j, v in zip(cols, ints) if v % p}
+        while r:
+            c = min(r)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(r[c], p - 2, p)
+                pivots[c] = {j: v * inv % p for j, v in r.items()}
                 break
-        if piv is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+            f = r[c]
+            for j, v in prow.items():
+                w = (r.get(j, 0) - f * v) % p
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+    return len(pivots)
+
+
+def certify_kernel_span(m: Matrix, gens, m_rank: int | None = None,
+                        p: int = PRIME) -> int | None:
+    """dim ker(m) when span(gens) == ker(m) is proven, else None.
+
+    m·g == 0 is checked exactly for each generator, so span(gens) lies in
+    ker(m).  m_rank is the exact rank of m or any lower bound on it (by
+    default its rank mod p).  rank_p(gens) + m_rank >= ncols then forces
+    rank(gens) >= dim ker(m), hence equality.  None proves nothing either
+    way: the caller must decide the claim exactly.
+    """
+    for g in gens:
+        if len(g) != m.ncols:
+            raise DimensionMismatch("vector length %d != %d columns" % (len(g), m.ncols))
+        nz = [(j, x) for j, x in enumerate(g) if x]
+        if any(sum(row[j] * x for j, x in nz) for row in m.data):
+            return None
+    if m_rank is None:
+        m_rank = rank_modular(m, p)
+    if rank_modular(gens, p) + m_rank < m.ncols:
+        return None
+    return m.ncols - m_rank
 
 
 class Subspace:

@@ -34,7 +34,9 @@ class FamilyShape:
         self.nvars = n + 2
         self.jd = gen_jd(n, d)
         self.N = len(self.jd)
-        assert self.N == jd_size_formula(n, d)
+        if self.N != jd_size_formula(n, d):
+            raise DimensionMismatch("index set has %d monomials, the formula %d"
+                                    % (self.N, jd_size_formula(n, d)))
 
     def monomials(self, degree: int) -> MonomialSet:
         """The analogous index set at another degree (exponent cap degree-2)."""

@@ -19,8 +19,8 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ZERO, format_fraction, kernel_basis,
-                    sample_rational, random_solution)
+from .exact import (Matrix, Subspace, ZERO, certify_kernel_span, format_fraction,
+                    kernel_basis, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
                      sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
@@ -345,18 +345,23 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
                 sub = rng.split("trial%d" % t)
                 zt = z if z is not None else _random_generic_scheme(n, sub)
                 b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                assert _on_member(b, zt)
+                if not _on_member(b, zt):
+                    raise InfeasibleSystem("the sampled member misses the scheme")
                 xi = _xi_matrix_on(jd, zt.line, nv)
-                k2 = kernel_basis(xi)
-                k1 = Subspace.from_vectors(
-                    len(jd),
-                    _ideal_product_vectors(iz_linear(zt).basis_vectors(),
-                                           jdm1.members, jd, nv))
+                gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
+                                              jdm1.members, jd, nv)
                 qrank = xi.rank()
-                ok = (k1 == k2 and qrank == d + 1)
+                dim = certify_kernel_span(xi, gens, qrank)
+                if dim is not None and qrank == d + 1:
+                    ok, lhs, rhs = True, dim, dim
+                else:
+                    k2 = kernel_basis(xi)
+                    k1 = Subspace.from_vectors(len(jd), gens)
+                    ok = (k1 == k2 and qrank == d + 1)
+                    lhs, rhs = k1.dim, k2.dim
                 flags.append(ok)
                 if not dims:
-                    dims = {"lhs": k1.dim, "rhs": k2.dim, "quotient": qrank}
+                    dims = {"lhs": lhs, "rhs": rhs, "quotient": qrank}
                 if not ok and witness is None:
                     bad = _first_outside(k2, k1)
                     witness = {"trial": t, "reason": "subspace mismatch",
@@ -394,7 +399,9 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
             cmap = {}
             for j in range(2, nv):
                 cj = p1.coords[j] / p1.coords[1]
-                assert p2.coords[j] == cj * p2.coords[1]
+                if p2.coords[j] != cj * p2.coords[1]:
+                    raise NonGenericScheme("x%d is not a multiple of x1 on the "
+                                           "normalized special scheme" % j)
                 cmap[j] = cj
             provided = (znorm, cmap)
         flags = []
@@ -405,9 +412,9 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
                 sub = rng.split("trial%d" % t)
                 zt, cmap = provided if provided else _special_scheme(n, sub)
                 b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                assert _on_member(b, zt)
+                if not _on_member(b, zt):
+                    raise InfeasibleSystem("the sampled member misses the scheme")
                 xi = _xi_matrix_on(jd, zt.line, nv)
-                lhs = kernel_basis(xi)
                 vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
                                                  jdm1.members, jd, nv)
                 extra = 0
@@ -421,11 +428,17 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
                         gen = base * xi_var * (HomogPoly.variable(nv, j) - x1 * cmap[j])
                         vectors.append(gen.coeffs_on(jd))
                         extra += 1
-                rhs = Subspace.from_vectors(len(jd), vectors)
-                ok = lhs == rhs
+                dim = certify_kernel_span(xi, vectors)
+                if dim is not None:
+                    ok, lhs_dim, rhs_dim = True, dim, dim
+                else:
+                    lhs = kernel_basis(xi)
+                    rhs = Subspace.from_vectors(len(jd), vectors)
+                    ok = lhs == rhs
+                    lhs_dim, rhs_dim = lhs.dim, rhs.dim
                 flags.append(ok)
                 if not dims:
-                    dims = {"lhs": lhs.dim, "rhs": rhs.dim, "extra_generators": extra}
+                    dims = {"lhs": lhs_dim, "rhs": rhs_dim, "extra_generators": extra}
                 if not ok and witness is None:
                     bad = _first_outside(lhs, rhs) or _first_outside(rhs, lhs)
                     witness = {"trial": t, "reason": "subspace mismatch",
@@ -457,12 +470,20 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         jd = gen_jd(n, d)
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
-        eval_row = [_eval_mono(m, p.coords) for m in jd1]
-        lhs = kernel_basis(Matrix([eval_row]))
+        evaluation = Matrix([[_eval_mono(m, p.coords) for m in jd1]])
+        eval_rank = evaluation.rank()
         ip = ip_linear(p)
-        rhs = Subspace.from_vectors(
-            ambient, _ideal_product_vectors(ip.basis_vectors(), jd.members, jd1, nv))
-        ok_point = lhs == rhs and lhs.dim == ambient - 1
+        point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd.members, jd1, nv)
+        dim = certify_kernel_span(evaluation, point_vectors, eval_rank)
+        lhs = None  # the exact kernel, built only for a claim left uncertified
+        if dim is not None:
+            ok_point = dim == ambient - 1
+            dims = {"lhs": dim, "rhs": dim, "codim": ambient - dim}
+        else:
+            lhs = kernel_basis(evaluation)
+            rhs = Subspace.from_vectors(ambient, point_vectors)
+            ok_point = lhs == rhs and lhs.dim == ambient - 1
+            dims = {"lhs": lhs.dim, "rhs": rhs.dim, "codim": ambient - lhs.dim}
 
         flags = []
         witness = None
@@ -476,15 +497,19 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             s = next(v for v in ip.basis_vectors() if not iz.contains_vector(v))
             vectors = _ideal_product_vectors(iz.basis_vectors(), jd.members, jd1, nv)
             vectors += _ideal_product_vectors([s], jd.members, jd1, nv)
-            split = Subspace.from_vectors(ambient, vectors)
-            ok = ok_point and split == lhs
+            if ok_point and certify_kernel_span(evaluation, vectors, eval_rank) is not None:
+                ok = True
+            else:
+                if lhs is None:
+                    lhs = kernel_basis(evaluation)
+                split = Subspace.from_vectors(ambient, vectors)
+                ok = ok_point and split == lhs
             flags.append(ok)
             if not ok and witness is None:
                 bad = _first_outside(lhs, split) or _first_outside(split, lhs)
                 witness = {"trial": t,
                            "reason": "point part" if not ok_point else "split part",
                            "vector": _vec_json(bad) if bad else None}
-        dims = {"lhs": lhs.dim, "rhs": rhs.dim, "codim": ambient - lhs.dim}
     return LemmaReport("point-ideal", n, d, rng.origin_seed, protocol_verdict(flags),
                        dims, witness, clock.ms, {"trials": trials})
 
@@ -550,7 +575,8 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
                     s_img.contains_vector(_restricted_vector(sec, zs.line))
                     for sec in listed)
                 rescale = Subspace.from_vectors(amb, _alpha_line_vectors(n, zs.line))
-                assert rescale.dim == 2  # x0, x1 restrict independently here
+                if rescale.dim != 2:
+                    raise NonGenericScheme("x0 and x1 do not restrict independently")
                 total = s_img.sum(rescale)
                 quotient_rank = total.dim - rescale.dim
                 surjective = total.dim == amb

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,3 +136,16 @@ def test_human_table_has_header_and_summary():
     text = buf.getvalue()
     assert text.splitlines()[0].startswith("lemma")
     assert "summary:" in text
+
+
+def test_checks_survive_optimized_interpreter():
+    """Under python -O every assert is stripped; the guards must not be."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; from fermatlines.cli import main; sys.exit(main(sys.argv[1:]))",
+         "kernel-generic", "--n", "2", "--d", "6", "--seed", "0", "--trials", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "PASS" in proc.stdout

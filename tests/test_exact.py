@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatlines.errors import DimensionMismatch
-from fermatlines.exact import (Matrix, Subspace, format_fraction, kernel_basis,
+from fermatlines.exact import (Matrix, Subspace, certify_kernel_span,
+                               format_fraction, kernel_basis,
                                parse_fraction, rank, rank_modular,
                                random_solution, sample_rational, solve,
                                subspace_contains, subspace_intersect,
@@ -179,6 +180,50 @@ def test_bareiss_on_deliberately_rank_deficient_matrices():
         want_rows, want_piv = fraction_rref_reference(prod.data)
         assert (got_rows, got_piv) == (want_rows, want_piv)
         assert prod.rank() == rank_modular(prod)
+
+
+def test_rank_modular_clears_denominators_before_reducing():
+    # reducing 1/p mod p entry by entry would read it as 0 and report rank 2
+    p = (1 << 61) - 1
+    m = Matrix([[Fraction(1, p), 1], [1, p]])
+    assert m.rank() == 1
+    assert rank_modular(m, p) == 1
+
+
+def test_rank_modular_is_a_lower_bound_for_small_primes():
+    rng = Rng(49)
+    for _ in range(60):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), bound=6)
+        for p in (2, 3, 5):
+            assert rank_modular(m, p) <= m.rank()
+        assert rank_modular(m.data) == rank_modular(m) == m.rank()
+
+
+def test_certify_kernel_span_examples():
+    m = Matrix([[1, -1, 0]])
+    assert certify_kernel_span(m, [[1, 1, 0], [0, 0, 1]]) == 2
+    assert certify_kernel_span(m, [[1, 1, 0], [0, 0, 1]], m_rank=1) == 2
+    # too few generators: the count falls short, nothing is proven
+    assert certify_kernel_span(m, [[1, 1, 0]]) is None
+    # a generator outside the kernel
+    assert certify_kernel_span(m, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]) is None
+    # a prime dividing every entry makes the modular rank fall short
+    assert certify_kernel_span(m, [[3, 3, 0], [0, 0, 3]], p=3) is None
+    assert certify_kernel_span(Matrix.zeros(2, 2), [[1, 0], [0, 1]]) == 2
+    with pytest.raises(DimensionMismatch):
+        certify_kernel_span(m, [[1, 1]])
+
+
+def test_certify_kernel_span_matches_exact_kernel():
+    rng = Rng(50)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 8), bound=5)
+        gens = m.kernel_vectors()
+        # one redundant generator on top of a basis
+        extra = [[x + 3 * y for x, y in zip(gens[0], gens[-1])]] if gens else []
+        assert certify_kernel_span(m, gens + extra) == m.ncols - m.rank()
+        if gens:
+            assert certify_kernel_span(m, gens[1:]) is None
 
 
 def test_subspace_equality_invariant_under_basis_change():

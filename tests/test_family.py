@@ -23,6 +23,13 @@ def test_f_poly_fermat():
     assert f == parse_poly("x0^4+x1^4+x2^4", 3)
 
 
+def test_shape_rejects_index_set_disagreeing_with_formula(monkeypatch):
+    import fermatlines.family as family
+    monkeypatch.setattr(family, "jd_size_formula", lambda n, d: -1)
+    with pytest.raises(DimensionMismatch):
+        FamilyShape(2, 6)
+
+
 def test_f_poly_with_one_deformation():
     shape = FamilyShape(1, 4)
     b = DeformationPoint(shape, {(2, 2, 0): 5})

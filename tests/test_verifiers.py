@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+import fermatlines.verifiers as verifiers
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
-from fermatlines.exact import Matrix, sample_rational
+from fermatlines.exact import (Matrix, certify_kernel_span, rank_modular,
+                               sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape,
                                 omega_basis, sample_b_through)
 from fermatlines.lines import LengthTwoScheme, Line, ProjPoint, restrict_poly
 from fermatlines.poly import HomogPoly, all_monomials, gen_jd
 from fermatlines.rng import Rng
-from fermatlines.verifiers import (FAIL, INDETERMINATE, PASS,
+from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    _b_with_line_power, _nine_by_six,
                                    _random_generic_scheme, _special_scheme,
                                    _two_by_two, _very_special_scheme,
@@ -132,6 +134,86 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
             _ideal_product_vectors(iz_linear(z).basis_vectors(),
                                    shape.monomials(5).members, shape.jd, 4))
         assert k2.contains(k1)
+
+
+# ---------------------------------------------------------------------------
+# certified kernel claims: the fast path may only prove, never decide FAIL
+
+KERNEL_CLAIMS = {
+    "kernel-generic": lambda: verify_kernel_generic(2, 6, rng_for("kg"), trials=2),
+    "kernel-special": lambda: verify_kernel_special(2, 6, rng_for("ks"), trials=2),
+    "point-ideal": lambda: verify_point_ideal(2, 6, rng_for("pi"), trials=2),
+}
+
+
+def _outcome(rep):
+    return rep.verdict, rep.dims, rep.witness
+
+
+def _recording_certify(monkeypatch, **kwargs):
+    """Route the verifiers' certification through a recorder; returns the
+    list of (m, gens, m_rank, result) calls."""
+    calls = []
+
+    def record(m, gens, m_rank=None):
+        result = certify_kernel_span(m, gens, m_rank, **kwargs)
+        calls.append((m, gens, m_rank, result))
+        return result
+
+    monkeypatch.setattr(verifiers, "certify_kernel_span", record)
+    return calls
+
+
+@pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
+def test_kernel_claim_fails_with_exact_witness_when_a_generator_is_missing(
+        monkeypatch, lemma):
+    products = verifiers._ideal_product_vectors
+    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
+                        lambda *args: products(*args)[1:])
+    rep = KERNEL_CLAIMS[lemma]()
+    assert rep.verdict == FAIL
+    assert rep.witness["vector"] is not None
+
+
+@pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
+def test_kernel_claim_falls_back_when_the_modular_bound_falls_short(
+        monkeypatch, lemma):
+    fast = _outcome(KERNEL_CLAIMS[lemma]())
+    monkeypatch.setattr(verifiers, "certify_kernel_span", lambda *args: None)
+    exact = _outcome(KERNEL_CLAIMS[lemma]())
+    # mod 2 many ideal-product coefficients vanish, so some counts fall short
+    calls = _recording_certify(monkeypatch, p=2)
+    short = _outcome(KERNEL_CLAIMS[lemma]())
+    assert any(result is None for *_, result in calls)
+    assert fast == exact == short
+    assert fast[0] == PASS
+
+
+def test_certification_agrees_with_sympy_over_qq(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def rank_qq(rows, ncols):
+        qq = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows]
+        return DomainMatrix(qq, (len(qq), ncols), sympy.QQ).rank()
+
+    calls = _recording_certify(monkeypatch)
+    for run in KERNEL_CLAIMS.values():
+        run()
+    assert len(calls) >= 6
+    for m, gens, m_rank, result in calls:
+        rank_m = rank_qq(m.data, m.ncols)
+        assert rank_modular(m) <= rank_m
+        assert rank_modular(gens) <= rank_qq(gens, m.ncols)
+        assert m_rank is None or m_rank == rank_m
+        assert result == m.ncols - rank_m
+
+
+def test_member_missing_the_scheme_is_infeasible(monkeypatch):
+    monkeypatch.setattr(verifiers, "_on_member", lambda b, z: False)
+    rep = verify_kernel_generic(2, 6, rng_for("kg"), trials=1)
+    assert rep.verdict == INFEASIBLE
+    assert "misses the scheme" in rep.witness["reason"]
 
 
 # ---------------------------------------------------------------------------
