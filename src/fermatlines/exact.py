@@ -40,16 +40,16 @@ def parse_fraction(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for row in rows:
-        l = 1
-        for x in row:
-            d = x.denominator
-            l = l * d // gcd(l, d)
-        out.append([int(x.numerator * (l // x.denominator)) for x in row])
-    return out
+def clear_denominators(xs):
+    """(nums, den) with den the lcm of the denominators of the rationals xs
+    and nums the ints x * den, in order.  Empty input gives ([], 1)."""
+    xs = list(xs)
+    den = 1
+    for x in xs:
+        d = x.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _bareiss_echelon(rows):
@@ -151,7 +151,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank via fraction-free elimination."""
-        ints = _integer_rows(self.data)
+        ints = [clear_denominators(row)[0] for row in self.data]
         return len(_bareiss_echelon(ints))
 
     def rref(self):
@@ -161,7 +161,7 @@ class Matrix:
         The heavy forward pass is fraction-free; only the final upward
         reduction touches rationals.
         """
-        ints = _integer_rows(self.data)
+        ints = [clear_denominators(row)[0] for row in self.data]
         pivots = _bareiss_echelon(ints)
         rows = [[Fraction(x) for x in ints[k]] for k in range(len(pivots))]
         for k in range(len(pivots) - 1, -1, -1):
@@ -224,7 +224,7 @@ def rank_modular(m, p: int = PRIME) -> int:
     pivots = {}
     for row in (m.data if isinstance(m, Matrix) else m):
         cols = [j for j, x in enumerate(row) if x]
-        ints = _integer_rows([[row[j] for j in cols]])[0]
+        ints, _ = clear_denominators(row[j] for j in cols)
         r = {j: v % p for j, v in zip(cols, ints) if v % p}
         while r:
             c = min(r)

@@ -18,8 +18,9 @@ from fractions import Fraction
 from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ZERO, format_fraction, frac, parse_fraction,
                     random_solution, sample_rational)
-from .poly import (EulerSection, HomogPoly, MonomialSet, gen_jd,
-                   jd_size_formula, mono_parse, mono_str, order_key)
+from .poly import (EulerSection, HomogPoly, MonomialSet, eval_monomials, gen_jd,
+                   jd_size_formula, mono_parse, mono_str, order_key,
+                   sum_of_products)
 from .rng import Rng
 
 
@@ -160,16 +161,14 @@ def eta(b: DeformationPoint, section) -> HomogPoly:
         raise DimensionMismatch("section has %d variables, family has %d"
                                 % (p_part.nvars, nv))
     partials = b.f_partials()
-    out = HomogPoly.zero(nv, p_part.degree + b.shape.d - 1)
-    for j, comp in enumerate(p_part.components):
-        if not comp.is_zero():
-            out = out + comp * partials[j]
+    pairs = [(comp, partials[j]) for j, comp in enumerate(p_part.components)
+             if not comp.is_zero()]
     for mono, coeff in b_part.items():
         if mono not in b.shape.jd:
             raise ValueError("base direction %s not in the deformation index set"
                              % mono_str(mono))
-        out = out + coeff * HomogPoly.monomial(nv, mono)
-    return out
+        pairs.append((coeff, HomogPoly.monomial(nv, mono)))
+    return sum_of_products(nv, p_part.degree + b.shape.d - 1, pairs)
 
 
 def c_coeff(b: DeformationPoint, i: int, j: int, k: int) -> Fraction:
@@ -290,14 +289,6 @@ def koszul_eta_m(b: DeformationPoint, factors):
     return out
 
 
-def _eval_monomial(m, coords):
-    v = Fraction(1)
-    for x, e in zip(coords, m):
-        if e:
-            v *= frac(x) ** e
-    return v
-
-
 def random_deformation(shape: FamilyShape, rng: Rng, bound: int = 1000) -> DeformationPoint:
     """Unconstrained random base point."""
     return DeformationPoint(shape, {m: sample_rational(rng, bound) for m in shape.jd})
@@ -319,7 +310,7 @@ def sample_b_through(shape: FamilyShape, points, rng: Rng, bound: int = 1000) ->
     for p in points:
         if p.nvars != shape.nvars:
             raise DimensionMismatch("point has %d coordinates" % p.nvars)
-        row = [_eval_monomial(m, p.coords) for m in shape.jd]
+        row = eval_monomials(shape.jd, p.coords)
         fermat = sum((x ** shape.d for x in p.coords), ZERO)
         if all(x == 0 for x in row) and fermat != 0:
             raise InfeasibleSystem(

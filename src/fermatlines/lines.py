@@ -5,6 +5,13 @@ A line through two distinct points p, q is parameterized by
 degree-m form along the parameterization yields a binary form of degree m
 in (s, t), stored as the coefficient list of s^m, s^(m-1) t, ..., t^m.
 
+Restriction runs on Python ints.  A Line clears p and q to integer points
+P / Dp and Q / Dq once and caches, per monomial, the integer coefficients
+of prod_i (P_i s + Q_i t)^e_i; restrict_poly sums the polynomial's integer
+numerators against those vectors over one common denominator and builds
+one Fraction per output coefficient, so its outputs are the same reduced
+Fractions that term-by-term rational expansion gives.
+
 Length-2 schemes here are always two distinct points; the coincident
 (non-reduced) case would need jet evaluation and no check in this package
 requires it.
@@ -13,11 +20,12 @@ requires it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
 
 from .errors import DimensionMismatch, LineInHypersurface
-from .exact import Matrix, Subspace, ZERO, format_fraction, frac, kernel_basis
-from .poly import EulerSection, HomogPoly
+from .exact import (Matrix, Subspace, ZERO, clear_denominators, format_fraction,
+                    frac, kernel_basis)
+from .poly import EulerSection, HomogPoly, sum_of_products
 
 
 class ProjPoint:
@@ -185,21 +193,29 @@ class Line:
             raise ValueError("coincident points do not span a line")
         self.p = p
         self.q = q
-        self._powers = {}
+        self._p_ints, self._p_den = clear_denominators(p.coords)
+        self._q_ints, self._q_den = clear_denominators(q.coords)
+        self._restricted = {(0,) * p.nvars: (1,)}
 
     @property
     def nvars(self) -> int:
         return self.p.nvars
 
-    def coordinate_power(self, i: int, e: int):
-        """Coefficients of (p_i s + q_i t)^e as a degree-e binary form."""
-        key = (i, e)
-        got = self._powers.get(key)
+    def integer_restriction(self, exps):
+        """Integer coefficients of prod_i (P_i s + Q_i t)^e_i, entry k at
+        s^(m-k) t^k, for P = Dp * p and Q = Dq * q.
+
+        Cached per monomial; an entry is the entry of the monomial with its
+        first nonzero exponent lowered by one, times one linear factor.
+        """
+        got = self._restricted.get(exps)
         if got is not None:
             return got
-        a, b = self.p.coords[i], self.q.coords[i]
-        out = [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
-        self._powers[key] = out
+        i = next(j for j, e in enumerate(exps) if e)
+        lower = self.integer_restriction(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+        a, b = self._p_ints[i], self._q_ints[i]
+        out = tuple(x * a + y * b for x, y in zip(lower + (0,), (0,) + lower))
+        self._restricted[exps] = out
         return out
 
     def to_json(self):
@@ -207,28 +223,22 @@ class Line:
 
 
 def restrict_poly(poly: HomogPoly, line: Line) -> BinaryForm:
-    """Substitute x = s*p + t*q and expand exactly."""
+    """Substitute x = s*p + t*q and expand exactly.
+
+    With p = P / Dp and q = Q / Dq, the coefficient of s^(m-k) t^k is
+    sum_e c_e * (integer restriction of x^e)_k / (Dp^(m-k) Dq^k).
+    """
     if poly.nvars != line.nvars:
         raise DimensionMismatch("polynomial and line live in different spaces")
     m = poly.degree
-    acc = [ZERO] * (m + 1)
-    for exps, c in poly.terms.items():
-        vec = [c]
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            pw = line.coordinate_power(i, e)
-            out = [ZERO] * (len(vec) + e)
-            for a_idx, a in enumerate(vec):
-                if a == 0:
-                    continue
-                for b_idx, b in enumerate(pw):
-                    if b:
-                        out[a_idx + b_idx] += a * b
-            vec = out
-        for k, v in enumerate(vec):
-            acc[k] += v
-    return BinaryForm(m, acc)
+    nums, den = clear_denominators(poly.terms.values())
+    acc = [0] * (m + 1)
+    for exps, c in zip(poly.terms, nums):
+        for k, v in enumerate(line.integer_restriction(exps)):
+            acc[k] += c * v
+    dp, dq = line._p_den, line._q_den
+    return BinaryForm(m, [Fraction(a, den * dp ** (m - k) * dq ** k)
+                          for k, a in enumerate(acc)])
 
 
 def restrict_section(sec, line: Line):
@@ -242,14 +252,12 @@ def restrict_section(sec, line: Line):
     if isinstance(sec, EulerSection):
         return [restrict_poly(c, line) for c in sec.components]
     comps = [restrict_poly(c, line) for c in sec.p_part.components]
-    nv = sec.p_part.nvars
-    contracted = None
-    for mono, coeff in sec.b_part.items():
-        term = coeff * HomogPoly.monomial(nv, mono)
-        contracted = term if contracted is None else contracted + term
-    if contracted is None:
+    if not sec.b_part:
         return comps
-    comps.append(restrict_poly(contracted, line))
+    nv = sec.p_part.nvars
+    pairs = [(coeff, HomogPoly.monomial(nv, mono)) for mono, coeff in sec.b_part.items()]
+    degree = pairs[0][0].degree + pairs[0][1].degree
+    comps.append(restrict_poly(sum_of_products(nv, degree, pairs), line))
     return comps
 
 

@@ -5,6 +5,12 @@ x0 > x1 > ... (larger tuples first within a degree).  Polynomials are
 dictionaries monomial -> Fraction with no stored zeros; dense coefficient
 vectors are materialized only when a matrix column is needed.
 
+Products (sum_of_products, and HomogPoly.__mul__ through it) and monomial
+evaluation (eval_monomials) run on Python ints: coefficients and
+coordinates are cleared to integer numerators over one common denominator,
+and one Fraction is built per output coefficient, so outputs are the same
+reduced Fractions that term-by-term rational arithmetic gives.
+
 The deformation index set jd(n, d) collects the degree-d monomials in n+2
 variables with every exponent at most d-2, i.e. the monomials that survive
 after normalizing away the torus and linear actions on the Fermat form.
@@ -14,10 +20,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .errors import DimensionMismatch
-from .exact import Subspace, frac, ZERO
+from .exact import Subspace, ZERO, clear_denominators, frac
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +35,7 @@ def mono_degree(m) -> int:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def order_key(m):
@@ -195,14 +202,7 @@ class HomogPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if self.nvars != other.nvars:
-            raise DimensionMismatch("variable counts differ")
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, ZERO) + c1 * c2
-        return HomogPoly(self.nvars, self.degree + other.degree, terms)
+        return sum_of_products(self.nvars, self.degree + other.degree, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -222,14 +222,8 @@ class HomogPoly:
     def evaluate(self, coords):
         if len(coords) != self.nvars:
             raise DimensionMismatch("point has %d coordinates" % len(coords))
-        total = ZERO
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(coords, m):
-                if e:
-                    v = v * frac(x) ** e
-            total += v
-        return total
+        values = eval_monomials(self.terms, coords)
+        return sum((c * v for c, v in zip(self.terms.values(), values)), ZERO)
 
     def coeffs_on(self, mset: MonomialSet, strict: bool = True):
         """Coefficient vector against an ordered monomial set."""
@@ -269,6 +263,57 @@ class HomogPoly:
 
     def __repr__(self):
         return "HomogPoly(%s)" % self.text()
+
+
+def sum_of_products(nvars: int, degree: int, pairs) -> HomogPoly:
+    """The polynomial sum of a*b over the (a, b) pairs, of the given degree.
+
+    Each factor is cleared to integer numerators once; the partial products
+    are accumulated as ints over the lcm of the pairs' denominators, so each
+    output coefficient becomes one reduced Fraction.
+    """
+    cleared = []
+    den = 1
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise DimensionMismatch("variable counts differ")
+        if a.degree + b.degree != degree:
+            raise DimensionMismatch("cannot combine degree %d and %d polynomials"
+                                    % (a.degree + b.degree, degree))
+        na, da = clear_denominators(a.terms.values())
+        nb, db = clear_denominators(b.terms.values())
+        cleared.append((a, na, b, nb, da * db))
+        den = lcm(den, da * db)
+    acc = {}
+    for a, na, b, nb, dab in cleared:
+        scale = den // dab
+        b_terms = list(zip(b.terms, nb))
+        for m1, c1 in zip(a.terms, na):
+            c1 *= scale
+            for m2, c2 in b_terms:
+                m = mono_mul(m1, m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return HomogPoly(nvars, degree, {m: Fraction(v, den) for m, v in acc.items() if v})
+
+
+def eval_monomials(monomials, coords):
+    """Exact values of the monomials at the point `coords`.
+
+    The coordinates are cleared to integers X_i over one denominator D, so
+    a monomial's value is prod X_i^e_i / D^deg, read from power tables.
+    """
+    monomials = list(monomials)
+    nums, den = clear_denominators(frac(x) for x in coords)
+    top = max((sum(m) for m in monomials), default=0)
+    tables = [[x ** e for e in range(top + 1)] for x in nums]
+    den_powers = [den ** e for e in range(top + 1)]
+    out = []
+    for m in monomials:
+        v = 1
+        for table, e in zip(tables, m):
+            v *= table[e]
+        out.append(Fraction(v, den_powers[sum(m)]))
+    return out
 
 
 def _coeff_str(c: Fraction) -> str:

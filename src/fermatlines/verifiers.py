@@ -26,8 +26,8 @@ from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, permute_point,
                     restrict_poly, restrict_section, scheme_json)
-from .poly import (EulerSection, HomogPoly, all_monomials, gen_jd, mono_mul,
-                   euler_alpha)
+from .poly import (EulerSection, HomogPoly, all_monomials, eval_monomials,
+                   gen_jd, mono_mul, euler_alpha)
 from .rng import Rng
 
 PASS = "PASS"
@@ -114,7 +114,7 @@ def _random_point(nvars: int, rng: Rng, bound: int = 9) -> ProjPoint:
             return ProjPoint(coords)
 
 
-def _random_generic_scheme(n: int, rng: Rng, attempts: int = 60) -> LengthTwoScheme:
+def random_generic_scheme(n: int, rng: Rng, attempts: int = 60) -> LengthTwoScheme:
     nv = n + 2
     for _ in range(attempts):
         p1 = _random_point(nv, rng)
@@ -167,7 +167,7 @@ def _pair_independent(z: LengthTwoScheme, i: int, j: int) -> bool:
 def _generic_scheme_three_independent(n: int, rng: Rng) -> LengthTwoScheme:
     """Generic scheme where x0, x1, x2 restrict pairwise independently."""
     for _ in range(60):
-        z = _random_generic_scheme(n, rng)
+        z = random_generic_scheme(n, rng)
         if (_pair_independent(z, 0, 1) and _pair_independent(z, 1, 2)
                 and _pair_independent(z, 0, 2)):
             return z
@@ -343,7 +343,7 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
         try:
             for t in range(trials):
                 sub = rng.split("trial%d" % t)
-                zt = z if z is not None else _random_generic_scheme(n, sub)
+                zt = z if z is not None else random_generic_scheme(n, sub)
                 b = sample_b_through(shape, [zt.p1, zt.p2], sub)
                 if not _on_member(b, zt):
                     raise InfeasibleSystem("the sampled member misses the scheme")
@@ -470,7 +470,7 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         jd = gen_jd(n, d)
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
-        evaluation = Matrix([[_eval_mono(m, p.coords) for m in jd1]])
+        evaluation = Matrix([eval_monomials(jd1, p.coords)])
         eval_rank = evaluation.rank()
         ip = ip_linear(p)
         point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd.members, jd1, nv)
@@ -514,14 +514,6 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
                        dims, witness, clock.ms, {"trials": trials})
 
 
-def _eval_mono(m, coords):
-    v = Fraction(1)
-    for x, e in zip(coords, m):
-        if e:
-            v *= x ** e
-    return v
-
-
 # ---------------------------------------------------------------------------
 # images of the quadratic sections on the line
 
@@ -552,7 +544,8 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     explicit (3n+2)-dimensional span."""
     with _Clock() as clock:
         if n < 2:
-            raise ValueError("needs n >= 2")
+            return LemmaReport("xi-special", n, d, rng.origin_seed, INFEASIBLE, {},
+                               {"reason": "needs n >= 2"}, clock.now_ms(), {})
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
@@ -632,7 +625,8 @@ def verify_xi_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     of generic scheme are exercised."""
     with _Clock() as clock:
         if n < 2:
-            raise ValueError("needs n >= 2")
+            return LemmaReport("xi-generic", n, d, rng.origin_seed, INFEASIBLE, {},
+                               {"reason": "needs n >= 2"}, clock.now_ms(), {})
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
@@ -860,6 +854,20 @@ def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
     raise InfeasibleSystem("could not reach a nonzero top coefficient")
 
 
+def _random_secant_report(shape: FamilyShape, rng: Rng, seed: int,
+                          draws: int = 40) -> LemmaReport | None:
+    """secant_obstruction on the first random generic scheme whose sampled
+    member meets the line in at least three distinct points, or None when
+    `draws` schemes give no such line."""
+    for _ in range(draws):
+        z = random_generic_scheme(shape.n, rng)
+        b = sample_b_through(shape, [z.p1, z.p2], rng)
+        xif = restrict_poly(b.f_poly(), z.line)
+        if not xif.is_zero() and distinct_root_count(xif) >= 3:
+            return secant_obstruction(b, z, seed=seed)
+    return None
+
+
 def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """Random secants with three or more intersection points must come out
     NOT well defined; constructed two-point lines must come out well defined
@@ -873,21 +881,14 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         try:
             for t in range(trials):
                 sub = rng.split("trial%d" % t)
-                rep_r = None
-                for _ in range(40):
-                    zt = _random_generic_scheme(n, sub)
-                    b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                    xif = restrict_poly(b.f_poly(), zt.line)
-                    if not xif.is_zero() and distinct_root_count(xif) >= 3:
-                        rep_r = secant_obstruction(b, zt, seed=rng.origin_seed)
-                        break
+                rep_r = _random_secant_report(shape, sub, rng.origin_seed)
                 if rep_r is None:
                     return LemmaReport(
                         "secant", n, d, rng.origin_seed, INDETERMINATE, dims,
                         {"reason": "no secant with >= 3 intersection points "
                                    "found in 40 draws"},
                         clock.now_ms(), {"trials": trials})
-                zc = _random_generic_scheme(n, sub)
+                zc = random_generic_scheme(n, sub)
                 bc = _b_with_line_power(shape, zc, m, sub)
                 rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed)
                 ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0

@@ -18,7 +18,7 @@ from fermatlines.lines import ProjPoint, distinct_root_count, restrict_poly
 from fermatlines.poly import gen_jd, jd_size_formula
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (PASS, _b_with_line_power,
-                                   _random_generic_scheme, incidence_dimension,
+                                   random_generic_scheme, incidence_dimension,
                                    secant_obstruction,
                                    tangency_deformation_dim,
                                    verify_generic_systems, verify_kernel_generic,
@@ -125,7 +125,7 @@ def test_acceptance_7_secant_obstruction():
     rng = Rng(0).split("acceptance-secant")
     random_runs = 0
     while random_runs < 10:
-        z = _random_generic_scheme(n, rng)
+        z = random_generic_scheme(n, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
         xif = restrict_poly(b.f_poly(), z.line)
         if xif.is_zero() or distinct_root_count(xif) < 3:
@@ -135,7 +135,7 @@ def test_acceptance_7_secant_obstruction():
         assert rep.dims["well_defined"] == 0
         random_runs += 1
     for i, m in enumerate((1, 3, 5)):
-        z = _random_generic_scheme(n, rng)
+        z = random_generic_scheme(n, rng)
         b = _b_with_line_power(shape, z, m, rng)
         rep = secant_obstruction(b, z)
         assert rep.verdict == PASS, rep.to_json()

@@ -149,3 +149,34 @@ def test_checks_survive_optimized_interpreter():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_all_below_the_xi_scope_reports_instead_of_crashing(tmp_path, capsys):
+    """xi-special and xi-generic need n >= 2; at n = 1 they report INFEASIBLE
+    and every other lemma still runs."""
+    out = tmp_path / "n1.jsonl"
+    code = main(["all", "--n", "1", "--d", "4", "--trials", "1", "--json", str(out)])
+    assert code == EXIT_SOFT
+    lines = read_jsonl(out)
+    assert len(lines) == 11
+    reports, summary = lines[:-1], lines[-1]["summary"]
+    assert [r["lemma"] for r in reports] == list(REGISTRY)
+    scoped = {r["lemma"]: r for r in reports if r["verdict"] == "INFEASIBLE"}
+    assert set(scoped) == {"xi-special", "xi-generic"}
+    assert all(r["witness"] == {"reason": "needs n >= 2"} for r in scoped.values())
+    assert summary["runs"] == 10 and summary["infeasible"] == 2
+    assert summary["fail"] == 0
+    capsys.readouterr()
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example uses public names only and runs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import _" not in block
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("PASS ")
+    assert "well_defined" in printed[1]

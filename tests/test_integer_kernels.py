@@ -1,0 +1,342 @@
+"""The integer-numerator kernels against term-by-term Fraction references.
+
+restrict_poly, HomogPoly.__mul__ (sum_of_products), eta and eval_monomials
+clear denominators once and build one Fraction per output coefficient.
+The references below are the plain rational expansions they replaced; they
+live here only, as oracles.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from fermatlines.errors import DimensionMismatch
+from fermatlines.exact import sample_rational
+from fermatlines.family import (DeformationPoint, FamilyShape,
+                                MixedTangentSection, eta, omega_basis,
+                                random_deformation, sample_b_through)
+from fermatlines.lines import Line, ProjPoint, restrict_poly
+from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
+                              eval_monomials, gen_jd, sum_of_products)
+from fermatlines.rng import Rng
+from tests.test_poly import random_poly
+
+ZERO = Fraction(0)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def restrict_poly_reference(poly, line):
+    """Coefficients of poly(s*p + t*q), expanded term by term in Fractions."""
+    acc = [ZERO] * (poly.degree + 1)
+    for exps, c in poly.terms.items():
+        vec = [c]
+        for a, b, e in zip(line.p.coords, line.q.coords, exps):
+            power = [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
+            out = [ZERO] * (len(vec) + e)
+            for i, x in enumerate(vec):
+                for j, y in enumerate(power):
+                    out[i + j] += x * y
+            vec = out
+        for k, v in enumerate(vec):
+            acc[k] += v
+    return acc
+
+
+def mul_reference(a, b):
+    """Product with one Fraction multiply and add per pair of terms."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            terms[m] = terms.get(m, ZERO) + c1 * c2
+    return HomogPoly(a.nvars, a.degree + b.degree, terms)
+
+
+def eta_reference(b, section):
+    """eta as a running sum of separately built products."""
+    if isinstance(section, EulerSection):
+        p_part, b_part = section, {}
+    else:
+        p_part, b_part = section.p_part, section.b_part
+    nv = b.shape.nvars
+    partials = b.f_partials()
+    out = HomogPoly.zero(nv, p_part.degree + b.shape.d - 1)
+    for j, comp in enumerate(p_part.components):
+        out = out + mul_reference(comp, partials[j])
+    for mono, coeff in b_part.items():
+        out = out + mul_reference(coeff, HomogPoly.monomial(nv, mono))
+    return out
+
+
+def eval_reference(m, coords):
+    v = Fraction(1)
+    for x, e in zip(coords, m):
+        v *= Fraction(x) ** e
+    return v
+
+
+def assert_same_fractions(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert isinstance(x, Fraction)
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+
+def check_restriction(poly, line):
+    got = restrict_poly(poly, line)
+    assert got.degree == poly.degree
+    assert_same_fractions(got.coeffs, restrict_poly_reference(poly, line))
+
+
+# ---------------------------------------------------------------------------
+# restriction to a line
+
+coordinate = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+nonzero_coordinate = coordinate.filter(lambda x: x != 0)
+
+
+@st.composite
+def lines_and_polys(draw):
+    nv = draw(st.integers(2, 4))
+    degree = draw(st.integers(0, 5))
+    p = draw(st.lists(st.one_of(st.just(ZERO), coordinate), min_size=nv, max_size=nv)
+             .filter(lambda cs: any(cs)))
+    q = draw(st.lists(st.one_of(st.just(ZERO), coordinate), min_size=nv, max_size=nv)
+             .filter(lambda cs: any(cs)))
+    pp, qq = ProjPoint(p), ProjPoint(q)
+    assume(pp != qq)
+    monos = all_monomials(nv, degree).members
+    picks = draw(st.lists(st.sampled_from(monos), max_size=8))
+    coeffs = draw(st.lists(nonzero_coordinate, min_size=len(picks), max_size=len(picks)))
+    return Line(pp, qq), HomogPoly(nv, degree, dict(zip(picks, coeffs)))
+
+
+@given(lines_and_polys())
+@settings(max_examples=120, deadline=None)
+def test_restrict_matches_reference_hypothesis(case):
+    line, poly = case
+    check_restriction(poly, line)
+
+
+def test_restrict_negative_and_non_unit_denominators():
+    rng = Rng(31)
+    line = Line(ProjPoint([Fraction(-3, 7), Fraction(5, -9), 2, Fraction(-11, 4)]),
+                ProjPoint([Fraction(1, 6), -1, Fraction(-13, 10), Fraction(7, 15)]))
+    for degree in range(7):
+        for _ in range(4):
+            check_restriction(random_poly(4, degree, rng, nterms=10, bound=30), line)
+
+
+def test_restrict_points_with_zero_coordinates_and_coordinate_lines():
+    rng = Rng(32)
+    nv = 4
+    units = [ProjPoint([1 if j == i else 0 for j in range(nv)]) for i in range(nv)]
+    lines = [Line(units[i], units[j]) for i in range(nv) for j in range(nv) if i != j]
+    lines.append(Line(ProjPoint([0, Fraction(2, 3), 0, -5]),
+                      ProjPoint([Fraction(-1, 8), 0, 0, Fraction(9, 4)])))
+    lines.append(Line(units[0], ProjPoint([0, Fraction(-5, 6), Fraction(7, 3), 0])))
+    for line in lines:
+        for degree in (1, 3, 6):
+            check_restriction(random_poly(nv, degree, rng, nterms=12, bound=20), line)
+
+
+def test_restrict_zero_polynomial():
+    line = Line(ProjPoint([1, Fraction(-2, 3), 5]), ProjPoint([Fraction(1, 4), 1, 0]))
+    for degree in range(5):
+        form = restrict_poly(HomogPoly.zero(3, degree), line)
+        assert form.degree == degree and form.is_zero()
+        assert_same_fractions(form.coeffs, [ZERO] * (degree + 1))
+
+
+def test_restrict_large_coefficient_lcm():
+    nv = 5
+    monos = all_monomials(nv, 6).members
+    terms = {m: Fraction((-1) ** i * (10 ** 30 + i), PRIMES[i % len(PRIMES)] ** (1 + i % 3))
+             for i, m in enumerate(monos[::3])}
+    poly = HomogPoly(nv, 6, terms)
+    line = Line(ProjPoint([Fraction(1, 97), Fraction(-89, 83), 0, Fraction(79, 73), 71]),
+                ProjPoint([Fraction(-67, 61), 0, Fraction(59, 53), 1, Fraction(-47, 43)]))
+    check_restriction(poly, line)
+
+
+def test_restrict_paper_size_member_and_partials():
+    shape = FamilyShape(3, 8)
+    rng = Rng(33)
+    p = ProjPoint([1, Fraction(-1, 28), Fraction(2, 3), Fraction(-3, 16), Fraction(3, 8)])
+    q = ProjPoint([1, -24, Fraction(-27, 5), -24, 27])
+    b = sample_b_through(shape, [p, q], rng)
+    line = Line(p, q)
+    f = b.f_poly()
+    check_restriction(f, line)
+    for g in b.f_partials():
+        check_restriction(g, line)
+    assert restrict_poly(f, line).coeffs[0] == 0 == restrict_poly(f, line).coeffs[-1]
+
+
+def test_restrict_checks_the_variable_count():
+    line = Line(ProjPoint([1, 0, 0]), ProjPoint([0, 1, 0]))
+    with pytest.raises(DimensionMismatch):
+        restrict_poly(HomogPoly.variable(4, 0), line)
+
+
+def test_line_cache_entry_is_product_of_linear_factors():
+    p = ProjPoint([Fraction(2, 3), -1, 0])
+    q = ProjPoint([Fraction(-1, 2), Fraction(5, 4), 3])
+    line = Line(p, q)
+    vec = line.integer_restriction((2, 1, 1))
+    # p = (1, -3/2, 0) and q = (1, -5/2, -6) after normalization, so
+    # P = (2, -3, 0) and Q = (2, -5, -12), both over the denominator 2.
+    lin = [(2, 2), (-3, -5), (0, -12)]
+    want = [1]
+    for i, e in enumerate((2, 1, 1)):
+        for _ in range(e):
+            a, b = lin[i]
+            want = [x * a + y * b for x, y in zip(want + [0], [0] + want)]
+    assert list(vec) == want
+    assert line.integer_restriction((2, 1, 1)) is vec
+
+
+# ---------------------------------------------------------------------------
+# products
+
+@st.composite
+def poly_pairs(draw):
+    nv = draw(st.integers(1, 4))
+
+    def poly():
+        degree = draw(st.integers(0, 4))
+        monos = all_monomials(nv, degree).members
+        picks = draw(st.lists(st.sampled_from(monos), max_size=7))
+        coeffs = draw(st.lists(nonzero_coordinate, min_size=len(picks),
+                               max_size=len(picks)))
+        return HomogPoly(nv, degree, dict(zip(picks, coeffs)))
+
+    return poly(), poly()
+
+
+@given(poly_pairs())
+@settings(max_examples=120, deadline=None)
+def test_mul_matches_reference_hypothesis(pair):
+    a, b = pair
+    got = a * b
+    want = mul_reference(a, b)
+    assert got == want and got.degree == want.degree
+    assert_same_fractions([got.terms[m] for m in want.terms],
+                          list(want.terms.values()))
+
+
+def test_mul_seeded_cases():
+    rng = Rng(34)
+    for nv in (2, 3, 5):
+        for da in range(4):
+            for db in range(4):
+                a = random_poly(nv, da, rng, nterms=9, bound=40)
+                b = random_poly(nv, db, rng, nterms=9, bound=40)
+                assert a * b == mul_reference(a, b)
+                assert b * a == a * b
+
+
+def test_mul_zero_and_cancellation():
+    x0, x1 = HomogPoly.variable(2, 0), HomogPoly.variable(2, 1)
+    zero = HomogPoly.zero(2, 3)
+    prod = zero * x0
+    assert prod.is_zero() and prod.degree == 4
+    # (x0 + x1)(x0 - x1) = x0^2 - x1^2: the cross terms cancel exactly
+    diff = (x0 + x1) * (x0 - x1)
+    assert diff == mul_reference(x0 + x1, x0 - x1)
+    assert (1, 1) not in diff.terms
+
+
+def test_mul_large_coefficient_lcm():
+    nv = 4
+    ma = all_monomials(nv, 3).members
+    mb = all_monomials(nv, 2).members
+    a = HomogPoly(nv, 3, {m: Fraction(2 ** 70 + i, PRIMES[i % 16] ** 3)
+                          for i, m in enumerate(ma)})
+    b = HomogPoly(nv, 2, {m: Fraction(-(3 ** 40) - i, PRIMES[(5 * i) % 16] * PRIMES[i % 7])
+                          for i, m in enumerate(mb)})
+    assert a * b == mul_reference(a, b)
+
+
+def test_mul_rejects_different_variable_counts():
+    with pytest.raises(DimensionMismatch):
+        HomogPoly.variable(2, 0) * HomogPoly.variable(3, 0)
+
+
+def test_sum_of_products_checks_degree_and_sums():
+    rng = Rng(35)
+    pairs = [(random_poly(3, 1, rng, bound=15), random_poly(3, 2, rng, bound=15)),
+             (random_poly(3, 2, rng, bound=15), random_poly(3, 1, rng, bound=15)),
+             (random_poly(3, 0, rng, bound=15), random_poly(3, 3, rng, bound=15))]
+    want = HomogPoly.zero(3, 3)
+    for a, b in pairs:
+        want = want + mul_reference(a, b)
+    assert sum_of_products(3, 3, pairs) == want
+    assert sum_of_products(3, 3, []) == HomogPoly.zero(3, 3)
+    with pytest.raises(DimensionMismatch):
+        sum_of_products(3, 4, pairs)
+
+
+# ---------------------------------------------------------------------------
+# eta
+
+@pytest.mark.parametrize("n,d,seed", [(2, 6, 36), (3, 8, 37)])
+def test_eta_matches_running_sum_on_every_omega(n, d, seed):
+    shape = FamilyShape(n, d)
+    b = random_deformation(shape, Rng(seed))
+    omegas = omega_basis(b)
+    assert len(omegas) == (n + 2) * comb(n + 2, 2)
+    for w in omegas:
+        assert eta(b, w) == eta_reference(b, w)
+
+
+def test_eta_matches_reference_on_mixed_sections():
+    shape = FamilyShape(2, 6)
+    rng = Rng(38)
+    b = random_deformation(shape, rng)
+    nv = shape.nvars
+    for _ in range(4):
+        p_part = EulerSection([random_poly(nv, 2, rng, nterms=4) for _ in range(nv)])
+        b_part = {m: random_poly(nv, 1, rng, nterms=3)
+                  for m in list(shape.jd)[rng.randint(0, 20)::17]}
+        sec = MixedTangentSection(p_part, b_part)
+        assert eta(b, sec) == eta_reference(b, sec)
+    fermat = DeformationPoint.fermat(shape)
+    sec = EulerSection.single(nv, 1, HomogPoly.monomial(nv, (1, 1, 0, 0)))
+    assert eta(fermat, sec) == eta_reference(fermat, sec)
+
+
+# ---------------------------------------------------------------------------
+# monomial evaluation
+
+@given(st.lists(coordinate, min_size=1, max_size=5), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_eval_monomials_matches_reference_hypothesis(coords, degree):
+    monos = list(all_monomials(len(coords), degree).members)
+    got = eval_monomials(monos, coords)
+    assert_same_fractions(got, [eval_reference(m, coords) for m in monos])
+
+
+def test_eval_monomials_mixed_degrees_and_int_coordinates():
+    coords = [3, Fraction(-2, 9), 0, Fraction(5, 4)]
+    monos = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 1), (0, 0, 1, 0), (4, 3, 0, 2)]
+    assert_same_fractions(eval_monomials(monos, coords),
+                          [eval_reference(m, coords) for m in monos])
+    jd = gen_jd(3, 9)
+    p = ProjPoint([1, Fraction(-7, 3), Fraction(11, 5), Fraction(-1, 2), 4])
+    assert_same_fractions(eval_monomials(jd, p.coords),
+                          [eval_reference(m, p.coords) for m in jd])
+
+
+def test_evaluate_uses_the_same_values():
+    rng = Rng(39)
+    for _ in range(5):
+        poly = random_poly(3, 4, rng, nterms=8, bound=20)
+        pt = [sample_rational(rng, 20) for _ in range(3)]
+        want = sum((c * eval_reference(m, pt) for m, c in poly.terms.items()), ZERO)
+        assert poly.evaluate(pt) == want

@@ -16,7 +16,7 @@ from fermatlines.poly import HomogPoly, all_monomials, gen_jd
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    _b_with_line_power, _nine_by_six,
-                                   _random_generic_scheme, _special_scheme,
+                                   random_generic_scheme, _special_scheme,
                                    _two_by_two, _very_special_scheme,
                                    incidence_dimension, secant_obstruction,
                                    tangency_deformation_dim,
@@ -105,7 +105,7 @@ def test_kernel_special_passes_and_counts_generators():
 
 
 def test_kernel_special_routes_generic_input_away():
-    z = _random_generic_scheme(2, rng_for("zgen"))
+    z = random_generic_scheme(2, rng_for("zgen"))
     rep = verify_kernel_special(2, 6, rng_for("ks2"), trials=2, z=z)
     assert rep.verdict == INDETERMINATE
     assert rep.params.get("skipped") is True
@@ -125,7 +125,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
     from fermatlines.lines import iz_linear
     shape = FamilyShape(2, 6)
     for maker in (lambda r: _special_scheme(2, r)[0],
-                  lambda r: _random_generic_scheme(2, r)):
+                  lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
         xi = _xi_matrix_on(shape.jd, z.line, 4)
         k2 = kernel_basis(xi)
@@ -268,7 +268,7 @@ def test_xi_generic_at_fermat_is_informational_only():
     # computation is well defined there
     from fermatlines.verifiers import _restricted_vector
     shape = FamilyShape(2, 6)
-    z = _random_generic_scheme(2, rng_for("xf"))
+    z = random_generic_scheme(2, rng_for("xf"))
     b0 = DeformationPoint.fermat(shape)
     vecs = [_restricted_vector(w, z.line) for w in omega_basis(b0)]
     assert 0 < Matrix(vecs).rank() <= 12
@@ -304,7 +304,7 @@ def test_two_by_two_singular_locus_exactly():
 def make_two_point_config(n=2, d=6, m=3, seed=3):
     rng = rng_for("twopoint", seed)
     shape = FamilyShape(n, d)
-    z = _random_generic_scheme(n, rng)
+    z = random_generic_scheme(n, rng)
     b = _b_with_line_power(shape, z, m, rng)
     return shape, b, z
 
@@ -326,7 +326,7 @@ def test_secant_random_configuration_not_well_defined():
     rng = rng_for("randomsec")
     shape = FamilyShape(2, 6)
     while True:
-        z = _random_generic_scheme(2, rng)
+        z = random_generic_scheme(2, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
         xif = restrict_poly(b.f_poly(), z.line)
         if not xif.is_zero():
@@ -350,7 +350,7 @@ def test_secant_rejects_special_scheme():
 
 def test_secant_requires_scheme_on_member():
     shape = FamilyShape(2, 6)
-    z = _random_generic_scheme(2, rng_for("off"))
+    z = random_generic_scheme(2, rng_for("off"))
     b = DeformationPoint.fermat(shape)
     if b.f_poly().evaluate(z.p1.coords) != 0:
         with pytest.raises(ValueError):
@@ -488,7 +488,7 @@ def test_tangency_off_coordinate_line():
     n, d, m = 2, 6, 3
     rng = rng_for("offline")
     shape = FamilyShape(n, d)
-    z = _random_generic_scheme(n, rng)
+    z = random_generic_scheme(n, rng)
     b = _b_with_line_power(shape, z, m, rng)
     rep = tangency_deformation_dim(b.f_poly(), z.line, m)
     assert rep.dims["unknowns"] == 2 * n
@@ -520,7 +520,7 @@ def test_very_special_scheme_helper_classifies():
 
 def test_scheme_json_includes_class():
     from fermatlines.lines import scheme_json
-    z = _random_generic_scheme(2, rng_for("sj"))
+    z = random_generic_scheme(2, rng_for("sj"))
     obj = scheme_json(z)
     assert set(obj) == {"p1", "p2", "class"}
     assert obj["class"]["tag"] == "generic"
