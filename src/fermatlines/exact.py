@@ -126,21 +126,10 @@ class Matrix:
     def column(self, j: int):
         return [row[j] for row in self.data]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns([list(r) for r in self.data], nrows=self.ncols)
-
     def mul_vec(self, v):
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(v), self.ncols))
         return [sum((a * b for a, b in zip(row, v)), ZERO) for row in self.data]
-
-    def stack_below(self, other: "Matrix") -> "Matrix":
-        if other.ncols != self.ncols:
-            raise DimensionMismatch("column counts differ")
-        return Matrix(self.data + other.data, ncols=self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -305,10 +294,6 @@ class Subspace:
 
     def basis_vectors(self):
         return [list(r) for r in self._rows]
-
-    def basis_matrix(self) -> Matrix:
-        """Basis as columns, reduced column echelon form."""
-        return Matrix.from_columns(self.basis_vectors(), nrows=self.ambient)
 
     def contains_vector(self, v) -> bool:
         if len(v) != self.ambient:

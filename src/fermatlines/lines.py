@@ -107,14 +107,6 @@ class BinaryForm:
                     out[i + j] += a * b
         return BinaryForm(self.degree + other.degree, out)
 
-    def partial_s(self) -> "BinaryForm":
-        m = self.degree
-        return BinaryForm(m - 1, [self.coeffs[k] * (m - k) for k in range(m)])
-
-    def partial_t(self) -> "BinaryForm":
-        m = self.degree
-        return BinaryForm(m - 1, [self.coeffs[k] * k for k in range(1, m + 1)])
-
     def t_partial_t(self) -> "BinaryForm":
         """t * df/dt, the homogeneous form of y f'(y) on the affine chart s=1."""
         return BinaryForm(self.degree, [k * c for k, c in enumerate(self.coeffs)])
@@ -332,9 +324,6 @@ class SchemeClass:
 
     def is_generic(self) -> bool:
         return self.tag == "generic"
-
-    def is_very_special(self) -> bool:
-        return self.tag == "very-special"
 
     def to_json(self):
         return {"tag": self.tag, "a": self.a,

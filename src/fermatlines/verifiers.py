@@ -7,6 +7,9 @@ every one of `trials` independent random draws, FAILs when it holds for
 none, and is INDETERMINATE otherwise.  Random rationals miss the bad loci
 with probability zero for all practical purposes, but the protocol keeps
 the sampling semantics explicit.
+
+The protocol is implemented once, by the `_Trials` runner, and the three
+kernel claims share `_kernel_is_span`.
 """
 
 from __future__ import annotations
@@ -84,17 +87,63 @@ def _vec_json(v):
     return [format_fraction(x) for x in v]
 
 
-class _Clock:
+def _ms_since(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
+class _Stop(Exception):
+    """`raise _Stop(reason, params)` ends a sampled run early as
+    INDETERMINATE with those params."""
+
+
+class _Trials:
+    """The sampling protocol shared by the sampled verifiers.
+
+    Used as `with _Trials(...) as run:`, iterating `for sub in run:` over
+    one sub-generator per trial and calling `run.record` once per trial;
+    `run.report` holds the LemmaReport after the block.  The run is timed
+    as a whole.  The first trial's dims are kept, and the witness thunk is
+    called only for the first failing trial.  InfeasibleSystem,
+    NonGenericScheme and LineInHypersurface end the run as INFEASIBLE with
+    the dims gathered so far, and _Stop ends it as INDETERMINATE.  Any other
+    exception propagates.
+    """
+
+    def __init__(self, lemma: str, n: int, d: int, rng: Rng, trials: int, **params):
+        self.lemma, self.n, self.d, self.rng, self.trials = lemma, n, d, rng, trials
+        self.params = {"trials": trials, **params}
+        self.flags = []
+        self.dims = {}
+        self.witness = None
+
     def __enter__(self):
         self.t0 = time.perf_counter()
         return self
 
-    def now_ms(self) -> int:
-        return int((time.perf_counter() - self.t0) * 1000)
+    def __iter__(self):
+        for t in range(self.trials):
+            self.t = t
+            yield self.rng.split("trial%d" % t)
 
-    def __exit__(self, *exc):
-        self.ms = self.now_ms()
-        return False
+    def record(self, ok: bool, dims: dict, witness) -> None:
+        self.flags.append(ok)
+        if not self.dims:
+            self.dims = dims
+        if not ok and self.witness is None:
+            self.witness = {"trial": self.t, **witness()}
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            verdict, witness, params = protocol_verdict(self.flags), self.witness, self.params
+        elif issubclass(exc_type, (InfeasibleSystem, NonGenericScheme, LineInHypersurface)):
+            verdict, witness, params = INFEASIBLE, {"reason": str(exc)}, {}
+        elif issubclass(exc_type, _Stop):
+            verdict, witness, params = INDETERMINATE, {"reason": exc.args[0]}, exc.args[1]
+        else:
+            return False
+        self.report = LemmaReport(self.lemma, self.n, self.d, self.rng.origin_seed,
+                                  verdict, self.dims, witness, _ms_since(self.t0), params)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +256,6 @@ def _on_member(b: DeformationPoint, z: LengthTwoScheme) -> bool:
     return f.evaluate(z.p1.coords) == 0 and f.evaluate(z.p2.coords) == 0
 
 
-def _first_outside(big: Subspace, small: Subspace):
-    for v in big.basis_vectors():
-        if not small.contains_vector(v):
-            return v
-    return None
-
-
 # ---------------------------------------------------------------------------
 # basis of the distinguished quadratic sections
 
@@ -221,7 +263,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """The sections w_ijk contract into the degree-(d+1) deformation span,
     are independent, and together with the Euler-field multiples exhaust the
     sections that do so (modulo multiples of the defining polynomial)."""
-    with _Clock() as clock:
+    with _Trials("w-basis", n, d, rng, trials) as run:
         shape = FamilyShape(n, d)
         nv = n + 2
         deg2 = all_monomials(nv, 2)
@@ -234,11 +276,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         n_unknowns = nv * len(deg2)
         alpha = euler_alpha(n)
 
-        flags = []
-        witness = None
-        dims = {}
-        for t in range(trials):
-            sub = rng.split("trial%d" % t)
+        for sub in run:
             b = random_deformation(shape, sub)
             omegas = omega_basis(b)
             etas = [eta(b, w) for w in omegas]
@@ -286,15 +324,11 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
                   and euler_ok and f_block_rank == nv
                   and rank_family == expected_total
                   and kernel_total == expected_total)
-            flags.append(ok)
-            if not dims:
-                dims = {"basis": len(omegas), "kernel_total": kernel_total}
-            if not ok and witness is None:
-                witness = {"trial": t, "reason": "membership" if not membership else "dimension",
-                           "rank_basis": rank_omega, "kernel_total": kernel_total,
-                           "b": json.loads(b.to_json())["t"]}
-    return LemmaReport("w-basis", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials})
+            run.record(ok, {"basis": len(omegas), "kernel_total": kernel_total},
+                       lambda: {"reason": "membership" if not membership else "dimension",
+                                "rank_basis": rank_omega, "kernel_total": kernel_total,
+                                "b": json.loads(b.to_json())["t"]})
+    return run.report
 
 
 # ---------------------------------------------------------------------------
@@ -321,58 +355,61 @@ def _ideal_product_vectors(lin_forms, gens, jd, nv):
     return out
 
 
+def _kernel_is_span(m: Matrix, gens, m_rank: int | None = None):
+    """Decide whether the kernel of `m` equals the span of `gens`.
+
+    Returns (equal, kernel_dim, span_dim, outside).  certify_kernel_span
+    proves equality when it can; otherwise both spaces are built as
+    canonical Subspaces and compared.  `outside()` gives, as JSON, the first
+    basis vector of the kernel outside the span, else of the span outside
+    the kernel, else None.
+    """
+    dim = certify_kernel_span(m, gens, m_rank)
+    if dim is not None:
+        return True, dim, dim, lambda: None
+    kernel = kernel_basis(m)
+    span = Subspace.from_vectors(m.ncols, gens)
+
+    def outside():
+        for big, small in ((kernel, span), (span, kernel)):
+            for v in big.basis_vectors():
+                if not small.contains_vector(v):
+                    return _vec_json(v)
+        return None
+
+    return kernel == span, kernel.dim, span.dim, outside
+
+
 def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
                           z: LengthTwoScheme | None = None) -> LemmaReport:
     """For a generic scheme, the part of the deformation span vanishing on
     the line is exactly (linear forms of Z) * (deformation span one degree
     down), and the quotient maps isomorphically onto the degree-d forms on
     the line (dimension d+1)."""
-    with _Clock() as clock:
+    with _Trials("kernel-generic", n, d, rng, trials) as run:
         shape = FamilyShape(n, d)
         nv = n + 2
         jd = shape.jd
         jdm1 = shape.monomials(d - 1)
         if z is not None and not classify(z).is_generic():
-            return LemmaReport("kernel-generic", n, d, rng.origin_seed, INDETERMINATE,
-                               {}, {"reason": "scheme is %s; claim is scoped to generic"
-                                    % classify(z).tag},
-                               clock.now_ms(), {"skipped": True})
-        flags = []
-        witness = None
-        dims = {}
-        try:
-            for t in range(trials):
-                sub = rng.split("trial%d" % t)
-                zt = z if z is not None else random_generic_scheme(n, sub)
-                b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                if not _on_member(b, zt):
-                    raise InfeasibleSystem("the sampled member misses the scheme")
-                xi = _xi_matrix_on(jd, zt.line, nv)
-                gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
-                                              jdm1.members, jd, nv)
-                qrank = xi.rank()
-                dim = certify_kernel_span(xi, gens, qrank)
-                if dim is not None and qrank == d + 1:
-                    ok, lhs, rhs = True, dim, dim
-                else:
-                    k2 = kernel_basis(xi)
-                    k1 = Subspace.from_vectors(len(jd), gens)
-                    ok = (k1 == k2 and qrank == d + 1)
-                    lhs, rhs = k1.dim, k2.dim
-                flags.append(ok)
-                if not dims:
-                    dims = {"lhs": lhs, "rhs": rhs, "quotient": qrank}
-                if not ok and witness is None:
-                    bad = _first_outside(k2, k1)
-                    witness = {"trial": t, "reason": "subspace mismatch",
-                               "lhs": k1.dim, "rhs": k2.dim,
-                               "scheme": scheme_json(zt),
-                               "vector": _vec_json(bad) if bad else None}
-        except InfeasibleSystem as exc:
-            return LemmaReport("kernel-generic", n, d, rng.origin_seed, INFEASIBLE,
-                               dims, {"reason": str(exc)}, clock.now_ms(), {})
-    return LemmaReport("kernel-generic", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials})
+            raise _Stop("scheme is %s; claim is scoped to generic" % classify(z).tag,
+                        {"skipped": True})
+        for sub in run:
+            zt = z if z is not None else random_generic_scheme(n, sub)
+            b = sample_b_through(shape, [zt.p1, zt.p2], sub)
+            if not _on_member(b, zt):
+                raise InfeasibleSystem("the sampled member misses the scheme")
+            xi = _xi_matrix_on(jd, zt.line, nv)
+            gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
+                                          jdm1.members, jd, nv)
+            qrank = xi.rank()
+            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens, qrank)
+            run.record(equal and qrank == d + 1,
+                       {"lhs": span_dim, "rhs": kernel_dim, "quotient": qrank},
+                       lambda: {"reason": "subspace mismatch",
+                                "lhs": span_dim, "rhs": kernel_dim,
+                                "scheme": scheme_json(zt), "vector": outside()})
+    return run.report
 
 
 def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
@@ -380,7 +417,7 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
     """For a special-but-not-very-special scheme in normalized position, the
     kernel of restriction on the deformation span is the ideal part plus the
     explicit generators x0^(d-2) x_i (x_j - c_j x_1)."""
-    with _Clock() as clock:
+    with _Trials("kernel-special", n, d, rng, trials) as run:
         shape = FamilyShape(n, d)
         nv = n + 2
         jd = shape.jd
@@ -389,10 +426,8 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
         if z is not None:
             cls = classify(z)
             if cls.tag != "special":
-                return LemmaReport("kernel-special", n, d, rng.origin_seed, INDETERMINATE,
-                                   {}, {"reason": "scheme is %s; claim needs special but "
-                                        "not very special" % cls.tag},
-                                   clock.now_ms(), {"skipped": True})
+                raise _Stop("scheme is %s; claim needs special but not very special"
+                            % cls.tag, {"skipped": True})
             p1 = permute_point(z.p1, cls.perm)
             p2 = permute_point(z.p2, cls.perm)
             znorm = LengthTwoScheme(p1, p2)
@@ -404,52 +439,26 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
                                            "normalized special scheme" % j)
                 cmap[j] = cj
             provided = (znorm, cmap)
-        flags = []
-        witness = None
-        dims = {}
-        try:
-            for t in range(trials):
-                sub = rng.split("trial%d" % t)
-                zt, cmap = provided if provided else _special_scheme(n, sub)
-                b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                if not _on_member(b, zt):
-                    raise InfeasibleSystem("the sampled member misses the scheme")
-                xi = _xi_matrix_on(jd, zt.line, nv)
-                vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
-                                                 jdm1.members, jd, nv)
-                extra = 0
-                x1 = HomogPoly.variable(nv, 1)
-                for i in range(1, nv):
-                    xi_var = HomogPoly.variable(nv, i)
-                    for j in range(2, nv):
-                        lead = [0] * nv
-                        lead[0] = d - 2
-                        base = HomogPoly.monomial(nv, tuple(lead))
-                        gen = base * xi_var * (HomogPoly.variable(nv, j) - x1 * cmap[j])
-                        vectors.append(gen.coeffs_on(jd))
-                        extra += 1
-                dim = certify_kernel_span(xi, vectors)
-                if dim is not None:
-                    ok, lhs_dim, rhs_dim = True, dim, dim
-                else:
-                    lhs = kernel_basis(xi)
-                    rhs = Subspace.from_vectors(len(jd), vectors)
-                    ok = lhs == rhs
-                    lhs_dim, rhs_dim = lhs.dim, rhs.dim
-                flags.append(ok)
-                if not dims:
-                    dims = {"lhs": lhs_dim, "rhs": rhs_dim, "extra_generators": extra}
-                if not ok and witness is None:
-                    bad = _first_outside(lhs, rhs) or _first_outside(rhs, lhs)
-                    witness = {"trial": t, "reason": "subspace mismatch",
-                               "lhs": lhs.dim, "rhs": rhs.dim,
-                               "scheme": scheme_json(zt),
-                               "vector": _vec_json(bad) if bad else None}
-        except InfeasibleSystem as exc:
-            return LemmaReport("kernel-special", n, d, rng.origin_seed, INFEASIBLE,
-                               dims, {"reason": str(exc)}, clock.now_ms(), {})
-    return LemmaReport("kernel-special", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials})
+        for sub in run:
+            zt, cmap = provided if provided else _special_scheme(n, sub)
+            b = sample_b_through(shape, [zt.p1, zt.p2], sub)
+            if not _on_member(b, zt):
+                raise InfeasibleSystem("the sampled member misses the scheme")
+            xi = _xi_matrix_on(jd, zt.line, nv)
+            vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
+                                             jdm1.members, jd, nv)
+            x1 = HomogPoly.variable(nv, 1)
+            base = HomogPoly.monomial(nv, (d - 2,) + (0,) * (nv - 1))
+            extra = [(base * HomogPoly.variable(nv, i)
+                      * (HomogPoly.variable(nv, j) - x1 * cmap[j])).coeffs_on(jd)
+                     for i in range(1, nv) for j in range(2, nv)]
+            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, vectors + extra)
+            run.record(equal,
+                       {"lhs": kernel_dim, "rhs": span_dim, "extra_generators": len(extra)},
+                       lambda: {"reason": "subspace mismatch",
+                                "lhs": kernel_dim, "rhs": span_dim,
+                                "scheme": scheme_json(zt), "vector": outside()})
+    return run.report
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +470,7 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
     deformation span down to (linear forms at p) * (deformation span), of
     codimension exactly one; the same space splits through any two-point
     scheme supported at p plus one extra linear form."""
-    with _Clock() as clock:
+    with _Trials("point-ideal", n, d, rng, trials) as run:
         nv = n + 2
         if p is None:
             p = ProjPoint([Fraction(1)] * nv)
@@ -474,21 +483,12 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         eval_rank = evaluation.rank()
         ip = ip_linear(p)
         point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd.members, jd1, nv)
-        dim = certify_kernel_span(evaluation, point_vectors, eval_rank)
-        lhs = None  # the exact kernel, built only for a claim left uncertified
-        if dim is not None:
-            ok_point = dim == ambient - 1
-            dims = {"lhs": dim, "rhs": dim, "codim": ambient - dim}
-        else:
-            lhs = kernel_basis(evaluation)
-            rhs = Subspace.from_vectors(ambient, point_vectors)
-            ok_point = lhs == rhs and lhs.dim == ambient - 1
-            dims = {"lhs": lhs.dim, "rhs": rhs.dim, "codim": ambient - lhs.dim}
+        equal, kernel_dim, span_dim, _ = _kernel_is_span(evaluation, point_vectors,
+                                                         eval_rank)
+        ok_point = equal and kernel_dim == ambient - 1
+        run.dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
 
-        flags = []
-        witness = None
-        for t in range(trials):
-            sub = rng.split("trial%d" % t)
+        for sub in run:
             q = _random_point(nv, sub)
             while q == p or q.is_coordinate_point():
                 q = _random_point(nv, sub)
@@ -497,21 +497,11 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             s = next(v for v in ip.basis_vectors() if not iz.contains_vector(v))
             vectors = _ideal_product_vectors(iz.basis_vectors(), jd.members, jd1, nv)
             vectors += _ideal_product_vectors([s], jd.members, jd1, nv)
-            if ok_point and certify_kernel_span(evaluation, vectors, eval_rank) is not None:
-                ok = True
-            else:
-                if lhs is None:
-                    lhs = kernel_basis(evaluation)
-                split = Subspace.from_vectors(ambient, vectors)
-                ok = ok_point and split == lhs
-            flags.append(ok)
-            if not ok and witness is None:
-                bad = _first_outside(lhs, split) or _first_outside(split, lhs)
-                witness = {"trial": t,
-                           "reason": "point part" if not ok_point else "split part",
-                           "vector": _vec_json(bad) if bad else None}
-    return LemmaReport("point-ideal", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials})
+            split_ok, _, _, outside = _kernel_is_span(evaluation, vectors, eval_rank)
+            run.record(ok_point and split_ok, run.dims,
+                       lambda: {"reason": "point part" if not ok_point else "split part",
+                                "vector": outside()})
+    return run.report
 
 
 # ---------------------------------------------------------------------------
@@ -542,121 +532,92 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     scheme: contains the listed monomial fields and fills the full quotient
     by the rescaling directions; for a very special scheme it equals the
     explicit (3n+2)-dimensional span."""
-    with _Clock() as clock:
+    with _Trials("xi-special", n, d, rng, trials) as run:
         if n < 2:
-            return LemmaReport("xi-special", n, d, rng.origin_seed, INFEASIBLE, {},
-                               {"reason": "needs n >= 2"}, clock.now_ms(), {})
+            raise InfeasibleSystem("needs n >= 2")
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
-        flags = []
-        witness = None
-        dims = {}
-        try:
-            for t in range(trials):
-                sub = rng.split("trial%d" % t)
-                zs, _ = _special_scheme(n, sub)
-                b = sample_b_through(shape, [zs.p1, zs.p2], sub)
-                omeg = omega_basis(b)
-                svecs = [_restricted_vector(w, zs.line) for w in omeg]
-                s_img = Subspace.from_vectors(amb, svecs)
-                x0 = HomogPoly.variable(nv, 0)
-                x1 = HomogPoly.variable(nv, 1)
-                listed = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
-                listed += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
-                member_ok = all(
-                    s_img.contains_vector(_restricted_vector(sec, zs.line))
-                    for sec in listed)
-                rescale = Subspace.from_vectors(amb, _alpha_line_vectors(n, zs.line))
-                if rescale.dim != 2:
-                    raise NonGenericScheme("x0 and x1 do not restrict independently")
-                total = s_img.sum(rescale)
-                quotient_rank = total.dim - rescale.dim
-                surjective = total.dim == amb
+        for sub in run:
+            zs, _ = _special_scheme(n, sub)
+            b = sample_b_through(shape, [zs.p1, zs.p2], sub)
+            omeg = omega_basis(b)
+            svecs = [_restricted_vector(w, zs.line) for w in omeg]
+            s_img = Subspace.from_vectors(amb, svecs)
+            x0 = HomogPoly.variable(nv, 0)
+            x1 = HomogPoly.variable(nv, 1)
+            listed = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
+            listed += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
+            member_ok = all(
+                s_img.contains_vector(_restricted_vector(sec, zs.line))
+                for sec in listed)
+            rescale = Subspace.from_vectors(amb, _alpha_line_vectors(n, zs.line))
+            if rescale.dim != 2:
+                raise NonGenericScheme("x0 and x1 do not restrict independently")
+            total = s_img.sum(rescale)
+            quotient_rank = total.dim - rescale.dim
+            surjective = total.dim == amb
 
-                zv = _very_special_scheme(n, sub)
-                bv = sample_b_through(shape, [zv.p1, zv.p2], sub)
-                omev = omega_basis(bv)
-                vs_img = Subspace.from_vectors(
-                    amb, [_restricted_vector(w, zv.line) for w in omev])
-                explicit = []
-                for k in range(2, nv):
-                    explicit.append(EulerSection.single(nv, k, x0 * x1))
-                for k in range(1, nv):
-                    explicit.append(
-                        EulerSection.single(nv, k, x0 * x0)
-                        - EulerSection.single(nv, 0, (x0 * x1) * c_coeff(bv, 0, 1, k)))
-                for k in range(nv):
-                    if k == 1:
-                        continue
-                    explicit.append(
-                        EulerSection.single(nv, k, x1 * x1)
-                        - EulerSection.single(nv, 1, (x0 * x1) * c_coeff(bv, 1, 0, k)))
-                explicit_span = Subspace.from_vectors(
-                    amb, [_restricted_vector(s, zv.line) for s in explicit])
-                vs_ok = vs_img == explicit_span and vs_img.dim == 3 * n + 2
+            zv = _very_special_scheme(n, sub)
+            bv = sample_b_through(shape, [zv.p1, zv.p2], sub)
+            omev = omega_basis(bv)
+            vs_img = Subspace.from_vectors(
+                amb, [_restricted_vector(w, zv.line) for w in omev])
+            explicit = []
+            for k in range(2, nv):
+                explicit.append(EulerSection.single(nv, k, x0 * x1))
+            for k in range(1, nv):
+                explicit.append(
+                    EulerSection.single(nv, k, x0 * x0)
+                    - EulerSection.single(nv, 0, (x0 * x1) * c_coeff(bv, 0, 1, k)))
+            for k in range(nv):
+                if k == 1:
+                    continue
+                explicit.append(
+                    EulerSection.single(nv, k, x1 * x1)
+                    - EulerSection.single(nv, 1, (x0 * x1) * c_coeff(bv, 1, 0, k)))
+            explicit_span = Subspace.from_vectors(
+                amb, [_restricted_vector(s, zv.line) for s in explicit])
+            vs_ok = vs_img == explicit_span and vs_img.dim == 3 * n + 2
 
-                ok = member_ok and surjective and vs_ok
-                flags.append(ok)
-                if not dims:
-                    dims = {"target_quotient": amb - rescale.dim,
-                            "quotient_rank": quotient_rank,
-                            "xi_w_special": s_img.dim,
-                            "xi_w_very_special": vs_img.dim}
-                if not ok and witness is None:
-                    witness = {"trial": t,
-                               "reason": ("listed field missing" if not member_ok else
-                                          "quotient not filled" if not surjective else
-                                          "very-special span mismatch"),
-                               "quotient_rank": quotient_rank,
-                               "very_special_dim": vs_img.dim,
-                               "scheme": scheme_json(zs if not (member_ok and surjective)
-                                                     else zv)}
-        except InfeasibleSystem as exc:
-            return LemmaReport("xi-special", n, d, rng.origin_seed, INFEASIBLE,
-                               dims, {"reason": str(exc)}, clock.now_ms(), {})
-    return LemmaReport("xi-special", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials})
+            run.record(member_ok and surjective and vs_ok,
+                       {"target_quotient": amb - rescale.dim,
+                        "quotient_rank": quotient_rank,
+                        "xi_w_special": s_img.dim,
+                        "xi_w_very_special": vs_img.dim},
+                       lambda: {"reason": ("listed field missing" if not member_ok else
+                                           "quotient not filled" if not surjective else
+                                           "very-special span mismatch"),
+                                "quotient_rank": quotient_rank,
+                                "very_special_dim": vs_img.dim,
+                                "scheme": scheme_json(zs if not (member_ok and surjective)
+                                                      else zv)})
+    return run.report
 
 
 def verify_xi_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """For generic schemes the quadratic sections restrict onto the whole
     3(n+2)-dimensional space of quadratic sections on the line; both shapes
     of generic scheme are exercised."""
-    with _Clock() as clock:
+    with _Trials("xi-generic", n, d, rng, trials) as run:
         if n < 2:
-            return LemmaReport("xi-generic", n, d, rng.origin_seed, INFEASIBLE, {},
-                               {"reason": "needs n >= 2"}, clock.now_ms(), {})
+            raise InfeasibleSystem("needs n >= 2")
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
-        flags = []
-        witness = None
-        dims = {}
-        try:
-            for t in range(trials):
-                sub = rng.split("trial%d" % t)
-                ok = True
-                ranks = []
-                for maker in (_generic_scheme_three_independent,
-                              _generic_scheme_split_shape):
-                    zt = maker(n, sub)
-                    b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                    vecs = [_restricted_vector(w, zt.line) for w in omega_basis(b)]
-                    rk = Matrix(vecs).rank()
-                    ranks.append(rk)
-                    ok = ok and rk == amb
-                flags.append(ok)
-                if not dims:
-                    dims = {"rank": ranks[0], "target": amb, "basis": nv * comb(nv, 2)}
-                if not ok and witness is None:
-                    witness = {"trial": t, "reason": "restriction not surjective",
-                               "ranks": ranks, "target": amb}
-        except InfeasibleSystem as exc:
-            return LemmaReport("xi-generic", n, d, rng.origin_seed, INFEASIBLE,
-                               dims, {"reason": str(exc)}, clock.now_ms(), {})
-    return LemmaReport("xi-generic", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials})
+        for sub in run:
+            ranks = []
+            for maker in (_generic_scheme_three_independent,
+                          _generic_scheme_split_shape):
+                zt = maker(n, sub)
+                b = sample_b_through(shape, [zt.p1, zt.p2], sub)
+                vecs = [_restricted_vector(w, zt.line) for w in omega_basis(b)]
+                ranks.append(Matrix(vecs).rank())
+            run.record(all(rk == amb for rk in ranks),
+                       {"rank": ranks[0], "target": amb, "basis": nv * comb(nv, 2)},
+                       lambda: {"reason": "restriction not surjective",
+                                "ranks": ranks, "target": amb})
+    return run.report
 
 
 # ---------------------------------------------------------------------------
@@ -707,45 +668,45 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
     """The 9x6 coefficient system has trivial kernel for general
     coefficients; the 2x2 determinant pair is nonzero for general draws; and
     the degenerate-pair system is singular exactly on c022*c200 = 1."""
-    with _Clock() as clock:
-        flags = []
-        witness = None
-        max_kernel = 0
-        for t in range(draws):
-            sub = rng.split("draw%d" % t)
-            c = _draw_coeffs(sub)
-            m = _nine_by_six(c)
-            kdim = 6 - m.rank()
-            max_kernel = max(max_kernel, kdim)
-            det2 = (c[(1, 0, 2)] * c[(0, 1, 3)] - c[(0, 1, 2)] * c[(1, 0, 3)])
-            a = _nonzero_sample(sub)
-            pair = _two_by_two(c[(0, 2, 2)], c[(2, 0, 0)], a)
-            singular = pair.rank() < 2
-            predicted = c[(0, 2, 2)] * c[(2, 0, 0)] == 1
-            ok = kdim == 0 and det2 != 0 and singular == predicted
-            flags.append(ok)
-            if not ok and witness is None:
-                witness = {"draw": t, "kernel_dim": kdim,
-                           "det_pair": format_fraction(det2)}
-        forced_ok = True
-        for t in range(singular_draws):
-            sub = rng.split("singular%d" % t)
-            c022 = _nonzero_sample(sub, 20)
-            a = _nonzero_sample(sub)
-            pair = _two_by_two(c022, 1 / c022, a)
-            kdim = 2 - pair.rank()
-            if kdim != 1:
-                forced_ok = False
-                if witness is None:
-                    witness = {"singular_draw": t, "kernel_dim": kdim,
-                               "c022": format_fraction(c022)}
-        verdict = protocol_verdict(flags)
-        if not forced_ok:
-            verdict = FAIL
-        dims = {"system_rows": 9, "system_cols": 6, "draws": draws,
-                "singular_draws": singular_draws, "kernel_dim_max": max_kernel}
+    t0 = time.perf_counter()
+    flags = []
+    witness = None
+    max_kernel = 0
+    for t in range(draws):
+        sub = rng.split("draw%d" % t)
+        c = _draw_coeffs(sub)
+        m = _nine_by_six(c)
+        kdim = 6 - m.rank()
+        max_kernel = max(max_kernel, kdim)
+        det2 = (c[(1, 0, 2)] * c[(0, 1, 3)] - c[(0, 1, 2)] * c[(1, 0, 3)])
+        a = _nonzero_sample(sub)
+        pair = _two_by_two(c[(0, 2, 2)], c[(2, 0, 0)], a)
+        singular = pair.rank() < 2
+        predicted = c[(0, 2, 2)] * c[(2, 0, 0)] == 1
+        ok = kdim == 0 and det2 != 0 and singular == predicted
+        flags.append(ok)
+        if not ok and witness is None:
+            witness = {"draw": t, "kernel_dim": kdim,
+                       "det_pair": format_fraction(det2)}
+    forced_ok = True
+    for t in range(singular_draws):
+        sub = rng.split("singular%d" % t)
+        c022 = _nonzero_sample(sub, 20)
+        a = _nonzero_sample(sub)
+        pair = _two_by_two(c022, 1 / c022, a)
+        kdim = 2 - pair.rank()
+        if kdim != 1:
+            forced_ok = False
+            if witness is None:
+                witness = {"singular_draw": t, "kernel_dim": kdim,
+                           "c022": format_fraction(c022)}
+    verdict = protocol_verdict(flags)
+    if not forced_ok:
+        verdict = FAIL
+    dims = {"system_rows": 9, "system_cols": 6, "draws": draws,
+            "singular_draws": singular_draws, "kernel_dim_max": max_kernel}
     return LemmaReport("systems", n, d, rng.origin_seed, verdict, dims,
-                       witness, clock.ms, {})
+                       witness, _ms_since(t0), {})
 
 
 # ---------------------------------------------------------------------------
@@ -758,71 +719,72 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     dependence of the restricted polynomial against its radial derivative,
     and the restriction being a pure two-root monomial.  PASS means the
     three agree (whether all hold or all fail)."""
-    with _Clock() as clock:
-        shape = b.shape
-        nv, d = shape.nvars, shape.d
-        cls = classify(z)
-        if not cls.is_generic():
-            raise NonGenericScheme("the obstruction computation assumes a generic scheme")
-        if not _on_member(b, z):
-            raise ValueError("the scheme does not lie on the family member")
-        line = z.line
-        fpoly = b.f_poly()
-        xif = restrict_poly(fpoly, line)
-        if xif.is_zero():
-            raise LineInHypersurface("the member contains the line")
+    t0 = time.perf_counter()
+    shape = b.shape
+    nv, d = shape.nvars, shape.d
+    cls = classify(z)
+    if not cls.is_generic():
+        raise NonGenericScheme("the obstruction computation assumes a generic scheme")
+    if not _on_member(b, z):
+        raise ValueError("the scheme does not lie on the family member")
+    line = z.line
+    fpoly = b.f_poly()
+    xif = restrict_poly(fpoly, line)
+    if xif.is_zero():
+        raise LineInHypersurface("the member contains the line")
 
-        # evaluation map to the tangent spaces at the two points: a section
-        # u kills it iff u(p) is radial at both points
-        rows = []
-        for pt_idx, pt in ((0, z.p1), (1, z.p2)):
-            for i in range(nv):
-                for j in range(i + 1, nv):
-                    row = [ZERO] * (2 * nv)
-                    row[2 * i + pt_idx] = pt.coords[j]
-                    row[2 * j + pt_idx] = -pt.coords[i]
-                    rows.append(row)
-        ker_rho = kernel_basis(Matrix(rows, ncols=2 * nv))
-
-        partial_restrictions = [restrict_poly(fpoly.partial(i), line) for i in range(nv)]
-        cols = []
+    # evaluation map to the tangent spaces at the two points: a section
+    # u kills it iff u(p) is radial at both points
+    rows = []
+    for pt_idx, pt in ((0, z.p1), (1, z.p2)):
         for i in range(nv):
-            base = partial_restrictions[i].coeffs
-            cols.append(list(base) + [ZERO])      # s * dF/dx_i restricted
-            cols.append([ZERO] + list(base))      # t * dF/dx_i restricted
-        etahat = Matrix.from_columns(cols)
-        ker_eta = kernel_basis(etahat)
+            for j in range(i + 1, nv):
+                row = [ZERO] * (2 * nv)
+                row[2 * i + pt_idx] = pt.coords[j]
+                row[2 * j + pt_idx] = -pt.coords[i]
+                rows.append(row)
+    ker_rho = kernel_basis(Matrix(rows, ncols=2 * nv))
 
-        cond_kernel = ker_rho.contains(ker_eta)
-        cond_pair = Matrix([list(xif.coeffs),
-                            list(xif.t_partial_t().coeffs)]).rank() <= 1
-        idx = xif.monomial_index()
-        cond_monomial = idx is not None and 0 < idx < d
+    partial_restrictions = [restrict_poly(fpoly.partial(i), line) for i in range(nv)]
+    cols = []
+    for i in range(nv):
+        base = partial_restrictions[i].coeffs
+        cols.append(list(base) + [ZERO])      # s * dF/dx_i restricted
+        cols.append([ZERO] + list(base))      # t * dF/dx_i restricted
+    etahat = Matrix.from_columns(cols)
+    ker_eta = kernel_basis(etahat)
 
-        alpha_vec = []
-        for i in range(nv):
-            alpha_vec.extend([z.p1.coords[i], z.p2.coords[i]])
-        rho_ok = ker_rho.dim == 2 and ker_rho.contains_vector(alpha_vec)
-        overlap = ker_rho.intersect(ker_eta)
-        agree = cond_kernel == cond_pair == cond_monomial
-        dims = {
-            "ker_rho": ker_rho.dim,
-            "ker_etahat": ker_eta.dim,
-            "overlap": overlap.dim,
-            "euler_excess": 2 * nv - (d + 1),
-            "well_defined": int(cond_kernel),
-            "dependent_pair": int(cond_pair),
-            "two_point_line": int(cond_monomial),
-            "distinct_roots": distinct_root_count(xif),
-        }
-        verdict = PASS if (agree and rho_ok) else FAIL
-        witness = None
-        if verdict == FAIL:
-            witness = {"reason": "equivalent conditions disagree" if not agree
-                       else "kernel of the evaluation map misbehaves",
-                       "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
-                       "xi_f": _vec_json(xif.coeffs)}
-    return LemmaReport("secant", shape.n, d, seed, verdict, dims, witness, clock.ms, {})
+    cond_kernel = ker_rho.contains(ker_eta)
+    cond_pair = Matrix([list(xif.coeffs),
+                        list(xif.t_partial_t().coeffs)]).rank() <= 1
+    idx = xif.monomial_index()
+    cond_monomial = idx is not None and 0 < idx < d
+
+    alpha_vec = []
+    for i in range(nv):
+        alpha_vec.extend([z.p1.coords[i], z.p2.coords[i]])
+    rho_ok = ker_rho.dim == 2 and ker_rho.contains_vector(alpha_vec)
+    overlap = ker_rho.intersect(ker_eta)
+    agree = cond_kernel == cond_pair == cond_monomial
+    dims = {
+        "ker_rho": ker_rho.dim,
+        "ker_etahat": ker_eta.dim,
+        "overlap": overlap.dim,
+        "euler_excess": 2 * nv - (d + 1),
+        "well_defined": int(cond_kernel),
+        "dependent_pair": int(cond_pair),
+        "two_point_line": int(cond_monomial),
+        "distinct_roots": distinct_root_count(xif),
+    }
+    verdict = PASS if (agree and rho_ok) else FAIL
+    witness = None
+    if verdict == FAIL:
+        witness = {"reason": "equivalent conditions disagree" if not agree
+                   else "kernel of the evaluation map misbehaves",
+                   "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
+                   "xi_f": _vec_json(xif.coeffs)}
+    return LemmaReport("secant", shape.n, d, seed, verdict, dims, witness,
+                       _ms_since(t0), {})
 
 
 def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
@@ -872,40 +834,24 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """Random secants with three or more intersection points must come out
     NOT well defined; constructed two-point lines must come out well defined
     with a nontrivial shared kernel; the three conditions agree throughout."""
-    with _Clock() as clock:
+    m = d // 2
+    with _Trials("secant", n, d, rng, trials, m=m) as run:
         shape = FamilyShape(n, d)
-        flags = []
-        witness = None
-        dims = {}
-        m = d // 2
-        try:
-            for t in range(trials):
-                sub = rng.split("trial%d" % t)
-                rep_r = _random_secant_report(shape, sub, rng.origin_seed)
-                if rep_r is None:
-                    return LemmaReport(
-                        "secant", n, d, rng.origin_seed, INDETERMINATE, dims,
-                        {"reason": "no secant with >= 3 intersection points "
-                                   "found in 40 draws"},
-                        clock.now_ms(), {"trials": trials})
-                zc = random_generic_scheme(n, sub)
-                bc = _b_with_line_power(shape, zc, m, sub)
-                rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed)
-                ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0
-                      and rep_c.verdict == PASS and rep_c.dims["well_defined"] == 1
-                      and rep_c.dims["overlap"] >= 1)
-                flags.append(ok)
-                if not dims:
-                    dims = dict(rep_c.dims)
-                    dims["random_distinct_roots"] = rep_r.dims["distinct_roots"]
-                if not ok and witness is None:
-                    witness = {"trial": t,
-                               "random": rep_r.dims, "constructed": rep_c.dims}
-        except (InfeasibleSystem, LineInHypersurface) as exc:
-            return LemmaReport("secant", n, d, rng.origin_seed, INFEASIBLE,
-                               dims, {"reason": str(exc)}, clock.now_ms(), {})
-    return LemmaReport("secant", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials, "m": m})
+        for sub in run:
+            rep_r = _random_secant_report(shape, sub, rng.origin_seed)
+            if rep_r is None:
+                raise _Stop("no secant with >= 3 intersection points found in 40 draws",
+                            {"trials": trials})
+            zc = random_generic_scheme(n, sub)
+            bc = _b_with_line_power(shape, zc, m, sub)
+            rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed)
+            ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0
+                  and rep_c.verdict == PASS and rep_c.dims["well_defined"] == 1
+                  and rep_c.dims["overlap"] >= 1)
+            run.record(ok,
+                       {**rep_c.dims, "random_distinct_roots": rep_r.dims["distinct_roots"]},
+                       lambda: {"random": rep_r.dims, "constructed": rep_c.dims})
+    return run.report
 
 
 # ---------------------------------------------------------------------------
@@ -924,10 +870,10 @@ def incidence_dimension(n: int, d: int, m: int) -> int:
 
 
 def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
-    with _Clock() as clock:
-        offset = incidence_dimension(n, d, m)
-        dims = {"offset": offset, "m": m}
-    return LemmaReport("incidence", n, d, seed, PASS, dims, None, clock.ms, {"m": m})
+    t0 = time.perf_counter()
+    offset = incidence_dimension(n, d, m)
+    dims = {"offset": offset, "m": m}
+    return LemmaReport("incidence", n, d, seed, PASS, dims, None, _ms_since(t0), {"m": m})
 
 
 def tangency_deformation_dim(fpoly: HomogPoly, line: Line, m: int,
@@ -938,39 +884,39 @@ def tangency_deformation_dim(fpoly: HomogPoly, line: Line, m: int,
     the tangent space of the multiplicity stratum (the pure monomial and its
     two root-moving neighbours).  Verdict PASS means the count is zero, i.e.
     the configuration is rigid."""
-    with _Clock() as clock:
-        d = fpoly.degree
-        nv = fpoly.nvars
-        xif = restrict_poly(fpoly, line)
-        idx = xif.monomial_index()
-        if idx is None or idx != m or not 0 < m < d:
-            raise NotInTangencyStratum(
-                "restriction is not a nonzero multiple of s^(d-m) t^m")
-        rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
-        normals = [i for i in range(nv) if i not in pivots]
-        cols = []
-        for i in normals:
-            base = restrict_poly(fpoly.partial(i), line).coeffs
-            cols.append(list(base) + [ZERO])
-            cols.append([ZERO] + list(base))
-        keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
-        mat = Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals))
-        dim = 2 * len(normals) - mat.rank()
-        dims = {"deformations": dim, "unknowns": 2 * len(normals), "m": m}
-        verdict = PASS if dim == 0 else FAIL
-        witness = None
-        if dim > 0:
-            witness = {"reason": "the line moves inside the stratum",
-                       "moving_deformation": _vec_json(mat.kernel_vectors()[0]),
-                       "normal_coordinates": normals}
+    t0 = time.perf_counter()
+    d = fpoly.degree
+    nv = fpoly.nvars
+    xif = restrict_poly(fpoly, line)
+    idx = xif.monomial_index()
+    if idx is None or idx != m or not 0 < m < d:
+        raise NotInTangencyStratum(
+            "restriction is not a nonzero multiple of s^(d-m) t^m")
+    rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
+    normals = [i for i in range(nv) if i not in pivots]
+    cols = []
+    for i in normals:
+        base = restrict_poly(fpoly.partial(i), line).coeffs
+        cols.append(list(base) + [ZERO])
+        cols.append([ZERO] + list(base))
+    keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
+    mat = Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals))
+    dim = 2 * len(normals) - mat.rank()
+    dims = {"deformations": dim, "unknowns": 2 * len(normals), "m": m}
+    verdict = PASS if dim == 0 else FAIL
+    witness = None
+    if dim > 0:
+        witness = {"reason": "the line moves inside the stratum",
+                   "moving_deformation": _vec_json(mat.kernel_vectors()[0]),
+                   "normal_coordinates": normals}
     return LemmaReport("tangency", nv - 2, d, seed, verdict, dims, witness,
-                       clock.ms, {"m": m})
+                       _ms_since(t0), {"m": m})
 
 
 def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """A random member of the stratum through the coordinate line is rigid
     (count zero); the cone-like member with no transverse terms is not."""
-    with _Clock() as clock:
+    with _Trials("tangency", n, d, rng, trials, m=m) as run:
         nv = n + 2
         if not 0 < m < d:
             raise ValueError("multiplicity must satisfy 0 < m < d")
@@ -982,25 +928,17 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
         lead = HomogPoly.monomial(nv, tuple(lead_exps))
         degenerate = tangency_deformation_dim(lead, line, m, seed=rng.origin_seed)
         deg_dm1 = all_monomials(nv, d - 1)
-        flags = []
-        witness = None
-        dims = {}
-        for t in range(trials):
-            sub = rng.split("trial%d" % t)
+        for sub in run:
             f = lead
             for i in range(2, nv):
                 g = HomogPoly(nv, d - 1,
                               {mm: sample_rational(sub, 20) for mm in deg_dm1.members})
                 f = f + HomogPoly.variable(nv, i) * g
             rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
-            ok = rep.dims["deformations"] == 0 and degenerate.dims["deformations"] > 0
-            flags.append(ok)
-            if not dims:
-                dims = {"deformations": rep.dims["deformations"],
+            run.record(rep.dims["deformations"] == 0 and degenerate.dims["deformations"] > 0,
+                       {"deformations": rep.dims["deformations"],
                         "degenerate_deformations": degenerate.dims["deformations"],
-                        "unknowns": rep.dims["unknowns"], "m": m}
-            if not ok and witness is None:
-                witness = {"trial": t, "deformations": rep.dims["deformations"],
-                           "degenerate": degenerate.dims["deformations"]}
-    return LemmaReport("tangency", n, d, rng.origin_seed, protocol_verdict(flags),
-                       dims, witness, clock.ms, {"trials": trials, "m": m})
+                        "unknowns": rep.dims["unknowns"], "m": m},
+                       lambda: {"deformations": rep.dims["deformations"],
+                                "degenerate": degenerate.dims["deformations"]})
+    return run.report

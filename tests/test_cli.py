@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import fermatlines.cli as cli
+import fermatlines.verifiers as verifiers
 from fermatlines.cli import (EXIT_FAIL, EXIT_OK, EXIT_SOFT, EXIT_USAGE,
                              REGISTRY, RunConfig, main, registry, run,
                              run_lemma)
@@ -180,3 +182,19 @@ def test_readme_library_example_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("PASS ")
     assert "well_defined" in printed[1]
+
+
+def test_exhausted_sampler_reports_infeasible(monkeypatch, tmp_path, capsys):
+    """A generic-scheme sampler that runs out of attempts ends the lemma as
+    INFEASIBLE with exit code 2 instead of a traceback."""
+    never_generic = SimpleNamespace(is_generic=lambda: False, tag="special")
+    monkeypatch.setattr(verifiers, "classify", lambda z: never_generic)
+    out = tmp_path / "exhausted.jsonl"
+    code = main(["kernel-generic", "--trials", "1", "--json", str(out)])
+    assert code == EXIT_SOFT
+    report, summary = read_jsonl(out)
+    assert report["lemma"] == "kernel-generic"
+    assert report["verdict"] == "INFEASIBLE"
+    assert report["witness"] == {"reason": "failed to sample a generic length-2 scheme"}
+    assert summary["summary"]["runs"] == 1 and summary["summary"]["infeasible"] == 1
+    assert "summary:" in capsys.readouterr().out

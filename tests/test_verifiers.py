@@ -525,3 +525,94 @@ def test_scheme_json_includes_class():
     assert set(obj) == {"p1", "p2", "class"}
     assert obj["class"]["tag"] == "generic"
     assert all("/" in c for c in obj["p1"])
+
+
+# ---------------------------------------------------------------------------
+# the trial runner shared by the sampled verifiers
+
+def _run_trials(body, trials=3):
+    with verifiers._Trials("demo", 2, 6, rng_for("runner"), trials, m=3) as run:
+        body(run)
+    return run.report
+
+
+def test_runner_mixed_flags_are_indeterminate():
+    rep = _run_trials(lambda run: [run.record(t != 1, {"t": t}, lambda: {})
+                                   for t, _ in enumerate(run)])
+    assert rep.verdict == INDETERMINATE
+    assert rep.dims == {"t": 0}
+    assert rep.witness == {"trial": 1}
+    assert rep.params == {"trials": 3, "m": 3}
+    assert (rep.lemma, rep.n, rep.d, rep.seed) == ("demo", 2, 6, 7)
+
+
+def test_runner_all_pass_and_all_fail():
+    passed = _run_trials(lambda run: [run.record(True, {}, None) for _ in run])
+    assert (passed.verdict, passed.witness) == (PASS, None)
+    failed = _run_trials(lambda run: [run.record(False, {"k": 1}, lambda: {"x": 0})
+                                      for _ in run])
+    assert failed.verdict == FAIL
+    assert failed.witness == {"trial": 0, "x": 0}
+
+
+def test_runner_calls_the_witness_thunk_once_for_the_first_failure():
+    calls = []
+
+    def witness(t):
+        calls.append(t)
+        return {"reason": "bad", "t": t}
+
+    def body(run):
+        for t, _ in enumerate(run):
+            run.record(t == 0, {"t": t}, lambda: witness(t))
+
+    rep = _run_trials(body, trials=4)
+    assert calls == [1]
+    assert list(rep.witness) == ["trial", "reason", "t"]
+    assert rep.witness == {"trial": 1, "reason": "bad", "t": 1}
+
+
+def test_runner_yields_one_split_generator_per_trial():
+    rng = rng_for("runner")
+    expected = [rng.split("trial%d" % t).next_u64() for t in range(3)]
+    seen = []
+    _run_trials(lambda run: [seen.append(sub.next_u64()) for sub in run])
+    assert seen == expected
+
+
+@pytest.mark.parametrize("error", [verifiers.InfeasibleSystem, NonGenericScheme,
+                                   verifiers.LineInHypersurface])
+def test_runner_infeasible_keeps_the_dims_gathered_so_far(error):
+    def body(run):
+        for t, _ in enumerate(run):
+            if t == 2:
+                raise error("no solution")
+            run.record(True, {"t": t}, None)
+
+    rep = _run_trials(body)
+    assert rep.verdict == INFEASIBLE
+    assert rep.dims == {"t": 0}
+    assert rep.witness == {"reason": "no solution"}
+    assert rep.params == {}
+
+
+def test_runner_skipped_exit_is_indeterminate():
+    def body(run):
+        raise verifiers._Stop("scheme is generic; out of scope", {"skipped": True})
+
+    rep = _run_trials(body)
+    assert rep.verdict == INDETERMINATE
+    assert rep.dims == {}
+    assert rep.witness == {"reason": "scheme is generic; out of scope"}
+    assert rep.params == {"skipped": True}
+
+
+def test_runner_lets_other_exceptions_propagate():
+    def body(run):
+        raise ValueError("library misuse")
+
+    with pytest.raises(ValueError, match="library misuse"):
+        _run_trials(body)
+    # library misuse inside a sampled verifier still raises
+    with pytest.raises(ValueError, match="multiplicity"):
+        verify_tangency(2, 6, 0, rng_for("tm"), trials=1)
