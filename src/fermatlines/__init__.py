@@ -12,16 +12,14 @@ two-point tangent lines.
 from .errors import (CoordinatePointError, DimensionMismatch, InfeasibleSystem,
                      LineInHypersurface, NonGenericScheme, NotInTangencyStratum)
 from .exact import (Matrix, Subspace, format_fraction, kernel_basis,
-                    parse_fraction, rank, sample_rational, solve,
-                    subspace_contains, subspace_intersect, subspace_sum)
-from .family import (DeformationPoint, FamilyShape, MixedTangentSection,
-                     c_coeff, eta, koszul_eta_m, omega_basis, random_deformation,
-                     sample_b_through)
+                    sample_rational)
+from .family import (DeformationPoint, FamilyShape, c_coeff, eta, koszul_eta_m,
+                     omega_basis, random_deformation, sample_b_through)
 from .lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint, SchemeClass,
                     classify, distinct_root_count, ip_linear, iz_linear,
                     restrict_mod_f, restrict_poly, restrict_section)
 from .poly import (EulerSection, HomogPoly, MonomialSet, all_monomials,
-                   euler_alpha, gen_jd, jd_size_formula, parse_poly, span_of)
+                   euler_alpha, gen_jd, jd_size_formula)
 from .rng import Rng
 from .verifiers import (LemmaReport, incidence_dimension, secant_obstruction,
                         tangency_deformation_dim, verify_generic_systems,
@@ -29,6 +27,6 @@ from .verifiers import (LemmaReport, incidence_dimension, secant_obstruction,
                         verify_kernel_special, verify_point_ideal,
                         verify_secant, verify_tangency, verify_w_basis,
                         verify_xi_generic, verify_xi_special)
-from .cli import RunConfig, registry, run, run_lemma
+from .cli import REGISTRY, RunConfig, run, run_lemma
 
 __version__ = "0.1.0"

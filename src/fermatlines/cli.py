@@ -33,9 +33,12 @@ EXIT_SOFT = 2
 EXIT_USAGE = 64
 
 
-def registry():
-    """Fixed, ordered lemma identifiers."""
-    return REGISTRY
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_list_of(x, ok) -> bool:
+    return isinstance(x, (list, tuple)) and all(map(ok, x))
 
 
 @dataclass
@@ -50,6 +53,16 @@ class RunConfig:
     output_path: str | None = None
 
     def resolve(self):
+        for name in ("n", "d", "m", "trials", "jobs"):
+            value = getattr(self, name)
+            if not (_is_int(value) or value is None and name in ("d", "m")):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+        if not _is_list_of(self.seeds, _is_int):
+            raise ValueError("seeds must be a list of integers, got %r" % (self.seeds,))
+        if not _is_list_of(self.lemmas, lambda x: isinstance(x, str)):
+            raise ValueError("lemmas must be a list of lemma ids, got %r" % (self.lemmas,))
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ValueError("json must be a path, got %r" % (self.output_path,))
         d = self.d if self.d is not None else 2 * self.n + 2
         m = self.m if self.m is not None else d // 2
         if self.n < 1:
@@ -206,14 +219,14 @@ def main(argv=None) -> int:
         return file_cfg.get(key, fallback)
 
     if args.lemma == "all":
-        lemmas = list(file_cfg.get("lemmas", REGISTRY))
+        lemmas = file_cfg.get("lemmas", list(REGISTRY))
     else:
         lemmas = [args.lemma]
     config = RunConfig(
         n=pick(args.n, "n", 2),
         d=pick(args.d, "d", None),
         m=pick(args.m, "m", None),
-        seeds=list(pick(args.seed, "seeds", [0])),
+        seeds=pick(args.seed, "seeds", [0]),
         lemmas=lemmas,
         trials=pick(args.trials, "trials", 5),
         jobs=pick(args.jobs, "jobs", 1),

@@ -36,10 +36,6 @@ def format_fraction(q) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def clear_denominators(xs):
     """(nums, den) with den the lcm of the denominators of the rationals xs
     and nums the ints x * den, in order.  Empty input gives ([], 1)."""
@@ -106,30 +102,9 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns, nrows: int | None = None) -> "Matrix":
+    def from_columns(cls, columns) -> "Matrix":
         columns = [list(c) for c in columns]
-        if columns:
-            nrows = len(columns[0])
-        elif nrows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return cls([[col[i] for col in columns] for i in range(nrows)],
-                   ncols=len(columns))
-
-    def column(self, j: int):
-        return [row[j] for row in self.data]
-
-    def mul_vec(self, v):
-        if len(v) != self.ncols:
-            raise DimensionMismatch("vector length %d != %d columns" % (len(v), self.ncols))
-        return [sum((a * b for a, b in zip(row, v)), ZERO) for row in self.data]
+        return cls(zip(*columns), ncols=len(columns))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -192,14 +167,6 @@ class Matrix:
         for k, c in enumerate(pivots):
             x[c] = rows[k][self.ncols]
         return x
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def solve(m: Matrix, rhs):
-    return m.solve(rhs)
 
 
 def rank_modular(m, p: int = PRIME) -> int:
@@ -280,14 +247,6 @@ class Subspace:
         rows, _ = Matrix(vecs).rref()
         return cls(ambient, rows)
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [])
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls.from_vectors(ambient, Matrix.identity(ambient).data)
-
     @property
     def dim(self) -> int:
         return len(self._rows)
@@ -313,22 +272,6 @@ class Subspace:
         self._check_ambient(other)
         return Subspace.from_vectors(self.ambient, self._rows + other._rows)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        cols = [list(r) for r in self._rows] + [[-x for x in r] for r in other._rows]
-        stacked = Matrix.from_columns(cols, nrows=self.ambient)
-        vecs = []
-        for w in stacked.kernel_vectors():
-            coeffs = w[: self.dim]
-            v = [ZERO] * self.ambient
-            for a, row in zip(coeffs, self._rows):
-                if a:
-                    v = [x + a * y for x, y in zip(v, row)]
-            vecs.append(v)
-        return Subspace.from_vectors(self.ambient, vecs)
-
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient %d != %d" % (self.ambient, other.ambient))
@@ -344,20 +287,6 @@ class Subspace:
 def kernel_basis(m: Matrix) -> Subspace:
     """Kernel of m as a canonical Subspace of Q^(m.ncols)."""
     return Subspace.from_vectors(m.ncols, m.kernel_vectors())
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def subspace_contains(a: Subspace, b) -> bool:
-    if isinstance(b, Subspace):
-        return a.contains(b)
-    return a.contains_vector(b)
 
 
 def sample_rational(rng: Rng, bound: int) -> Fraction:

@@ -3,11 +3,10 @@
 A family member is F = sum x_i^d + sum_f t_f f, with f running over the
 degree-d monomials whose exponents all stay <= d-2 and (t_f) rational
 coordinates of the base.  This module houses the defining polynomial, the
-normal-bundle contraction eta (tangent fields pair with dF, base directions
-with their indexing monomial), the correction coefficients c_ijk, the
-distinguished quadratic sections w_ijk whose eta-image stays inside the
-deformation span, the induced alternating maps, and random members through
-prescribed points.
+normal-bundle contraction eta (a tangent field pairs with dF), the
+correction coefficients c_ijk, the distinguished quadratic sections w_ijk
+whose eta-image stays inside the deformation span, the induced alternating
+maps, and random members through prescribed points.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import json
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InfeasibleSystem
-from .exact import (Matrix, ZERO, format_fraction, frac, parse_fraction,
-                    random_solution, sample_rational)
+from .exact import (Matrix, ZERO, format_fraction, frac, random_solution,
+                    sample_rational)
 from .poly import (EulerSection, HomogPoly, MonomialSet, eval_monomials, gen_jd,
                    jd_size_formula, mono_parse, mono_str, order_key,
                    sum_of_products)
@@ -100,7 +99,7 @@ class DeformationPoint:
     def from_json(cls, text: str) -> "DeformationPoint":
         obj = json.loads(text)
         shape = FamilyShape(obj["n"], obj["d"])
-        t = {mono_parse(k, shape.nvars): parse_fraction(v) for k, v in obj["t"].items()}
+        t = {mono_parse(k, shape.nvars): Fraction(v) for k, v in obj["t"].items()}
         return cls(shape, t)
 
     def __repr__(self):
@@ -108,67 +107,18 @@ class DeformationPoint:
             self.shape.n, self.shape.d, len(self.t))
 
 
-class MixedTangentSection:
-    """A tangent-bundle part plus base directions with form coefficients.
-
-    The contraction eta sends the i-th tangent component against dF/dx_i
-    (degree m + d - 1) and a base direction t_f against f (degree of the
-    coefficient + d); for the sum to be homogeneous the base coefficients
-    must have degree one less than the tangent components, which the
-    constructor enforces.
-    """
-
-    def __init__(self, p_part: EulerSection, b_part=None):
-        self.p_part = p_part
-        clean = {}
-        for m, coeff in (b_part or {}).items():
-            m = tuple(m)
-            if coeff.nvars != p_part.nvars:
-                raise DimensionMismatch("coefficient variable count differs")
-            if coeff.degree != p_part.degree - 1:
-                raise DimensionMismatch(
-                    "base coefficients must have degree %d, got %d"
-                    % (p_part.degree - 1, coeff.degree))
-            if not coeff.is_zero():
-                clean[m] = coeff
-        self.b_part = clean
-
-    @property
-    def nvars(self) -> int:
-        return self.p_part.nvars
-
-    def canonical_key(self) -> str:
-        base = "|".join("%s:%s" % (mono_str(m), self.b_part[m].text())
-                        for m in sorted(self.b_part, key=order_key))
-        return self.p_part.canonical_key() + "||" + base
-
-    def __eq__(self, other):
-        return (isinstance(other, MixedTangentSection)
-                and self.p_part == other.p_part and self.b_part == other.b_part)
-
-
-def _as_parts(section):
-    if isinstance(section, EulerSection):
-        return section, {}
-    return section.p_part, section.b_part
-
-
-def eta(b: DeformationPoint, section) -> HomogPoly:
-    """Contraction with the normal direction of the family at b."""
-    p_part, b_part = _as_parts(section)
+def eta(b: DeformationPoint, section: EulerSection) -> HomogPoly:
+    """Contraction with the normal direction of the family at b: the i-th
+    component of the section pairs with dF/dx_i, landing in degree
+    m + d - 1 for a section of degree m."""
     nv = b.shape.nvars
-    if p_part.nvars != nv:
+    if section.nvars != nv:
         raise DimensionMismatch("section has %d variables, family has %d"
-                                % (p_part.nvars, nv))
+                                % (section.nvars, nv))
     partials = b.f_partials()
-    pairs = [(comp, partials[j]) for j, comp in enumerate(p_part.components)
+    pairs = [(comp, partials[j]) for j, comp in enumerate(section.components)
              if not comp.is_zero()]
-    for mono, coeff in b_part.items():
-        if mono not in b.shape.jd:
-            raise ValueError("base direction %s not in the deformation index set"
-                             % mono_str(mono))
-        pairs.append((coeff, HomogPoly.monomial(nv, mono)))
-    return sum_of_products(nv, p_part.degree + b.shape.d - 1, pairs)
+    return sum_of_products(nv, section.degree + b.shape.d - 1, pairs)
 
 
 def c_coeff(b: DeformationPoint, i: int, j: int, k: int) -> Fraction:
@@ -226,12 +176,6 @@ def omega_basis(b: DeformationPoint):
     return out
 
 
-def _factor_key(f) -> str:
-    if isinstance(f, EulerSection):
-        return "e:" + f.canonical_key()
-    return "m:" + f.canonical_key()
-
-
 def _sort_parity(keys) -> int:
     """Sign of the permutation sorting `keys` (assumed distinct)."""
     order = sorted(range(len(keys)), key=lambda i: keys[i])
@@ -266,7 +210,7 @@ def koszul_eta_m(b: DeformationPoint, factors):
     reps = {}
     for k in range(len(factors)):
         rest = factors[:k] + factors[k + 1:]
-        rest_keys = [_factor_key(f) for f in rest]
+        rest_keys = [f.canonical_key() for f in rest]
         if len(set(rest_keys)) != len(rest_keys):
             continue  # wedge with a repeated factor vanishes
         sign = 1 if k % 2 == 0 else -1
@@ -294,30 +238,35 @@ def random_deformation(shape: FamilyShape, rng: Rng, bound: int = 1000) -> Defor
     return DeformationPoint(shape, {m: sample_rational(rng, bound) for m in shape.jd})
 
 
+def point_condition(shape: FamilyShape, p):
+    """(row, rhs): the member at t passes through p iff row . t == rhs.
+
+    Raises InfeasibleSystem when no member passes through p, i.e. every
+    deformation monomial vanishes there (p is a coordinate point) but the
+    Fermat part does not.
+    """
+    if p.nvars != shape.nvars:
+        raise DimensionMismatch("point has %d coordinates" % p.nvars)
+    row = eval_monomials(shape.jd, p.coords)
+    fermat = sum((x ** shape.d for x in p.coords), ZERO)
+    if all(x == 0 for x in row) and fermat != 0:
+        raise InfeasibleSystem(
+            "no family member passes through %r (all deformation "
+            "monomials vanish there)" % (p,))
+    return row, -fermat
+
+
 def sample_b_through(shape: FamilyShape, points, rng: Rng, bound: int = 1000) -> DeformationPoint:
     """Random base point whose family member passes through the given points.
 
-    Each point imposes one affine-linear condition on (t_f); the free
-    coordinates are filled with sample_rational.  Raises InfeasibleSystem
-    when a condition cannot be met, e.g. for coordinate points where every
-    deformation monomial vanishes but the Fermat part does not.
+    Each point imposes its point_condition on (t_f); the free coordinates
+    are filled with sample_rational.  Raises InfeasibleSystem when a
+    condition cannot be met.
     """
     points = list(points)
     if not points:
         return random_deformation(shape, rng, bound)
-    rows = []
-    rhs = []
-    for p in points:
-        if p.nvars != shape.nvars:
-            raise DimensionMismatch("point has %d coordinates" % p.nvars)
-        row = eval_monomials(shape.jd, p.coords)
-        fermat = sum((x ** shape.d for x in p.coords), ZERO)
-        if all(x == 0 for x in row) and fermat != 0:
-            raise InfeasibleSystem(
-                "no family member passes through %r (all deformation "
-                "monomials vanish there)" % (p,))
-        rows.append(row)
-        rhs.append(-fermat)
+    rows, rhs = zip(*(point_condition(shape, p) for p in points))
     sol = random_solution(Matrix(rows, ncols=shape.N), rhs, rng, bound)
     if sol is None:
         raise InfeasibleSystem("point conditions are mutually inconsistent")

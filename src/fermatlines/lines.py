@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, LineInHypersurface
 from .exact import (Matrix, Subspace, ZERO, clear_denominators, format_fraction,
                     frac, kernel_basis)
-from .poly import EulerSection, HomogPoly, sum_of_products
+from .poly import EulerSection, HomogPoly
 
 
 class ProjPoint:
@@ -233,24 +233,10 @@ def restrict_poly(poly: HomogPoly, line: Line) -> BinaryForm:
                           for k, a in enumerate(acc)])
 
 
-def restrict_section(sec, line: Line):
-    """Component-wise restriction of a section to the line.
-
-    For an EulerSection the result is one binary form per d/dx_i.  For a
-    mixed section the deformation part is first contracted through the
-    family map (each base direction contributes its indexing monomial) and
-    the restriction of that contraction is appended as a final entry.
-    """
-    if isinstance(sec, EulerSection):
-        return [restrict_poly(c, line) for c in sec.components]
-    comps = [restrict_poly(c, line) for c in sec.p_part.components]
-    if not sec.b_part:
-        return comps
-    nv = sec.p_part.nvars
-    pairs = [(coeff, HomogPoly.monomial(nv, mono)) for mono, coeff in sec.b_part.items()]
-    degree = pairs[0][0].degree + pairs[0][1].degree
-    comps.append(restrict_poly(sum_of_products(nv, degree, pairs), line))
-    return comps
+def restrict_section(sec: EulerSection, line: Line):
+    """Component-wise restriction of a section to the line: one binary form
+    per d/dx_i."""
+    return [restrict_poly(c, line) for c in sec.components]
 
 
 def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly) -> BinaryForm:

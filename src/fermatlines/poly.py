@@ -24,7 +24,7 @@ from math import comb, lcm
 from operator import add
 
 from .errors import DimensionMismatch
-from .exact import Subspace, ZERO, clear_denominators, frac
+from .exact import ZERO, clear_denominators, frac
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +103,6 @@ class MonomialSet:
 
     def __contains__(self, m):
         return m in self.index
-
-    def position(self, m) -> int:
-        return self.index[m]
 
 
 def all_monomials(nvars: int, degree: int) -> MonomialSet:
@@ -322,45 +319,6 @@ def _coeff_str(c: Fraction) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-_TERM_SPLIT_RE = re.compile(r"(?=[+-])")
-_COEFF_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def parse_poly(text: str, nvars: int, degree: int | None = None) -> HomogPoly:
-    """Parse the canonical text form produced by HomogPoly.text()."""
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty polynomial text")
-    if text == "0":
-        if degree is None:
-            raise ValueError("zero polynomial needs an explicit degree")
-        return HomogPoly.zero(nvars, degree)
-    terms = {}
-    for piece in _TERM_SPLIT_RE.split(text):
-        if not piece or piece in "+-":
-            continue
-        sign = 1
-        if piece[0] == "+":
-            piece = piece[1:]
-        elif piece[0] == "-":
-            sign = -1
-            piece = piece[1:]
-        coeff = Fraction(sign)
-        factors = piece.split("*")
-        if _COEFF_RE.match(factors[0]):
-            coeff *= Fraction(factors[0])
-            factors = factors[1:]
-        m = mono_parse("*".join(factors) if factors else "1", nvars)
-        terms[m] = terms.get(m, ZERO) + coeff
-    degs = {mono_degree(m) for m in terms}
-    if len(degs) > 1:
-        raise ValueError("non-homogeneous text")
-    deg = degs.pop() if degs else degree
-    if degree is not None and deg != degree:
-        raise ValueError("declared degree %d does not match text" % degree)
-    return HomogPoly(nvars, deg, terms)
-
-
 # ---------------------------------------------------------------------------
 # Euler-bundle sections
 
@@ -436,14 +394,3 @@ def euler_alpha(n: int) -> EulerSection:
     """The Euler field: x_i against d/dx_i."""
     nv = n + 2
     return EulerSection([HomogPoly.variable(nv, i) for i in range(nv)])
-
-
-def span_of(monomials, ambient: MonomialSet) -> Subspace:
-    """Span of a monomial subset inside the full degree space, as unit
-    coordinate vectors."""
-    vecs = []
-    for m in monomials:
-        v = [ZERO] * len(ambient)
-        v[ambient.position(m)] = Fraction(1)
-        vecs.append(v)
-    return Subspace.from_vectors(len(ambient), vecs)

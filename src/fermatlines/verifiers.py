@@ -25,7 +25,7 @@ from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
 from .exact import (Matrix, Subspace, ZERO, certify_kernel_span, format_fraction,
                     kernel_basis, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
-                     sample_b_through, random_deformation)
+                     point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, permute_point,
                     restrict_poly, restrict_section, scheme_json)
@@ -396,9 +396,6 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
                         {"skipped": True})
         for sub in run:
             zt = z if z is not None else random_generic_scheme(n, sub)
-            b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-            if not _on_member(b, zt):
-                raise InfeasibleSystem("the sampled member misses the scheme")
             xi = _xi_matrix_on(jd, zt.line, nv)
             gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
                                           jdm1.members, jd, nv)
@@ -430,6 +427,8 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
                             % cls.tag, {"skipped": True})
             p1 = permute_point(z.p1, cls.perm)
             p2 = permute_point(z.p2, cls.perm)
+            for pt in (p1, p2):     # InfeasibleSystem when no member passes
+                point_condition(shape, pt)
             znorm = LengthTwoScheme(p1, p2)
             cmap = {}
             for j in range(2, nv):
@@ -441,9 +440,6 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
             provided = (znorm, cmap)
         for sub in run:
             zt, cmap = provided if provided else _special_scheme(n, sub)
-            b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-            if not _on_member(b, zt):
-                raise InfeasibleSystem("the sampled member misses the scheme")
             xi = _xi_matrix_on(jd, zt.line, nv)
             vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
                                              jdm1.members, jd, nv)
@@ -764,12 +760,12 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     for i in range(nv):
         alpha_vec.extend([z.p1.coords[i], z.p2.coords[i]])
     rho_ok = ker_rho.dim == 2 and ker_rho.contains_vector(alpha_vec)
-    overlap = ker_rho.intersect(ker_eta)
+    overlap = ker_rho.dim + ker_eta.dim - ker_rho.sum(ker_eta).dim
     agree = cond_kernel == cond_pair == cond_monomial
     dims = {
         "ker_rho": ker_rho.dim,
         "ker_etahat": ker_eta.dim,
-        "overlap": overlap.dim,
+        "overlap": overlap,
         "euler_excess": 2 * nv - (d + 1),
         "well_defined": int(cond_kernel),
         "dependent_pair": int(cond_pair),

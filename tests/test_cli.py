@@ -12,8 +12,7 @@ import pytest
 import fermatlines.cli as cli
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import (EXIT_FAIL, EXIT_OK, EXIT_SOFT, EXIT_USAGE,
-                             REGISTRY, RunConfig, main, registry, run,
-                             run_lemma)
+                             REGISTRY, RunConfig, main, run, run_lemma)
 from fermatlines.verifiers import LemmaReport
 
 
@@ -23,11 +22,11 @@ def read_jsonl(path):
 
 
 def test_registry_fixed():
-    assert len(registry()) == 10
-    assert registry() == ("w-basis", "kernel-generic", "kernel-special",
-                          "point-ideal", "xi-special", "xi-generic", "systems",
-                          "secant", "incidence", "tangency")
-    assert registry() == registry()
+    assert len(REGISTRY) == 10
+    assert REGISTRY == ("w-basis", "kernel-generic", "kernel-special",
+                        "point-ideal", "xi-special", "xi-generic", "systems",
+                        "secant", "incidence", "tangency")
+    assert isinstance(REGISTRY, tuple)
 
 
 def test_every_id_dispatches():
@@ -82,6 +81,29 @@ def test_usage_errors_exit_64(capsys):
     assert main(["incidence", "--d", "3"]) == EXIT_USAGE
     assert main(["tangency", "--m", "9", "--d", "6"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"seeds": 5}, "seeds must be a list of integers, got 5"),
+    ({"seeds": ["a"]}, "seeds must be a list of integers, got ['a']"),
+    ({"seeds": [1.5]}, "seeds must be a list of integers, got [1.5]"),
+    ({"n": 2.5}, "n must be an integer, got 2.5"),
+    ({"n": None}, "n must be an integer, got None"),
+    ({"d": "6"}, "d must be an integer, got '6'"),
+    ({"m": True}, "m must be an integer, got True"),
+    ({"trials": "5"}, "trials must be an integer, got '5'"),
+    ({"jobs": [2]}, "jobs must be an integer, got [2]"),
+    ({"lemmas": "w-basis"}, "lemmas must be a list of lemma ids, got 'w-basis'"),
+    ({"lemmas": [1]}, "lemmas must be a list of lemma ids, got [1]"),
+    ({"json": 5}, "json must be a path, got 5"),
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["all", "--config", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
 
 
 def test_defaults_d_and_m():

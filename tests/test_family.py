@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 
 from fermatlines.errors import DimensionMismatch, InfeasibleSystem
-from fermatlines.exact import Matrix, sample_rational
-from fermatlines.family import (DeformationPoint, FamilyShape,
-                                MixedTangentSection, c_coeff, eta,
+from fermatlines.exact import Matrix, Subspace, sample_rational
+from fermatlines.family import (DeformationPoint, FamilyShape, c_coeff, eta,
                                 koszul_eta_m, omega_basis, random_deformation,
                                 sample_b_through)
 from fermatlines.lines import ProjPoint
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
-                              euler_alpha, gen_jd, parse_poly, span_of)
+                              euler_alpha, gen_jd)
 from fermatlines.rng import Rng
+from tests.polytext import parse_poly
 
 
 def test_f_poly_fermat():
@@ -82,32 +82,6 @@ def test_eta_linearity():
     assert lhs == eta(b, s1) + eta(b, s2) * c
 
 
-def test_eta_kills_the_kernel_construction():
-    # l_p (x) f - l (x) (l_p g) with f = l*g contracts to zero
-    shape = FamilyShape(2, 6)
-    nv = 4
-    l = parse_poly("x0-x1", nv)        # linear form
-    g = HomogPoly.monomial(nv, (2, 1, 1, 1))   # member of the degree-5 index set
-    f = l * g
-    l_p = parse_poly("x1+2*x2", nv)
-    b_part = {}
-    for mono, coeff in f.terms.items():
-        b_part[mono] = b_part.get(mono, HomogPoly.zero(nv, 1)) + l_p * coeff
-    for mono, coeff in (l_p * g).terms.items():
-        cur = b_part.get(mono, HomogPoly.zero(nv, 1))
-        b_part[mono] = cur - l * coeff
-    tau = MixedTangentSection(EulerSection.zero(nv, 2), b_part)
-    b = random_deformation(shape, Rng(5))
-    assert eta(b, tau).is_zero()
-
-
-def test_mixed_section_degree_validation():
-    nv = 4
-    with pytest.raises(DimensionMismatch):
-        MixedTangentSection(EulerSection.zero(nv, 2),
-                            {(4, 1, 1, 0): HomogPoly.zero(nv, 2)})
-
-
 def test_c_coeff_examples():
     shape = FamilyShape(2, 6)
     b = DeformationPoint(shape, {(4, 1, 1, 0): 3})
@@ -150,7 +124,8 @@ def test_omega_eta_lands_in_deformation_span():
     shape = FamilyShape(2, 6)
     b = random_deformation(shape, Rng(7), bound=50)
     amb = all_monomials(4, 7)
-    sp = span_of(gen_jd(2, 7).members, amb)
+    units = [[int(m == u) for m in amb] for u in gen_jd(2, 7)]
+    sp = Subspace.from_vectors(len(amb), units)
     for sec in omega_basis(b):
         assert sp.contains_vector(eta(b, sec).coeffs_on(amb))
 

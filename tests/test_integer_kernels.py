@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fermatlines.errors import DimensionMismatch
 from fermatlines.exact import sample_rational
-from fermatlines.family import (DeformationPoint, FamilyShape,
-                                MixedTangentSection, eta, omega_basis,
-                                random_deformation, sample_b_through)
+from fermatlines.family import (DeformationPoint, FamilyShape, eta,
+                                omega_basis, random_deformation,
+                                sample_b_through)
 from fermatlines.lines import Line, ProjPoint, restrict_poly
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
                               eval_monomials, gen_jd, sum_of_products)
@@ -59,17 +59,10 @@ def mul_reference(a, b):
 
 def eta_reference(b, section):
     """eta as a running sum of separately built products."""
-    if isinstance(section, EulerSection):
-        p_part, b_part = section, {}
-    else:
-        p_part, b_part = section.p_part, section.b_part
-    nv = b.shape.nvars
     partials = b.f_partials()
-    out = HomogPoly.zero(nv, p_part.degree + b.shape.d - 1)
-    for j, comp in enumerate(p_part.components):
+    out = HomogPoly.zero(b.shape.nvars, section.degree + b.shape.d - 1)
+    for j, comp in enumerate(section.components):
         out = out + mul_reference(comp, partials[j])
-    for mono, coeff in b_part.items():
-        out = out + mul_reference(coeff, HomogPoly.monomial(nv, mono))
     return out
 
 
@@ -296,15 +289,14 @@ def test_eta_matches_running_sum_on_every_omega(n, d, seed):
 
 
 def test_eta_matches_reference_on_mixed_sections():
+    """Sections mixing random terms in every component, then one monomial
+    field at the Fermat point."""
     shape = FamilyShape(2, 6)
     rng = Rng(38)
     b = random_deformation(shape, rng)
     nv = shape.nvars
     for _ in range(4):
-        p_part = EulerSection([random_poly(nv, 2, rng, nterms=4) for _ in range(nv)])
-        b_part = {m: random_poly(nv, 1, rng, nterms=3)
-                  for m in list(shape.jd)[rng.randint(0, 20)::17]}
-        sec = MixedTangentSection(p_part, b_part)
+        sec = EulerSection([random_poly(nv, 2, rng, nterms=4) for _ in range(nv)])
         assert eta(b, sec) == eta_reference(b, sec)
     fermat = DeformationPoint.fermat(shape)
     sec = EulerSection.single(nv, 1, HomogPoly.monomial(nv, (1, 1, 0, 0)))

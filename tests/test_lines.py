@@ -6,14 +6,14 @@ import pytest
 
 from fermatlines.errors import LineInHypersurface
 from fermatlines.exact import Matrix, sample_rational
-from fermatlines.family import (DeformationPoint, FamilyShape,
-                                MixedTangentSection, omega_basis)
+from fermatlines.family import DeformationPoint, FamilyShape, omega_basis
 from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
                                classify, distinct_root_count, ip_linear,
                                iz_linear, permute_point, restrict_mod_f,
                                restrict_poly, restrict_section)
-from fermatlines.poly import EulerSection, HomogPoly, euler_alpha, parse_poly
+from fermatlines.poly import EulerSection, HomogPoly, euler_alpha
 from fermatlines.rng import Rng
+from tests.polytext import parse_poly
 from tests.test_poly import random_poly
 
 
@@ -159,17 +159,6 @@ def test_restrict_section_matches_componentwise():
     sec = EulerSection(comps)
     got = restrict_section(sec, line)
     assert got == [restrict_poly(c, line) for c in comps]
-
-
-def test_restrict_section_mixed_appends_contracted_base():
-    line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
-    nv = 4
-    mono = (4, 1, 1, 0)
-    coeff = parse_poly("x0-x3", nv)
-    sec = MixedTangentSection(EulerSection.zero(nv, 2), {mono: coeff})
-    got = restrict_section(sec, line)
-    assert len(got) == nv + 1
-    assert got[-1] == restrict_poly(coeff * HomogPoly.monomial(nv, mono), line)
 
 
 def test_restrict_mod_f_multiple_of_f_is_zero():

@@ -10,8 +10,9 @@ import pytest
 from fermatlines.exact import sample_rational
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
                               euler_alpha, gen_jd, jd_size_formula,
-                              mono_parse, mono_str, parse_poly, span_of)
+                              mono_parse, mono_str)
 from fermatlines.rng import Rng
+from tests.polytext import parse_poly
 
 
 def enumerate_jd_oracle(n, d):
@@ -71,7 +72,7 @@ def test_monomial_set_ordering_and_index():
     jd = gen_jd(1, 4)
     assert list(jd.members) == sorted(jd.members, key=lambda m: tuple(-e for e in m))
     for i, m in enumerate(jd.members):
-        assert jd.position(m) == i
+        assert jd.index[m] == i
 
 
 def test_partial_derivative_examples():
@@ -109,17 +110,6 @@ def test_euler_alpha():
     assert a.components == (HomogPoly.variable(3, 0), HomogPoly.variable(3, 1),
                             HomogPoly.variable(3, 2))
     assert a.evaluate([1, 2, 3]) == [1, 2, 3]
-
-
-def test_span_of_examples():
-    amb3 = all_monomials(3, 3)
-    assert len(amb3) == comb(5, 2) == 10
-    s = span_of(gen_jd(1, 3).members, amb3)
-    assert s.ambient == 10 and s.dim == 1
-    assert span_of([], amb3).dim == 0
-    amb6 = all_monomials(4, 6)
-    s2 = span_of(gen_jd(2, 6).members, amb6)
-    assert s2.ambient == 84 and s2.dim == 68
 
 
 def test_text_form_canonical():

@@ -11,7 +11,8 @@ from fermatlines.exact import (Matrix, certify_kernel_span, rank_modular,
                                sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape,
                                 omega_basis, sample_b_through)
-from fermatlines.lines import LengthTwoScheme, Line, ProjPoint, restrict_poly
+from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
+                               restrict_poly, restrict_section)
 from fermatlines.poly import HomogPoly, all_monomials, gen_jd
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
@@ -209,11 +210,54 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
         assert result == m.ncols - rank_m
 
 
-def test_member_missing_the_scheme_is_infeasible(monkeypatch):
-    monkeypatch.setattr(verifiers, "_on_member", lambda b, z: False)
-    rep = verify_kernel_generic(2, 6, rng_for("kg"), trials=1)
+# ---------------------------------------------------------------------------
+# the other sampled claims FAIL, with a witness, when their mathematics breaks
+
+def _drop_last_omega(b):
+    return omega_basis(b)[:-1]
+
+
+def _zero_first_restricted(sec, line):
+    comps = restrict_section(sec, line)
+    return [BinaryForm.zero(comps[0].degree)] + comps[1:]
+
+
+def _member_without_line_power(shape, z, m, rng, attempts=20):
+    return sample_b_through(shape, [z.p1, z.p2], rng)
+
+
+# lemma -> (verifiers attribute replaced, its mutant, verifier)
+MUTATIONS = {
+    "w-basis": ("omega_basis", _drop_last_omega, verify_w_basis),
+    "xi-special": ("restrict_section", _zero_first_restricted, verify_xi_special),
+    "xi-generic": ("restrict_section", _zero_first_restricted, verify_xi_generic),
+    "secant": ("_b_with_line_power", _member_without_line_power, verify_secant),
+}
+
+
+@pytest.mark.parametrize("lemma", sorted(MUTATIONS))
+def test_sampled_claim_fails_with_a_witness_when_broken(monkeypatch, lemma):
+    name, mutant, verify = MUTATIONS[lemma]
+    monkeypatch.setattr(verifiers, name, mutant)
+    rep = verify(2, 6, rng_for(lemma), trials=2)
+    assert rep.verdict == FAIL
+    assert rep.witness is not None
+    assert rep.witness["trial"] == 0
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_kernel_special_scheme_through_a_coordinate_point_is_infeasible(swap):
+    """No family member passes through (1:0:0:0), in either point order."""
+    points = [ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 1, 0])]
+    if swap:
+        points.reverse()
+    rep = verify_kernel_special(2, 6, rng_for("kscoord"), trials=1,
+                                z=LengthTwoScheme(*points))
     assert rep.verdict == INFEASIBLE
-    assert "misses the scheme" in rep.witness["reason"]
+    assert rep.witness == {"reason": "no family member passes through "
+                           "ProjPoint(1, 0, 0, 0) (all deformation monomials "
+                           "vanish there)"}
+    assert rep.dims == {} and rep.params == {}
 
 
 # ---------------------------------------------------------------------------
