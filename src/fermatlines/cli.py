@@ -119,6 +119,11 @@ def run(config: RunConfig, out=None) -> int:
     """Execute the configured runs, write reports, return the exit code."""
     out = out if out is not None else sys.stdout
     d, m = config.resolve()
+    try:
+        fh = open(config.output_path, "w", encoding="utf-8") if config.output_path else None
+    except OSError as exc:
+        sys.stderr.write("error: cannot write reports: %s\n" % exc)
+        return EXIT_USAGE
     items = [(lemma, seed) for lemma in config.lemmas for seed in config.seeds]
 
     def work(item):
@@ -147,8 +152,8 @@ def run(config: RunConfig, out=None) -> int:
               % (len(reports), counts[PASS], counts[FAIL],
                  counts[INDETERMINATE], counts[INFEASIBLE]))
 
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    if fh:
+        with fh:
             for rep in reports:
                 fh.write(rep.to_json() + "\n")
             fh.write(json.dumps({"summary": {

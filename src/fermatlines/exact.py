@@ -8,10 +8,11 @@ are finished with a cheap rational back-substitution pass, and subspaces are
 canonicalized to reduced column echelon form so equality is a plain
 entry-wise comparison.
 
-Claims "span(gens) == ker(m)" are certified by certify_kernel_span: the
-inclusion is checked exactly, ranks mod a prime serve only as lower bounds
-on ranks over Q, and when those fall short nothing is proven and callers
-decide the claim with the exact canonical subspaces.
+Claims "span(gens) == ker(m)" on sparse generator rows {column: value} are
+certified by certify_kernel_span: the inclusion and the rank of m are
+exact, ranks mod a prime serve only as lower bounds on ranks over Q, and
+when those fall short nothing is proven and callers decide the claim with
+the exact canonical subspaces.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ class Matrix:
         return x
 
 
-def rank_modular(m, p: int = PRIME) -> int:
-    """Rank over GF(p) of a Matrix or a list of rational rows.
+def rank_modular(rows, p: int = PRIME) -> int:
+    """Rank over GF(p) of sparse rational rows {column: value}.
 
     Each row is scaled to integers (which keeps the rank over Q) before it
     is reduced mod p, so every nonzero minor mod p is a nonzero integer
@@ -178,10 +179,9 @@ def rank_modular(m, p: int = PRIME) -> int:
     one.  Elimination is sparse, on dicts of the nonzero entries.
     """
     pivots = {}
-    for row in (m.data if isinstance(m, Matrix) else m):
-        cols = [j for j, x in enumerate(row) if x]
-        ints, _ = clear_denominators(row[j] for j in cols)
-        r = {j: v % p for j, v in zip(cols, ints) if v % p}
+    for row in rows:
+        ints, _ = clear_denominators(row.values())
+        r = {j: v % p for j, v in zip(row, ints) if v % p}
         while r:
             c = min(r)
             prow = pivots.get(c)
@@ -199,27 +199,26 @@ def rank_modular(m, p: int = PRIME) -> int:
     return len(pivots)
 
 
-def certify_kernel_span(m: Matrix, gens, m_rank: int | None = None,
-                        p: int = PRIME) -> int | None:
+def certify_kernel_span(m: Matrix, gens, p: int = PRIME) -> int | None:
     """dim ker(m) when span(gens) == ker(m) is proven, else None.
 
-    m·g == 0 is checked exactly for each generator, so span(gens) lies in
-    ker(m).  m_rank is the exact rank of m or any lower bound on it (by
-    default its rank mod p).  rank_p(gens) + m_rank >= ncols then forces
-    rank(gens) >= dim ker(m), hence equality.  None proves nothing either
-    way: the caller must decide the claim exactly.
+    gens are sparse rows {column: value}.  m·g == 0 is checked exactly on
+    m's rows cleared to integers once, so span(gens) lies in ker(m).  With
+    the exact rank of m (callers' m have few rows), rank_p(gens) + rank(m)
+    >= ncols forces rank(gens) >= dim ker(m), hence equality.  None proves
+    nothing either way: the caller must decide the claim exactly.
     """
+    rows = [clear_denominators(row)[0] for row in m.data]
     for g in gens:
-        if len(g) != m.ncols:
-            raise DimensionMismatch("vector length %d != %d columns" % (len(g), m.ncols))
-        nz = [(j, x) for j, x in enumerate(g) if x]
-        if any(sum(row[j] * x for j, x in nz) for row in m.data):
+        if any(not 0 <= j < m.ncols for j in g):
+            raise DimensionMismatch("generator column outside %d columns" % m.ncols)
+        nums, _ = clear_denominators(g.values())
+        if any(sum(row[j] * x for j, x in zip(g, nums)) for row in rows):
             return None
-    if m_rank is None:
-        m_rank = rank_modular(m, p)
-    if rank_modular(gens, p) + m_rank < m.ncols:
+    rank = m.rank()
+    if rank_modular(gens, p) + rank < m.ncols:
         return None
-    return m.ncols - m_rank
+    return m.ncols - rank
 
 
 class Subspace:
@@ -297,22 +296,18 @@ def sample_rational(rng: Rng, bound: int) -> Fraction:
 
 
 def random_solution(m: Matrix, rhs, rng: Rng, bound: int = 1000):
-    """Random exact solution of m·x = rhs: free variables are sampled, pivot
-    variables solved.  Returns None when the system is inconsistent."""
-    aug = Matrix([row + [frac(b)] for row, b in zip(m.data, rhs)], ncols=m.ncols + 1)
-    rows, pivots = aug.rref()
-    if m.ncols in pivots:
+    """Random exact solution of m·x = rhs: free variables are sampled in
+    ascending column order, pivot variables back-substituted on the Bareiss
+    echelon form.  Returns None when the system is inconsistent."""
+    n = m.ncols
+    rows = [clear_denominators(row + [frac(b)])[0] for row, b in zip(m.data, rhs)]
+    pivots = _bareiss_echelon(rows)
+    if n in pivots:
         return None
-    pivset = set(pivots)
-    x = [ZERO] * m.ncols
-    for j in range(m.ncols):
-        if j not in pivset:
-            x[j] = sample_rational(rng, bound)
-    for k, c in enumerate(pivots):
-        acc = rows[k][m.ncols]
-        row = rows[k]
-        for j in range(c + 1, m.ncols):
-            if j not in pivset and row[j]:
-                acc -= row[j] * x[j]
-        x[c] = acc
+    x = [ZERO] * n
+    for j in sorted(set(range(n)) - set(pivots)):
+        x[j] = sample_rational(rng, bound)
+    for row, c in reversed(list(zip(rows, pivots))):
+        acc = sum((row[j] * x[j] for j in range(c + 1, n) if row[j]), ZERO)
+        x[c] = (row[n] - acc) / row[c]
     return x

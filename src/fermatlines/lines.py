@@ -137,30 +137,10 @@ class BinaryForm:
         return "BinaryForm(%s)" % (" + ".join(parts) if parts else "0")
 
 
-def _poly_gcd_degree(u, v) -> int:
-    """Degree of gcd of two univariate coefficient lists (ascending powers)."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(list(u)), trim(list(v))
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] -= f * c
-            trim(a)
-        a, b = b, a
-    return len(a) - 1 if a else -1
-
-
 def distinct_root_count(f: BinaryForm) -> int:
     """Number of distinct projective roots of the binary form over the
-    algebraic closure, via gcd with the derivative (squarefree degree)."""
+    algebraic closure, via gcd with the derivative (squarefree degree):
+    deg gcd(u, v) = deg u + deg v - rank of their Sylvester matrix."""
     if f.is_zero():
         raise ValueError("zero form has no root divisor")
     mult_t = next(k for k, c in enumerate(f.coeffs) if c != 0)
@@ -171,8 +151,10 @@ def distinct_root_count(f: BinaryForm) -> int:
     if deg == 0:
         return count
     deriv = [k * c for k, c in enumerate(core)][1:]
-    g = _poly_gcd_degree(core, deriv)
-    return count + deg - g
+    size = 2 * deg - 1
+    sylvester = [[ZERO] * i + u + [ZERO] * (size - len(u) - i)
+                 for u, shifts in ((core, deg - 1), (deriv, deg)) for i in range(shifts)]
+    return count + deg - (size - Matrix(sylvester).rank())
 
 
 class Line:

@@ -222,15 +222,13 @@ class HomogPoly:
         values = eval_monomials(self.terms, coords)
         return sum((c * v for c, v in zip(self.terms.values(), values)), ZERO)
 
-    def coeffs_on(self, mset: MonomialSet, strict: bool = True):
+    def coeffs_on(self, mset: MonomialSet):
         """Coefficient vector against an ordered monomial set."""
         vec = [ZERO] * len(mset)
         for m, c in self.terms.items():
             pos = mset.index.get(m)
             if pos is None:
-                if strict:
-                    raise ValueError("monomial %s not in the index set" % mono_str(m))
-                continue
+                raise ValueError("monomial %s not in the index set" % mono_str(m))
             vec[pos] = c
         return vec
 

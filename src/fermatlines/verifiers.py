@@ -22,7 +22,7 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ZERO, certify_kernel_span, format_fraction,
+from .exact import (Matrix, Subspace, ONE, ZERO, certify_kernel_span, format_fraction,
                     kernel_basis, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
                      point_condition, sample_b_through, random_deformation)
@@ -334,41 +334,50 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # kernel of restriction on the deformation span
 
-def _xi_matrix_on(monomials, line: Line, nv: int) -> Matrix:
-    """Columns: restriction of each monomial to the line."""
-    cols = []
-    for m in monomials:
-        poly = HomogPoly.monomial(nv, m)
-        cols.append(restrict_poly(poly, line).vector())
-    return Matrix.from_columns(cols)
+def _xi_matrix_on(monomials, line: Line) -> Matrix:
+    """Columns: restriction of each monomial to the line, as the line's
+    integer cache gives it (row k scaled by Dp^(d-k) Dq^k, which keeps the
+    rank and the kernel)."""
+    return Matrix.from_columns(line.integer_restriction(m) for m in monomials)
 
 
-def _ideal_product_vectors(lin_forms, gens, jd, nv):
-    """Coefficient vectors (on jd) of l*g for l in lin_forms, g in gens."""
-    out = []
-    for lv in lin_forms:
-        lpoly = HomogPoly(nv, 1, {tuple(1 if j == i else 0 for j in range(nv)): c
-                                  for i, c in enumerate(lv) if c != 0})
-        for g in gens:
-            prod = lpoly * HomogPoly.monomial(nv, g)
-            out.append(prod.coeffs_on(jd))
-    return out
+def _times(g, *variables):
+    """The exponent tuple of g times x_i for each i in `variables`."""
+    g = list(g)
+    for i in variables:
+        g[i] += 1
+    return tuple(g)
 
 
-def _kernel_is_span(m: Matrix, gens, m_rank: int | None = None):
-    """Decide whether the kernel of `m` equals the span of `gens`.
+def _ideal_product_vectors(lin_forms, gens, jd):
+    """Sparse rows {position in jd of x_i*g: l_i} of l*g, for l in
+    lin_forms and g in gens."""
+    return [{jd.index[_times(g, i)]: c for i, c in enumerate(lv) if c}
+            for lv in lin_forms for g in gens]
+
+
+def _special_extras(jd, d: int, cmap):
+    """Sparse rows of x0^(d-2) x_i (x_j - c_j x_1), for i >= 1 and j >= 2."""
+    base = (d - 2,) + (0,) * (jd.nvars - 1)
+    return [{jd.index[_times(base, i, j)]: ONE, jd.index[_times(base, i, 1)]: -cmap[j]}
+            for i in range(1, jd.nvars) for j in range(2, jd.nvars)]
+
+
+def _kernel_is_span(m: Matrix, gens):
+    """Decide whether ker(m) equals the span of the sparse rows `gens`.
 
     Returns (equal, kernel_dim, span_dim, outside).  certify_kernel_span
     proves equality when it can; otherwise both spaces are built as
-    canonical Subspaces and compared.  `outside()` gives, as JSON, the first
-    basis vector of the kernel outside the span, else of the span outside
-    the kernel, else None.
+    canonical Subspaces of dense vectors and compared.  `outside()` gives,
+    as JSON, the first basis vector of the kernel outside the span, else of
+    the span outside the kernel, else None.
     """
-    dim = certify_kernel_span(m, gens, m_rank)
+    dim = certify_kernel_span(m, gens)
     if dim is not None:
         return True, dim, dim, lambda: None
     kernel = kernel_basis(m)
-    span = Subspace.from_vectors(m.ncols, gens)
+    span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
+                                           for g in gens])
 
     def outside():
         for big, small in ((kernel, span), (span, kernel)):
@@ -388,7 +397,6 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
     the line (dimension d+1)."""
     with _Trials("kernel-generic", n, d, rng, trials) as run:
         shape = FamilyShape(n, d)
-        nv = n + 2
         jd = shape.jd
         jdm1 = shape.monomials(d - 1)
         if z is not None and not classify(z).is_generic():
@@ -396,11 +404,10 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
                         {"skipped": True})
         for sub in run:
             zt = z if z is not None else random_generic_scheme(n, sub)
-            xi = _xi_matrix_on(jd, zt.line, nv)
-            gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
-                                          jdm1.members, jd, nv)
-            qrank = xi.rank()
-            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens, qrank)
+            xi = _xi_matrix_on(jd, zt.line)
+            gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
+            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens)
+            qrank = xi.ncols - kernel_dim
             run.record(equal and qrank == d + 1,
                        {"lhs": span_dim, "rhs": kernel_dim, "quotient": qrank},
                        lambda: {"reason": "subspace mismatch",
@@ -440,14 +447,9 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
             provided = (znorm, cmap)
         for sub in run:
             zt, cmap = provided if provided else _special_scheme(n, sub)
-            xi = _xi_matrix_on(jd, zt.line, nv)
-            vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(),
-                                             jdm1.members, jd, nv)
-            x1 = HomogPoly.variable(nv, 1)
-            base = HomogPoly.monomial(nv, (d - 2,) + (0,) * (nv - 1))
-            extra = [(base * HomogPoly.variable(nv, i)
-                      * (HomogPoly.variable(nv, j) - x1 * cmap[j])).coeffs_on(jd)
-                     for i in range(1, nv) for j in range(2, nv)]
+            xi = _xi_matrix_on(jd, zt.line)
+            vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
+            extra = _special_extras(jd, d, cmap)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, vectors + extra)
             run.record(equal,
                        {"lhs": kernel_dim, "rhs": span_dim, "extra_generators": len(extra)},
@@ -476,11 +478,9 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
         evaluation = Matrix([eval_monomials(jd1, p.coords)])
-        eval_rank = evaluation.rank()
         ip = ip_linear(p)
-        point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd.members, jd1, nv)
-        equal, kernel_dim, span_dim, _ = _kernel_is_span(evaluation, point_vectors,
-                                                         eval_rank)
+        point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd, jd1)
+        equal, kernel_dim, span_dim, _ = _kernel_is_span(evaluation, point_vectors)
         ok_point = equal and kernel_dim == ambient - 1
         run.dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
 
@@ -491,9 +491,9 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             zt = LengthTwoScheme(p, q)
             iz = iz_linear(zt)
             s = next(v for v in ip.basis_vectors() if not iz.contains_vector(v))
-            vectors = _ideal_product_vectors(iz.basis_vectors(), jd.members, jd1, nv)
-            vectors += _ideal_product_vectors([s], jd.members, jd1, nv)
-            split_ok, _, _, outside = _kernel_is_span(evaluation, vectors, eval_rank)
+            vectors = _ideal_product_vectors(iz.basis_vectors(), jd, jd1)
+            vectors += _ideal_product_vectors([s], jd, jd1)
+            split_ok, _, _, outside = _kernel_is_span(evaluation, vectors)
             run.record(ok_point and split_ok, run.dims,
                        lambda: {"reason": "point part" if not ok_point else "split part",
                                 "vector": outside()})
@@ -628,7 +628,7 @@ def _draw_coeffs(rng: Rng):
     """Random coefficient table c[i, j, k], symmetric in the last two slots."""
     c = {}
     for (i, j, k) in _SYSTEM_KEYS:
-        v = sample_rational(rng, 50)
+        v = _nonzero_sample(rng, 50)
         c[(i, j, k)] = v
         c[(i, k, j)] = v
     return c
@@ -928,7 +928,7 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
             f = lead
             for i in range(2, nv):
                 g = HomogPoly(nv, d - 1,
-                              {mm: sample_rational(sub, 20) for mm in deg_dm1.members})
+                              {mm: _nonzero_sample(sub, 20) for mm in deg_dm1.members})
                 f = f + HomogPoly.variable(nv, i) * g
             rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
             run.record(rep.dims["deformations"] == 0 and degenerate.dims["deformations"] > 0,

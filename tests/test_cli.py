@@ -106,6 +106,20 @@ def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, cfg,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/x.jsonl"])
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, monkeypatch, target):
+    """The path is opened before any lemma runs, so nothing is computed."""
+    monkeypatch.setattr(cli, "run_lemma", None)
+    path = tmp_path / target
+    if target == "dir":
+        path.mkdir()
+    assert main(["incidence", "--json", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write reports: ")
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+
 def test_defaults_d_and_m():
     config = RunConfig(n=2)
     d, m = config.resolve()

@@ -25,6 +25,11 @@ def full(ambient):
     return Subspace.from_vectors(ambient, identity(ambient).data)
 
 
+def sparse(rows):
+    """Rows {column: value} of the nonzero entries of dense rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def mul_vec(m, v):
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.data]
 
@@ -187,7 +192,7 @@ def test_bareiss_and_modular_rank_agree_up_to_60():
         nc = rng.randint(1, 60)
         # integer-heavy matrices of low rank stress the elimination more
         m = random_matrix(rng, nr, nc, bound=20)
-        assert m.rank() == rank_modular(m)
+        assert m.rank() == rank_modular(sparse(m.data))
 
 
 def test_bareiss_on_deliberately_rank_deficient_matrices():
@@ -206,7 +211,7 @@ def test_bareiss_on_deliberately_rank_deficient_matrices():
         got_rows, got_piv = prod.rref()
         want_rows, want_piv = fraction_rref_reference(prod.data)
         assert (got_rows, got_piv) == (want_rows, want_piv)
-        assert prod.rank() == rank_modular(prod)
+        assert prod.rank() == rank_modular(sparse(prod.data))
 
 
 def test_rank_modular_clears_denominators_before_reducing():
@@ -214,7 +219,7 @@ def test_rank_modular_clears_denominators_before_reducing():
     p = (1 << 61) - 1
     m = Matrix([[Fraction(1, p), 1], [1, p]])
     assert m.rank() == 1
-    assert rank_modular(m, p) == 1
+    assert rank_modular(sparse(m.data), p) == 1
 
 
 def test_rank_modular_is_a_lower_bound_for_small_primes():
@@ -222,23 +227,25 @@ def test_rank_modular_is_a_lower_bound_for_small_primes():
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), bound=6)
         for p in (2, 3, 5):
-            assert rank_modular(m, p) <= m.rank()
-        assert rank_modular(m.data) == rank_modular(m) == m.rank()
+            assert rank_modular(sparse(m.data), p) <= m.rank()
+        assert rank_modular(sparse(m.data)) == m.rank()
 
 
 def test_certify_kernel_span_examples():
     m = Matrix([[1, -1, 0]])
-    assert certify_kernel_span(m, [[1, 1, 0], [0, 0, 1]]) == 2
-    assert certify_kernel_span(m, [[1, 1, 0], [0, 0, 1]], m_rank=1) == 2
+    assert certify_kernel_span(m, [{0: 1, 1: 1}, {2: 1}]) == 2
+    assert certify_kernel_span(Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]]),
+                               [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: 5}]) == 2
     # too few generators: the count falls short, nothing is proven
-    assert certify_kernel_span(m, [[1, 1, 0]]) is None
+    assert certify_kernel_span(m, [{0: 1, 1: 1}]) is None
     # a generator outside the kernel
-    assert certify_kernel_span(m, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]) is None
+    assert certify_kernel_span(m, [{0: 1, 1: 1}, {2: 1}, {0: 1}]) is None
     # a prime dividing every entry makes the modular rank fall short
-    assert certify_kernel_span(m, [[3, 3, 0], [0, 0, 3]], p=3) is None
-    assert certify_kernel_span(zeros(2, 2), [[1, 0], [0, 1]]) == 2
-    with pytest.raises(DimensionMismatch):
-        certify_kernel_span(m, [[1, 1]])
+    assert certify_kernel_span(m, [{0: 3, 1: 3}, {2: 3}], p=3) is None
+    assert certify_kernel_span(zeros(2, 2), [{0: 1}, {1: 1}]) == 2
+    for outside in ({3: 1}, {-1: 1}):
+        with pytest.raises(DimensionMismatch):
+            certify_kernel_span(m, [{0: 1, 1: 1}, outside])
 
 
 def test_certify_kernel_span_matches_exact_kernel():
@@ -248,9 +255,9 @@ def test_certify_kernel_span_matches_exact_kernel():
         gens = m.kernel_vectors()
         # one redundant generator on top of a basis
         extra = [[x + 3 * y for x, y in zip(gens[0], gens[-1])]] if gens else []
-        assert certify_kernel_span(m, gens + extra) == m.ncols - m.rank()
+        assert certify_kernel_span(m, sparse(gens + extra)) == m.ncols - m.rank()
         if gens:
-            assert certify_kernel_span(m, gens[1:]) is None
+            assert certify_kernel_span(m, sparse(gens[1:])) is None
 
 
 def test_subspace_equality_invariant_under_basis_change():
@@ -318,6 +325,61 @@ def test_random_solution_solves_or_reports_none():
             assert m.solve(rhs) is None
         else:
             assert mul_vec(m, x) == [Fraction(r) for r in rhs]
+
+
+def random_solution_reference(m, rhs, rng, bound=1000):
+    """Oracle: the full rational rref of [m | rhs], free variables sampled in
+    ascending column order, pivot variables read off the reduced rows."""
+    aug = Matrix([row + [Fraction(b)] for row, b in zip(m.data, rhs)], ncols=m.ncols + 1)
+    rows, pivots = aug.rref()
+    if m.ncols in pivots:
+        return None
+    pivset = set(pivots)
+    x = [Fraction(0)] * m.ncols
+    for j in range(m.ncols):
+        if j not in pivset:
+            x[j] = sample_rational(rng, bound)
+    for k, c in enumerate(pivots):
+        acc = rows[k][m.ncols]
+        for j in range(c + 1, m.ncols):
+            if j not in pivset and rows[k][j]:
+                acc -= rows[k][j] * x[j]
+        x[c] = acc
+    return x
+
+
+def test_random_solution_matches_the_rref_reference():
+    """Same draws and same exact values as the rref-based reference on
+    wide, rank-deficient, inconsistent and all-integer systems."""
+    rng = Rng(51)
+    outcomes = set()
+    for trial in range(120):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 9)
+        kind = trial % 4
+        if kind == 1:       # rank deficient: a product through a thin inner space
+            inner = rng.randint(1, min(nr, nc))
+            left = random_matrix(rng, nr, inner, bound=5)
+            right = random_matrix(rng, inner, nc, bound=5)
+            m = Matrix([mul_vec(Matrix(list(zip(*right.data))), row) for row in left.data])
+        elif kind == 3:     # all integers, square and nonsingular
+            nr = nc
+            m = Matrix([[rng.randint(-4, 4) + (9 if i == j else 0) for j in range(nc)]
+                        for i in range(nr)])
+        else:
+            m = random_matrix(rng, nr, nc, bound=5)
+        rhs = [sample_rational(rng, 5) if kind != 3 else rng.randint(-9, 9)
+               for _ in range(nr)]
+        if kind == 2 and nr > 1:    # inconsistent unless the last row is free
+            m = Matrix(m.data[:-1] + [m.data[0]])
+            rhs[-1] = rhs[0] + 1
+        got = random_solution(m, rhs, Rng(trial))
+        want = random_solution_reference(m, rhs, Rng(trial))
+        assert got == want
+        if got is not None:
+            assert all(type(x) is Fraction for x in got)
+            assert mul_vec(m, got) == [Fraction(r) for r in rhs]
+        outcomes.add((kind, got is None))
+    assert {(1, False), (2, True), (3, False)} <= outcomes
 
 
 def test_fraction_formatting_round_trip():

@@ -17,6 +17,8 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 CLI_CASES = {
     "all_n2_d6_seed0.jsonl": ["all", "--n", "2", "--d", "6", "--seed", "0"],
     "all_n1_d4_trials1.jsonl": ["all", "--n", "1", "--d", "4", "--trials", "1"],
+    "all_n3_d8_seed7_trials1.jsonl": ["all", "--n", "3", "--d", "8", "--seed", "7",
+                                      "--trials", "1"],
 }
 
 

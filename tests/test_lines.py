@@ -248,6 +248,57 @@ def test_distinct_root_count():
         distinct_root_count(BinaryForm.zero(3))
 
 
+def gcd_degree_reference(u, v) -> int:
+    """Oracle: degree of the gcd of two univariate coefficient lists
+    (ascending powers), by the rational Euclidean algorithm."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(list(u)), trim(list(v))
+    while b:
+        while len(a) >= len(b) and a:
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + shift] -= f * c
+            trim(a)
+        a, b = b, a
+    return len(a) - 1 if a else -1
+
+
+def distinct_root_count_reference(f: BinaryForm) -> int:
+    nz = [k for k, c in enumerate(f.coeffs) if c != 0]
+    core = list(f.coeffs[nz[0]: nz[-1] + 1])
+    count = int(nz[0] > 0) + int(nz[-1] < f.degree)
+    deriv = [k * c for k, c in enumerate(core)][1:]
+    return count + len(core) - 1 - gcd_degree_reference(core, deriv)
+
+
+def test_distinct_root_count_matches_euclid_on_products_of_linear_forms():
+    """Products of pairwise non-proportional linear forms with random
+    multiplicities: the Sylvester-rank count is the number of forms, and it
+    agrees with the Euclidean reference (also on random dense forms)."""
+    rng = Rng(52)
+    for trial in range(300):
+        roots, target = [], rng.randint(1, 5)
+        while len(roots) < target:
+            a, b = sample_rational(rng, 6), sample_rational(rng, 6)
+            if (a or b) and all(a * d - b * c for c, d in roots):
+                roots.append((a, b))
+        f = BinaryForm(0, [sample_rational(rng, 9) or 1])
+        for a, b in roots:
+            for _ in range(rng.randint(1, 3)):
+                f = f * BinaryForm(1, [a, b])
+        assert distinct_root_count(f) == len(roots) == distinct_root_count_reference(f)
+        dense = BinaryForm(trial % 8 + 1, [sample_rational(rng, 3)
+                                           for _ in range(trial % 8 + 2)])
+        if not dense.is_zero():
+            assert distinct_root_count(dense) == distinct_root_count_reference(dense)
+
+
 def test_binary_form_t_partial_t():
     f = BinaryForm(4, [5, 0, 3, 0, -2])
     g = f.t_partial_t()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fermatlines.verifiers as verifiers
+from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
 from fermatlines.exact import (Matrix, certify_kernel_span, rank_modular,
@@ -31,6 +32,11 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
 
 def rng_for(label, seed=7):
     return Rng(seed).split(label)
+
+
+def dense(rows, ncols):
+    """Dense Fraction vectors of sparse rows {column: value}."""
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +134,12 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
     for maker in (lambda r: _special_scheme(2, r)[0],
                   lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
-        xi = _xi_matrix_on(shape.jd, z.line, 4)
+        xi = _xi_matrix_on(shape.jd, z.line)
         k2 = kernel_basis(xi)
         k1 = Subspace.from_vectors(
             len(shape.jd),
-            _ideal_product_vectors(iz_linear(z).basis_vectors(),
-                                   shape.monomials(5).members, shape.jd, 4))
+            dense(_ideal_product_vectors(iz_linear(z).basis_vectors(),
+                                         shape.monomials(5), shape.jd), len(shape.jd)))
         assert k2.contains(k1)
 
 
@@ -153,12 +159,12 @@ def _outcome(rep):
 
 def _recording_certify(monkeypatch, **kwargs):
     """Route the verifiers' certification through a recorder; returns the
-    list of (m, gens, m_rank, result) calls."""
+    list of (m, gens, result) calls."""
     calls = []
 
-    def record(m, gens, m_rank=None):
-        result = certify_kernel_span(m, gens, m_rank, **kwargs)
-        calls.append((m, gens, m_rank, result))
+    def record(m, gens):
+        result = certify_kernel_span(m, gens, **kwargs)
+        calls.append((m, gens, result))
         return result
 
     monkeypatch.setattr(verifiers, "certify_kernel_span", record)
@@ -202,11 +208,10 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
     for run in KERNEL_CLAIMS.values():
         run()
     assert len(calls) >= 6
-    for m, gens, m_rank, result in calls:
+    for m, gens, result in calls:
         rank_m = rank_qq(m.data, m.ncols)
-        assert rank_modular(m) <= rank_m
-        assert rank_modular(gens) <= rank_qq(gens, m.ncols)
-        assert m_rank is None or m_rank == rank_m
+        assert rank_modular([dict(enumerate(row)) for row in m.data]) <= rank_m
+        assert rank_modular(gens) <= rank_qq(dense(gens, m.ncols), m.ncols)
         assert result == m.ncols - rank_m
 
 
@@ -325,6 +330,16 @@ def test_systems_pass():
     rep = verify_generic_systems(rng_for("sys"), draws=8, singular_draws=5)
     assert rep.verdict == PASS
     assert rep.dims["kernel_dim_max"] == 0
+
+
+@pytest.mark.parametrize("lemma,seed", [("systems", 1000122), ("tangency", 1000075),
+                                         ("tangency", 2516083234)])
+def test_general_position_draws_have_no_zero_coefficient(lemma, seed):
+    """These seeds once drew a zero "general" coefficient (for systems,
+    c013 = c103 = 0 made the 2x2 determinant vanish) and came out
+    INDETERMINATE."""
+    rep = run_lemma(lemma, 2, 6, 3, seed, 5)
+    assert rep.verdict == PASS, rep.witness
 
 
 def test_nine_by_six_shape():
