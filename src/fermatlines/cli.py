@@ -2,18 +2,20 @@
 
 Usage pattern: `verify <lemma-id|all> [--n N] [--d D] [--m M] [--seed S]...
 [--trials K] [--jobs J] [--json PATH] [--config PATH]`.  One JSON line is
-written per (lemma, seed) pair plus a trailing summary object; stdout gets
-an aligned human table.  Exit code 0 when everything passes, 1 on any FAIL,
-2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64 on usage
-errors.
+written per (lemma, seed) pair, flushed as soon as that pair is done and in
+registry order, plus a trailing summary object; stdout gets an aligned
+human table at the end.  `--jobs J` runs the pairs in min(J, pairs, CPUs)
+forked worker processes; `--jobs 1` runs them in this process.  Exit code
+0 when everything passes, 1 on any FAIL, 2 when the worst outcome is
+INFEASIBLE or INDETERMINATE, 64 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .rng import Rng
@@ -115,6 +117,35 @@ def _dims_str(dims: dict) -> str:
     return ",".join("%s=%s" % (k, v) for k, v in dims.items())
 
 
+def _work(item) -> LemmaReport:
+    """Run one (lemma, n, d, m, seed, trials) item.  A worker is sent this
+    module-level function, never `run_lemma` itself, which is looked up here
+    at call time: a replacement of `cli.run_lemma` (a monkeypatch, a
+    tracer's closure) need not pickle, and forked workers inherit it."""
+    return run_lemma(*item)
+
+
+def _pool(processes: int):
+    """A pool of `processes` forked workers.  Fork, not spawn: a worker
+    starts with the package imported, and no thread runs here before the
+    pool exists.  multiprocessing is imported here, so a run in this
+    process never loads it."""
+    import multiprocessing
+    return multiprocessing.get_context("fork").Pool(processes)
+
+
+def _reports(items, jobs: int):
+    """Yield the report of each item, in order, as soon as it is done."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(_work, items)
+        return
+    with _pool(workers) as pool:
+        yield from pool.imap(_work, items, chunksize=1)
+        pool.close()
+        pool.join()
+
+
 def run(config: RunConfig, out=None) -> int:
     """Execute the configured runs, write reports, return the exit code."""
     out = out if out is not None else sys.stdout
@@ -124,18 +155,30 @@ def run(config: RunConfig, out=None) -> int:
     except OSError as exc:
         sys.stderr.write("error: cannot write reports: %s\n" % exc)
         return EXIT_USAGE
-    items = [(lemma, seed) for lemma in config.lemmas for seed in config.seeds]
+    items = [(lemma, config.n, d, m, seed, config.trials)
+             for lemma in config.lemmas for seed in config.seeds]
+    reports = []
+    counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0, INFEASIBLE: 0}
+    try:
+        for rep in _reports(items, config.jobs):
+            reports.append(rep)
+            counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+            if fh:
+                fh.write(rep.to_json() + "\n")
+                fh.flush()
+        if fh:
+            fh.write(json.dumps({"summary": {
+                "runs": len(reports),
+                "pass": counts[PASS],
+                "fail": counts[FAIL],
+                "indeterminate": counts[INDETERMINATE],
+                "infeasible": counts[INFEASIBLE],
+            }}) + "\n")
+    finally:
+        if fh:
+            fh.close()
 
-    def work(item):
-        lemma, seed = item
-        return run_lemma(lemma, config.n, d, m, seed, config.trials)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(work, items))
-    else:
-        reports = [work(item) for item in items]
-
+    # The table is written last: its column widths need every row.
     header = ("lemma", "n", "d", "seed", "verdict", "dims", "ms")
     table = [header]
     for rep in reports:
@@ -144,25 +187,9 @@ def run(config: RunConfig, out=None) -> int:
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
         out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-
-    counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0, INFEASIBLE: 0}
-    for rep in reports:
-        counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
     out.write("summary: %d runs, %d pass, %d fail, %d indeterminate, %d infeasible\n"
               % (len(reports), counts[PASS], counts[FAIL],
                  counts[INDETERMINATE], counts[INFEASIBLE]))
-
-    if fh:
-        with fh:
-            for rep in reports:
-                fh.write(rep.to_json() + "\n")
-            fh.write(json.dumps({"summary": {
-                "runs": len(reports),
-                "pass": counts[PASS],
-                "fail": counts[FAIL],
-                "indeterminate": counts[INDETERMINATE],
-                "infeasible": counts[INFEASIBLE],
-            }}) + "\n")
 
     if counts[FAIL]:
         return EXIT_FAIL
@@ -192,7 +219,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--trials", type=int, default=None,
                         help="samples per genericity claim (default 5)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="concurrent (lemma, seed) runs (default 1)")
+                        help="worker processes for the (lemma, seed) runs, at most one "
+                             "per run and per CPU (default 1: run in this process)")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write JSON Lines reports to this path")
     parser.add_argument("--config", default=None,

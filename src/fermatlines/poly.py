@@ -260,6 +260,12 @@ class HomogPoly:
         return "HomogPoly(%s)" % self.text()
 
 
+def cleared_terms(p: HomogPoly):
+    """p as ((monomial, integer numerator) pairs, their common denominator)."""
+    nums, den = clear_denominators(p.terms.values())
+    return list(zip(p.terms, nums)), den
+
+
 def sum_of_products(nvars: int, degree: int, pairs) -> HomogPoly:
     """The polynomial sum of a*b over the (a, b) pairs, of the given degree.
 
@@ -268,22 +274,26 @@ def sum_of_products(nvars: int, degree: int, pairs) -> HomogPoly:
     output coefficient becomes one reduced Fraction.
     """
     cleared = []
-    den = 1
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise DimensionMismatch("variable counts differ")
         if a.degree + b.degree != degree:
             raise DimensionMismatch("cannot combine degree %d and %d polynomials"
                                     % (a.degree + b.degree, degree))
-        na, da = clear_denominators(a.terms.values())
-        nb, db = clear_denominators(b.terms.values())
-        cleared.append((a, na, b, nb, da * db))
+        cleared.append((cleared_terms(a), cleared_terms(b)))
+    return sum_of_cleared_products(nvars, degree, cleared)
+
+
+def sum_of_cleared_products(nvars: int, degree: int, pairs) -> HomogPoly:
+    """sum_of_products over factors already in `cleared_terms` form, so a
+    factor used in many sums is cleared once.  Degrees are not checked."""
+    den = 1
+    for (_, da), (_, db) in pairs:
         den = lcm(den, da * db)
     acc = {}
-    for a, na, b, nb, dab in cleared:
-        scale = den // dab
-        b_terms = list(zip(b.terms, nb))
-        for m1, c1 in zip(a.terms, na):
+    for (a_terms, da), (b_terms, db) in pairs:
+        scale = den // (da * db)
+        for m1, c1 in a_terms:
             c1 *= scale
             for m2, c2 in b_terms:
                 m = mono_mul(m1, m2)

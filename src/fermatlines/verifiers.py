@@ -872,6 +872,22 @@ def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
     return LemmaReport("incidence", n, d, seed, PASS, dims, None, _ms_since(t0), {"m": m})
 
 
+def _tangency_system(fpoly: HomogPoly, line: Line, m: int):
+    """(matrix, normals) of the tangency system: two columns per normal
+    coordinate (its motion is a binary linear form), one row per coefficient
+    of the restricted derivative outside the stratum's tangent space."""
+    d = fpoly.degree
+    rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
+    normals = [i for i in range(fpoly.nvars) if i not in pivots]
+    cols = []
+    for i in normals:
+        base = restrict_poly(fpoly.partial(i), line).coeffs
+        cols.append(list(base) + [ZERO])
+        cols.append([ZERO] + list(base))
+    keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
+    return Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals)), normals
+
+
 def tangency_deformation_dim(fpoly: HomogPoly, line: Line, m: int,
                              seed: int = 0) -> LemmaReport:
     """First-order deformations of the line preserving the two-root
@@ -888,15 +904,7 @@ def tangency_deformation_dim(fpoly: HomogPoly, line: Line, m: int,
     if idx is None or idx != m or not 0 < m < d:
         raise NotInTangencyStratum(
             "restriction is not a nonzero multiple of s^(d-m) t^m")
-    rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
-    normals = [i for i in range(nv) if i not in pivots]
-    cols = []
-    for i in normals:
-        base = restrict_poly(fpoly.partial(i), line).coeffs
-        cols.append(list(base) + [ZERO])
-        cols.append([ZERO] + list(base))
-    keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
-    mat = Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals))
+    mat, normals = _tangency_system(fpoly, line, m)
     dim = 2 * len(normals) - mat.rank()
     dims = {"deformations": dim, "unknowns": 2 * len(normals), "m": m}
     verdict = PASS if dim == 0 else FAIL

@@ -168,6 +168,81 @@ def test_jobs_concurrent_matches_serial(tmp_path):
     assert strip(read_jsonl(out1)) == strip(read_jsonl(out2))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_json_lines_are_written_as_pairs_finish(tmp_path, monkeypatch, jobs):
+    """A run that stops at its second pair keeps the first pair's report on
+    disk, and the pair's exception reaches the caller.  Forked workers
+    inherit the patched `run_lemma`."""
+    def second_pair_raises(lemma, n, d, m, seed, trials=5):
+        if seed == 1:
+            raise RuntimeError("pair 2 stopped")
+        return run_lemma(lemma, n, d, m, seed, trials)
+
+    out = tmp_path / "partial.jsonl"
+    monkeypatch.setattr(cli, "run_lemma", second_pair_raises)
+    config = RunConfig(n=2, d=6, seeds=[0, 1, 2], lemmas=["incidence"],
+                       jobs=jobs, output_path=str(out))
+    with pytest.raises(RuntimeError, match="pair 2 stopped"):
+        run(config, out=io.StringIO())
+    first = run_lemma("incidence", 2, 6, 3, 0).to_json_obj()
+    (line,) = read_jsonl(out)
+    line.pop("elapsed_ms")
+    first.pop("elapsed_ms")
+    assert line == first
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    def __init__(self, asked, processes):
+        asked.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 64])
+def test_jobs_are_capped_by_pairs_and_cpus(monkeypatch, capsys, cpus):
+    """--jobs 10000 over 3 pairs asks for at most min(3, CPUs) workers, and
+    for no pool when that is 1; no process starts here."""
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    asked = []
+    monkeypatch.setattr(cli, "_pool", lambda processes: _RecordingPool(asked, processes))
+    argv = ["incidence", "--seed", "0", "--seed", "1", "--seed", "2", "--jobs", "10000"]
+    assert main(argv) == EXIT_OK
+    workers = min(3, os.cpu_count() or 1)
+    assert asked == ([workers] if workers > 1 else [])
+    assert capsys.readouterr().out.count("incidence") == 3
+
+
+def test_process_pool_run_is_warning_free():
+    """Under -W error any warning is fatal, such as the DeprecationWarning
+    for forking a multi-threaded process on Python 3.12+."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys; from fermatlines.cli import main; sys.exit(main(sys.argv[1:]))",
+         "incidence", "--seed", "0", "--seed", "1", "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.count("PASS") == 2
+
+
 def test_human_table_has_header_and_summary():
     buf = io.StringIO()
     run(RunConfig(n=2, d=6, seeds=[0], lemmas=["systems"], trials=2), out=buf)

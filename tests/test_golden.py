@@ -14,11 +14,19 @@ from test_verifiers import KERNEL_CLAIMS
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
+# case -> (golden file, verify arguments).  A case named after its file
+# records it; the other cases must reproduce a recorded file another way.
 CLI_CASES = {
-    "all_n2_d6_seed0.jsonl": ["all", "--n", "2", "--d", "6", "--seed", "0"],
-    "all_n1_d4_trials1.jsonl": ["all", "--n", "1", "--d", "4", "--trials", "1"],
-    "all_n3_d8_seed7_trials1.jsonl": ["all", "--n", "3", "--d", "8", "--seed", "7",
-                                      "--trials", "1"],
+    "all_n2_d6_seed0.jsonl": ("all_n2_d6_seed0.jsonl",
+                              ["all", "--n", "2", "--d", "6", "--seed", "0"]),
+    "all_n2_d6_seed0_jobs2": ("all_n2_d6_seed0.jsonl",
+                              ["all", "--n", "2", "--d", "6", "--seed", "0",
+                               "--jobs", "2"]),
+    "all_n1_d4_trials1.jsonl": ("all_n1_d4_trials1.jsonl",
+                                ["all", "--n", "1", "--d", "4", "--trials", "1"]),
+    "all_n3_d8_seed7_trials1.jsonl": ("all_n3_d8_seed7_trials1.jsonl",
+                                      ["all", "--n", "3", "--d", "8", "--seed", "7",
+                                       "--trials", "1"]),
 }
 
 
@@ -57,9 +65,10 @@ def golden(name):
         return fh.read().splitlines()
 
 
-@pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_reports_match_golden(name, tmp_path, capsys):
-    assert cli_lines(CLI_CASES[name], tmp_path / name) == golden(name)
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_reports_match_golden(case, tmp_path, capsys):
+    name, args = CLI_CASES[case]
+    assert cli_lines(args, tmp_path / name) == golden(name)
     capsys.readouterr()
 
 

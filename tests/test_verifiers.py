@@ -19,7 +19,8 @@ from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    _b_with_line_power, _nine_by_six,
                                    random_generic_scheme, _special_scheme,
-                                   _two_by_two, _very_special_scheme,
+                                   _tangency_system, _two_by_two,
+                                   _very_special_scheme,
                                    incidence_dimension, secant_obstruction,
                                    tangency_deformation_dim,
                                    verify_generic_systems, verify_incidence,
@@ -231,13 +232,36 @@ def _member_without_line_power(shape, z, m, rng, attempts=20):
     return sample_b_through(shape, [z.p1, z.p2], rng)
 
 
+def _zero_first_system_column(c):
+    # Zeroing one row would not break the claim: the other 8 of the 9
+    # equations keep rank 6.  An unknown that enters no equation does.
+    return Matrix([[0] + row[1:] for row in _nine_by_six(c).data])
+
+
+def _drop_first_tangency_row(fpoly, line, m):
+    mat, normals = _tangency_system(fpoly, line, m)
+    return Matrix(mat.data[1:], ncols=mat.ncols), normals
+
+
+def _systems(n, d, rng, trials):
+    return verify_generic_systems(rng, draws=trials, singular_draws=trials, n=n, d=d)
+
+
+def _tangency(n, d, rng, trials):
+    return verify_tangency(n, d, d // 2, rng, trials)
+
+
 # lemma -> (verifiers attribute replaced, its mutant, verifier)
 MUTATIONS = {
     "w-basis": ("omega_basis", _drop_last_omega, verify_w_basis),
     "xi-special": ("restrict_section", _zero_first_restricted, verify_xi_special),
     "xi-generic": ("restrict_section", _zero_first_restricted, verify_xi_generic),
     "secant": ("_b_with_line_power", _member_without_line_power, verify_secant),
+    "systems": ("_nine_by_six", _zero_first_system_column, _systems),
+    "tangency": ("_tangency_system", _drop_first_tangency_row, _tangency),
 }
+# The witness key that names the first failing trial, where it is not "trial".
+TRIAL_KEY = {"systems": "draw"}
 
 
 @pytest.mark.parametrize("lemma", sorted(MUTATIONS))
@@ -247,7 +271,7 @@ def test_sampled_claim_fails_with_a_witness_when_broken(monkeypatch, lemma):
     rep = verify(2, 6, rng_for(lemma), trials=2)
     assert rep.verdict == FAIL
     assert rep.witness is not None
-    assert rep.witness["trial"] == 0
+    assert rep.witness[TRIAL_KEY.get(lemma, "trial")] == 0
 
 
 @pytest.mark.parametrize("swap", [False, True])
