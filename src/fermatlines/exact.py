@@ -9,10 +9,10 @@ canonicalized to reduced column echelon form so equality is a plain
 entry-wise comparison.
 
 Claims "span(gens) == ker(m)" on sparse generator rows {column: value} are
-certified by certify_kernel_span: the inclusion and the rank of m are
-exact, ranks mod a prime serve only as lower bounds on ranks over Q, and
-when those fall short nothing is proven and callers decide the claim with
-the exact canonical subspaces.
+decided by kernel_span_dims: the inclusion m·g == 0, the rank of m and the
+rank of the generators (rank_sparse, elimination on integer dicts) are all
+exact, so the claim holds iff the inclusion holds and the two dimensions
+agree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .rng import Rng
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-PRIME = (1 << 61) - 1
 
 
 def frac(x) -> Fraction:
@@ -170,28 +169,29 @@ class Matrix:
         return x
 
 
-def rank_modular(rows, p: int = PRIME) -> int:
-    """Rank over GF(p) of sparse rational rows {column: value}.
-
-    Each row is scaled to integers (which keeps the rank over Q) before it
-    is reduced mod p, so every nonzero minor mod p is a nonzero integer
-    minor: the result is a lower bound on the rank over Q, never an upper
-    one.  Elimination is sparse, on dicts of the nonzero entries.
-    """
+def rank_sparse(rows) -> int:
+    """Exact rank over Q of sparse rational rows {column: value}: each row,
+    cleared to integers, is reduced in place as row = a*row - b*pivot, with
+    a/b = pivot[c]/row[c] in lowest terms, against pivot rows keyed by their
+    leftmost column c and divided by the gcd of their entries."""
     pivots = {}
     for row in rows:
         ints, _ = clear_denominators(row.values())
-        r = {j: v % p for j, v in zip(row, ints) if v % p}
+        r = {j: v for j, v in zip(row, ints) if v}
         while r:
             c = min(r)
             prow = pivots.get(c)
             if prow is None:
-                inv = pow(r[c], p - 2, p)
-                pivots[c] = {j: v * inv % p for j, v in r.items()}
+                g = gcd(*r.values())
+                pivots[c] = {j: v // g for j, v in r.items()}
                 break
-            f = r[c]
+            g = gcd(prow[c], r[c])
+            a, b = prow[c] // g, r[c] // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
             for j, v in prow.items():
-                w = (r.get(j, 0) - f * v) % p
+                w = r.get(j, 0) - b * v
                 if w:
                     r[j] = w
                 else:
@@ -199,26 +199,19 @@ def rank_modular(rows, p: int = PRIME) -> int:
     return len(pivots)
 
 
-def certify_kernel_span(m: Matrix, gens, p: int = PRIME) -> int | None:
-    """dim ker(m) when span(gens) == ker(m) is proven, else None.
-
-    gens are sparse rows {column: value}.  m·g == 0 is checked exactly on
-    m's rows cleared to integers once, so span(gens) lies in ker(m).  With
-    the exact rank of m (callers' m have few rows), rank_p(gens) + rank(m)
-    >= ncols forces rank(gens) >= dim ker(m), hence equality.  None proves
-    nothing either way: the caller must decide the claim exactly.
-    """
+def kernel_span_dims(m: Matrix, gens):
+    """(inside, kernel_dim, span_dim), all exact, for sparse generator rows
+    {column: value}: inside is m·g == 0 for every g (on m's rows cleared to
+    integers once), kernel_dim is ncols - rank(m), span_dim is rank(gens)."""
     rows = [clear_denominators(row)[0] for row in m.data]
+    inside = True
     for g in gens:
         if any(not 0 <= j < m.ncols for j in g):
             raise DimensionMismatch("generator column outside %d columns" % m.ncols)
-        nums, _ = clear_denominators(g.values())
-        if any(sum(row[j] * x for j, x in zip(g, nums)) for row in rows):
-            return None
-    rank = m.rank()
-    if rank_modular(gens, p) + rank < m.ncols:
-        return None
-    return m.ncols - rank
+        if inside:
+            nums, _ = clear_denominators(g.values())
+            inside = not any(sum(row[j] * x for j, x in zip(g, nums)) for row in rows)
+    return inside, m.ncols - m.rank(), rank_sparse(gens)
 
 
 class Subspace:
@@ -284,8 +277,12 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Kernel of m as a canonical Subspace of Q^(m.ncols)."""
-    return Subspace.from_vectors(m.ncols, m.kernel_vectors())
+    """Kernel of m as a canonical Subspace of Q^(m.ncols), from one rref: the
+    free-variable basis of m with its columns reversed, read back, has each
+    vector's leading 1 at its own free column and 0 at the other free
+    columns, so in ascending order it is the reduced echelon basis."""
+    flipped = Matrix([row[::-1] for row in m.data], ncols=m.ncols)
+    return Subspace(m.ncols, [v[::-1] for v in reversed(flipped.kernel_vectors())])
 
 
 def sample_rational(rng: Rng, bound: int) -> Fraction:

@@ -22,8 +22,8 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ONE, ZERO, certify_kernel_span, format_fraction,
-                    kernel_basis, sample_rational, random_solution)
+from .exact import (Matrix, Subspace, ONE, ZERO, format_fraction, kernel_basis,
+                    kernel_span_dims, rank_sparse, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
@@ -366,27 +366,26 @@ def _special_extras(jd, d: int, cmap):
 def _kernel_is_span(m: Matrix, gens):
     """Decide whether ker(m) equals the span of the sparse rows `gens`.
 
-    Returns (equal, kernel_dim, span_dim, outside).  certify_kernel_span
-    proves equality when it can; otherwise both spaces are built as
-    canonical Subspaces of dense vectors and compared.  `outside()` gives,
-    as JSON, the first basis vector of the kernel outside the span, else of
-    the span outside the kernel, else None.
+    Returns (equal, kernel_dim, span_dim, outside), decided exactly by
+    kernel_span_dims.  `outside()` gives, as JSON, the first canonical
+    basis vector of the kernel outside the span, else of the span outside
+    the kernel, else None; only it builds canonical Subspaces.
     """
-    dim = certify_kernel_span(m, gens)
-    if dim is not None:
-        return True, dim, dim, lambda: None
-    kernel = kernel_basis(m)
-    span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
-                                           for g in gens])
+    inside, kernel_dim, span_dim = kernel_span_dims(m, gens)
 
     def outside():
-        for big, small in ((kernel, span), (span, kernel)):
-            for v in big.basis_vectors():
-                if not small.contains_vector(v):
-                    return _vec_json(v)
+        kernel = kernel_basis(m)
+        for v in kernel.basis_vectors():
+            if rank_sparse(gens + [dict(enumerate(v))]) > span_dim:
+                return _vec_json(v)
+        span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
+                                               for g in gens])
+        for v in span.basis_vectors():
+            if not kernel.contains_vector(v):
+                return _vec_json(v)
         return None
 
-    return kernel == span, kernel.dim, span.dim, outside
+    return inside and span_dim == kernel_dim, kernel_dim, span_dim, outside
 
 
 def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
@@ -480,7 +479,7 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         evaluation = Matrix([eval_monomials(jd1, p.coords)])
         ip = ip_linear(p)
         point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd, jd1)
-        equal, kernel_dim, span_dim, _ = _kernel_is_span(evaluation, point_vectors)
+        equal, kernel_dim, span_dim, point_outside = _kernel_is_span(evaluation, point_vectors)
         ok_point = equal and kernel_dim == ambient - 1
         run.dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
 
@@ -495,8 +494,8 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             vectors += _ideal_product_vectors([s], jd, jd1)
             split_ok, _, _, outside = _kernel_is_span(evaluation, vectors)
             run.record(ok_point and split_ok, run.dims,
-                       lambda: {"reason": "point part" if not ok_point else "split part",
-                                "vector": outside()})
+                       lambda: {"reason": "split part" if ok_point else "point part",
+                                "vector": (outside if ok_point else point_outside)()})
     return run.report
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatlines.errors import DimensionMismatch
-from fermatlines.exact import (Matrix, Subspace, certify_kernel_span,
-                               format_fraction, kernel_basis, rank_modular,
-                               random_solution, sample_rational)
+from fermatlines.exact import (Matrix, Subspace, format_fraction, kernel_basis,
+                               kernel_span_dims, rank_sparse, random_solution,
+                               sample_rational)
 from fermatlines.rng import Rng
 
 
@@ -28,6 +28,11 @@ def full(ambient):
 def sparse(rows):
     """Rows {column: value} of the nonzero entries of dense rows."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def kernel_basis_oracle(m):
+    """Oracle: the kernel's free-variable basis canonicalized by a second rref."""
+    return Subspace.from_vectors(m.ncols, m.kernel_vectors())
 
 
 def mul_vec(m, v):
@@ -192,7 +197,7 @@ def test_bareiss_and_modular_rank_agree_up_to_60():
         nc = rng.randint(1, 60)
         # integer-heavy matrices of low rank stress the elimination more
         m = random_matrix(rng, nr, nc, bound=20)
-        assert m.rank() == rank_modular(sparse(m.data))
+        assert m.rank() == rank_sparse(sparse(m.data))
 
 
 def test_bareiss_on_deliberately_rank_deficient_matrices():
@@ -211,41 +216,36 @@ def test_bareiss_on_deliberately_rank_deficient_matrices():
         got_rows, got_piv = prod.rref()
         want_rows, want_piv = fraction_rref_reference(prod.data)
         assert (got_rows, got_piv) == (want_rows, want_piv)
-        assert prod.rank() == rank_modular(sparse(prod.data))
+        assert prod.rank() == rank_sparse(sparse(prod.data))
 
 
 def test_rank_modular_clears_denominators_before_reducing():
-    # reducing 1/p mod p entry by entry would read it as 0 and report rank 2
+    # the sparse rank clears each row to integers; a large prime denominator
+    # in one entry must not change the rank
     p = (1 << 61) - 1
     m = Matrix([[Fraction(1, p), 1], [1, p]])
     assert m.rank() == 1
-    assert rank_modular(sparse(m.data), p) == 1
-
-
-def test_rank_modular_is_a_lower_bound_for_small_primes():
-    rng = Rng(49)
-    for _ in range(60):
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), bound=6)
-        for p in (2, 3, 5):
-            assert rank_modular(sparse(m.data), p) <= m.rank()
-        assert rank_modular(sparse(m.data)) == m.rank()
+    assert rank_sparse(sparse(m.data)) == 1
 
 
 def test_certify_kernel_span_examples():
     m = Matrix([[1, -1, 0]])
-    assert certify_kernel_span(m, [{0: 1, 1: 1}, {2: 1}]) == 2
-    assert certify_kernel_span(Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]]),
-                               [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: 5}]) == 2
-    # too few generators: the count falls short, nothing is proven
-    assert certify_kernel_span(m, [{0: 1, 1: 1}]) is None
+    assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}]) == (True, 2, 2)
+    assert kernel_span_dims(Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]]),
+                            [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: 5}]) == (True, 2, 2)
+    # too few generators: the span is smaller than the kernel
+    assert kernel_span_dims(m, [{0: 1, 1: 1}]) == (True, 2, 1)
     # a generator outside the kernel
-    assert certify_kernel_span(m, [{0: 1, 1: 1}, {2: 1}, {0: 1}]) is None
-    # a prime dividing every entry makes the modular rank fall short
-    assert certify_kernel_span(m, [{0: 3, 1: 3}, {2: 3}], p=3) is None
-    assert certify_kernel_span(zeros(2, 2), [{0: 1}, {1: 1}]) == 2
+    assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}, {0: 1}]) == (False, 2, 3)
+    # a common factor of every entry does not change the rank
+    assert kernel_span_dims(m, [{0: 3, 1: 3}, {2: 3}]) == (True, 2, 2)
+    assert kernel_span_dims(zeros(2, 2), [{0: 1}, {1: 1}]) == (True, 2, 2)
     for outside in ({3: 1}, {-1: 1}):
         with pytest.raises(DimensionMismatch):
-            certify_kernel_span(m, [{0: 1, 1: 1}, outside])
+            kernel_span_dims(m, [{0: 1, 1: 1}, outside])
+    # the column check covers generators after one outside the kernel
+    with pytest.raises(DimensionMismatch):
+        kernel_span_dims(m, [{0: 1}, {3: 1}])
 
 
 def test_certify_kernel_span_matches_exact_kernel():
@@ -253,11 +253,12 @@ def test_certify_kernel_span_matches_exact_kernel():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 8), bound=5)
         gens = m.kernel_vectors()
+        nullity = m.ncols - m.rank()
         # one redundant generator on top of a basis
         extra = [[x + 3 * y for x, y in zip(gens[0], gens[-1])]] if gens else []
-        assert certify_kernel_span(m, sparse(gens + extra)) == m.ncols - m.rank()
+        assert kernel_span_dims(m, sparse(gens + extra)) == (True, nullity, nullity)
         if gens:
-            assert certify_kernel_span(m, sparse(gens[1:])) is None
+            assert kernel_span_dims(m, sparse(gens[1:])) == (True, nullity, nullity - 1)
 
 
 def test_subspace_equality_invariant_under_basis_change():
@@ -389,12 +390,15 @@ def test_fraction_formatting_round_trip():
         assert Fraction(format_fraction(q)) == q
 
 
-@given(st.lists(st.lists(st.fractions(max_denominator=50), min_size=3, max_size=3),
-                min_size=1, max_size=6))
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.fractions(max_denominator=50), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=6)))
 @settings(max_examples=60, deadline=None)
 def test_kernel_property_hypothesis(rows):
     m = Matrix(rows)
     k = kernel_basis(m)
-    assert m.rank() + k.dim == 3
+    assert m.rank() + k.dim == m.ncols
     for v in k.basis_vectors():
         assert all(x == 0 for x in mul_vec(m, v))
+    assert k.basis_vectors() == kernel_basis_oracle(m).basis_vectors()
+    assert rank_sparse(sparse(rows)) == m.rank()

@@ -5,11 +5,13 @@ exactly; a change of a verdict, a dimension or a witness shows up here."""
 
 import json
 import os
+from functools import partial
 
 import pytest
 
 import fermatlines.verifiers as verifiers
-from fermatlines.cli import main
+from fermatlines.cli import main, run_lemma
+from test_exact import kernel_basis_oracle
 from test_verifiers import KERNEL_CLAIMS
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -44,20 +46,25 @@ def cli_lines(args, path):
         return [stripped(json.loads(line)) for line in fh]
 
 
+def without_first_product(run, **patches):
+    """Stripped report of run() with the first ideal-product vector dropped
+    and the verifiers attributes in `patches` replaced."""
+    products = verifiers._ideal_product_vectors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifiers, "_ideal_product_vectors",
+                   lambda *args: products(*args)[1:])
+        for name, value in patches.items():
+            mp.setattr(verifiers, name, value)
+        return stripped(run().to_json_obj())
+
+
 def kernel_fail_lines():
     """FAIL reports of the three kernel claims with the first ideal-product
-    vector dropped, first with certification on, then with it forced off."""
-    products = verifiers._ideal_product_vectors
-    lines = []
-    for certify in (True, False):
-        for run in KERNEL_CLAIMS.values():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(verifiers, "_ideal_product_vectors",
-                           lambda *args: products(*args)[1:])
-                if not certify:
-                    mp.setattr(verifiers, "certify_kernel_span", lambda *args: None)
-                lines.append(stripped(run().to_json_obj()))
-    return lines
+    vector dropped, first as the verifiers build them, then with the
+    witnesses' kernel bases canonicalized by the two-rref oracle."""
+    return [without_first_product(run, **patches)
+            for patches in ({}, {"kernel_basis": kernel_basis_oracle})
+            for run in KERNEL_CLAIMS.values()]
 
 
 def golden(name):
@@ -76,3 +83,11 @@ def test_kernel_fail_witnesses_match_golden():
     lines = kernel_fail_lines()
     assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
     assert lines == golden("kernel_fail.jsonl")
+
+
+def test_kernel_fail_witnesses_at_n3_d8_match_golden():
+    """The same mutation at the paper's size (3, 8), seed 7, one trial."""
+    lines = [without_first_product(partial(run_lemma, lemma, 3, 8, 0, 7, trials=1))
+             for lemma in KERNEL_CLAIMS]
+    assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+    assert lines == golden("kernel_fail_n3_d8.jsonl")

@@ -8,8 +8,7 @@ import fermatlines.verifiers as verifiers
 from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
-from fermatlines.exact import (Matrix, certify_kernel_span, rank_modular,
-                               sample_rational)
+from fermatlines.exact import Matrix, Subspace, rank_sparse, sample_rational
 from fermatlines.family import (DeformationPoint, FamilyShape,
                                 omega_basis, sample_b_through)
 from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
@@ -29,6 +28,7 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_secant, verify_tangency,
                                    verify_w_basis, verify_xi_generic,
                                    verify_xi_special)
+from test_exact import kernel_basis_oracle
 
 
 def rng_for(label, seed=7):
@@ -145,7 +145,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
 
 
 # ---------------------------------------------------------------------------
-# certified kernel claims: the fast path may only prove, never decide FAIL
+# kernel claims: one exact decision, checked against canonical subspaces
 
 KERNEL_CLAIMS = {
     "kernel-generic": lambda: verify_kernel_generic(2, 6, rng_for("kg"), trials=2),
@@ -154,47 +154,79 @@ KERNEL_CLAIMS = {
 }
 
 
-def _outcome(rep):
-    return rep.verdict, rep.dims, rep.witness
-
-
-def _recording_certify(monkeypatch, **kwargs):
-    """Route the verifiers' certification through a recorder; returns the
+def _recording(monkeypatch, name):
+    """Route the verifiers' calls of `name` through a recorder; returns the
     list of (m, gens, result) calls."""
     calls = []
+    real = getattr(verifiers, name)
 
     def record(m, gens):
-        result = certify_kernel_span(m, gens, **kwargs)
+        result = real(m, gens)
         calls.append((m, gens, result))
         return result
 
-    monkeypatch.setattr(verifiers, "certify_kernel_span", record)
+    monkeypatch.setattr(verifiers, name, record)
     return calls
+
+
+def _drop_first_product(monkeypatch):
+    products = verifiers._ideal_product_vectors
+    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
+                        lambda *args: products(*args)[1:])
 
 
 @pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
 def test_kernel_claim_fails_with_exact_witness_when_a_generator_is_missing(
         monkeypatch, lemma):
-    products = verifiers._ideal_product_vectors
-    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
-                        lambda *args: products(*args)[1:])
+    _drop_first_product(monkeypatch)
     rep = KERNEL_CLAIMS[lemma]()
     assert rep.verdict == FAIL
     assert rep.witness["vector"] is not None
 
 
 @pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
-def test_kernel_claim_falls_back_when_the_modular_bound_falls_short(
-        monkeypatch, lemma):
-    fast = _outcome(KERNEL_CLAIMS[lemma]())
-    monkeypatch.setattr(verifiers, "certify_kernel_span", lambda *args: None)
-    exact = _outcome(KERNEL_CLAIMS[lemma]())
-    # mod 2 many ideal-product coefficients vanish, so some counts fall short
-    calls = _recording_certify(monkeypatch, p=2)
-    short = _outcome(KERNEL_CLAIMS[lemma]())
-    assert any(result is None for *_, result in calls)
-    assert fast == exact == short
-    assert fast[0] == PASS
+def test_kernel_claim_decision_matches_canonical_subspaces(monkeypatch, lemma):
+    for drop, verdict in ((False, PASS), (True, FAIL)):
+        with monkeypatch.context() as mp:
+            if drop:
+                _drop_first_product(mp)
+            calls = _recording(mp, "_kernel_is_span")
+            assert KERNEL_CLAIMS[lemma]().verdict == verdict
+        assert calls
+        for m, gens, (equal, kernel_dim, span_dim, _) in calls:
+            kernel = kernel_basis_oracle(m)
+            span = Subspace.from_vectors(m.ncols, dense(gens, m.ncols))
+            assert (equal, kernel_dim, span_dim) == (kernel == span, kernel.dim, span.dim)
+
+
+def test_kernel_is_span_witness_examples():
+    m = Matrix([[1, -1, 0]])
+    # ker(m) has the canonical basis (1, 1, 0), (0, 0, 1)
+    equal, kernel_dim, span_dim, outside = verifiers._kernel_is_span(m, [{0: 1, 1: 1}])
+    assert (equal, kernel_dim, span_dim) == (False, 2, 1)
+    assert outside() == ["0/1", "0/1", "1/1"]
+    # every kernel vector lies in the span, so the witness is a span vector
+    equal, kernel_dim, span_dim, outside = verifiers._kernel_is_span(
+        m, [{0: 1, 1: 1}, {2: 1}, {0: 1}])
+    assert (equal, kernel_dim, span_dim) == (False, 2, 3)
+    assert outside() == ["1/1", "0/1", "0/1"]
+    equal, _, _, outside = verifiers._kernel_is_span(m, [{0: 2, 1: 2}, {2: 1}])
+    assert equal and outside() is None
+
+
+def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
+    """With one linear form at p missing, the point part fails; its witness
+    lies in ker(evaluation) and outside the span of the point generators."""
+    p = ProjPoint([1] * 4)      # the default point; every monomial is 1 there
+    forms = verifiers.ip_linear(p).basis_vectors()[1:]
+    monkeypatch.setattr(verifiers, "ip_linear", lambda q: Subspace.from_vectors(4, forms))
+    rep = verify_point_ideal(2, 6, Rng(7).split("point-ideal"), trials=2)
+    assert rep.verdict == FAIL and rep.witness["reason"] == "point part"
+    v = [Fraction(x) for x in rep.witness["vector"]]
+    assert sum(v) == 0
+    jd1 = gen_jd(2, 7)
+    gens = dense(verifiers._ideal_product_vectors(forms, gen_jd(2, 6), jd1), len(jd1))
+    assert not Subspace.from_vectors(len(jd1), gens).contains_vector(v)
 
 
 def test_certification_agrees_with_sympy_over_qq(monkeypatch):
@@ -205,15 +237,16 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
         qq = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows]
         return DomainMatrix(qq, (len(qq), ncols), sympy.QQ).rank()
 
-    calls = _recording_certify(monkeypatch)
+    calls = _recording(monkeypatch, "kernel_span_dims")
     for run in KERNEL_CLAIMS.values():
         run()
     assert len(calls) >= 6
     for m, gens, result in calls:
         rank_m = rank_qq(m.data, m.ncols)
-        assert rank_modular([dict(enumerate(row)) for row in m.data]) <= rank_m
-        assert rank_modular(gens) <= rank_qq(dense(gens, m.ncols), m.ncols)
-        assert result == m.ncols - rank_m
+        rank_gens = rank_qq(dense(gens, m.ncols), m.ncols)
+        assert rank_sparse([dict(enumerate(row)) for row in m.data]) == rank_m
+        assert rank_sparse(gens) == rank_gens
+        assert result == (True, m.ncols - rank_m, rank_gens)
 
 
 # ---------------------------------------------------------------------------
