@@ -12,7 +12,7 @@ import pytest
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import main, run_lemma
 from test_exact import kernel_basis_oracle
-from test_verifiers import KERNEL_CLAIMS
+from test_verifiers import KERNEL_CLAIMS, _drop_first_product
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -49,10 +49,8 @@ def cli_lines(args, path):
 def without_first_product(run, **patches):
     """Stripped report of run() with the first ideal-product vector dropped
     and the verifiers attributes in `patches` replaced."""
-    products = verifiers._ideal_product_vectors
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifiers, "_ideal_product_vectors",
-                   lambda *args: products(*args)[1:])
+        _drop_first_product(mp)
         for name, value in patches.items():
             mp.setattr(verifiers, name, value)
         return stripped(run().to_json_obj())
