@@ -1,18 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Scalars are fractions.Fraction (arbitrary precision, always reduced).  The
-elimination workhorse is fraction-free Bareiss on integer rows: entries stay
-integral and bounded by minors instead of blowing up as naive rational
-Gaussian elimination does on restriction matrices.  Reduced echelon forms
-are finished with a cheap rational back-substitution pass, and subspaces are
+Scalars are fractions.Fraction (arbitrary precision, always reduced).  Every
+rank, echelon form and solve runs on one elimination: rows are cleared to
+integers and kept sparse, {column: int}, and each is reduced once as
+r = a*r - b*pivot against pivot rows keyed by their leftmost column and
+divided by the gcd of their entries (_reduce, _echelon).  Reduced echelon
+forms are finished with a rational back-substitution pass, and subspaces are
 canonicalized to reduced column echelon form so equality is a plain
 entry-wise comparison.
 
 Claims "span(gens) == ker(m)" on sparse generator rows {column: value} are
 decided by kernel_span_dims: the inclusion m·g == 0, the rank of m and the
-rank of the generators (rank_sparse, elimination on integer dicts) are all
-exact, so the claim holds iff the inclusion holds and the two dimensions
-agree.
+rank of the generators are all exact, so the claim holds iff the inclusion
+holds and the two dimensions agree.
 """
 
 from __future__ import annotations
@@ -48,41 +48,50 @@ def clear_denominators(xs):
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _bareiss_echelon(rows):
-    """In-place fraction-free row echelon of integer rows.
+def _integer_row(row):
+    """The nonzero entries {column: int} of a rational row, dense or sparse
+    {column: value}, cleared of denominators."""
+    if not isinstance(row, dict):
+        row = {j: x for j, x in enumerate(row) if x}
+    ints, _ = clear_denominators(row.values())
+    return {j: v for j, v in zip(row, ints) if v}
 
-    Returns the pivot columns.  Divisions are exact by the Sylvester
-    identity; column skips (rank-deficient input) are handled.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        p = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            rows[p], rows[r] = rows[r], rows[p]
-        pr = rows[r]
-        pv = pr[c]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            m = ri[c]
-            for j in range(c + 1, nc):
-                ri[j] = (pv * ri[j] - m * pr[j]) // prev
-            ri[c] = 0
-        prev = pv
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots
+
+def _reduce(r, echelon):
+    """Reduce the integer row r {column: int} in place against `echelon`
+    {leftmost column: primitive integer row}, as r = a*r - b*pivot with
+    a/b = pivot[c]/r[c] in lowest terms.  Returns the leftmost column of
+    what is left, or None when r reduces to zero."""
+    while r:
+        c = min(r)
+        prow = echelon.get(c)
+        if prow is None:
+            return c
+        g = gcd(prow[c], r[c])
+        a, b = prow[c] // g, r[c] // g
+        if a != 1:
+            for j in r:
+                r[j] *= a
+        for j, v in prow.items():
+            w = r.get(j, 0) - b * v
+            if w:
+                r[j] = w
+            else:
+                del r[j]
+    return None
+
+
+def _echelon(rows):
+    """Echelon form {leftmost column: primitive integer row} of the span of
+    the integer rows {column: int}: each row is reduced once, in place, and
+    what is left, divided by the gcd of its entries, is a new pivot row."""
+    echelon = {}
+    for r in rows:
+        c = _reduce(r, echelon)
+        if c is not None:
+            g = gcd(*r.values())
+            echelon[c] = {j: v // g for j, v in r.items()}
+    return echelon
 
 
 class Matrix:
@@ -114,25 +123,26 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
     def rank(self) -> int:
-        """Exact rank via fraction-free elimination."""
-        ints = [clear_denominators(row)[0] for row in self.data]
-        return len(_bareiss_echelon(ints))
+        """Exact rank: the size of the integer echelon form."""
+        return len(_echelon(map(_integer_row, self.data)))
 
     def rref(self):
         """Reduced row echelon form (leading entries 1, zero rows dropped).
 
         Returns (rows, pivot_columns) with rows a list of Fraction lists.
-        The heavy forward pass is fraction-free; only the final upward
-        reduction touches rationals.
+        The forward pass runs on integer rows; only the pivot rows, divided
+        by their leading entries, and the upward reduction touch rationals.
         """
-        ints = [clear_denominators(row)[0] for row in self.data]
-        pivots = _bareiss_echelon(ints)
-        rows = [[Fraction(x) for x in ints[k]] for k in range(len(pivots))]
+        echelon = _echelon(map(_integer_row, self.data))
+        pivots = sorted(echelon)
+        rows = []
+        for c in pivots:
+            row, prow = [ZERO] * self.ncols, echelon[c]
+            for j, v in prow.items():
+                row[j] = Fraction(v, prow[c])
+            rows.append(row)
         for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            pv = rows[k][c]
-            rows[k] = [x / pv for x in rows[k]]
-            pr = rows[k]
+            c, pr = pivots[k], rows[k]
             for i in range(k):
                 m = rows[i][c]
                 if m:
@@ -170,39 +180,24 @@ class Matrix:
 
 
 def rank_sparse(rows) -> int:
-    """Exact rank over Q of sparse rational rows {column: value}: each row,
-    cleared to integers, is reduced in place as row = a*row - b*pivot, with
-    a/b = pivot[c]/row[c] in lowest terms, against pivot rows keyed by their
-    leftmost column c and divided by the gcd of their entries."""
-    pivots = {}
-    for row in rows:
-        ints, _ = clear_denominators(row.values())
-        r = {j: v for j, v in zip(row, ints) if v}
-        while r:
-            c = min(r)
-            prow = pivots.get(c)
-            if prow is None:
-                g = gcd(*r.values())
-                pivots[c] = {j: v // g for j, v in r.items()}
-                break
-            g = gcd(prow[c], r[c])
-            a, b = prow[c] // g, r[c] // g
-            if a != 1:
-                for j in r:
-                    r[j] *= a
-            for j, v in prow.items():
-                w = r.get(j, 0) - b * v
-                if w:
-                    r[j] = w
-                else:
-                    del r[j]
-    return len(pivots)
+    """Exact rank over Q of sparse rational rows {column: value}."""
+    return len(_echelon(map(_integer_row, rows)))
+
+
+def first_outside_span(rows, vectors):
+    """The first of the dense rational `vectors` outside the span of the
+    sparse rational rows {column: value}, else None: the rows are eliminated
+    once, and each vector is reduced against their echelon form."""
+    echelon = _echelon(map(_integer_row, rows))
+    return next((v for v in vectors
+                 if _reduce(_integer_row(v), echelon) is not None), None)
 
 
 def kernel_span_dims(m: Matrix, gens):
     """(inside, kernel_dim, span_dim), all exact, for sparse generator rows
-    {column: value}: inside is m·g == 0 for every g (on m's rows cleared to
-    integers once), kernel_dim is ncols - rank(m), span_dim is rank(gens)."""
+    {column: value}: inside is m·g == 0 for every g and kernel_dim is
+    ncols - rank(m), both on m's rows cleared to integers once, and span_dim
+    is rank(gens)."""
     rows = [clear_denominators(row)[0] for row in m.data]
     inside = True
     for g in gens:
@@ -211,7 +206,7 @@ def kernel_span_dims(m: Matrix, gens):
         if inside:
             nums, _ = clear_denominators(g.values())
             inside = not any(sum(row[j] * x for j, x in zip(g, nums)) for row in rows)
-    return inside, m.ncols - m.rank(), rank_sparse(gens)
+    return inside, m.ncols - len(_echelon(map(_integer_row, rows))), rank_sparse(gens)
 
 
 class Subspace:
@@ -294,17 +289,20 @@ def sample_rational(rng: Rng, bound: int) -> Fraction:
 
 def random_solution(m: Matrix, rhs, rng: Rng, bound: int = 1000):
     """Random exact solution of m·x = rhs: free variables are sampled in
-    ascending column order, pivot variables back-substituted on the Bareiss
-    echelon form.  Returns None when the system is inconsistent."""
+    ascending column order, pivot variables back-substituted from the last
+    pivot up on the integer echelon form of [m | rhs].  Returns None when
+    the system is inconsistent."""
     n = m.ncols
-    rows = [clear_denominators(row + [frac(b)])[0] for row, b in zip(m.data, rhs)]
-    pivots = _bareiss_echelon(rows)
-    if n in pivots:
+    echelon = _echelon(_integer_row(row + [frac(b)])
+                       for row, b in zip(m.data, rhs))
+    if n in echelon:
         return None
     x = [ZERO] * n
-    for j in sorted(set(range(n)) - set(pivots)):
-        x[j] = sample_rational(rng, bound)
-    for row, c in reversed(list(zip(rows, pivots))):
-        acc = sum((row[j] * x[j] for j in range(c + 1, n) if row[j]), ZERO)
-        x[c] = (row[n] - acc) / row[c]
+    for j in range(n):
+        if j not in echelon:
+            x[j] = sample_rational(rng, bound)
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        acc = sum((v * x[j] for j, v in row.items() if c < j < n), ZERO)
+        x[c] = (row.get(n, 0) - acc) / row[c]
     return x

@@ -22,8 +22,8 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ONE, ZERO, format_fraction, kernel_basis,
-                    kernel_span_dims, rank_sparse, sample_rational, random_solution)
+from .exact import (Matrix, Subspace, ONE, ZERO, first_outside_span, format_fraction,
+                    kernel_basis, kernel_span_dims, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
@@ -375,9 +375,9 @@ def _kernel_is_span(m: Matrix, gens):
 
     def outside():
         kernel = kernel_basis(m)
-        for v in kernel.basis_vectors():
-            if rank_sparse(gens + [dict(enumerate(v))]) > span_dim:
-                return _vec_json(v)
+        v = first_outside_span(gens, kernel.basis_vectors())
+        if v is not None:
+            return _vec_json(v)
         span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
                                                for g in gens])
         for v in span.basis_vectors():

@@ -6,10 +6,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fermatlines.exact as exact
 from fermatlines.errors import DimensionMismatch
-from fermatlines.exact import (Matrix, Subspace, format_fraction, kernel_basis,
-                               kernel_span_dims, rank_sparse, random_solution,
-                               sample_rational)
+from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
+                               format_fraction, kernel_basis, kernel_span_dims,
+                               rank_sparse, random_solution, sample_rational)
 from fermatlines.rng import Rng
 
 
@@ -92,6 +93,50 @@ def fraction_rref_reference(rows):
         pivots.append(c)
         r += 1
     return m[:len(pivots)], pivots
+
+
+def _bareiss_echelon(rows):
+    """In-place fraction-free row echelon of integer rows.
+
+    Returns the pivot columns.  Divisions are exact by the Sylvester
+    identity; column skips (rank-deficient input) are handled.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(nc):
+        p = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        if p != r:
+            rows[p], rows[r] = rows[r], rows[p]
+        pr = rows[r]
+        pv = pr[c]
+        for i in range(r + 1, nr):
+            ri = rows[i]
+            m = ri[c]
+            for j in range(c + 1, nc):
+                ri[j] = (pv * ri[j] - m * pr[j]) // prev
+            ri[c] = 0
+        prev = pv
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return pivots
+
+
+def bareiss_rank(rows):
+    """Oracle: the rank from dense fraction-free Bareiss elimination of the
+    rows cleared to integers, the elimination the library used before its
+    sparse gcd elimination."""
+    return len(_bareiss_echelon([clear_denominators(row)[0] for row in rows]))
 
 
 def random_matrix(rng, nrows, ncols, bound=9):
@@ -190,19 +235,19 @@ def test_rref_matches_plain_fraction_reference():
         assert got_rows == want_rows
 
 
-def test_bareiss_and_modular_rank_agree_up_to_60():
+def test_rank_matches_the_bareiss_reference_up_to_60():
     rng = Rng(44)
     for trial in range(100):
         nr = rng.randint(1, 60)
         nc = rng.randint(1, 60)
         # integer-heavy matrices of low rank stress the elimination more
         m = random_matrix(rng, nr, nc, bound=20)
-        assert m.rank() == rank_sparse(sparse(m.data))
+        assert m.rank() == bareiss_rank(m.data)
 
 
-def test_bareiss_on_deliberately_rank_deficient_matrices():
-    """Low-rank products stress the column-skip path of the fraction-free
-    elimination, where exact divisibility is the subtle claim."""
+def test_rank_and_rref_on_deliberately_rank_deficient_matrices():
+    """Low-rank products: most rows reduce to zero, and the Bareiss
+    reference skips columns, where exact divisibility is the subtle claim."""
     rng = Rng(48)
     for _ in range(40):
         m_rows = rng.randint(2, 8)
@@ -216,16 +261,40 @@ def test_bareiss_on_deliberately_rank_deficient_matrices():
         got_rows, got_piv = prod.rref()
         want_rows, want_piv = fraction_rref_reference(prod.data)
         assert (got_rows, got_piv) == (want_rows, want_piv)
-        assert prod.rank() == rank_sparse(sparse(prod.data))
+        assert prod.rank() == rank_sparse(sparse(prod.data)) == bareiss_rank(prod.data)
 
 
-def test_rank_modular_clears_denominators_before_reducing():
-    # the sparse rank clears each row to integers; a large prime denominator
+def test_rank_clears_denominators_before_reducing():
+    # the elimination clears each row to integers; a large prime denominator
     # in one entry must not change the rank
     p = (1 << 61) - 1
     m = Matrix([[Fraction(1, p), 1], [1, p]])
-    assert m.rank() == 1
+    assert m.rank() == brute_force_rank(m.data) == 1
     assert rank_sparse(sparse(m.data)) == 1
+
+
+def test_reduction_against_an_echelon_form_decides_span_membership():
+    """A vector reduces to zero against the echelon form of some rows
+    exactly when the canonical Subspace of the rows contains it."""
+    rng = Rng(52)
+    seen = set()
+    for trial in range(60):
+        amb = rng.randint(1, 8)
+        rows = random_matrix(rng, rng.randint(1, 6), amb, bound=5).data
+        if trial % 3 == 0:      # rank deficient: the last row repeats the first
+            rows[-1] = list(rows[0])
+        if trial % 2:           # a combination of the rows, so in the span
+            v = [sum((sample_rational(rng, 3) * row[j] for row in rows), Fraction(0))
+                 for j in range(amb)]
+        else:
+            v = [sample_rational(rng, 5) for _ in range(amb)]
+        echelon = exact._echelon(map(exact._integer_row, sparse(rows)))
+        reduces = exact._reduce(exact._integer_row(v), echelon) is None
+        inside = Subspace.from_vectors(amb, rows).contains_vector(v)
+        assert reduces == inside
+        assert (first_outside_span(sparse(rows), [v]) is None) == inside
+        seen.add(inside)
+    assert seen == {True, False}
 
 
 def test_certify_kernel_span_examples():

@@ -12,7 +12,7 @@ import pytest
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import main, run_lemma
 from test_exact import kernel_basis_oracle
-from test_verifiers import KERNEL_CLAIMS, _drop_first_product
+from test_verifiers import KERNEL_CLAIMS, _drop_first_product, _drop_last_product
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -46,11 +46,11 @@ def cli_lines(args, path):
         return [stripped(json.loads(line)) for line in fh]
 
 
-def without_first_product(run, **patches):
-    """Stripped report of run() with the first ideal-product vector dropped
-    and the verifiers attributes in `patches` replaced."""
+def mutated(run, drop=_drop_first_product, **patches):
+    """Stripped report of run() with one ideal-product vector dropped (the
+    first by default) and the verifiers attributes in `patches` replaced."""
     with pytest.MonkeyPatch.context() as mp:
-        _drop_first_product(mp)
+        drop(mp)
         for name, value in patches.items():
             mp.setattr(verifiers, name, value)
         return stripped(run().to_json_obj())
@@ -60,7 +60,7 @@ def kernel_fail_lines():
     """FAIL reports of the three kernel claims with the first ideal-product
     vector dropped, first as the verifiers build them, then with the
     witnesses' kernel bases canonicalized by the two-rref oracle."""
-    return [without_first_product(run, **patches)
+    return [mutated(run, **patches)
             for patches in ({}, {"kernel_basis": kernel_basis_oracle})
             for run in KERNEL_CLAIMS.values()]
 
@@ -85,7 +85,27 @@ def test_kernel_fail_witnesses_match_golden():
 
 def test_kernel_fail_witnesses_at_n3_d8_match_golden():
     """The same mutation at the paper's size (3, 8), seed 7, one trial."""
-    lines = [without_first_product(partial(run_lemma, lemma, 3, 8, 0, 7, trials=1))
+    lines = [mutated(partial(run_lemma, lemma, 3, 8, 0, 7, trials=1))
              for lemma in KERNEL_CLAIMS]
     assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
     assert lines == golden("kernel_fail_n3_d8.jsonl")
+
+
+def test_late_kernel_special_witnesses_match_golden():
+    """kernel-special at (2, 6) and (3, 8), seed 7, one trial, with the last
+    ideal-product row dropped: the first canonical kernel vectors lie in the
+    span, so the witness is found late, not on the first vector tried."""
+    lines = [mutated(partial(run_lemma, "kernel-special", n, d, 0, 7, trials=1),
+                     drop=_drop_last_product) for n, d in ((2, 6), (3, 8))]
+    assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+    assert lines == golden("kernel_fail_last.jsonl")
+
+
+@pytest.mark.parametrize("lemma", ["kernel-generic", "point-ideal"])
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 8)])
+def test_dropping_the_last_product_keeps_redundant_generators_passing(lemma, n, d):
+    """The same mutant leaves kernel-generic and point-ideal at PASS: their
+    generators are redundant, and the last ideal-product row lies in the
+    span of the others.  So only kernel-special is in the golden file."""
+    line = mutated(partial(run_lemma, lemma, n, d, 0, 7, trials=1), drop=_drop_last_product)
+    assert json.loads(line)["verdict"] == "PASS"

@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package module has an `assert` statement.
 
 A stdlib stand-in for pyflakes' unused-import check: each module under
 src/fermatlines/ except __init__.py (whose imports are the public
 re-exports) is parsed with ast, and a name it imports but never reads,
-in code or in a string annotation, fails the test.
+in code or in a string annotation, fails the test.  An assert anywhere
+under src/fermatlines/ fails too: `python -O` strips asserts, so a
+correctness guard must raise an explicit error instead.
 """
 
 import ast
@@ -14,8 +17,8 @@ import pytest
 import fermatlines
 
 PACKAGE = os.path.dirname(os.path.abspath(fermatlines.__file__))
-MODULES = sorted(f for f in os.listdir(PACKAGE)
-                 if f.endswith(".py") and f != "__init__.py")
+SOURCES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+MODULES = [f for f in SOURCES if f != "__init__.py"]
 
 
 def imported_names(tree):
@@ -66,3 +69,22 @@ def test_the_check_sees_unused_and_used_names():
     source = ("import json\nimport os.path\nfrom math import comb, lcm as l\n"
               "def f(x) -> 'json.JSONDecoder':\n    return l(x, 2)\n")
     assert unused_imports(source) == [("os", 2), ("comb", 3)]
+
+
+def assert_lines(source):
+    """Line of each assert statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_module_has_no_assert(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert assert_lines(fh.read()) == []
+
+
+def test_the_check_sees_asserts():
+    source = ("def f(x):\n    assert x > 0, 'guard'\n    asserted = x\n"
+              "    return asserted  # assert in a comment\n")
+    assert assert_lines(source) == [2]
+    assert assert_lines("class C:\n    def g(self):\n        assert self\n") == [3]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fermatlines.exact as exact
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
@@ -175,6 +176,12 @@ def _drop_first_product(monkeypatch):
                         lambda *args: products(*args)[1:])
 
 
+def _drop_last_product(monkeypatch):
+    products = verifiers._ideal_product_vectors
+    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
+                        lambda *args: products(*args)[:-1])
+
+
 @pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
 def test_kernel_claim_fails_with_exact_witness_when_a_generator_is_missing(
         monkeypatch, lemma):
@@ -197,6 +204,30 @@ def test_kernel_claim_decision_matches_canonical_subspaces(monkeypatch, lemma):
             kernel = kernel_basis_oracle(m)
             span = Subspace.from_vectors(m.ncols, dense(gens, m.ncols))
             assert (equal, kernel_dim, span_dim) == (kernel == span, kernel.dim, span.dim)
+
+
+def test_late_witness_eliminates_the_generators_once(monkeypatch):
+    """With the last ideal-product row dropped, kernel-special's witness is
+    a late canonical kernel vector.  Finding it eliminates the generator
+    rows once and reduces each kernel vector tried against their echelon
+    form, instead of eliminating the generators again per vector."""
+    _drop_last_product(monkeypatch)
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    rep = run_lemma("kernel-special", 2, 6, 0, 7, trials=1)
+    assert rep.verdict == FAIL
+    [(m, gens, (_, _, _, outside))] = calls
+    assert rep.witness["vector"] != verifiers._vec_json(kernel_basis_oracle(m).basis_vectors()[0])
+    sizes = []
+    echelon = exact._echelon
+
+    def counting(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(exact, "_echelon", counting)
+    assert outside() == rep.witness["vector"]
+    assert sum(size >= len(gens) for size in sizes) == 1
 
 
 def test_kernel_is_span_witness_examples():
