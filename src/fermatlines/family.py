@@ -17,9 +17,9 @@ from fractions import Fraction
 from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ZERO, format_fraction, frac, random_solution,
                     sample_rational)
-from .poly import (EulerSection, HomogPoly, MonomialSet, cleared_terms,
-                   eval_monomials, gen_jd, jd_size_formula, mono_parse, mono_str,
-                   order_key, sum_of_cleared_products)
+from .poly import (EulerSection, HomogPoly, MonomialSet, eval_monomials, gen_jd,
+                   jd_size_formula, mono_parse, mono_str, order_key,
+                   sum_of_products)
 from .rng import Rng
 
 
@@ -62,7 +62,6 @@ class DeformationPoint:
         self.t = clean
         self._f = None
         self._partials = None
-        self._cleared_partials = None
 
     @classmethod
     def fermat(cls, shape: FamilyShape) -> "DeformationPoint":
@@ -87,12 +86,6 @@ class DeformationPoint:
             f = self.f_poly()
             self._partials = tuple(f.partial(i) for i in range(self.shape.nvars))
         return self._partials
-
-    def cleared_partials(self):
-        """f_partials() in `cleared_terms` form, cleared once per point."""
-        if self._cleared_partials is None:
-            self._cleared_partials = tuple(map(cleared_terms, self.f_partials()))
-        return self._cleared_partials
 
     def to_json(self) -> str:
         keys = sorted(self.t, key=order_key)
@@ -122,10 +115,9 @@ def eta(b: DeformationPoint, section: EulerSection) -> HomogPoly:
     if section.nvars != nv:
         raise DimensionMismatch("section has %d variables, family has %d"
                                 % (section.nvars, nv))
-    partials = b.cleared_partials()
-    pairs = [(cleared_terms(comp), partials[j])
-             for j, comp in enumerate(section.components) if not comp.is_zero()]
-    return sum_of_cleared_products(nv, section.degree + b.shape.d - 1, pairs)
+    pairs = [(comp, partial) for comp, partial in zip(section.components, b.f_partials())
+             if not comp.is_zero()]
+    return sum_of_products(nv, section.degree + b.shape.d - 1, pairs)
 
 
 def c_coeff(b: DeformationPoint, i: int, j: int, k: int) -> Fraction:

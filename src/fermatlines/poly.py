@@ -260,12 +260,6 @@ class HomogPoly:
         return "HomogPoly(%s)" % self.text()
 
 
-def cleared_terms(p: HomogPoly):
-    """p as ((monomial, integer numerator) pairs, their common denominator)."""
-    nums, den = clear_denominators(p.terms.values())
-    return list(zip(p.terms, nums)), den
-
-
 def sum_of_products(nvars: int, degree: int, pairs) -> HomogPoly:
     """The polynomial sum of a*b over the (a, b) pairs, of the given degree.
 
@@ -274,25 +268,20 @@ def sum_of_products(nvars: int, degree: int, pairs) -> HomogPoly:
     output coefficient becomes one reduced Fraction.
     """
     cleared = []
+    den = 1
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise DimensionMismatch("variable counts differ")
         if a.degree + b.degree != degree:
             raise DimensionMismatch("cannot combine degree %d and %d polynomials"
                                     % (a.degree + b.degree, degree))
-        cleared.append((cleared_terms(a), cleared_terms(b)))
-    return sum_of_cleared_products(nvars, degree, cleared)
-
-
-def sum_of_cleared_products(nvars: int, degree: int, pairs) -> HomogPoly:
-    """sum_of_products over factors already in `cleared_terms` form, so a
-    factor used in many sums is cleared once.  Degrees are not checked."""
-    den = 1
-    for (_, da), (_, db) in pairs:
+        a_nums, da = clear_denominators(a.terms.values())
+        b_nums, db = clear_denominators(b.terms.values())
+        cleared.append((list(zip(a.terms, a_nums)), list(zip(b.terms, b_nums)), da * db))
         den = lcm(den, da * db)
     acc = {}
-    for (a_terms, da), (b_terms, db) in pairs:
-        scale = den // (da * db)
+    for a_terms, b_terms, dab in cleared:
+        scale = den // dab
         for m1, c1 in a_terms:
             c1 *= scale
             for m2, c2 in b_terms:

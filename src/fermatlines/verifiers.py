@@ -23,8 +23,9 @@ from math import comb
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
 from .exact import (Matrix, Subspace, ONE, ZERO, first_outside_span, format_fraction,
-                    kernel_basis, kernel_span_dims, sample_rational, random_solution)
-from .family import (DeformationPoint, FamilyShape, c_coeff, eta, omega_basis,
+                    kernel_basis, kernel_span_dims, rank_sparse, sample_rational,
+                    random_solution)
+from .family import (DeformationPoint, FamilyShape, c_coeff, omega_basis,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, permute_point,
@@ -259,6 +260,49 @@ def _on_member(b: DeformationPoint, z: LengthTwoScheme) -> bool:
 # ---------------------------------------------------------------------------
 # basis of the distinguished quadratic sections
 
+def _x_alpha(nv: int, i: int) -> EulerSection:
+    """x_i times the Euler field."""
+    x = HomogPoly.variable(nv, i)
+    return EulerSection([c * x for c in euler_alpha(nv - 2).components])
+
+
+def _times_x(m, i):
+    """The exponent tuple of x_i * x^m."""
+    return m[:i] + (m[i] + 1,) + m[i + 1:]
+
+
+def _w_basis_rows(b: DeformationPoint, deg2):
+    """Sparse rows {column: coefficient}, one per degree-(d+1) monomial
+    outside the deformation index set (some exponent >= d): column
+    j*len(deg2) + k holds the coefficient there of eta(deg2[k] d/dx_j), and
+    column nv*len(deg2) + i that of x_i*F.  So a section w with coefficient
+    vector v on `deg2` has eta(w) in the deformation span exactly when every
+    row, restricted to the section columns, is orthogonal to v."""
+    nv, d = b.shape.nvars, b.shape.d
+    rows = {}
+    for j, partial in enumerate(b.f_partials()):
+        for mm, c in partial.terms.items():
+            if max(mm) + 2 < d:
+                continue  # x^mu, of degree 2, cannot lift an exponent to d
+            for k, mu in enumerate(deg2.members):
+                m = mono_mul(mu, mm)
+                if max(m) >= d:
+                    rows.setdefault(m, {})[j * len(deg2) + k] = c
+    for mm, c in b.f_poly().terms.items():
+        for i in range(nv):
+            m = _times_x(mm, i)
+            if max(m) >= d:
+                rows.setdefault(m, {})[nv * len(deg2) + i] = c
+    return list(rows.values())
+
+
+def _eta_in_span(rows, vec) -> bool:
+    """Whether the section with coefficient vector `vec` lies in the kernel
+    of the section block of `_w_basis_rows`."""
+    nonzero = [(k, x) for k, x in enumerate(vec) if x]
+    return all(sum(x * row[k] for k, x in nonzero if k in row) == 0 for row in rows)
+
+
 def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """The sections w_ijk contract into the degree-(d+1) deformation span,
     are independent, and together with the Euler-field multiples exhaust the
@@ -267,58 +311,35 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         shape = FamilyShape(n, d)
         nv = n + 2
         deg2 = all_monomials(nv, 2)
-        jd1 = gen_jd(n, d + 1)
-        deg_d1 = all_monomials(nv, d + 1)
-        nonj = [m for m in deg_d1 if m not in jd1.index]
-        nonj_index = {m: r for r, m in enumerate(nonj)}
         expected_basis = nv * comb(nv, 2)
         expected_total = expected_basis + nv
         n_unknowns = nv * len(deg2)
-        alpha = euler_alpha(n)
+        alpha_vecs = [_x_alpha(nv, i).coeff_vector(deg2) for i in range(nv)]
 
         for sub in run:
             b = random_deformation(shape, sub)
             omegas = omega_basis(b)
-            etas = [eta(b, w) for w in omegas]
-            membership = all(e.support_in(jd1) for e in etas)
-
             omega_vecs = [w.coeff_vector(deg2) for w in omegas]
             rank_omega = Matrix(omega_vecs).rank()
-
-            fpoly = b.f_poly()
-            alpha_secs = [EulerSection([comp * HomogPoly.variable(nv, i)
-                                        for comp in alpha.components])
-                          for i in range(nv)]
-            alpha_vecs = [s.coeff_vector(deg2) for s in alpha_secs]
-            euler_ok = all(
-                eta(b, alpha_secs[i]) == (HomogPoly.variable(nv, i) * fpoly) * d
-                for i in range(nv))
             rank_family = Matrix(omega_vecs + alpha_vecs).rank()
 
+            # eta of the Euler field is d*F (Euler's identity), read off
+            # the exponent shifts of the partials
+            euler = {}
+            for j, partial in enumerate(b.f_partials()):
+                for mm, c in partial.terms.items():
+                    m = _times_x(mm, j)
+                    euler[m] = euler.get(m, ZERO) + c
+            euler_ok = HomogPoly(nv, d, euler) == b.f_poly().scale(d)
+
             # kernel of (eta followed by the quotient collapsing the
-            # deformation span and multiples of F): computed on the
-            # (n+2)^2 coordinates outside the deformation index set
-            partials = b.f_partials()
-            rows = [[ZERO] * (n_unknowns + nv) for _ in nonj]
-            for j in range(nv):
-                base = j * len(deg2)
-                for mi, mu in enumerate(deg2.members):
-                    col = base + mi
-                    for mm, c in partials[j].terms.items():
-                        r = nonj_index.get(mono_mul(mu, mm))
-                        if r is not None:
-                            rows[r][col] += c
-            for i in range(nv):
-                col = n_unknowns + i
-                exps_i = tuple(1 if j == i else 0 for j in range(nv))
-                for mm, c in fpoly.terms.items():
-                    r = nonj_index.get(mono_mul(mm, exps_i))
-                    if r is not None:
-                        rows[r][col] += c
-            stacked = Matrix(rows, ncols=n_unknowns + nv)
-            f_block_rank = Matrix([row[n_unknowns:] for row in rows],
-                                  ncols=nv).rank()
-            kernel_total = (n_unknowns + nv) - stacked.rank()
+            # deformation span and multiples of F), on the (n+2)^2
+            # coordinates outside the deformation index set
+            rows = _w_basis_rows(b, deg2)
+            membership = all(_eta_in_span(rows, v) for v in omega_vecs)
+            f_block_rank = rank_sparse({k: c for k, c in row.items() if k >= n_unknowns}
+                                       for row in rows)
+            kernel_total = (n_unknowns + nv) - rank_sparse(rows)
 
             ok = (membership and rank_omega == expected_basis == len(omegas)
                   and euler_ok and f_block_rank == nv
@@ -509,19 +530,6 @@ def _restricted_vector(sec: EulerSection, line: Line):
     return vec
 
 
-def _alpha_line_vectors(n: int, line: Line):
-    """Restrictions of the Euler field times x0 and x1: they span the
-    rescaling directions (x0, x1 restrict independently whenever the two
-    points differ in those coordinates)."""
-    nv = n + 2
-    alpha = euler_alpha(n)
-    out = []
-    for i in (0, 1):
-        sec = EulerSection([c * HomogPoly.variable(nv, i) for c in alpha.components])
-        out.append(_restricted_vector(sec, line))
-    return out
-
-
 def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """Restriction of the quadratic sections to the line of a special
     scheme: contains the listed monomial fields and fills the full quotient
@@ -546,7 +554,10 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             member_ok = all(
                 s_img.contains_vector(_restricted_vector(sec, zs.line))
                 for sec in listed)
-            rescale = Subspace.from_vectors(amb, _alpha_line_vectors(n, zs.line))
+            # the Euler field times x0 and x1 spans the rescaling directions
+            # when x0 and x1 restrict independently
+            rescale = Subspace.from_vectors(
+                amb, [_restricted_vector(_x_alpha(nv, i), zs.line) for i in (0, 1)])
             if rescale.dim != 2:
                 raise NonGenericScheme("x0 and x1 do not restrict independently")
             total = s_img.sum(rescale)
@@ -707,6 +718,16 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
 # ---------------------------------------------------------------------------
 # secant-line obstruction
 
+def _motion_columns(fpoly: HomogPoly, line: Line, coords):
+    """Two columns per coordinate i in `coords`: s*dF/dx_i and t*dF/dx_i
+    restricted to the line, the image of moving x_i by a linear form."""
+    cols = []
+    for i in coords:
+        base = list(restrict_poly(fpoly.partial(i), line).coeffs)
+        cols += [base + [ZERO], [ZERO] + base]
+    return cols
+
+
 def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
                        seed: int = 0) -> LemmaReport:
     """Exact comparison of the three equivalent descriptions of when the
@@ -740,13 +761,7 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
                 rows.append(row)
     ker_rho = kernel_basis(Matrix(rows, ncols=2 * nv))
 
-    partial_restrictions = [restrict_poly(fpoly.partial(i), line) for i in range(nv)]
-    cols = []
-    for i in range(nv):
-        base = partial_restrictions[i].coeffs
-        cols.append(list(base) + [ZERO])      # s * dF/dx_i restricted
-        cols.append([ZERO] + list(base))      # t * dF/dx_i restricted
-    etahat = Matrix.from_columns(cols)
+    etahat = Matrix.from_columns(_motion_columns(fpoly, line, range(nv)))
     ker_eta = kernel_basis(etahat)
 
     cond_kernel = ker_rho.contains(ker_eta)
@@ -878,11 +893,7 @@ def _tangency_system(fpoly: HomogPoly, line: Line, m: int):
     d = fpoly.degree
     rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
     normals = [i for i in range(fpoly.nvars) if i not in pivots]
-    cols = []
-    for i in normals:
-        base = restrict_poly(fpoly.partial(i), line).coeffs
-        cols.append(list(base) + [ZERO])
-        cols.append([ZERO] + list(base))
+    cols = _motion_columns(fpoly, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
     return Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals)), normals
 

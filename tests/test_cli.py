@@ -243,6 +243,18 @@ def test_process_pool_run_is_warning_free():
     assert proc.stdout.count("PASS") == 2
 
 
+def test_package_runs_as_a_module():
+    """`python -m fermatlines` is the verify command, with no runpy
+    RuntimeWarning about a module already imported by the package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fermatlines", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout.startswith("usage: verify")
+
+
 def test_human_table_has_header_and_summary():
     buf = io.StringIO()
     run(RunConfig(n=2, d=6, seeds=[0], lemmas=["systems"], trials=2), out=buf)

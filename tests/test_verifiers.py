@@ -5,16 +5,17 @@ from fractions import Fraction
 import pytest
 
 import fermatlines.exact as exact
+import fermatlines.family as family
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
 from fermatlines.exact import Matrix, Subspace, rank_sparse, sample_rational
-from fermatlines.family import (DeformationPoint, FamilyShape,
+from fermatlines.family import (DeformationPoint, FamilyShape, eta,
                                 omega_basis, sample_b_through)
 from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
                                restrict_poly, restrict_section)
-from fermatlines.poly import HomogPoly, all_monomials, gen_jd
+from fermatlines.poly import EulerSection, HomogPoly, all_monomials, gen_jd
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    _b_with_line_power, _nine_by_six,
@@ -87,6 +88,35 @@ def test_w_basis_kernel_against_dense_oracle():
     dense_dim = section_parts.rank() if kernel else 0
     rep = verify_w_basis(n, d, rng_for("dense-rep"), trials=2)
     assert rep.dims["kernel_total"] == dense_dim == 12
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 8)])
+def test_w_basis_row_membership_matches_eta(n, d):
+    """The rows' membership test agrees with forming eta(w) as a product:
+    every w_ijk lies inside the deformation span, and every w_iik without
+    its c_ijk correction lies outside under both."""
+    nv = n + 2
+    b = sample_b_through(FamilyShape(n, d), [], rng_for("rows%d" % n))
+    deg2 = all_monomials(nv, 2)
+    jd1 = gen_jd(n, d + 1)
+    rows = verifiers._w_basis_rows(b, deg2)
+    uncorrected = [EulerSection.single(nv, k, HomogPoly.monomial(
+                       nv, tuple(2 if j == i else 0 for j in range(nv))))
+                   for i in range(nv) for k in range(nv) if k != i]
+    for w, inside in [(w, True) for w in omega_basis(b)] + [(w, False) for w in uncorrected]:
+        assert verifiers._eta_in_span(rows, w.coeff_vector(deg2)) is inside
+        assert eta(b, w).support_in(jd1) is inside
+
+
+def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
+    """With every c_ijk forced to 0 the w_iik stay independent but their
+    eta leaves the deformation span."""
+    monkeypatch.setattr(family, "c_coeff", lambda b, i, j, k: 0)
+    rep = verify_w_basis(2, 6, rng_for("w-basis"), trials=2)
+    assert rep.verdict == FAIL
+    assert rep.witness["trial"] == 0
+    assert rep.witness["reason"] == "membership"
+    assert rep.witness["rank_basis"] == 24
 
 
 # ---------------------------------------------------------------------------
