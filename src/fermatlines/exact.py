@@ -291,18 +291,30 @@ def random_solution(m: Matrix, rhs, rng: Rng, bound: int = 1000):
     """Random exact solution of m·x = rhs: free variables are sampled in
     ascending column order, pivot variables back-substituted from the last
     pivot up on the integer echelon form of [m | rhs].  Returns None when
-    the system is inconsistent."""
+    the system is inconsistent.
+
+    The sampled free variables are cleared to integer numerators X_j over
+    one denominator D, so each pivot row sums its free part as ints,
+    rhs·D - sum v_j X_j, and only its few entries at later pivot columns
+    as Fractions."""
     n = m.ncols
     echelon = _echelon(_integer_row(row + [frac(b)])
                        for row, b in zip(m.data, rhs))
     if n in echelon:
         return None
     x = [ZERO] * n
-    for j in range(n):
-        if j not in echelon:
-            x[j] = sample_rational(rng, bound)
+    free = [j for j in range(n) if j not in echelon]
+    for j in free:
+        x[j] = sample_rational(rng, bound)
+    nums, den = clear_denominators(x[j] for j in free)
+    cleared = dict(zip(free, nums))
     for c in sorted(echelon, reverse=True):
         row = echelon[c]
-        acc = sum((v * x[j] for j, v in row.items() if c < j < n), ZERO)
-        x[c] = (row.get(n, 0) - acc) / row[c]
+        acc, later = row.get(n, 0) * den, ZERO
+        for j, v in row.items():
+            if j in cleared:
+                acc -= v * cleared[j]
+            elif c < j < n:
+                later += v * x[j]
+        x[c] = (Fraction(acc, den) - later) / row[c]
     return x

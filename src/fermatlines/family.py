@@ -15,11 +15,11 @@ import json
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InfeasibleSystem
-from .exact import (Matrix, ZERO, format_fraction, frac, random_solution,
-                    sample_rational)
-from .poly import (EulerSection, HomogPoly, MonomialSet, eval_monomials, gen_jd,
-                   jd_size_formula, mono_parse, mono_str, order_key,
-                   sum_of_products)
+from .exact import (Matrix, ZERO, clear_denominators, format_fraction, frac,
+                    random_solution, sample_rational)
+from .poly import (EulerSection, HomogPoly, MonomialSet, gen_jd,
+                   integer_monomial_values, jd_size_formula, mono_parse,
+                   mono_str, order_key, sum_of_products)
 from .rng import Rng
 
 
@@ -240,15 +240,20 @@ def random_deformation(shape: FamilyShape, rng: Rng, bound: int = 1000) -> Defor
 def point_condition(shape: FamilyShape, p):
     """(row, rhs): the member at t passes through p iff row . t == rhs.
 
+    With p cleared to an integer point X / D, the row holds the ints
+    prod X_i^e_i of the deformation monomials and rhs is -sum X_i^d: the
+    rational condition scaled by D^d > 0, so it has the same solutions.
+
     Raises InfeasibleSystem when no member passes through p, i.e. every
     deformation monomial vanishes there (p is a coordinate point) but the
     Fermat part does not.
     """
     if p.nvars != shape.nvars:
         raise DimensionMismatch("point has %d coordinates" % p.nvars)
-    row = eval_monomials(shape.jd, p.coords)
-    fermat = sum((x ** shape.d for x in p.coords), ZERO)
-    if all(x == 0 for x in row) and fermat != 0:
+    nums, _ = clear_denominators(p.coords)
+    row = integer_monomial_values(shape.jd, nums)
+    fermat = sum(x ** shape.d for x in nums)
+    if not any(row) and fermat:
         raise InfeasibleSystem(
             "no family member passes through %r (all deformation "
             "monomials vanish there)" % (p,))

@@ -10,7 +10,9 @@ P / Dp and Q / Dq once and caches, per monomial, the integer coefficients
 of prod_i (P_i s + Q_i t)^e_i; restrict_poly sums the polynomial's integer
 numerators against those vectors over one common denominator and builds
 one Fraction per output coefficient, so its outputs are the same reduced
-Fractions that term-by-term rational expansion gives.
+Fractions that term-by-term rational expansion gives.  restrict_partials
+restricts all n+2 partial derivatives the same way, in one pass over the
+polynomial's terms, without building the partials.
 
 Length-2 schemes here are always two distinct points; the coincident
 (non-reduced) case would need jet evaluation and no check in this package
@@ -196,6 +198,14 @@ class Line:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
 
 
+def _binary_form(line: Line, m: int, acc, den: int) -> BinaryForm:
+    """The degree-m binary form with coefficients acc[k] / (den Dp^(m-k) Dq^k):
+    integer sums over the line's cache back to reduced Fractions."""
+    dp, dq = line._p_den, line._q_den
+    return BinaryForm(m, [Fraction(a, den * dp ** (m - k) * dq ** k)
+                          for k, a in enumerate(acc)])
+
+
 def restrict_poly(poly: HomogPoly, line: Line) -> BinaryForm:
     """Substitute x = s*p + t*q and expand exactly.
 
@@ -210,9 +220,26 @@ def restrict_poly(poly: HomogPoly, line: Line) -> BinaryForm:
     for exps, c in zip(poly.terms, nums):
         for k, v in enumerate(line.integer_restriction(exps)):
             acc[k] += c * v
-    dp, dq = line._p_den, line._q_den
-    return BinaryForm(m, [Fraction(a, den * dp ** (m - k) * dq ** k)
-                          for k, a in enumerate(acc)])
+    return _binary_form(line, m, acc, den)
+
+
+def restrict_partials(poly: HomogPoly, line: Line):
+    """[restrict_poly(poly.partial(i), line) for each variable i], in one
+    pass over poly's integer numerators: the term c_e x^e adds
+    c_e * e_i * (integer restriction of x^(e - 1_i)) to the i-th sum."""
+    if poly.nvars != line.nvars:
+        raise DimensionMismatch("polynomial and line live in different spaces")
+    m = max(poly.degree - 1, 0)
+    nums, den = clear_denominators(poly.terms.values())
+    accs = [[0] * (m + 1) for _ in range(poly.nvars)]
+    for exps, c in zip(poly.terms, nums):
+        for i, e in enumerate(exps):
+            if e:
+                acc, ce = accs[i], c * e
+                lower = exps[:i] + (e - 1,) + exps[i + 1:]
+                for k, v in enumerate(line.integer_restriction(lower)):
+                    acc[k] += ce * v
+    return [_binary_form(line, m, acc, den) for acc in accs]
 
 
 def restrict_section(sec: EulerSection, line: Line):

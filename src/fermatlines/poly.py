@@ -294,19 +294,27 @@ def eval_monomials(monomials, coords):
     """Exact values of the monomials at the point `coords`.
 
     The coordinates are cleared to integers X_i over one denominator D, so
-    a monomial's value is prod X_i^e_i / D^deg, read from power tables.
+    a monomial's value is prod X_i^e_i / D^deg.
     """
     monomials = list(monomials)
     nums, den = clear_denominators(frac(x) for x in coords)
-    top = max((sum(m) for m in monomials), default=0)
+    den_powers = [den ** e for e in range(max(map(sum, monomials), default=0) + 1)]
+    return [Fraction(v, den_powers[sum(m)])
+            for m, v in zip(monomials, integer_monomial_values(monomials, nums))]
+
+
+def integer_monomial_values(monomials, nums):
+    """The ints prod X_i^e_i of the monomials at the integer point `nums`,
+    read from power tables."""
+    monomials = list(monomials)
+    top = max((e for m in monomials for e in m), default=0)
     tables = [[x ** e for e in range(top + 1)] for x in nums]
-    den_powers = [den ** e for e in range(top + 1)]
     out = []
     for m in monomials:
         v = 1
         for table, e in zip(tables, m):
             v *= table[e]
-        out.append(Fraction(v, den_powers[sum(m)]))
+        out.append(v)
     return out
 
 

@@ -29,7 +29,8 @@ from .family import (DeformationPoint, FamilyShape, c_coeff, omega_basis,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, permute_point,
-                    restrict_poly, restrict_section, scheme_json)
+                    restrict_partials, restrict_poly, restrict_section,
+                    scheme_json)
 from .poly import (EulerSection, HomogPoly, all_monomials, eval_monomials,
                    gen_jd, mono_mul, euler_alpha)
 from .rng import Rng
@@ -250,11 +251,6 @@ def _generic_scheme_split_shape(n: int, rng: Rng) -> LengthTwoScheme:
         if classify(z).is_generic():
             return z
     raise NonGenericScheme("failed to sample the split shape")
-
-
-def _on_member(b: DeformationPoint, z: LengthTwoScheme) -> bool:
-    f = b.f_poly()
-    return f.evaluate(z.p1.coords) == 0 and f.evaluate(z.p2.coords) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +717,10 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
 def _motion_columns(fpoly: HomogPoly, line: Line, coords):
     """Two columns per coordinate i in `coords`: s*dF/dx_i and t*dF/dx_i
     restricted to the line, the image of moving x_i by a linear form."""
+    partials = restrict_partials(fpoly, line)
     cols = []
     for i in coords:
-        base = list(restrict_poly(fpoly.partial(i), line).coeffs)
+        base = list(partials[i].coeffs)
         cols += [base + [ZERO], [ZERO] + base]
     return cols
 
@@ -741,11 +738,12 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     cls = classify(z)
     if not cls.is_generic():
         raise NonGenericScheme("the obstruction computation assumes a generic scheme")
-    if not _on_member(b, z):
-        raise ValueError("the scheme does not lie on the family member")
     line = z.line
     fpoly = b.f_poly()
     xif = restrict_poly(fpoly, line)
+    # z.line = Line(p1, p2): F(p1) and F(p2) are the s^d and t^d coefficients
+    if xif.coeffs[0] or xif.coeffs[d]:
+        raise ValueError("the scheme does not lie on the family member")
     if xif.is_zero():
         raise LineInHypersurface("the member contains the line")
 
@@ -800,21 +798,18 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
 def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
                        rng: Rng, attempts: int = 20) -> DeformationPoint:
     """Family member through Z whose restriction to the line is a nonzero
-    multiple of s^(d-m) t^m."""
-    d = shape.d
-    nv = shape.nvars
-    restricted = [restrict_poly(HomogPoly.monomial(nv, f), z.line).coeffs
-                  for f in shape.jd]
-    fermat = DeformationPoint.fermat(shape).f_poly()
-    fermat_coeffs = restrict_poly(fermat, z.line).coeffs
-    rows = []
-    rhs = []
-    for k in range(d + 1):
-        if k == m:
-            continue
-        rows.append([col[k] for col in restricted])
-        rhs.append(-fermat_coeffs[k])
-    mat = Matrix(rows, ncols=shape.N)
+    multiple of s^(d-m) t^m.
+
+    Row k of the system is the s^(d-k) t^k coefficient of the restriction
+    on the line's integer cache: the rational row times Dp^(d-k) Dq^k > 0,
+    which has the same solutions."""
+    d, nv, line = shape.d, shape.nvars, z.line
+    restricted = [line.integer_restriction(f) for f in shape.jd]
+    fermat = [line.integer_restriction(tuple(d * (j == i) for j in range(nv)))
+              for i in range(nv)]
+    keep = [k for k in range(d + 1) if k != m]
+    mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
+    rhs = [-sum(col[k] for col in fermat) for k in keep]
     for a in range(attempts):
         sol = random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         if sol is None:
@@ -834,9 +829,12 @@ def _random_secant_report(shape: FamilyShape, rng: Rng, seed: int,
     for _ in range(draws):
         z = random_generic_scheme(shape.n, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
-        xif = restrict_poly(b.f_poly(), z.line)
-        if not xif.is_zero() and distinct_root_count(xif) >= 3:
-            return secant_obstruction(b, z, seed=seed)
+        try:
+            rep = secant_obstruction(b, z, seed=seed)
+        except LineInHypersurface:
+            continue
+        if rep.dims["distinct_roots"] >= 3:
+            return rep
     return None
 
 

@@ -420,7 +420,8 @@ def random_solution_reference(m, rhs, rng, bound=1000):
 
 def test_random_solution_matches_the_rref_reference():
     """Same draws and same exact values as the rref-based reference on
-    wide, rank-deficient, inconsistent and all-integer systems."""
+    wide, rank-deficient, inconsistent and all-integer systems, and on
+    systems of the member systems' shape."""
     rng = Rng(51)
     outcomes = set()
     for trial in range(120):
@@ -450,6 +451,26 @@ def test_random_solution_matches_the_rref_reference():
             assert mul_vec(m, got) == [Fraction(r) for r in rhs]
         outcomes.add((kind, got is None))
     assert {(1, False), (2, True), (3, False)} <= outcomes
+    # wide systems shaped like the member systems: 1-2 rows (points on a
+    # member) and 6-8 rows (a line power), over 30-60 columns
+    for trial in range(24):
+        nr = rng.randint(1, 2) if trial % 2 else rng.randint(6, 8)
+        nc = rng.randint(30, 60)
+        if trial % 4 < 2:
+            m = random_matrix(rng, nr, nc, bound=9)
+        else:
+            # a staircase: row i leads at column lead[i] and has an entry at
+            # lead[i+1], so its pivot row has an entry at a later pivot column
+            lead = [i * (nc // nr) for i in range(nr)] + [nc - 1]
+            m = Matrix([[sample_rational(rng, 9) if j > lead[i] and rng.randint(0, 2) else
+                         0 for j in range(nc)] for i in range(nr)])
+            for i in range(nr):
+                v = sample_rational(rng, 9) or Fraction(1)
+                m.data[i][lead[i]] = m.data[i][lead[i + 1]] = v
+        rhs = [sample_rational(rng, 50) for _ in range(nr)]
+        got = random_solution(m, rhs, Rng(1000 + trial))
+        assert got == random_solution_reference(m, rhs, Rng(1000 + trial))
+        assert mul_vec(m, got) == [Fraction(r) for r in rhs]
 
 
 def test_fraction_formatting_round_trip():

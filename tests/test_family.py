@@ -8,11 +8,11 @@ import pytest
 from fermatlines.errors import DimensionMismatch, InfeasibleSystem
 from fermatlines.exact import Matrix, Subspace, sample_rational
 from fermatlines.family import (DeformationPoint, FamilyShape, c_coeff, eta,
-                                koszul_eta_m, omega_basis, random_deformation,
-                                sample_b_through)
+                                koszul_eta_m, omega_basis, point_condition,
+                                random_deformation, sample_b_through)
 from fermatlines.lines import ProjPoint
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
-                              euler_alpha, gen_jd)
+                              eval_monomials, euler_alpha, gen_jd)
 from fermatlines.rng import Rng
 from tests.polytext import parse_poly
 
@@ -211,6 +211,20 @@ def test_sample_b_through_hits_the_points_exactly():
         f = b.f_poly()
         assert f.evaluate(p.coords) == 0
         assert f.evaluate(q.coords) == 0
+
+
+def test_point_condition_is_the_rational_condition_times_d_to_the_d():
+    """Integer row and rhs at X / D are the rational ones scaled by D^d."""
+    shape = FamilyShape(2, 6)
+    p = ProjPoint([Fraction(-2, 3), Fraction(5, 4), 0, Fraction(7, 6)])
+    row, rhs = point_condition(shape, p)
+    assert p.coords == (1, Fraction(-15, 8), 0, Fraction(-7, 4))
+    scale = 8 ** 6
+    assert all(type(x) is int for x in row + [rhs])
+    assert row == [m_val * scale for m_val in eval_monomials(shape.jd, p.coords)]
+    assert rhs == -sum(x ** 6 for x in p.coords) * scale
+    with pytest.raises(InfeasibleSystem):
+        point_condition(shape, ProjPoint([0, 0, 3, 0]))
 
 
 def test_deformation_point_json_round_trip():

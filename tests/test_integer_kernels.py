@@ -1,7 +1,8 @@
 """The integer-numerator kernels against term-by-term Fraction references.
 
-restrict_poly, HomogPoly.__mul__ (sum_of_products), eta and eval_monomials
-clear denominators once and build one Fraction per output coefficient.
+restrict_poly, restrict_partials, HomogPoly.__mul__ (sum_of_products), eta
+and eval_monomials clear denominators once and build one Fraction per output
+coefficient.
 The references below are the plain rational expansions they replaced; they
 live here only, as oracles.
 """
@@ -17,7 +18,7 @@ from fermatlines.exact import sample_rational
 from fermatlines.family import (DeformationPoint, FamilyShape, eta,
                                 omega_basis, random_deformation,
                                 sample_b_through)
-from fermatlines.lines import Line, ProjPoint, restrict_poly
+from fermatlines.lines import Line, ProjPoint, restrict_partials, restrict_poly
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
                               eval_monomials, gen_jd, sum_of_products)
 from fermatlines.rng import Rng
@@ -168,6 +169,7 @@ def test_restrict_paper_size_member_and_partials():
     check_restriction(f, line)
     for g in b.f_partials():
         check_restriction(g, line)
+    check_partials(f, line)
     assert restrict_poly(f, line).coeffs[0] == 0 == restrict_poly(f, line).coeffs[-1]
 
 
@@ -175,6 +177,43 @@ def test_restrict_checks_the_variable_count():
     line = Line(ProjPoint([1, 0, 0]), ProjPoint([0, 1, 0]))
     with pytest.raises(DimensionMismatch):
         restrict_poly(HomogPoly.variable(4, 0), line)
+
+
+def check_partials(poly, line):
+    """restrict_partials against the restriction of each HomogPoly.partial."""
+    got = restrict_partials(poly, line)
+    assert len(got) == poly.nvars
+    for i, form in enumerate(got):
+        want = restrict_poly(poly.partial(i), line)
+        assert form.degree == want.degree
+        assert_same_fractions(form.coeffs, want.coeffs)
+
+
+@given(lines_and_polys())
+@settings(max_examples=100, deadline=None)
+def test_restrict_partials_matches_restricted_partials_hypothesis(case):
+    line, poly = case
+    check_partials(poly, line)
+
+
+def test_restrict_partials_with_an_absent_variable_and_degree_one():
+    rng = Rng(34)
+    line = Line(ProjPoint([Fraction(-3, 7), Fraction(5, -9), 2, Fraction(-11, 4)]),
+                ProjPoint([Fraction(1, 6), -1, Fraction(-13, 10), Fraction(7, 15)]))
+    for degree in (1, 2, 5):
+        for _ in range(3):
+            # x2 never occurs, so the third partial is zero
+            sub = random_poly(3, degree, rng, nterms=8, bound=30)
+            poly = HomogPoly(4, degree,
+                             {m[:2] + (0,) + m[2:]: c for m, c in sub.terms.items()})
+            check_partials(poly, line)
+            assert restrict_partials(poly, line)[2].is_zero()
+    linear = HomogPoly(4, 1, {(1, 0, 0, 0): Fraction(-5, 3), (0, 0, 0, 1): Fraction(7, 2)})
+    forms = restrict_partials(linear, line)
+    assert [f.coeffs for f in forms] == [(Fraction(-5, 3),), (ZERO,), (ZERO,),
+                                         (Fraction(7, 2),)]
+    with pytest.raises(DimensionMismatch):
+        restrict_partials(HomogPoly.variable(5, 0), line)
 
 
 def test_line_cache_entry_is_product_of_linear_factors():

@@ -526,12 +526,50 @@ def test_secant_rejects_special_scheme():
 
 
 def test_secant_requires_scheme_on_member():
+    """Off the member at p1, at p2, or at both, the computation refuses."""
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("off"))
-    b = DeformationPoint.fermat(shape)
-    if b.f_poly().evaluate(z.p1.coords) != 0:
+    fermat = DeformationPoint.fermat(shape).f_poly()
+    assert fermat.evaluate(z.p1.coords) != 0 and fermat.evaluate(z.p2.coords) != 0
+    members = [DeformationPoint.fermat(shape),
+               sample_b_through(shape, [z.p1], rng_for("p1 only")),
+               sample_b_through(shape, [z.p2], rng_for("p2 only"))]
+    for b, on in zip(members, [(False, False), (True, False), (False, True)]):
+        f = b.f_poly()
+        assert (f.evaluate(z.p1.coords) == 0, f.evaluate(z.p2.coords) == 0) == on
         with pytest.raises(ValueError):
             secant_obstruction(b, z)
+
+
+def b_with_line_power_reference(shape, z, m, rng, attempts=20):
+    """Oracle: the line-power system built from rational restrictions of the
+    deformation monomials and of the Fermat part."""
+    nv, d = shape.nvars, shape.d
+    restricted = [restrict_poly(HomogPoly.monomial(nv, f), z.line).coeffs
+                  for f in shape.jd]
+    fermat = restrict_poly(DeformationPoint.fermat(shape).f_poly(), z.line).coeffs
+    keep = [k for k in range(d + 1) if k != m]
+    mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
+    rhs = [-fermat[k] for k in keep]
+    for a in range(attempts):
+        sol = exact.random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
+        b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
+        if restrict_poly(b.f_poly(), z.line).coeffs[m]:
+            return b
+    raise AssertionError("no member with a nonzero top coefficient")
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])
+def test_line_power_member_matches_the_rational_system(n, d):
+    """The integer-cache system gives the same member as the rational one."""
+    shape = FamilyShape(n, d)
+    for seed in range(3):
+        z = random_generic_scheme(n, rng_for("line power", seed))
+        got = _b_with_line_power(shape, z, d // 2, rng_for("member", seed))
+        want = b_with_line_power_reference(shape, z, d // 2, rng_for("member", seed))
+        assert got.t == want.t
+        xif = restrict_poly(got.f_poly(), z.line)
+        assert xif.monomial_index() == d // 2
 
 
 def test_secant_wrapper():
