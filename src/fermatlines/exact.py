@@ -5,14 +5,15 @@ rank, echelon form and solve runs on one elimination: rows are cleared to
 integers and kept sparse, {column: int}, and each is reduced once as
 r = a*r - b*pivot against pivot rows keyed by their leftmost column and
 divided by the gcd of their entries (_reduce, _echelon).  Reduced echelon
-forms are finished with a rational back-substitution pass, and subspaces are
-canonicalized to reduced column echelon form so equality is a plain
-entry-wise comparison.
+forms are finished with a rational back-substitution pass.
 
-Claims "span(gens) == ker(m)" on sparse generator rows {column: value} are
-decided by kernel_span_dims: the inclusion m·g == 0, the rank of m and the
-rank of the generators are all exact, so the claim holds iff the inclusion
-holds and the two dimensions agree.
+Span relations are decided by rank: rank_sparse, first_outside_span, and
+kernel_span_dims for claims "span(gens) == ker(m)" on sparse generator rows
+{column: value} (the inclusion m·g == 0, the rank of m and the rank of the
+generators are all exact, so the claim holds iff the inclusion holds and the
+two dimensions agree).  Subspace is canonical, in reduced column echelon
+form so equality is a plain entry-wise comparison; it serves witness
+vectors and the tests' reference computations.
 """
 
 from __future__ import annotations
@@ -180,14 +181,16 @@ class Matrix:
 
 
 def rank_sparse(rows) -> int:
-    """Exact rank over Q of sparse rational rows {column: value}."""
+    """Exact rank over Q of rational rows, each a dense list or a sparse
+    {column: value} dict."""
     return len(_echelon(map(_integer_row, rows)))
 
 
 def first_outside_span(rows, vectors):
-    """The first of the dense rational `vectors` outside the span of the
-    sparse rational rows {column: value}, else None: the rows are eliminated
-    once, and each vector is reduced against their echelon form."""
+    """The first of the rational `vectors` outside the span of the rational
+    rows, else None; rows and vectors may each be dense lists or sparse
+    {column: value} dicts.  The rows are eliminated once, and each vector is
+    reduced against their echelon form."""
     echelon = _echelon(map(_integer_row, rows))
     return next((v for v in vectors
                  if _reduce(_integer_row(v), echelon) is not None), None)
@@ -250,18 +253,6 @@ class Subspace:
             if f:
                 w = [a - f * b for a, b in zip(w, row)]
         return all(x == 0 for x in w)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other._rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient, self._rows + other._rows)
-
-    def _check_ambient(self, other: "Subspace"):
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("ambient %d != %d" % (self.ambient, other.ambient))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient

@@ -262,9 +262,12 @@ def _x_alpha(nv: int, i: int) -> EulerSection:
     return EulerSection([c * x for c in euler_alpha(nv - 2).components])
 
 
-def _times_x(m, i):
-    """The exponent tuple of x_i * x^m."""
-    return m[:i] + (m[i] + 1,) + m[i + 1:]
+def _times(g, *variables):
+    """The exponent tuple of g times x_i for each i in `variables`."""
+    g = list(g)
+    for i in variables:
+        g[i] += 1
+    return tuple(g)
 
 
 def _w_basis_rows(b: DeformationPoint, deg2):
@@ -286,7 +289,7 @@ def _w_basis_rows(b: DeformationPoint, deg2):
                     rows.setdefault(m, {})[j * len(deg2) + k] = c
     for mm, c in b.f_poly().terms.items():
         for i in range(nv):
-            m = _times_x(mm, i)
+            m = _times(mm, i)
             if max(m) >= d:
                 rows.setdefault(m, {})[nv * len(deg2) + i] = c
     return list(rows.values())
@@ -324,7 +327,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             euler = {}
             for j, partial in enumerate(b.f_partials()):
                 for mm, c in partial.terms.items():
-                    m = _times_x(mm, j)
+                    m = _times(mm, j)
                     euler[m] = euler.get(m, ZERO) + c
             euler_ok = HomogPoly(nv, d, euler) == b.f_poly().scale(d)
 
@@ -356,14 +359,6 @@ def _xi_matrix_on(monomials, line: Line) -> Matrix:
     integer cache gives it (row k scaled by Dp^(d-k) Dq^k, which keeps the
     rank and the kernel)."""
     return Matrix.from_columns(line.integer_restriction(m) for m in monomials)
-
-
-def _times(g, *variables):
-    """The exponent tuple of g times x_i for each i in `variables`."""
-    g = list(g)
-    for i in variables:
-        g[i] += 1
-    return tuple(g)
 
 
 def _ideal_product_vectors(lin_forms, gens, jd):
@@ -526,6 +521,13 @@ def _restricted_vector(sec: EulerSection, line: Line):
     return vec
 
 
+def _omega_image(shape: FamilyShape, z: LengthTwoScheme, rng: Rng):
+    """(b, vectors): a member b through Z and the restrictions to Z's line
+    of its quadratic sections w_ijk."""
+    b = sample_b_through(shape, [z.p1, z.p2], rng)
+    return b, [_restricted_vector(w, z.line) for w in omega_basis(b)]
+
+
 def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """Restriction of the quadratic sections to the line of a special
     scheme: contains the listed monomial fields and fills the full quotient
@@ -537,34 +539,27 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
+        x0 = HomogPoly.variable(nv, 0)
+        x1 = HomogPoly.variable(nv, 1)
         for sub in run:
             zs, _ = _special_scheme(n, sub)
-            b = sample_b_through(shape, [zs.p1, zs.p2], sub)
-            omeg = omega_basis(b)
-            svecs = [_restricted_vector(w, zs.line) for w in omeg]
-            s_img = Subspace.from_vectors(amb, svecs)
-            x0 = HomogPoly.variable(nv, 0)
-            x1 = HomogPoly.variable(nv, 1)
+            _, svecs = _omega_image(shape, zs, sub)
+            xi_w_special = rank_sparse(svecs)
             listed = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
             listed += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
-            member_ok = all(
-                s_img.contains_vector(_restricted_vector(sec, zs.line))
-                for sec in listed)
+            member_ok = first_outside_span(
+                svecs, [_restricted_vector(sec, zs.line) for sec in listed]) is None
             # the Euler field times x0 and x1 spans the rescaling directions
             # when x0 and x1 restrict independently
-            rescale = Subspace.from_vectors(
-                amb, [_restricted_vector(_x_alpha(nv, i), zs.line) for i in (0, 1)])
-            if rescale.dim != 2:
+            rescale = [_restricted_vector(_x_alpha(nv, i), zs.line) for i in (0, 1)]
+            if rank_sparse(rescale) != 2:
                 raise NonGenericScheme("x0 and x1 do not restrict independently")
-            total = s_img.sum(rescale)
-            quotient_rank = total.dim - rescale.dim
-            surjective = total.dim == amb
+            total = rank_sparse(svecs + rescale)
+            quotient_rank = total - 2
+            surjective = total == amb
 
             zv = _very_special_scheme(n, sub)
-            bv = sample_b_through(shape, [zv.p1, zv.p2], sub)
-            omev = omega_basis(bv)
-            vs_img = Subspace.from_vectors(
-                amb, [_restricted_vector(w, zv.line) for w in omev])
+            bv, vv = _omega_image(shape, zv, sub)
             explicit = []
             for k in range(2, nv):
                 explicit.append(EulerSection.single(nv, k, x0 * x1))
@@ -578,20 +573,22 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
                 explicit.append(
                     EulerSection.single(nv, k, x1 * x1)
                     - EulerSection.single(nv, 1, (x0 * x1) * c_coeff(bv, 1, 0, k)))
-            explicit_span = Subspace.from_vectors(
-                amb, [_restricted_vector(s, zv.line) for s in explicit])
-            vs_ok = vs_img == explicit_span and vs_img.dim == 3 * n + 2
+            ev = [_restricted_vector(sec, zv.line) for sec in explicit]
+            xi_w_very_special = rank_sparse(vv)
+            # equal spans of dimension 3n+2: both ranks equal that of the union
+            vs_ok = (xi_w_very_special == rank_sparse(ev) == rank_sparse(vv + ev)
+                     == 3 * n + 2)
 
             run.record(member_ok and surjective and vs_ok,
-                       {"target_quotient": amb - rescale.dim,
+                       {"target_quotient": amb - 2,
                         "quotient_rank": quotient_rank,
-                        "xi_w_special": s_img.dim,
-                        "xi_w_very_special": vs_img.dim},
+                        "xi_w_special": xi_w_special,
+                        "xi_w_very_special": xi_w_very_special},
                        lambda: {"reason": ("listed field missing" if not member_ok else
                                            "quotient not filled" if not surjective else
                                            "very-special span mismatch"),
                                 "quotient_rank": quotient_rank,
-                                "very_special_dim": vs_img.dim,
+                                "very_special_dim": xi_w_very_special,
                                 "scheme": scheme_json(zs if not (member_ok and surjective)
                                                       else zv)})
     return run.report
@@ -608,13 +605,9 @@ def verify_xi_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         nv = n + 2
         amb = 3 * nv
         for sub in run:
-            ranks = []
-            for maker in (_generic_scheme_three_independent,
-                          _generic_scheme_split_shape):
-                zt = maker(n, sub)
-                b = sample_b_through(shape, [zt.p1, zt.p2], sub)
-                vecs = [_restricted_vector(w, zt.line) for w in omega_basis(b)]
-                ranks.append(Matrix(vecs).rank())
+            ranks = [rank_sparse(_omega_image(shape, maker(n, sub), sub)[1])
+                     for maker in (_generic_scheme_three_independent,
+                                   _generic_scheme_split_shape)]
             run.record(all(rk == amb for rk in ranks),
                        {"rank": ranks[0], "target": amb, "basis": nv * comb(nv, 2)},
                        lambda: {"reason": "restriction not surjective",
@@ -749,35 +742,27 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
 
     # evaluation map to the tangent spaces at the two points: a section
     # u kills it iff u(p) is radial at both points
-    rows = []
-    for pt_idx, pt in ((0, z.p1), (1, z.p2)):
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                row = [ZERO] * (2 * nv)
-                row[2 * i + pt_idx] = pt.coords[j]
-                row[2 * j + pt_idx] = -pt.coords[i]
-                rows.append(row)
-    ker_rho = kernel_basis(Matrix(rows, ncols=2 * nv))
+    rho = [{2 * i + k: pt.coords[j], 2 * j + k: -pt.coords[i]}
+           for k, pt in enumerate((z.p1, z.p2))
+           for i in range(nv) for j in range(i + 1, nv)]
+    etahat = list(zip(*_motion_columns(fpoly, line, range(nv))))
+    ker_rho = 2 * nv - rank_sparse(rho)
+    rank_eta, rank_both = rank_sparse(etahat), rank_sparse(rho + etahat)
 
-    etahat = Matrix.from_columns(_motion_columns(fpoly, line, range(nv)))
-    ker_eta = kernel_basis(etahat)
-
-    cond_kernel = ker_rho.contains(ker_eta)
-    cond_pair = Matrix([list(xif.coeffs),
-                        list(xif.t_partial_t().coeffs)]).rank() <= 1
+    # ker etahat lies in ker rho iff rho's rows lie in etahat's row space
+    cond_kernel = rank_both == rank_eta
+    cond_pair = rank_sparse([xif.coeffs, xif.t_partial_t().coeffs]) <= 1
     idx = xif.monomial_index()
     cond_monomial = idx is not None and 0 < idx < d
 
-    alpha_vec = []
-    for i in range(nv):
-        alpha_vec.extend([z.p1.coords[i], z.p2.coords[i]])
-    rho_ok = ker_rho.dim == 2 and ker_rho.contains_vector(alpha_vec)
-    overlap = ker_rho.dim + ker_eta.dim - ker_rho.sum(ker_eta).dim
+    alpha = [c for i in range(nv) for c in (z.p1.coords[i], z.p2.coords[i])]
+    rho_ok = ker_rho == 2 and not any(sum(v * alpha[c] for c, v in row.items())
+                                      for row in rho)
     agree = cond_kernel == cond_pair == cond_monomial
     dims = {
-        "ker_rho": ker_rho.dim,
-        "ker_etahat": ker_eta.dim,
-        "overlap": overlap,
+        "ker_rho": ker_rho,
+        "ker_etahat": 2 * nv - rank_eta,
+        "overlap": 2 * nv - rank_both,
         "euler_excess": 2 * nv - (d + 1),
         "well_defined": int(cond_kernel),
         "dependent_pair": int(cond_pair),

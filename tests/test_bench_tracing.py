@@ -8,8 +8,9 @@ import os
 
 import fermatlines.cli as cli
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "bench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "bench", "tracing.py")
+SRC = os.path.join(ROOT, "src")
 
 
 def load_tracing():
@@ -20,9 +21,13 @@ def load_tracing():
 
 
 def test_every_traced_name_resolves():
+    """Each (module, attribute) of TIMED and COUNTED names a callable of
+    the module under this checkout's src/, so deleting a traced name fails
+    here and not only in the benchmark's own tests."""
     tracing = load_tracing()
     for name, module, attr in tracing.TIMED + tracing.COUNTED:
         owner = importlib.import_module(module)
+        assert os.path.abspath(owner.__file__).startswith(SRC + os.sep), name
         if "." in attr:
             cls_name, meth = attr.split(".")
             assert meth in vars(getattr(owner, cls_name)), name

@@ -29,6 +29,11 @@ CLI_CASES = {
     "all_n3_d8_seed7_trials1.jsonl": ("all_n3_d8_seed7_trials1.jsonl",
                                       ["all", "--n", "3", "--d", "8", "--seed", "7",
                                        "--trials", "1"]),
+    # off the paper's degree d = 2n + 2: secant and tangency FAIL
+    "all_n2_d5_trials2.jsonl": ("all_n2_d5_trials2.jsonl",
+                                ["all", "--n", "2", "--d", "5", "--trials", "2"]),
+    "all_n3_d5_trials2.jsonl": ("all_n3_d5_trials2.jsonl",
+                                ["all", "--n", "3", "--d", "5", "--trials", "2"]),
 }
 
 

@@ -172,7 +172,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
             len(shape.jd),
             dense(_ideal_product_vectors(iz_linear(z).basis_vectors(),
                                          shape.monomials(5), shape.jd), len(shape.jd)))
-        assert k2.contains(k1)
+        assert all(k2.contains_vector(v) for v in k1.basis_vectors())
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,27 @@ def test_sampled_claim_fails_with_a_witness_when_broken(monkeypatch, lemma):
     assert rep.verdict == FAIL
     assert rep.witness is not None
     assert rep.witness[TRIAL_KEY.get(lemma, "trial")] == 0
+
+
+def test_xi_special_names_an_unfilled_quotient(monkeypatch):
+    """With the first component of every restricted section zeroed, the
+    special image and the rescaling directions span only 7 of the 10
+    quotient dimensions at (2, 6)."""
+    monkeypatch.setattr(verifiers, "restrict_section", _zero_first_restricted)
+    rep = verify_xi_special(2, 6, rng_for("xi-special"), trials=2)
+    assert rep.verdict == FAIL
+    assert rep.witness["reason"] == "quotient not filled"
+    assert rep.dims["quotient_rank"] == rep.witness["quotient_rank"] == 7
+
+
+def test_xi_special_names_a_very_special_span_mismatch(monkeypatch):
+    """Without the c_ijk corrections the explicit generators no longer span
+    the very-special image, while the special part still passes."""
+    monkeypatch.setattr(verifiers, "c_coeff", lambda b, i, j, k: 0)
+    rep = verify_xi_special(2, 6, rng_for("xi-special"), trials=2)
+    assert rep.verdict == FAIL
+    assert rep.witness["reason"] == "very-special span mismatch"
+    assert rep.witness["scheme"]["class"]["tag"] == "very-special"
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -576,6 +597,68 @@ def test_secant_wrapper():
     rep = verify_secant(2, 6, rng_for("wrap"), trials=2)
     assert rep.verdict == PASS
     assert rep.dims["euler_excess"] == 1
+
+
+def secant_dims_reference(b, z):
+    """Oracle: the secant obstruction's kernel dims and containment from
+    canonical kernels of dense rho and etahat, the span of their union and
+    contains_vector over a basis."""
+    nv = b.shape.nvars
+    rows = []
+    for k, pt in enumerate((z.p1, z.p2)):
+        for i in range(nv):
+            for j in range(i + 1, nv):
+                row = [0] * (2 * nv)
+                row[2 * i + k] = pt.coords[j]
+                row[2 * j + k] = -pt.coords[i]
+                rows.append(row)
+    ker_rho = kernel_basis_oracle(Matrix(rows))
+    ker_eta = kernel_basis_oracle(Matrix.from_columns(
+        verifiers._motion_columns(b.f_poly(), z.line, range(nv))))
+    total = Subspace.from_vectors(2 * nv, ker_rho.basis_vectors() + ker_eta.basis_vectors())
+    return {"ker_rho": ker_rho.dim, "ker_etahat": ker_eta.dim,
+            "overlap": ker_rho.dim + ker_eta.dim - total.dim,
+            "well_defined": int(all(ker_rho.contains_vector(v)
+                                    for v in ker_eta.basis_vectors()))}
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 8), (2, 5), (3, 5)])
+def test_secant_rank_dims_match_canonical_kernels(n, d):
+    """The ranks of rho, etahat and both stacked give the same kernel dims,
+    overlap and containment as canonical kernels, on constructed two-point
+    lines and random secants, on and off the paper's degree."""
+    shape = FamilyShape(n, d)
+    seen = set()
+    for seed in range(2):
+        rng = rng_for("secant oracle", seed)
+        z = random_generic_scheme(n, rng)
+        for b in (_b_with_line_power(shape, z, d // 2, rng),
+                  sample_b_through(shape, [z.p1, z.p2], rng)):
+            rep = secant_obstruction(b, z)
+            want = secant_dims_reference(b, z)
+            assert {key: rep.dims[key] for key in want} == want
+            seen.add(want["well_defined"])
+    # off the paper's degree the constructed line is not well defined either
+    assert seen == ({0, 1} if d == 2 * n + 2 else {0})
+
+
+def test_secant_names_disagreeing_conditions(monkeypatch):
+    """With the first motion column zeroed, ker etahat on a constructed
+    two-point line becomes that column's unit vector, outside ker rho: the
+    kernel condition fails while the other two hold."""
+    motion = verifiers._motion_columns
+
+    def zero_first(fpoly, line, coords):
+        cols = motion(fpoly, line, coords)
+        return [[0] * len(cols[0])] + cols[1:]
+
+    monkeypatch.setattr(verifiers, "_motion_columns", zero_first)
+    _, b, z = make_two_point_config()
+    rep = secant_obstruction(b, z)
+    assert rep.verdict == FAIL
+    assert rep.witness["reason"] == "equivalent conditions disagree"
+    assert rep.witness["conditions"] == [0, 1, 1]
+    assert (rep.dims["ker_etahat"], rep.dims["overlap"]) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
