@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InfeasibleSystem
-from .exact import (Matrix, ZERO, clear_denominators, format_fraction, frac,
+from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
                     random_solution, sample_rational)
 from .poly import (EulerSection, HomogPoly, MonomialSet, gen_jd,
                    integer_monomial_values, jd_size_formula, mono_parse,
@@ -145,12 +145,15 @@ def _pair_exps(nv: int, i: int, j: int):
     return tuple(exps)
 
 
-def omega_basis(b: DeformationPoint):
-    """The quadratic sections w_ijk, 0 <= i <= j <= n+1 with i, j != k.
+def omega_terms(b: DeformationPoint):
+    """The quadratic sections w_ijk, 0 <= i <= j <= n+1 with i, j != k, as
+    sparse terms {(component, exponents): coefficient}, the coefficient of
+    x^exponents d/dx_component; ordered by i, then j, then k.
 
-    For i < j the section is the monomial field x_i x_j d/dx_k; for i = j a
-    correction multiple of x_i x_j' d/dx_i is subtracted for every j' != i
-    so that the contraction lands in the degree-(d+1) deformation span.
+    For i < j the section is the monomial field x_i x_j d/dx_k, one term.
+    For i = j it also holds -c_coeff(b, i, j', k) at (i, e_i + e_j') for
+    each j' != i with a nonzero correction, so that the contraction lands in
+    the degree-(d+1) deformation span.
     """
     nv = b.shape.nvars
     out = []
@@ -159,20 +162,23 @@ def omega_basis(b: DeformationPoint):
             for k in range(nv):
                 if k == i or k == j:
                     continue
-                xij = HomogPoly.monomial(nv, _pair_exps(nv, i, j))
-                sec = EulerSection.single(nv, k, xij)
+                terms = {(k, _pair_exps(nv, i, j)): ONE}
                 if i == j:
-                    correction = HomogPoly.zero(nv, 2)
                     for jp in range(nv):
                         if jp == i:
                             continue
                         c = c_coeff(b, i, jp, k)
                         if c:
-                            correction = correction + HomogPoly.monomial(
-                                nv, _pair_exps(nv, i, jp), c)
-                    sec = sec - EulerSection.single(nv, i, correction)
-                out.append(sec)
+                            terms[(i, _pair_exps(nv, i, jp))] = -c
+                out.append(terms)
     return out
+
+
+def omega_basis(b: DeformationPoint):
+    """The sections of omega_terms(b) as EulerSections, in the same order."""
+    nv = b.shape.nvars
+    return [EulerSection([HomogPoly(nv, 2, {e: c for (i, e), c in terms.items() if i == comp})
+                          for comp in range(nv)]) for terms in omega_terms(b)]
 
 
 def _sort_parity(keys) -> int:

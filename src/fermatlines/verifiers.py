@@ -22,15 +22,14 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ONE, ZERO, first_outside_span, format_fraction,
-                    kernel_basis, kernel_span_dims, rank_sparse, sample_rational,
-                    random_solution)
-from .family import (DeformationPoint, FamilyShape, c_coeff, omega_basis,
+from .exact import (Matrix, Subspace, ONE, ZERO, clear_denominators, first_outside_span,
+                    format_fraction, kernel_basis, kernel_span_dims, rank_sparse,
+                    sample_rational, random_solution)
+from .family import (DeformationPoint, FamilyShape, c_coeff, omega_basis, omega_terms,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, permute_point,
-                    restrict_partials, restrict_poly, restrict_section,
-                    scheme_json)
+                    restrict_partials, restrict_poly, scheme_json)
 from .poly import (EulerSection, HomogPoly, all_monomials, eval_monomials,
                    gen_jd, mono_mul, euler_alpha)
 from .rng import Rng
@@ -514,18 +513,33 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
 # ---------------------------------------------------------------------------
 # images of the quadratic sections on the line
 
-def _restricted_vector(sec: EulerSection, line: Line):
-    vec = []
-    for bf in restrict_section(sec, line):
-        vec.extend(bf.vector())
+def _section_image(terms, line: Line):
+    """Image on the line of the quadratic section with sparse terms
+    {(component, exponents): coefficient}: entry 3*comp + k sums the
+    section's integer numerators times line.integer_restriction(exps)[k].
+    That is the rational restriction times one positive factor per row and,
+    at entry k, Dp^(2-k) Dq^k, shared by every vector on the line; so ranks
+    and span membership are those of the rational restrictions."""
+    nums, _ = clear_denominators(terms.values())
+    vec = [0] * (3 * line.nvars)
+    for (comp, exps), c in zip(terms, nums):
+        for k, v in enumerate(line.integer_restriction(exps), 3 * comp):
+            vec[k] += c * v
     return vec
 
 
+def _restricted_vector(sec: EulerSection, line: Line):
+    return _section_image({(i, exps): c for i, comp in enumerate(sec.components)
+                           for exps, c in comp.terms.items()}, line)
+
+
 def _omega_image(shape: FamilyShape, z: LengthTwoScheme, rng: Rng):
-    """(b, vectors): a member b through Z and the restrictions to Z's line
-    of its quadratic sections w_ijk."""
+    """(b, vectors): a member b through Z and the images on Z's line of its
+    quadratic sections w_ijk.  The one-term (uncorrected) sections come
+    first: their small integer rows become the pivots, and the corrected
+    w_iik, whose entries carry the c_ijk, are reduced against them."""
     b = sample_b_through(shape, [z.p1, z.p2], rng)
-    return b, [_restricted_vector(w, z.line) for w in omega_basis(b)]
+    return b, [_section_image(terms, z.line) for terms in sorted(omega_terms(b), key=len)]
 
 
 def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:

@@ -12,7 +12,8 @@ import pytest
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import main, run_lemma
 from test_exact import kernel_basis_oracle
-from test_verifiers import KERNEL_CLAIMS, _drop_first_product, _drop_last_product
+from test_verifiers import (KERNEL_CLAIMS, _drop_first_product, _drop_last_product,
+                            _zero_first_block)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -52,8 +53,9 @@ def cli_lines(args, path):
 
 
 def mutated(run, drop=_drop_first_product, **patches):
-    """Stripped report of run() with one ideal-product vector dropped (the
-    first by default) and the verifiers attributes in `patches` replaced."""
+    """Stripped report of run() after drop(mp), which by default drops the
+    first ideal-product vector, with the verifiers attributes in `patches`
+    replaced."""
     with pytest.MonkeyPatch.context() as mp:
         drop(mp)
         for name, value in patches.items():
@@ -114,3 +116,16 @@ def test_dropping_the_last_product_keeps_redundant_generators_passing(lemma, n, 
     span of the others.  So only kernel-special is in the golden file."""
     line = mutated(partial(run_lemma, lemma, n, d, 0, 7, trials=1), drop=_drop_last_product)
     assert json.loads(line)["verdict"] == "PASS"
+
+
+def test_xi_fail_reports_match_golden():
+    """xi-special and xi-generic with the first component block of every
+    section image zeroed, at (2, 6) and (2, 5) seed 0 with two trials and
+    (3, 8) seed 7 with one, reproduce the reports recorded when the images
+    were restricted BinaryForm by BinaryForm with the first form zeroed."""
+    lines = [mutated(partial(run_lemma, lemma, n, d, 0, seed, trials=trials),
+                     drop=lambda mp: None, _section_image=_zero_first_block)
+             for n, d, seed, trials in ((2, 6, 0, 2), (3, 8, 7, 1), (2, 5, 0, 2))
+             for lemma in ("xi-special", "xi-generic")]
+    assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+    assert lines == golden("xi_fail.jsonl")

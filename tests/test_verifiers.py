@@ -10,15 +10,16 @@ import fermatlines.verifiers as verifiers
 from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
-from fermatlines.exact import Matrix, Subspace, rank_sparse, sample_rational
+from fermatlines.exact import (Matrix, Subspace, first_outside_span, rank_sparse,
+                               sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape, eta,
-                                omega_basis, sample_b_through)
+                                omega_basis, random_deformation, sample_b_through)
 from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
                                restrict_poly, restrict_section)
 from fermatlines.poly import EulerSection, HomogPoly, all_monomials, gen_jd
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
-                                   _b_with_line_power, _nine_by_six,
+                                   _b_with_line_power, _nine_by_six, _section_image,
                                    random_generic_scheme, _special_scheme,
                                    _tangency_system, _two_by_two,
                                    _very_special_scheme,
@@ -117,6 +118,22 @@ def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
     assert rep.witness["trial"] == 0
     assert rep.witness["reason"] == "membership"
     assert rep.witness["rank_basis"] == 24
+
+
+def test_w_basis_fails_on_the_f_block_alone(monkeypatch):
+    """Without the x_0*F column the multiples of F have rank n+1 < n+2 in
+    the quotient while membership and the kernel count keep their values:
+    the F-block check alone makes w-basis FAIL."""
+    column = 4 * len(all_monomials(4, 2))
+    w_basis_rows = verifiers._w_basis_rows
+    monkeypatch.setattr(verifiers, "_w_basis_rows", lambda b, deg2: [
+        {j: c for j, c in row.items() if j != column} for row in w_basis_rows(b, deg2)])
+    rep = run_lemma("w-basis", 2, 6, 0, 0, trials=2)
+    assert rep.verdict == FAIL
+    assert rep.witness["trial"] == 0
+    assert rep.witness["reason"] == "dimension"
+    assert rep.witness["rank_basis"] == 24
+    assert rep.dims["kernel_total"] == rep.witness["kernel_total"] == 28
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +334,8 @@ def _drop_last_omega(b):
     return omega_basis(b)[:-1]
 
 
-def _zero_first_restricted(sec, line):
-    comps = restrict_section(sec, line)
-    return [BinaryForm.zero(comps[0].degree)] + comps[1:]
+def _zero_first_block(terms, line):
+    return [0, 0, 0] + _section_image(terms, line)[3:]
 
 
 def _member_without_line_power(shape, z, m, rng, attempts=20):
@@ -348,8 +364,8 @@ def _tangency(n, d, rng, trials):
 # lemma -> (verifiers attribute replaced, its mutant, verifier)
 MUTATIONS = {
     "w-basis": ("omega_basis", _drop_last_omega, verify_w_basis),
-    "xi-special": ("restrict_section", _zero_first_restricted, verify_xi_special),
-    "xi-generic": ("restrict_section", _zero_first_restricted, verify_xi_generic),
+    "xi-special": ("_section_image", _zero_first_block, verify_xi_special),
+    "xi-generic": ("_section_image", _zero_first_block, verify_xi_generic),
     "secant": ("_b_with_line_power", _member_without_line_power, verify_secant),
     "systems": ("_nine_by_six", _zero_first_system_column, _systems),
     "tangency": ("_tangency_system", _drop_first_tangency_row, _tangency),
@@ -369,10 +385,10 @@ def test_sampled_claim_fails_with_a_witness_when_broken(monkeypatch, lemma):
 
 
 def test_xi_special_names_an_unfilled_quotient(monkeypatch):
-    """With the first component of every restricted section zeroed, the
-    special image and the rescaling directions span only 7 of the 10
-    quotient dimensions at (2, 6)."""
-    monkeypatch.setattr(verifiers, "restrict_section", _zero_first_restricted)
+    """With the first component of every section image zeroed, the special
+    image and the rescaling directions span only 7 of the 10 quotient
+    dimensions at (2, 6)."""
+    monkeypatch.setattr(verifiers, "_section_image", _zero_first_block)
     rep = verify_xi_special(2, 6, rng_for("xi-special"), trials=2)
     assert rep.verdict == FAIL
     assert rep.witness["reason"] == "quotient not filled"
@@ -460,6 +476,81 @@ def test_xi_generic_at_fermat_is_informational_only():
     b0 = DeformationPoint.fermat(shape)
     vecs = [_restricted_vector(w, z.line) for w in omega_basis(b0)]
     assert 0 < Matrix(vecs).rank() <= 12
+
+
+def _pair(nv, i, j):
+    return tuple((k == i) + (k == j) for k in range(nv))
+
+
+def omega_basis_oracle(b):
+    """The w_ijk by EulerSection arithmetic: x_i x_j d/dx_k, minus for
+    i = j the correction sum_j' c_ij'k x_i x_j' d/dx_i."""
+    nv = b.shape.nvars
+    out = []
+    for i in range(nv):
+        for j in range(i, nv):
+            for k in range(nv):
+                if k == i or k == j:
+                    continue
+                sec = EulerSection.single(nv, k, HomogPoly.monomial(nv, _pair(nv, i, j)))
+                if i == j:
+                    correction = HomogPoly.zero(nv, 2)
+                    for jp in range(nv):
+                        if jp != i:
+                            correction = correction + HomogPoly.monomial(
+                                nv, _pair(nv, i, jp), family.c_coeff(b, i, jp, k))
+                    sec = sec - EulerSection.single(nv, i, correction)
+                out.append(sec)
+    return out
+
+
+def fraction_row(sec, line):
+    """A section's restriction to the line as reduced Fractions, one
+    BinaryForm per component."""
+    return [x for bf in restrict_section(sec, line) for x in bf.vector()]
+
+
+def outside_index(rows, vectors):
+    """Position of first_outside_span's answer among `vectors`, or None."""
+    got = first_outside_span(rows, vectors)
+    return next((i for i, v in enumerate(vectors) if v is got), None)
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 8), (2, 5)])
+def test_omega_basis_matches_section_arithmetic(n, d):
+    b = random_deformation(FamilyShape(n, d), rng_for("omega%d%d" % (n, d)))
+    assert omega_basis(b) == omega_basis_oracle(b)
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 8), (2, 5)])
+@pytest.mark.parametrize("maker", ["generic", "special", "very-special"])
+def test_section_images_decide_as_fraction_restrictions(n, d, maker):
+    """The integer section images of _omega_image and the BinaryForm
+    restrictions of the same sections have the same rank, alone and with
+    the listed and rescaling sections appended, and first_outside_span
+    gives the same answer on them."""
+    nv = n + 2
+    rng = rng_for("images-%s" % maker)
+    z = {"generic": random_generic_scheme, "very-special": _very_special_scheme,
+         "special": lambda n, rng: _special_scheme(n, rng)[0]}[maker](n, rng)
+    b, new = verifiers._omega_image(FamilyShape(n, d), z, rng)
+    sections = sorted(omega_basis_oracle(b),
+                      key=lambda w: sum(len(c.terms) for c in w.components))
+    assert omega_basis(b) == omega_basis_oracle(b)
+    old = [fraction_row(w, z.line) for w in sections]
+    x0, x1 = HomogPoly.variable(nv, 0), HomogPoly.variable(nv, 1)
+    extra = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
+    extra += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
+    extra += [verifiers._x_alpha(nv, i) for i in (0, 1)]
+    new_extra = [verifiers._restricted_vector(sec, z.line) for sec in extra]
+    old_extra = [fraction_row(sec, z.line) for sec in extra]
+    assert all(isinstance(x, int) for v in new + new_extra for x in v)
+    assert rank_sparse(new) == rank_sparse(old)
+    assert rank_sparse(new + new_extra) == rank_sparse(old + old_extra)
+    assert outside_index(new, new_extra) == outside_index(old, old_extra)
+    half = len(new) // 2
+    assert (outside_index(new[:half], new[half:] + new_extra)
+            == outside_index(old[:half], old[half:] + old_extra))
 
 
 # ---------------------------------------------------------------------------
