@@ -10,12 +10,12 @@ import fermatlines.verifiers as verifiers
 from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
-from fermatlines.exact import (Matrix, Subspace, first_outside_span, rank_sparse,
-                               sample_rational)
+from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
+                               rank_sparse, sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape, eta,
                                 omega_basis, random_deformation, sample_b_through)
-from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
-                               restrict_poly, restrict_section)
+from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, restrict_poly,
+                               restrict_section)
 from fermatlines.poly import EulerSection, HomogPoly, all_monomials, gen_jd
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
@@ -124,7 +124,8 @@ def test_w_basis_fails_on_the_f_block_alone(monkeypatch):
     """Without the x_0*F column the multiples of F have rank n+1 < n+2 in
     the quotient while membership and the kernel count keep their values:
     the F-block check alone makes w-basis FAIL."""
-    column = 4 * len(all_monomials(4, 2))
+    nv = 4
+    column = nv * len(all_monomials(nv, 2))
     w_basis_rows = verifiers._w_basis_rows
     monkeypatch.setattr(verifiers, "_w_basis_rows", lambda b, deg2: [
         {j: c for j, c in row.items() if j != column} for row in w_basis_rows(b, deg2)])
@@ -510,6 +511,17 @@ def fraction_row(sec, line):
     return [x for bf in restrict_section(sec, line) for x in bf.vector()]
 
 
+def is_scaled_image(new, old, z):
+    """Whether the integer row `new` is the Fraction row `old` times a
+    positive factor and, at entry 3*comp + k, Dp^(2-k) Dq^k, where p1 and p2
+    of z clear to P/Dp and Q/Dq (a zero row only as the image of zero)."""
+    dp = clear_denominators(z.p1.coords)[1]
+    dq = clear_denominators(z.p2.coords)[1]
+    scaled = [x * dp ** (2 - j % 3) * dq ** (j % 3) for j, x in enumerate(old)]
+    ratio = next((Fraction(a) / b for a, b in zip(new, scaled) if b), 1)
+    return ratio > 0 and all(a == ratio * b for a, b in zip(new, scaled))
+
+
 def outside_index(rows, vectors):
     """Position of first_outside_span's answer among `vectors`, or None."""
     got = first_outside_span(rows, vectors)
@@ -525,10 +537,11 @@ def test_omega_basis_matches_section_arithmetic(n, d):
 @pytest.mark.parametrize("n, d", [(2, 6), (3, 8), (2, 5)])
 @pytest.mark.parametrize("maker", ["generic", "special", "very-special"])
 def test_section_images_decide_as_fraction_restrictions(n, d, maker):
-    """The integer section images of _omega_image and the BinaryForm
-    restrictions of the same sections have the same rank, alone and with
-    the listed and rescaling sections appended, and first_outside_span
-    gives the same answer on them."""
+    """Each integer section image (of _omega_image, in its order, and of
+    _restricted_vector) is the BinaryForm restriction of the same section
+    scaled by the line's column factors and a positive row factor.  So the
+    two have the same rank, alone and with the listed and rescaling
+    sections appended, and first_outside_span gives the same answer."""
     nv = n + 2
     rng = rng_for("images-%s" % maker)
     z = {"generic": random_generic_scheme, "very-special": _very_special_scheme,
@@ -545,6 +558,7 @@ def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     new_extra = [verifiers._restricted_vector(sec, z.line) for sec in extra]
     old_extra = [fraction_row(sec, z.line) for sec in extra]
     assert all(isinstance(x, int) for v in new + new_extra for x in v)
+    assert all(is_scaled_image(u, v, z) for u, v in zip(new + new_extra, old + old_extra))
     assert rank_sparse(new) == rank_sparse(old)
     assert rank_sparse(new + new_extra) == rank_sparse(old + old_extra)
     assert outside_index(new, new_extra) == outside_index(old, old_extra)
