@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Scalars are fractions.Fraction (arbitrary precision, always reduced).  Every
-rank, echelon form and solve runs on one elimination: rows are cleared to
-integers and kept sparse, {column: int}, and each is reduced once as
-r = a*r - b*pivot against pivot rows keyed by their leftmost column and
-divided by the gcd of their entries (_reduce, _echelon).  Reduced echelon
-forms are finished with a rational back-substitution pass.
+A Matrix keeps the rows it is given, ints or Fractions (both carry
+.numerator and .denominator); reduced echelon forms, kernels and solutions
+come out as fractions.Fraction.  Every rank, echelon form and solve runs on
+one elimination: rows are cleared to integers and kept sparse,
+{column: int}, and each is reduced once as r = a*r - b*pivot against pivot
+rows keyed by their leftmost column and divided by the gcd of their entries
+(_reduce, _echelon).  Reduced echelon forms are finished with a rational
+back-substitution pass.
 
 Span relations are decided by rank: rank_sparse, first_outside_span, and
 kernel_span_dims for claims "span(gens) == ker(m)" on sparse generator rows
@@ -96,10 +98,11 @@ def _echelon(rows):
 
 
 class Matrix:
-    """Dense rational matrix (row major)."""
+    """Dense rational matrix (row major), its entries ints or Fractions as
+    given."""
 
     def __init__(self, rows, ncols: int | None = None):
-        self.data = [[frac(x) for x in row] for row in rows]
+        self.data = [list(row) for row in rows]
         self.nrows = len(self.data)
         if self.nrows:
             self.ncols = len(self.data[0])
@@ -169,7 +172,7 @@ class Matrix:
         """Some x with self·x = rhs, or None when inconsistent."""
         if len(rhs) != self.nrows:
             raise DimensionMismatch("rhs length %d != %d rows" % (len(rhs), self.nrows))
-        aug = Matrix([row + [frac(b)] for row, b in zip(self.data, rhs)],
+        aug = Matrix([row + [b] for row, b in zip(self.data, rhs)],
                      ncols=self.ncols + 1)
         rows, pivots = aug.rref()
         if self.ncols in pivots:
@@ -289,7 +292,7 @@ def random_solution(m: Matrix, rhs, rng: Rng, bound: int = 1000):
     rhs·D - sum v_j X_j, and only its few entries at later pivot columns
     as Fractions."""
     n = m.ncols
-    echelon = _echelon(_integer_row(row + [frac(b)])
+    echelon = _echelon(_integer_row(row + [b])
                        for row, b in zip(m.data, rhs))
     if n in echelon:
         return None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
                     random_solution, sample_rational)
-from .poly import (EulerSection, HomogPoly, MonomialSet, gen_jd,
+from .poly import (EulerSection, HomogPoly, gen_jd,
                    integer_monomial_values, jd_size_formula, mono_parse,
                    mono_str, order_key, sum_of_products)
 from .rng import Rng
@@ -37,10 +37,6 @@ class FamilyShape:
         if self.N != jd_size_formula(n, d):
             raise DimensionMismatch("index set has %d monomials, the formula %d"
                                     % (self.N, jd_size_formula(n, d)))
-
-    def monomials(self, degree: int) -> MonomialSet:
-        """The analogous index set at another degree (exponent cap degree-2)."""
-        return gen_jd(self.n, degree)
 
     def __repr__(self):
         return "FamilyShape(n=%d, d=%d, N=%d)" % (self.n, self.d, self.N)

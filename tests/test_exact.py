@@ -481,6 +481,45 @@ def test_random_solution_matches_the_rref_reference():
         assert mul_vec(m, got) == [Fraction(r) for r in rhs]
 
 
+def integer_systems(rng):
+    """Seeded random integer matrices: small ones, rank-deficient ones (the
+    last row a combination of the first two) and wide systems of 2-10 rows
+    over 30-60 columns, the shape of the member and line-power systems."""
+    for trial in range(60):
+        if trial % 3 == 2:
+            nr, nc, bound = rng.randint(2, 10), rng.randint(30, 60), 10 ** 6
+        else:
+            nr, nc, bound = rng.randint(1, 6), rng.randint(1, 8), 9
+        rows = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+        if trial % 3 == 1 and nr > 2:
+            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+        yield Matrix(rows, ncols=nc)
+
+
+def test_integer_rows_decide_as_their_fractions():
+    """A Matrix keeps integer rows as ints, and every result on them equals
+    the result on the same matrix given as Fractions; random_solution makes
+    the same draws."""
+    rng = Rng(61)
+    for trial, m in enumerate(integer_systems(rng)):
+        q = Matrix([[Fraction(x) for x in row] for row in m.data], ncols=m.ncols)
+        assert all(type(x) is int for row in m.data for x in row)
+        rhs = [rng.randint(-9, 9) for _ in range(m.nrows)]
+        qrhs = [Fraction(b) for b in rhs]
+        assert m.rank() == q.rank()
+        rows, pivots = m.rref()
+        assert (rows, pivots) == q.rref()
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert m.kernel_vectors() == q.kernel_vectors()
+        assert kernel_basis(m) == kernel_basis(q)
+        assert m.solve(rhs) == q.solve(qrhs)
+        gens = sparse(q.kernel_vectors()) + [{0: 1}]
+        assert kernel_span_dims(m, gens) == kernel_span_dims(q, gens)
+        rm, rq = Rng(trial), Rng(trial)
+        assert random_solution(m, rhs, rm) == random_solution(q, qrhs, rq)
+        assert rm.randint(0, 10 ** 9) == rq.randint(0, 10 ** 9)
+
+
 def test_fraction_formatting_round_trip():
     assert format_fraction(Fraction(3, 1)) == "3/1"
     assert format_fraction(Fraction(-5, 7)) == "-5/7"

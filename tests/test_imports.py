@@ -6,7 +6,8 @@ src/fermatlines/ except __init__.py (whose imports are the public
 re-exports) is parsed with ast, and a name it imports but never reads,
 in code or in a string annotation, fails the test.  An assert anywhere
 under src/fermatlines/ fails too: `python -O` strips asserts, so a
-correctness guard must raise an explicit error instead.
+correctness guard must raise an explicit error instead.  And verifiers.py
+imports none of the dense section helpers it no longer uses.
 """
 
 import ast
@@ -88,3 +89,12 @@ def test_the_check_sees_asserts():
               "    return asserted  # assert in a comment\n")
     assert assert_lines(source) == [2]
     assert assert_lines("class C:\n    def g(self):\n        assert self\n") == [3]
+
+
+def test_verifiers_import_no_dense_section_helpers():
+    """The verifiers build sections as sparse terms and rows as the numbers
+    they are made of: verifiers.py imports no EulerSection, Euler field,
+    rational monomial evaluation or EulerSection basis."""
+    with open(os.path.join(PACKAGE, "verifiers.py"), encoding="utf-8") as fh:
+        names = {name for name, _ in imported_names(ast.parse(fh.read()))}
+    assert names.isdisjoint({"EulerSection", "euler_alpha", "eval_monomials", "omega_basis"})

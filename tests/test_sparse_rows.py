@@ -51,7 +51,7 @@ def restriction_matrix_reference(monomials, line, nv):
 @pytest.mark.parametrize("n,d,trials", [(2, 6, 3), (3, 8, 1)])
 def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
     shape = FamilyShape(n, d)
-    nv, jd, jdm1 = n + 2, shape.jd, shape.monomials(d - 1)
+    nv, jd, jdm1 = n + 2, shape.jd, gen_jd(n, d - 1)
     rng = Rng(53).split("%d-%d" % (n, d))
     for trial in range(trials):
         sub = rng.split("trial%d" % trial)

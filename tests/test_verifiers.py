@@ -11,12 +11,13 @@ from fermatlines.cli import run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
 from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
-                               rank_sparse, sample_rational)
-from fermatlines.family import (DeformationPoint, FamilyShape, eta,
-                                omega_basis, random_deformation, sample_b_through)
+                               kernel_basis, rank_sparse, sample_rational)
+from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
+                                omega_terms, random_deformation, sample_b_through)
 from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, restrict_poly,
                                restrict_section)
-from fermatlines.poly import EulerSection, HomogPoly, all_monomials, gen_jd
+from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
+                              eval_monomials, gen_jd)
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    _b_with_line_power, _nine_by_six, _section_image,
@@ -101,11 +102,13 @@ def test_w_basis_row_membership_matches_eta(n, d):
     deg2 = all_monomials(nv, 2)
     jd1 = gen_jd(n, d + 1)
     rows = verifiers._w_basis_rows(b, deg2)
-    uncorrected = [EulerSection.single(nv, k, HomogPoly.monomial(
-                       nv, tuple(2 if j == i else 0 for j in range(nv))))
-                   for i in range(nv) for k in range(nv) if k != i]
-    for w, inside in [(w, True) for w in omega_basis(b)] + [(w, False) for w in uncorrected]:
-        assert verifiers._eta_in_span(rows, w.coeff_vector(deg2)) is inside
+    squares = [(k, tuple(2 if j == i else 0 for j in range(nv)))
+               for i in range(nv) for k in range(nv) if k != i]
+    cases = [(terms, w, True) for terms, w in zip(omega_terms(b), omega_basis(b))]
+    cases += [({(k, e): 1}, EulerSection.single(nv, k, HomogPoly.monomial(nv, e)), False)
+              for k, e in squares]
+    for terms, w, inside in cases:
+        assert verifiers._eta_in_span(rows, verifiers._terms_row(terms, deg2)) is inside
         assert eta(b, w).support_in(jd1) is inside
 
 
@@ -129,6 +132,22 @@ def test_w_basis_fails_on_the_f_block_alone(monkeypatch):
     w_basis_rows = verifiers._w_basis_rows
     monkeypatch.setattr(verifiers, "_w_basis_rows", lambda b, deg2: [
         {j: c for j, c in row.items() if j != column} for row in w_basis_rows(b, deg2)])
+    rep = run_lemma("w-basis", 2, 6, 0, 0, trials=2)
+    assert rep.verdict == FAIL
+    assert rep.witness["trial"] == 0
+    assert rep.witness["reason"] == "dimension"
+    assert rep.witness["rank_basis"] == 24
+    assert rep.dims["kernel_total"] == rep.witness["kernel_total"] == 28
+
+
+def test_w_basis_fails_on_the_euler_identity_alone(monkeypatch):
+    """With every partial of F doubled, sum_j x_j dF/dx_j is 2d*F, not d*F,
+    while membership, the basis rank, the F-block and the kernel count keep
+    their values (doubling the section block of every row keeps its kernel):
+    the Euler-identity check alone makes w-basis FAIL."""
+    partials = DeformationPoint.f_partials
+    monkeypatch.setattr(DeformationPoint, "f_partials",
+                        lambda b: tuple(p.scale(2) for p in partials(b)))
     rep = run_lemma("w-basis", 2, 6, 0, 0, trials=2)
     assert rep.verdict == FAIL
     assert rep.witness["trial"] == 0
@@ -178,7 +197,6 @@ def test_kernel_special_accepts_unnormalized_scheme():
 
 def test_containment_of_ideal_part_holds_even_for_special_schemes():
     from fermatlines.verifiers import _ideal_product_vectors, _xi_matrix_on
-    from fermatlines.exact import Subspace, kernel_basis
     from fermatlines.lines import iz_linear
     shape = FamilyShape(2, 6)
     for maker in (lambda r: _special_scheme(2, r)[0],
@@ -189,7 +207,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
         k1 = Subspace.from_vectors(
             len(shape.jd),
             dense(_ideal_product_vectors(iz_linear(z).basis_vectors(),
-                                         shape.monomials(5), shape.jd), len(shape.jd)))
+                                         gen_jd(2, 5), shape.jd), len(shape.jd)))
         assert all(k2.contains_vector(v) for v in k1.basis_vectors())
 
 
@@ -332,7 +350,7 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
 # the other sampled claims FAIL, with a witness, when their mathematics breaks
 
 def _drop_last_omega(b):
-    return omega_basis(b)[:-1]
+    return omega_terms(b)[:-1]
 
 
 def _zero_first_block(terms, line):
@@ -364,7 +382,7 @@ def _tangency(n, d, rng, trials):
 
 # lemma -> (verifiers attribute replaced, its mutant, verifier)
 MUTATIONS = {
-    "w-basis": ("omega_basis", _drop_last_omega, verify_w_basis),
+    "w-basis": ("omega_terms", _drop_last_omega, verify_w_basis),
     "xi-special": ("_section_image", _zero_first_block, verify_xi_special),
     "xi-generic": ("_section_image", _zero_first_block, verify_xi_generic),
     "secant": ("_b_with_line_power", _member_without_line_power, verify_secant),
@@ -449,6 +467,25 @@ def test_point_ideal_other_point():
     assert rep.verdict == PASS and rep.dims["codim"] == 1
 
 
+@pytest.mark.parametrize("coords", [[1, 1, 1, 1], "random"])
+def test_point_ideal_integer_row_has_the_rational_kernel(monkeypatch, coords):
+    """point-ideal's evaluation row holds ints, and it has the canonical
+    kernel basis of the rational values eval_monomials gives at p."""
+    if coords == "random":
+        rng = rng_for("pi-row")
+        coords = [sample_rational(rng, 9) or Fraction(1) for _ in range(4)]
+    p = ProjPoint(coords)
+    matrices = []
+    is_span = verifiers._kernel_is_span
+    monkeypatch.setattr(verifiers, "_kernel_is_span",
+                        lambda m, gens: matrices.append(m) or is_span(m, gens))
+    verify_point_ideal(2, 6, rng_for("pi-row"), p=p, trials=1)
+    evaluation = matrices[0]
+    assert all(type(x) is int for x in evaluation.data[0])
+    rational = Matrix([eval_monomials(gen_jd(2, 7), p.coords)])
+    assert kernel_basis(evaluation) == kernel_basis(rational)
+
+
 # ---------------------------------------------------------------------------
 # restricted images of the quadratic sections
 
@@ -471,11 +508,10 @@ def test_xi_generic_full_rank():
 def test_xi_generic_at_fermat_is_informational_only():
     # the claim excludes the Fermat point itself: just record that the
     # computation is well defined there
-    from fermatlines.verifiers import _restricted_vector
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("xf"))
     b0 = DeformationPoint.fermat(shape)
-    vecs = [_restricted_vector(w, z.line) for w in omega_basis(b0)]
+    vecs = [_section_image(terms, z.line) for terms in omega_terms(b0)]
     assert 0 < Matrix(vecs).rank() <= 12
 
 
@@ -503,6 +539,24 @@ def omega_basis_oracle(b):
                     sec = sec - EulerSection.single(nv, i, correction)
                 out.append(sec)
     return out
+
+
+def as_section(terms, nv):
+    """The EulerSection with sparse terms {(component, exponents): coefficient}."""
+    return EulerSection([HomogPoly(nv, 2, {e: c for (i, e), c in terms.items() if i == comp})
+                         for comp in range(nv)])
+
+
+def x_alpha_oracle(nv, i):
+    """x_i times the Euler field by EulerSection arithmetic."""
+    x = HomogPoly.variable(nv, i)
+    return EulerSection([c * x for c in euler_alpha(nv - 2).components])
+
+
+def by_terms(sections):
+    """The sections sorted by their number of terms, as _omega_image orders
+    the w_ijk."""
+    return sorted(sections, key=lambda w: sum(len(c.terms) for c in w.components))
 
 
 def fraction_row(sec, line):
@@ -538,24 +592,28 @@ def test_omega_basis_matches_section_arithmetic(n, d):
 @pytest.mark.parametrize("maker", ["generic", "special", "very-special"])
 def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     """Each integer section image (of _omega_image, in its order, and of
-    _restricted_vector) is the BinaryForm restriction of the same section
-    scaled by the line's column factors and a positive row factor.  So the
-    two have the same rank, alone and with the listed and rescaling
-    sections appended, and first_outside_span gives the same answer."""
+    _section_image on the listed and rescaling terms) is the BinaryForm
+    restriction of the same section scaled by the line's column factors and
+    a positive row factor.  So the two have the same rank, alone and with
+    the listed and rescaling sections appended, and first_outside_span gives
+    the same answer."""
     nv = n + 2
     rng = rng_for("images-%s" % maker)
     z = {"generic": random_generic_scheme, "very-special": _very_special_scheme,
          "special": lambda n, rng: _special_scheme(n, rng)[0]}[maker](n, rng)
     b, new = verifiers._omega_image(FamilyShape(n, d), z, rng)
-    sections = sorted(omega_basis_oracle(b),
-                      key=lambda w: sum(len(c.terms) for c in w.components))
+    sections = by_terms(omega_basis_oracle(b))
     assert omega_basis(b) == omega_basis_oracle(b)
     old = [fraction_row(w, z.line) for w in sections]
     x0, x1 = HomogPoly.variable(nv, 0), HomogPoly.variable(nv, 1)
     extra = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
     extra += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
-    extra += [verifiers._x_alpha(nv, i) for i in (0, 1)]
-    new_extra = [verifiers._restricted_vector(sec, z.line) for sec in extra]
+    extra += [x_alpha_oracle(nv, i) for i in (0, 1)]
+    extra_terms = [{(i, _pair(nv, 1, 1)): 1} for i in range(nv)]
+    extra_terms += [{(j, _pair(nv, 0, 1)): 1} for j in range(1, nv)]
+    extra_terms += [verifiers._x_alpha(nv, i) for i in (0, 1)]
+    assert [as_section(terms, nv) for terms in extra_terms] == extra
+    new_extra = [_section_image(terms, z.line) for terms in extra_terms]
     old_extra = [fraction_row(sec, z.line) for sec in extra]
     assert all(isinstance(x, int) for v in new + new_extra for x in v)
     assert all(is_scaled_image(u, v, z) for u, v in zip(new + new_extra, old + old_extra))
@@ -565,6 +623,44 @@ def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     half = len(new) // 2
     assert (outside_index(new[:half], new[half:] + new_extra)
             == outside_index(old[:half], old[half:] + old_extra))
+
+
+@pytest.mark.parametrize("nv", [3, 4, 5, 6])
+def test_x_alpha_terms_match_section_arithmetic(nv):
+    for i in range(nv):
+        assert as_section(verifiers._x_alpha(nv, i), nv) == x_alpha_oracle(nv, i)
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 8), (2, 5)])
+def test_xi_special_terms_match_section_arithmetic(monkeypatch, n, d):
+    """Every term dict xi-special hands to _section_image, in order, is the
+    EulerSection it replaces: the w_ijk of the special member, the listed
+    fields, x0 and x1 times the Euler field, the w_ijk of the very-special
+    member, and the 3n+2 explicit generators with their c_ijk corrections."""
+    nv = n + 2
+    seen, members = [], []
+    image, sample = _section_image, sample_b_through
+    monkeypatch.setattr(verifiers, "_section_image",
+                        lambda terms, line: seen.append(terms) or image(terms, line))
+    monkeypatch.setattr(verifiers, "sample_b_through",
+                        lambda *args: members.append(sample(*args)) or members[-1])
+    verify_xi_special(n, d, rng_for("xi-terms%d%d" % (n, d)), trials=1)
+    bs, bv = members
+
+    def single(k, poly):
+        return EulerSection.single(nv, k, poly)
+
+    x0, x1 = HomogPoly.variable(nv, 0), HomogPoly.variable(nv, 1)
+    listed = [single(i, x1 * x1) for i in range(nv)] + [single(j, x0 * x1) for j in range(1, nv)]
+    explicit = [single(k, x0 * x1) for k in range(2, nv)]
+    explicit += [single(k, x0 * x0) - single(0, (x0 * x1) * family.c_coeff(bv, 0, 1, k))
+                 for k in range(1, nv)]
+    explicit += [single(k, x1 * x1) - single(1, (x0 * x1) * family.c_coeff(bv, 1, 0, k))
+                 for k in range(nv) if k != 1]
+    want = (by_terms(omega_basis_oracle(bs)) + listed + [x_alpha_oracle(nv, i) for i in (0, 1)]
+            + by_terms(omega_basis_oracle(bv)) + explicit)
+    assert len(explicit) == 3 * n + 2
+    assert [as_section(terms, nv) for terms in seen] == want
 
 
 # ---------------------------------------------------------------------------
