@@ -34,6 +34,8 @@ EXIT_FAIL = 1
 EXIT_SOFT = 2
 EXIT_USAGE = 64
 
+CONFIG_KEYS = ("n", "d", "m", "seeds", "lemmas", "trials", "jobs", "json")
+
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
@@ -233,6 +235,11 @@ def _load_config(path: str) -> dict:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
+    unknown = [key for key in obj if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError("unknown config key%s %s (known: %s)"
+                         % ("s" * (len(unknown) > 1), ", ".join(map(repr, unknown)),
+                            ", ".join(CONFIG_KEYS)))
     return obj
 
 

@@ -227,7 +227,6 @@ class Subspace:
         # internal: echelon_rows are the RREF rows of the generator matrix
         self.ambient = ambient
         self._rows = echelon_rows
-        self._pivots = [next(j for j, x in enumerate(r) if x != 0) for r in echelon_rows]
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
@@ -246,16 +245,6 @@ class Subspace:
 
     def basis_vectors(self):
         return [list(r) for r in self._rows]
-
-    def contains_vector(self, v) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector length %d != ambient %d" % (len(v), self.ambient))
-        w = [frac(x) for x in v]
-        for row, c in zip(self._rows, self._pivots):
-            f = w[c]
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        return all(x == 0 for x in w)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient

@@ -17,9 +17,8 @@ from fractions import Fraction
 from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
                     random_solution, sample_rational)
-from .poly import (EulerSection, HomogPoly, gen_jd,
-                   integer_monomial_values, jd_size_formula, mono_parse,
-                   mono_str, order_key, sum_of_products)
+from .poly import (EulerSection, HomogPoly, gen_jd, integer_monomial_values,
+                   jd_size_formula, mono_str, order_key, sum_of_products)
 from .rng import Rng
 
 
@@ -59,13 +58,6 @@ class DeformationPoint:
         self._f = None
         self._partials = None
 
-    @classmethod
-    def fermat(cls, shape: FamilyShape) -> "DeformationPoint":
-        return cls(shape, {})
-
-    def is_fermat(self) -> bool:
-        return not self.t
-
     def f_poly(self) -> HomogPoly:
         """The defining polynomial of this family member."""
         if self._f is None:
@@ -90,13 +82,6 @@ class DeformationPoint:
             "d": self.shape.d,
             "t": {mono_str(m): format_fraction(self.t[m]) for m in keys},
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeformationPoint":
-        obj = json.loads(text)
-        shape = FamilyShape(obj["n"], obj["d"])
-        t = {mono_parse(k, shape.nvars): Fraction(v) for k, v in obj["t"].items()}
-        return cls(shape, t)
 
     def __repr__(self):
         return "DeformationPoint(n=%d, d=%d, %d nonzero coordinates)" % (

@@ -3,7 +3,8 @@
 A line through two distinct points p, q is parameterized by
 (s, t) -> s*p + t*q, so p sits at (1, 0) and q at (0, 1).  Restricting a
 degree-m form along the parameterization yields a binary form of degree m
-in (s, t), stored as the coefficient list of s^m, s^(m-1) t, ..., t^m.
+in (s, t), kept as its plain coefficient list: entry k multiplies
+s^(m-k) t^k.  monomial_index and distinct_root_count read such lists.
 
 Restriction runs on Python ints.  A Line clears p and q to integer points
 P / Dp and Q / Dq once and caches, per monomial, the integer coefficients
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, LineInHypersurface
 from .exact import (Matrix, Subspace, ZERO, clear_denominators, format_fraction,
-                    frac, kernel_basis)
+                    frac, kernel_basis, rank_sparse)
 from .poly import EulerSection, HomogPoly
 
 
@@ -62,93 +63,23 @@ class ProjPoint:
         return "ProjPoint(%s)" % ", ".join(str(x) for x in self.coords)
 
 
-class BinaryForm:
-    """Homogeneous binary form; coeffs[k] multiplies s^(m-k) t^k."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs):
-        cs = tuple(frac(x) for x in coeffs)
-        if len(cs) != degree + 1:
-            raise ValueError("need %d coefficients for degree %d" % (degree + 1, degree))
-        self.degree = degree
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, degree: int) -> "BinaryForm":
-        return cls(degree, [ZERO] * (degree + 1))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, BinaryForm) and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise DimensionMismatch("degrees differ")
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if self.degree != other.degree:
-            raise DimensionMismatch("degrees differ")
-        return BinaryForm(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c) -> "BinaryForm":
-        c = frac(c)
-        return BinaryForm(self.degree, [c * x for x in self.coeffs])
-
-    def __mul__(self, other):
-        out = [ZERO] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, out)
-
-    def t_partial_t(self) -> "BinaryForm":
-        """t * df/dt, the homogeneous form of y f'(y) on the affine chart s=1."""
-        return BinaryForm(self.degree, [k * c for k, c in enumerate(self.coeffs)])
-
-    def evaluate(self, s, t):
-        m = self.degree
-        total = ZERO
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += c * frac(s) ** (m - k) * frac(t) ** k
-        return total
-
-    def monomial_index(self):
-        """k if the form is c * s^(m-k) t^k with a single nonzero c, else None."""
-        nz = [k for k, c in enumerate(self.coeffs) if c != 0]
-        return nz[0] if len(nz) == 1 else None
-
-    def vector(self):
-        return list(self.coeffs)
-
-    def __repr__(self):
-        m = self.degree
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append("%s*s^%d*t^%d" % (c, m - k, k))
-        return "BinaryForm(%s)" % (" + ".join(parts) if parts else "0")
+def monomial_index(coeffs):
+    """k if the binary form with coefficient list `coeffs` is c * s^(m-k) t^k
+    with a single nonzero c, else None."""
+    nz = [k for k, c in enumerate(coeffs) if c]
+    return nz[0] if len(nz) == 1 else None
 
 
-def distinct_root_count(f: BinaryForm) -> int:
-    """Number of distinct projective roots of the binary form over the
-    algebraic closure, via gcd with the derivative (squarefree degree):
-    deg gcd(u, v) = deg u + deg v - rank of their Sylvester matrix."""
-    if f.is_zero():
+def distinct_root_count(coeffs) -> int:
+    """Number of distinct projective roots over the algebraic closure of the
+    binary form with coefficient list `coeffs` (entry k at s^(m-k) t^k), via
+    gcd with the derivative (squarefree degree): deg gcd(u, v) = deg u +
+    deg v - rank of their Sylvester matrix."""
+    nz = [k for k, c in enumerate(coeffs) if c]
+    if not nz:
         raise ValueError("zero form has no root divisor")
-    mult_t = next(k for k, c in enumerate(f.coeffs) if c != 0)
-    mult_s = f.degree - max(k for k, c in enumerate(f.coeffs) if c != 0)
-    core = list(f.coeffs[mult_t: f.degree - mult_s + 1])  # ascending in t
-    count = (1 if mult_s else 0) + (1 if mult_t else 0)
+    core = list(coeffs[nz[0]: nz[-1] + 1])  # ascending in t
+    count = int(nz[0] > 0) + int(nz[-1] < len(coeffs) - 1)
     deg = len(core) - 1
     if deg == 0:
         return count
@@ -198,16 +129,17 @@ class Line:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
 
 
-def _binary_form(line: Line, m: int, acc, den: int) -> BinaryForm:
-    """The degree-m binary form with coefficients acc[k] / (den Dp^(m-k) Dq^k):
-    integer sums over the line's cache back to reduced Fractions."""
+def _coefficients(line: Line, m: int, acc, den: int):
+    """The coefficient list acc[k] / (den Dp^(m-k) Dq^k) of a degree-m
+    restriction: integer sums over the line's cache back to reduced
+    Fractions."""
     dp, dq = line._p_den, line._q_den
-    return BinaryForm(m, [Fraction(a, den * dp ** (m - k) * dq ** k)
-                          for k, a in enumerate(acc)])
+    return [Fraction(a, den * dp ** (m - k) * dq ** k) for k, a in enumerate(acc)]
 
 
-def restrict_poly(poly: HomogPoly, line: Line) -> BinaryForm:
-    """Substitute x = s*p + t*q and expand exactly.
+def restrict_poly(poly: HomogPoly, line: Line):
+    """Substitute x = s*p + t*q and expand exactly; the coefficient list of
+    the degree-m binary form, entry k at s^(m-k) t^k.
 
     With p = P / Dp and q = Q / Dq, the coefficient of s^(m-k) t^k is
     sum_e c_e * (integer restriction of x^e)_k / (Dp^(m-k) Dq^k).
@@ -220,7 +152,7 @@ def restrict_poly(poly: HomogPoly, line: Line) -> BinaryForm:
     for exps, c in zip(poly.terms, nums):
         for k, v in enumerate(line.integer_restriction(exps)):
             acc[k] += c * v
-    return _binary_form(line, m, acc, den)
+    return _coefficients(line, m, acc, den)
 
 
 def restrict_partials(poly: HomogPoly, line: Line):
@@ -239,18 +171,18 @@ def restrict_partials(poly: HomogPoly, line: Line):
                 lower = exps[:i] + (e - 1,) + exps[i + 1:]
                 for k, v in enumerate(line.integer_restriction(lower)):
                     acc[k] += ce * v
-    return [_binary_form(line, m, acc, den) for acc in accs]
+    return [_coefficients(line, m, acc, den) for acc in accs]
 
 
 def restrict_section(sec: EulerSection, line: Line):
-    """Component-wise restriction of a section to the line: one binary form
-    per d/dx_i."""
+    """Component-wise restriction of a section to the line: one coefficient
+    list per d/dx_i."""
     return [restrict_poly(c, line) for c in sec.components]
 
 
-def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly) -> BinaryForm:
-    """Canonical representative of the restriction of `poly` modulo
-    (restriction of f_poly) * (lower-degree binary forms).
+def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly):
+    """Canonical representative, as a coefficient list, of the restriction
+    of `poly` modulo (restriction of f_poly) * (lower-degree binary forms).
 
     This is remainder-style division generalized to vanishing leading
     coefficients: the multiples of the restricted f span a subspace and the
@@ -261,22 +193,16 @@ def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly) -> BinaryForm
     if m < d:
         raise ValueError("degree %d below the modulus degree %d" % (m, d))
     xif = restrict_poly(f_poly, line)
-    if xif.is_zero():
+    if not any(xif):
         raise LineInHypersurface("the defining polynomial vanishes on the line")
-    target = restrict_poly(poly, line)
-    multiples = []
-    for j in range(m - d + 1):
-        shifted = [ZERO] * (m + 1)
-        for k, c in enumerate(xif.coeffs):
-            shifted[k + j] = c
-        multiples.append(shifted)
+    vec = restrict_poly(poly, line)
+    multiples = [[ZERO] * j + xif + [ZERO] * (m - d - j) for j in range(m - d + 1)]
     rows, pivots = Matrix(multiples).rref()
-    vec = list(target.coeffs)
     for row, c in zip(rows, pivots):
         fct = vec[c]
         if fct:
             vec = [a - fct * b for a, b in zip(vec, row)]
-    return BinaryForm(m, vec)
+    return vec
 
 
 class LengthTwoScheme:
@@ -325,18 +251,6 @@ class SchemeClass:
                 "vanishing": list(self.vanishing), "perm": list(self.perm)}
 
 
-def _pair_rank(cols) -> int:
-    """Rank of a set of 2-vectors."""
-    nonzero = [c for c in cols if c[0] != 0 or c[1] != 0]
-    if not nonzero:
-        return 0
-    u = nonzero[0]
-    for v in nonzero[1:]:
-        if u[0] * v[1] - u[1] * v[0] != 0:
-            return 2
-    return 1
-
-
 def classify(z: LengthTwoScheme) -> SchemeClass:
     """Decide generic / special / very-special and return the normalization.
 
@@ -346,10 +260,9 @@ def classify(z: LengthTwoScheme) -> SchemeClass:
     """
     nv = z.nvars
     n = nv - 2
-    cols = [(z.p1.coords[i], z.p2.coords[i]) for i in range(nv)]
-    vanishing = tuple(i for i, c in enumerate(cols) if c[0] == 0 and c[1] == 0)
-    drops = [i for i in range(nv)
-             if _pair_rank([c for j, c in enumerate(cols) if j != i]) < 2]
+    points = (z.p1.coords, z.p2.coords)
+    vanishing = tuple(i for i in range(nv) if not any(p[i] for p in points))
+    drops = [i for i in range(nv) if rank_sparse([p[:i] + p[i + 1:] for p in points]) < 2]
     if not drops:
         return SchemeClass("generic", None, vanishing, tuple(range(nv)))
     i0 = min(drops)

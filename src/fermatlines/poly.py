@@ -18,7 +18,6 @@ after normalizing away the torus and linear actions on the Fermat form.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
@@ -51,24 +50,6 @@ def mono_str(m) -> str:
         elif e > 1:
             parts.append("x%d^%d" % (i, e))
     return "*".join(parts) if parts else "1"
-
-
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
-def mono_parse(text: str, nvars: int):
-    exps = [0] * nvars
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        mt = _FACTOR_RE.match(factor)
-        if not mt:
-            raise ValueError("bad monomial factor %r" % factor)
-        i = int(mt.group(1))
-        if i >= nvars:
-            raise ValueError("variable x%d out of range for %d variables" % (i, nvars))
-        exps[i] += int(mt.group(2)) if mt.group(2) else 1
-    return tuple(exps)
 
 
 def _bounded_compositions(total, parts, cap):
@@ -231,9 +212,6 @@ class HomogPoly:
                 raise ValueError("monomial %s not in the index set" % mono_str(m))
             vec[pos] = c
         return vec
-
-    def support_in(self, mset: MonomialSet) -> bool:
-        return all(m in mset.index for m in self.terms)
 
     def text(self) -> str:
         """Canonical text form, e.g. 3/2*x0^4*x1*x2 (terms in canonical order)."""

@@ -28,8 +28,8 @@ from .exact import (Matrix, Subspace, ONE, ZERO, clear_denominators, first_outsi
 from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
-                    distinct_root_count, ip_linear, iz_linear, permute_point,
-                    restrict_partials, restrict_poly, scheme_json)
+                    distinct_root_count, ip_linear, iz_linear, monomial_index,
+                    permute_point, restrict_partials, restrict_poly, scheme_json)
 from .poly import HomogPoly, all_monomials, gen_jd, integer_monomial_values, mono_mul
 from .rng import Rng
 
@@ -37,6 +37,13 @@ PASS = "PASS"
 FAIL = "FAIL"
 INDETERMINATE = "INDETERMINATE"
 INFEASIBLE = "INFEASIBLE"
+
+# Draws of a generic scheme before the sampler gives up, random secants
+# tried for one with three or more intersection points, and solutions tried
+# for a member whose restriction has a nonzero s^(d-m) t^m coefficient.
+_GENERIC_ATTEMPTS = 60
+_SECANT_DRAWS = 40
+_LINE_POWER_ATTEMPTS = 20
 
 
 @dataclass
@@ -163,9 +170,9 @@ def _random_point(nvars: int, rng: Rng, bound: int = 9) -> ProjPoint:
             return ProjPoint(coords)
 
 
-def random_generic_scheme(n: int, rng: Rng, attempts: int = 60) -> LengthTwoScheme:
+def random_generic_scheme(n: int, rng: Rng) -> LengthTwoScheme:
     nv = n + 2
-    for _ in range(attempts):
+    for _ in range(_GENERIC_ATTEMPTS):
         p1 = _random_point(nv, rng)
         p2 = _random_point(nv, rng)
         if p1 == p2 or p1.is_coordinate_point() or p2.is_coordinate_point():
@@ -207,18 +214,12 @@ def _very_special_scheme(n: int, rng: Rng) -> LengthTwoScheme:
                            ProjPoint([Fraction(1), v] + zeros))
 
 
-def _pair_independent(z: LengthTwoScheme, i: int, j: int) -> bool:
-    a = (z.p1.coords[i], z.p2.coords[i])
-    b = (z.p1.coords[j], z.p2.coords[j])
-    return a[0] * b[1] - a[1] * b[0] != 0
-
-
 def _generic_scheme_three_independent(n: int, rng: Rng) -> LengthTwoScheme:
     """Generic scheme where x0, x1, x2 restrict pairwise independently."""
     for _ in range(60):
         z = random_generic_scheme(n, rng)
-        if (_pair_independent(z, 0, 1) and _pair_independent(z, 1, 2)
-                and _pair_independent(z, 0, 2)):
+        if all(rank_sparse([(p.coords[i], p.coords[j]) for p in (z.p1, z.p2)]) == 2
+               for i, j in ((0, 1), (1, 2), (0, 2))):
             return z
     raise NonGenericScheme("failed to sample the three-independent shape")
 
@@ -388,16 +389,13 @@ def _kernel_is_span(m: Matrix, gens):
     inside, kernel_dim, span_dim = kernel_span_dims(m, gens)
 
     def outside():
-        kernel = kernel_basis(m)
-        v = first_outside_span(gens, kernel.basis_vectors())
-        if v is not None:
-            return _vec_json(v)
-        span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
-                                               for g in gens])
-        for v in span.basis_vectors():
-            if not kernel.contains_vector(v):
-                return _vec_json(v)
-        return None
+        kernel = kernel_basis(m).basis_vectors()
+        v = first_outside_span(gens, kernel)
+        if v is None:
+            span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
+                                                   for g in gens])
+            v = first_outside_span(kernel, span.basis_vectors())
+        return None if v is None else _vec_json(v)
 
     return inside and span_dim == kernel_dim, kernel_dim, span_dim, outside
 
@@ -505,7 +503,7 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
                 q = _random_point(nv, sub)
             zt = LengthTwoScheme(p, q)
             iz = iz_linear(zt)
-            s = next(v for v in ip.basis_vectors() if not iz.contains_vector(v))
+            s = first_outside_span(iz.basis_vectors(), ip.basis_vectors())
             vectors = _ideal_product_vectors(iz.basis_vectors(), jd, jd1)
             vectors += _ideal_product_vectors([s], jd, jd1)
             split_ok, _, _, outside = _kernel_is_span(evaluation, vectors)
@@ -716,8 +714,7 @@ def _motion_columns(fpoly: HomogPoly, line: Line, coords):
     partials = restrict_partials(fpoly, line)
     cols = []
     for i in coords:
-        base = list(partials[i].coeffs)
-        cols += [base + [ZERO], [ZERO] + base]
+        cols += [partials[i] + [ZERO], [ZERO] + partials[i]]
     return cols
 
 
@@ -738,9 +735,9 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     fpoly = b.f_poly()
     xif = restrict_poly(fpoly, line)
     # z.line = Line(p1, p2): F(p1) and F(p2) are the s^d and t^d coefficients
-    if xif.coeffs[0] or xif.coeffs[d]:
+    if xif[0] or xif[d]:
         raise ValueError("the scheme does not lie on the family member")
-    if xif.is_zero():
+    if not any(xif):
         raise LineInHypersurface("the member contains the line")
 
     # evaluation map to the tangent spaces at the two points: a section
@@ -754,8 +751,9 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
 
     # ker etahat lies in ker rho iff rho's rows lie in etahat's row space
     cond_kernel = rank_both == rank_eta
-    cond_pair = rank_sparse([xif.coeffs, xif.t_partial_t().coeffs]) <= 1
-    idx = xif.monomial_index()
+    # xi_f against t * d(xi_f)/dt, the form of y f'(y) on the chart s = 1
+    cond_pair = rank_sparse([xif, [k * c for k, c in enumerate(xif)]]) <= 1
+    idx = monomial_index(xif)
     cond_monomial = idx is not None and 0 < idx < d
 
     agree = cond_kernel == cond_pair == cond_monomial
@@ -774,13 +772,13 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     if verdict == FAIL:
         witness = {"reason": "equivalent conditions disagree",
                    "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
-                   "xi_f": _vec_json(xif.coeffs)}
+                   "xi_f": _vec_json(xif)}
     return LemmaReport("secant", shape.n, d, seed, verdict, dims, witness,
                        _ms_since(t0), {})
 
 
 def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
-                       rng: Rng, attempts: int = 20) -> DeformationPoint:
+                       rng: Rng) -> DeformationPoint:
     """Family member through Z whose restriction to the line is a nonzero
     multiple of s^(d-m) t^m.
 
@@ -794,23 +792,21 @@ def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-sum(col[k] for col in fermat) for k in keep]
-    for a in range(attempts):
+    for a in range(_LINE_POWER_ATTEMPTS):
         sol = random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         if sol is None:
             raise InfeasibleSystem("line-power conditions are inconsistent")
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        xif = restrict_poly(b.f_poly(), z.line)
-        if xif.coeffs[m] != 0:
+        if restrict_poly(b.f_poly(), z.line)[m]:
             return b
     raise InfeasibleSystem("could not reach a nonzero top coefficient")
 
 
-def _random_secant_report(shape: FamilyShape, rng: Rng, seed: int,
-                          draws: int = 40) -> LemmaReport | None:
+def _random_secant_report(shape: FamilyShape, rng: Rng, seed: int) -> LemmaReport | None:
     """secant_obstruction on the first random generic scheme whose sampled
     member meets the line in at least three distinct points, or None when
-    `draws` schemes give no such line."""
-    for _ in range(draws):
+    _SECANT_DRAWS schemes give no such line."""
+    for _ in range(_SECANT_DRAWS):
         z = random_generic_scheme(shape.n, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
         try:
@@ -832,8 +828,8 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         for sub in run:
             rep_r = _random_secant_report(shape, sub, rng.origin_seed)
             if rep_r is None:
-                raise _Stop("no secant with >= 3 intersection points found in 40 draws",
-                            {"trials": trials})
+                raise _Stop("no secant with >= 3 intersection points found in %d draws"
+                            % _SECANT_DRAWS, {"trials": trials})
             zc = random_generic_scheme(n, sub)
             bc = _b_with_line_power(shape, zc, m, sub)
             rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed)
@@ -892,7 +888,7 @@ def tangency_deformation_dim(fpoly: HomogPoly, line: Line, m: int,
     d = fpoly.degree
     nv = fpoly.nvars
     xif = restrict_poly(fpoly, line)
-    idx = xif.monomial_index()
+    idx = monomial_index(xif)
     if idx is None or idx != m or not 0 < m < d:
         raise NotInTangencyStratum(
             "restriction is not a nonzero multiple of s^(d-m) t^m")

@@ -1,15 +1,43 @@
-"""Test helper: parse the canonical text form of HomogPoly.text().
+"""Test helper: parse the text forms the package writes, HomogPoly.text(),
+mono_str and DeformationPoint.to_json.
 
-Only tests build polynomials from text, so the parser lives here.
+Only tests read these forms back, so the parsers live here.
 """
 
+import json
 import re
 from fractions import Fraction
 
-from fermatlines.poly import HomogPoly, mono_degree, mono_parse
+from fermatlines.family import DeformationPoint, FamilyShape
+from fermatlines.poly import HomogPoly, mono_degree
 
 _TERM_SPLIT_RE = re.compile(r"(?=[+-])")
 _COEFF_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+
+
+def mono_parse(text: str, nvars: int):
+    """The exponent tuple of a monomial in the form of mono_str."""
+    exps = [0] * nvars
+    if text == "1":
+        return tuple(exps)
+    for factor in text.split("*"):
+        mt = _FACTOR_RE.match(factor)
+        if not mt:
+            raise ValueError("bad monomial factor %r" % factor)
+        i = int(mt.group(1))
+        if i >= nvars:
+            raise ValueError("variable x%d out of range for %d variables" % (i, nvars))
+        exps[i] += int(mt.group(2)) if mt.group(2) else 1
+    return tuple(exps)
+
+
+def deformation_from_json(text: str) -> DeformationPoint:
+    """The DeformationPoint that DeformationPoint.to_json wrote as `text`."""
+    obj = json.loads(text)
+    shape = FamilyShape(obj["n"], obj["d"])
+    return DeformationPoint(shape, {mono_parse(k, shape.nvars): Fraction(v)
+                                    for k, v in obj["t"].items()})
 
 
 def parse_poly(text: str, nvars: int, degree: int | None = None) -> HomogPoly:

@@ -106,6 +106,24 @@ def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, cfg,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cfg,message", [
+    ({"seed": [3]}, "unknown config key 'seed'"),
+    ({"trails": 1, "lemma": ["secant"]}, "unknown config keys 'trails', 'lemma'"),
+    ({"lemmas": ["incidence"], "m ": 3}, "unknown config key 'm '"),
+])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, monkeypatch, cfg, message):
+    """A misspelt key is named in the error, and nothing runs: a config
+    with "seed" does not quietly run seed 0."""
+    monkeypatch.setattr(cli, "run_lemma", None)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["all", "--config", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot read config: %s (known: %s)\n" % (
+        message, ", ".join(cli.CONFIG_KEYS))
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("target", ["dir", "missing/x.jsonl"])
 def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, monkeypatch, target):
     """The path is opened before any lemma runs, so nothing is computed."""

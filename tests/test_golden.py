@@ -122,7 +122,8 @@ def test_xi_fail_reports_match_golden():
     """xi-special and xi-generic with the first component block of every
     section image zeroed, at (2, 6) and (2, 5) seed 0 with two trials and
     (3, 8) seed 7 with one, reproduce the reports recorded when the images
-    were restricted BinaryForm by BinaryForm with the first form zeroed."""
+    were restricted one binary form per component with the first form
+    zeroed."""
     lines = [mutated(partial(run_lemma, lemma, n, d, 0, seed, trials=trials),
                      drop=lambda mp: None, _section_image=_zero_first_block)
              for n, d, seed, trials in ((2, 6, 0, 2), (3, 8, 7, 1), (2, 5, 0, 2))

@@ -7,7 +7,10 @@ re-exports) is parsed with ast, and a name it imports but never reads,
 in code or in a string annotation, fails the test.  An assert anywhere
 under src/fermatlines/ fails too: `python -O` strips asserts, so a
 correctness guard must raise an explicit error instead.  And verifiers.py
-imports none of the dense section helpers it no longer uses.
+imports none of the dense section helpers it no longer uses, and no
+package module defines a name that now lives only in the tests' oracles
+(tests/oracles.py, tests/polytext.py) or was folded into exact's
+elimination.
 """
 
 import ast
@@ -98,3 +101,43 @@ def test_verifiers_import_no_dense_section_helpers():
     with open(os.path.join(PACKAGE, "verifiers.py"), encoding="utf-8") as fh:
         names = {name for name, _ in imported_names(ast.parse(fh.read()))}
     assert names.isdisjoint({"EulerSection", "euler_alpha", "eval_monomials", "omega_basis"})
+
+
+# Restrictions are coefficient lists, span tests go through exact's
+# elimination, and the parsers and dense references are test helpers.
+MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
+             "mono_parse", "from_json", "fermat", "is_fermat", "support_in"}
+
+
+def defined_names(source):
+    """(name, line) of each function, method and class that source defines,
+    at any depth, and of each name assigned at module or class level, in
+    line order.  Local variables are not definitions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    found += [(leaf.id, stmt.lineno) for target in targets
+                              for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+    return sorted(found, key=lambda item: item[1])
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_module_defines_no_moved_out_name(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        source = fh.read()
+    assert [(name, line) for name, line in defined_names(source) if name in MOVED_OUT] == []
+
+
+def test_the_check_sees_planted_definitions():
+    source = ("class BinaryForm:\n    def is_fermat(self):\n        return True\n"
+              "def fermat_form(x):\n    support_in = x\n    return support_in\n"
+              "_pair_rank: int = 2\n"
+              "class Subspace:\n    contains_vector = None\n")
+    assert [(name, line) for name, line in defined_names(source)
+            if name in MOVED_OUT] == [("BinaryForm", 1), ("is_fermat", 2),
+                                      ("_pair_rank", 7), ("contains_vector", 9)]

@@ -82,9 +82,7 @@ def assert_same_fractions(got, want):
 
 
 def check_restriction(poly, line):
-    got = restrict_poly(poly, line)
-    assert got.degree == poly.degree
-    assert_same_fractions(got.coeffs, restrict_poly_reference(poly, line))
+    assert_same_fractions(restrict_poly(poly, line), restrict_poly_reference(poly, line))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +141,7 @@ def test_restrict_zero_polynomial():
     line = Line(ProjPoint([1, Fraction(-2, 3), 5]), ProjPoint([Fraction(1, 4), 1, 0]))
     for degree in range(5):
         form = restrict_poly(HomogPoly.zero(3, degree), line)
-        assert form.degree == degree and form.is_zero()
-        assert_same_fractions(form.coeffs, [ZERO] * (degree + 1))
+        assert_same_fractions(form, [ZERO] * (degree + 1))
 
 
 def test_restrict_large_coefficient_lcm():
@@ -170,7 +167,7 @@ def test_restrict_paper_size_member_and_partials():
     for g in b.f_partials():
         check_restriction(g, line)
     check_partials(f, line)
-    assert restrict_poly(f, line).coeffs[0] == 0 == restrict_poly(f, line).coeffs[-1]
+    assert restrict_poly(f, line)[0] == 0 == restrict_poly(f, line)[-1]
 
 
 def test_restrict_checks_the_variable_count():
@@ -184,9 +181,7 @@ def check_partials(poly, line):
     got = restrict_partials(poly, line)
     assert len(got) == poly.nvars
     for i, form in enumerate(got):
-        want = restrict_poly(poly.partial(i), line)
-        assert form.degree == want.degree
-        assert_same_fractions(form.coeffs, want.coeffs)
+        assert_same_fractions(form, restrict_poly(poly.partial(i), line))
 
 
 @given(lines_and_polys())
@@ -207,11 +202,10 @@ def test_restrict_partials_with_an_absent_variable_and_degree_one():
             poly = HomogPoly(4, degree,
                              {m[:2] + (0,) + m[2:]: c for m, c in sub.terms.items()})
             check_partials(poly, line)
-            assert restrict_partials(poly, line)[2].is_zero()
+            assert not any(restrict_partials(poly, line)[2])
     linear = HomogPoly(4, 1, {(1, 0, 0, 0): Fraction(-5, 3), (0, 0, 0, 1): Fraction(7, 2)})
-    forms = restrict_partials(linear, line)
-    assert [f.coeffs for f in forms] == [(Fraction(-5, 3),), (ZERO,), (ZERO,),
-                                         (Fraction(7, 2),)]
+    assert restrict_partials(linear, line) == [[Fraction(-5, 3)], [ZERO], [ZERO],
+                                               [Fraction(7, 2)]]
     with pytest.raises(DimensionMismatch):
         restrict_partials(HomogPoly.variable(5, 0), line)
 
@@ -337,7 +331,7 @@ def test_eta_matches_reference_on_mixed_sections():
     for _ in range(4):
         sec = EulerSection([random_poly(nv, 2, rng, nterms=4) for _ in range(nv)])
         assert eta(b, sec) == eta_reference(b, sec)
-    fermat = DeformationPoint.fermat(shape)
+    fermat = DeformationPoint(shape)
     sec = EulerSection.single(nv, 1, HomogPoly.monomial(nv, (1, 1, 0, 0)))
     assert eta(fermat, sec) == eta_reference(fermat, sec)
 

@@ -1,4 +1,5 @@
-"""Restriction to lines, scheme classification, binary forms."""
+"""Restriction to lines as coefficient lists, scheme classification,
+binary-form roots."""
 
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import pytest
 from fermatlines.errors import LineInHypersurface
 from fermatlines.exact import Matrix, sample_rational
 from fermatlines.family import DeformationPoint, FamilyShape, omega_basis
-from fermatlines.lines import (BinaryForm, LengthTwoScheme, Line, ProjPoint,
-                               classify, distinct_root_count, ip_linear,
-                               iz_linear, permute_point, restrict_mod_f,
+from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, classify,
+                               distinct_root_count, ip_linear, iz_linear,
+                               monomial_index, permute_point, restrict_mod_f,
                                restrict_poly, restrict_section)
 from fermatlines.poly import EulerSection, HomogPoly, euler_alpha
 from fermatlines.rng import Rng
+from tests.oracles import contains_vector, form_add, form_evaluate, form_mul, form_sub
 from tests.polytext import parse_poly
 from tests.test_poly import random_poly
 
@@ -91,25 +93,25 @@ def test_classify_normalization_permutation_nontrivial():
 def test_restrict_linear_forms():
     line = Line(pt(1, 0, 0), pt(0, 1, 0))
     x0 = HomogPoly.variable(3, 0)
-    assert restrict_poly(x0, line) == BinaryForm(1, [1, 0])   # s
+    assert restrict_poly(x0, line) == [1, 0]   # s
     x2 = HomogPoly.variable(3, 2)
-    assert restrict_poly(x2, line).is_zero()
+    assert restrict_poly(x2, line) == [0, 0]
 
 
 def test_restrict_monomial_by_hand():
     line = Line(pt(1, 0, 0), pt(0, 1, 1))
     p = HomogPoly.monomial(3, (1, 1, 1))
     # x0 -> s, x1 -> t, x2 -> t: product s*t^2
-    assert restrict_poly(p, line) == BinaryForm(3, [0, 0, 1, 0])
+    assert restrict_poly(p, line) == [0, 0, 1, 0]
 
 
 def test_restrict_fermat_value_at_first_point():
     shape = FamilyShape(2, 6)
-    f = DeformationPoint.fermat(shape).f_poly()
+    f = DeformationPoint(shape).f_poly()
     line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
     xif = restrict_poly(f, line)
-    assert xif.evaluate(1, 0) == 4 == f.evaluate([1, 1, 1, 1])
-    assert xif.evaluate(0, 1) == 4 == f.evaluate([1, -1, 1, -1])
+    assert form_evaluate(xif, 1, 0) == 4 == f.evaluate([1, 1, 1, 1])
+    assert form_evaluate(xif, 0, 1) == 4 == f.evaluate([1, -1, 1, -1])
 
 
 def test_restriction_is_ring_homomorphism():
@@ -118,9 +120,11 @@ def test_restriction_is_ring_homomorphism():
     for _ in range(8):
         p = random_poly(3, 3, rng)
         q = random_poly(3, 2, rng)
-        assert restrict_poly(p * q, line) == restrict_poly(p, line) * restrict_poly(q, line)
+        assert restrict_poly(p * q, line) == form_mul(restrict_poly(p, line),
+                                                      restrict_poly(q, line))
         p2 = random_poly(3, 3, rng)
-        assert restrict_poly(p + p2, line) == restrict_poly(p, line) + restrict_poly(p2, line)
+        assert restrict_poly(p + p2, line) == form_add(restrict_poly(p, line),
+                                                       restrict_poly(p2, line))
 
 
 def test_restrict_section_euler_field():
@@ -132,13 +136,13 @@ def test_restrict_section_euler_field():
             continue
         line = Line(a, bpt)
         comps = restrict_section(euler_alpha(2), line)
-        assert len(comps) == 4
-        assert not all(c.is_zero() for c in comps)
+        assert len(comps) == 4 and all(len(c) == 2 for c in comps)
+        assert any(any(c) for c in comps)
 
 
 def test_restrict_section_monomial_field_on_coordinate_line():
     shape = FamilyShape(2, 6)
-    b = DeformationPoint.fermat(shape)
+    b = DeformationPoint(shape)
     line = Line(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
     # the section x0 x1 d/dx2 is at index of (i,j,k) = (0,1,2)
     target = None
@@ -148,8 +152,8 @@ def test_restrict_section_monomial_field_on_coordinate_line():
             target = sec
             break
     comps = restrict_section(target, line)
-    assert comps[2] == BinaryForm(2, [0, 1, 0])     # restriction of x0*x1
-    assert all(comps[i].is_zero() for i in (0, 1, 3))
+    assert comps[2] == [0, 1, 0]     # restriction of x0*x1
+    assert all(comps[i] == [0, 0, 0] for i in (0, 1, 3))
 
 
 def test_restrict_section_matches_componentwise():
@@ -163,15 +167,15 @@ def test_restrict_section_matches_componentwise():
 
 def test_restrict_mod_f_multiple_of_f_is_zero():
     shape = FamilyShape(2, 6)
-    f = DeformationPoint.fermat(shape).f_poly()
+    f = DeformationPoint(shape).f_poly()
     line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
     p = f * HomogPoly.variable(4, 0)
-    assert restrict_mod_f(p, line, f).is_zero()
+    assert restrict_mod_f(p, line, f) == [0] * 8
 
 
 def test_restrict_mod_f_additive_shift():
     shape = FamilyShape(2, 6)
-    f = DeformationPoint.fermat(shape).f_poly()
+    f = DeformationPoint(shape).f_poly()
     line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
     extra = HomogPoly.monomial(4, (6, 0, 0, 0))       # restricts to s^6
     cls_f_plus = restrict_mod_f(f + extra, line, f)
@@ -189,16 +193,16 @@ def test_restrict_mod_f_division_reconstruction():
     for _ in range(5):
         p = random_poly(4, 7, rng)
         rem = restrict_mod_f(p, line, f)
-        diff = restrict_poly(p, line) - rem
+        diff = form_sub(restrict_poly(p, line), rem)
         # difference must be xi(f) times a linear binary form
         rows = []
         for j in (0, 1):
             shifted = [Fraction(0)] * 8
-            for k, c in enumerate(xif.coeffs):
+            for k, c in enumerate(xif):
                 shifted[k + j] = c
             rows.append(shifted)
         assert Matrix(rows).ncols == 8
-        sol = Matrix([[rows[0][k], rows[1][k]] for k in range(8)]).solve(diff.vector())
+        sol = Matrix([[rows[0][k], rows[1][k]] for k in range(8)]).solve(diff)
         assert sol is not None
 
 
@@ -222,8 +226,8 @@ def test_iz_linear_dimensions_and_vanishing():
 def test_iz_linear_very_special_contains_coordinates():
     z = scheme((1, 1, 0, 0), (1, -1, 0, 0))
     iz = iz_linear(z)
-    assert iz.contains_vector([0, 0, 1, 0])
-    assert iz.contains_vector([0, 0, 0, 1])
+    assert contains_vector(iz, [0, 0, 1, 0])
+    assert contains_vector(iz, [0, 0, 0, 1])
 
 
 def test_ip_linear_dimension():
@@ -233,19 +237,32 @@ def test_ip_linear_dimension():
 
 def test_distinct_root_count():
     # s^3 t^3: two projective roots
-    assert distinct_root_count(BinaryForm(6, [0, 0, 0, 1, 0, 0, 0])) == 2
+    assert distinct_root_count([0, 0, 0, 1, 0, 0, 0]) == 2
     # (s + t)^2 * s: roots at s=0 and s=-t
-    f = BinaryForm(1, [1, 1]) * BinaryForm(1, [1, 1]) * BinaryForm(1, [1, 0])
+    f = form_mul(form_mul([1, 1], [1, 1]), [1, 0])
     assert distinct_root_count(f) == 2
     # s*t*(s - t)*(s + 2t): four distinct roots
-    g = (BinaryForm(1, [1, 0]) * BinaryForm(1, [0, 1])
-         * BinaryForm(1, [1, -1]) * BinaryForm(1, [1, 2]))
+    g = form_mul(form_mul([1, 0], [0, 1]), form_mul([1, -1], [1, 2]))
     assert distinct_root_count(g) == 4
     # a constant-free full-degree squarefree form
-    h = BinaryForm(2, [1, 0, -1])   # s^2 - t^2
+    h = [1, 0, -1]   # s^2 - t^2
     assert distinct_root_count(h) == 2
     with pytest.raises(ValueError):
-        distinct_root_count(BinaryForm.zero(3))
+        distinct_root_count([Fraction(0)] * 4)
+
+
+def test_distinct_root_count_on_plain_int_lists():
+    """Plain int lists count as the same forms in Fractions; the all-zero
+    list, of any length, has no root divisor."""
+    cases = {(7,): 0, (0, 3): 1, (2, 0): 1, (1, 1): 1, (0, 1, 0): 2,
+             (1, 2, 1): 1, (1, 0, 1): 2, (0, 0, 5, 0): 2, (1, -3, 3, -1): 1,
+             (0, 1, -1, 0): 3, (2, 0, 0, 0, -2): 4}
+    for ints, count in cases.items():
+        assert distinct_root_count(list(ints)) == count
+        assert distinct_root_count([Fraction(x) for x in ints]) == count
+    for length in (1, 2, 5):
+        with pytest.raises(ValueError):
+            distinct_root_count([0] * length)
 
 
 def gcd_degree_reference(u, v) -> int:
@@ -269,10 +286,10 @@ def gcd_degree_reference(u, v) -> int:
     return len(a) - 1 if a else -1
 
 
-def distinct_root_count_reference(f: BinaryForm) -> int:
-    nz = [k for k, c in enumerate(f.coeffs) if c != 0]
-    core = list(f.coeffs[nz[0]: nz[-1] + 1])
-    count = int(nz[0] > 0) + int(nz[-1] < f.degree)
+def distinct_root_count_reference(f) -> int:
+    nz = [k for k, c in enumerate(f) if c != 0]
+    core = list(f[nz[0]: nz[-1] + 1])
+    count = int(nz[0] > 0) + int(nz[-1] < len(f) - 1)
     deriv = [k * c for k, c in enumerate(core)][1:]
     return count + len(core) - 1 - gcd_degree_reference(core, deriv)
 
@@ -288,24 +305,24 @@ def test_distinct_root_count_matches_euclid_on_products_of_linear_forms():
             a, b = sample_rational(rng, 6), sample_rational(rng, 6)
             if (a or b) and all(a * d - b * c for c, d in roots):
                 roots.append((a, b))
-        f = BinaryForm(0, [sample_rational(rng, 9) or 1])
+        f = [sample_rational(rng, 9) or 1]
         for a, b in roots:
             for _ in range(rng.randint(1, 3)):
-                f = f * BinaryForm(1, [a, b])
+                f = form_mul(f, [a, b])
         assert distinct_root_count(f) == len(roots) == distinct_root_count_reference(f)
-        dense = BinaryForm(trial % 8 + 1, [sample_rational(rng, 3)
-                                           for _ in range(trial % 8 + 2)])
-        if not dense.is_zero():
+        dense = [sample_rational(rng, 3) for _ in range(trial % 8 + 2)]
+        if any(dense):
             assert distinct_root_count(dense) == distinct_root_count_reference(dense)
 
 
-def test_binary_form_t_partial_t():
-    f = BinaryForm(4, [5, 0, 3, 0, -2])
-    g = f.t_partial_t()
-    assert g.coeffs == (0, 0, 6, 0, -8)
-
-
-def test_binary_form_monomial_index():
-    assert BinaryForm(6, [0, 0, 0, 7, 0, 0, 0]).monomial_index() == 3
-    assert BinaryForm(2, [1, 0, 1]).monomial_index() is None
-    assert BinaryForm(2, [0, 0, 0]).monomial_index() is None
+def test_monomial_index():
+    """The single nonzero position of a coefficient list, else None: a form
+    with two or more nonzero coefficients is not a monomial."""
+    assert monomial_index([0, 0, 0, 7, 0, 0, 0]) == 3
+    assert monomial_index([Fraction(-2, 3), 0, 0]) == 0
+    assert monomial_index([0, 0, Fraction(1, 5)]) == 2
+    assert monomial_index([4]) == 0
+    assert monomial_index([1, 0, 1]) is None
+    assert monomial_index([0, 2, Fraction(-1, 2), 0]) is None
+    assert monomial_index([0, 0, 0]) is None
+    assert monomial_index([0]) is None

@@ -9,10 +9,9 @@ import pytest
 
 from fermatlines.exact import sample_rational
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
-                              euler_alpha, gen_jd, jd_size_formula,
-                              mono_parse, mono_str)
+                              euler_alpha, gen_jd, jd_size_formula, mono_str)
 from fermatlines.rng import Rng
-from tests.polytext import parse_poly
+from tests.polytext import mono_parse, parse_poly
 
 
 def enumerate_jd_oracle(n, d):

@@ -44,7 +44,7 @@ def special_extras_reference(jd, d, cmap, nv):
 
 def restriction_matrix_reference(monomials, line, nv):
     """Columns: the rational restriction of each monomial to the line."""
-    return Matrix.from_columns(restrict_poly(HomogPoly.monomial(nv, m), line).vector()
+    return Matrix.from_columns(restrict_poly(HomogPoly.monomial(nv, m), line)
                                for m in monomials)
 
 

@@ -14,8 +14,8 @@ from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outsi
                                kernel_basis, rank_sparse, sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
                                 omega_terms, random_deformation, sample_b_through)
-from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, restrict_poly,
-                               restrict_section)
+from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, distinct_root_count,
+                               monomial_index, restrict_poly, restrict_section)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
                               eval_monomials, gen_jd)
 from fermatlines.rng import Rng
@@ -33,6 +33,7 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_w_basis, verify_xi_generic,
                                    verify_xi_special)
 from test_exact import kernel_basis_oracle
+from tests.oracles import contains_vector, form_add, form_mul, support_in
 
 
 def rng_for(label, seed=7):
@@ -109,7 +110,7 @@ def test_w_basis_row_membership_matches_eta(n, d):
               for k, e in squares]
     for terms, w, inside in cases:
         assert verifiers._eta_in_span(rows, verifiers._terms_row(terms, deg2)) is inside
-        assert eta(b, w).support_in(jd1) is inside
+        assert support_in(eta(b, w), jd1) is inside
 
 
 def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
@@ -208,7 +209,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
             len(shape.jd),
             dense(_ideal_product_vectors(iz_linear(z).basis_vectors(),
                                          gen_jd(2, 5), shape.jd), len(shape.jd)))
-        assert all(k2.contains_vector(v) for v in k1.basis_vectors())
+        assert all(contains_vector(k2, v) for v in k1.basis_vectors())
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
     assert sum(v) == 0
     jd1 = gen_jd(2, 7)
     gens = dense(verifiers._ideal_product_vectors(forms, gen_jd(2, 6), jd1), len(jd1))
-    assert not Subspace.from_vectors(len(jd1), gens).contains_vector(v)
+    assert not contains_vector(Subspace.from_vectors(len(jd1), gens), v)
 
 
 def test_certification_agrees_with_sympy_over_qq(monkeypatch):
@@ -510,7 +511,7 @@ def test_xi_generic_at_fermat_is_informational_only():
     # computation is well defined there
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("xf"))
-    b0 = DeformationPoint.fermat(shape)
+    b0 = DeformationPoint(shape)
     vecs = [_section_image(terms, z.line) for terms in omega_terms(b0)]
     assert 0 < Matrix(vecs).rank() <= 12
 
@@ -561,8 +562,8 @@ def by_terms(sections):
 
 def fraction_row(sec, line):
     """A section's restriction to the line as reduced Fractions, one
-    BinaryForm per component."""
-    return [x for bf in restrict_section(sec, line) for x in bf.vector()]
+    coefficient list per component, concatenated."""
+    return [x for coeffs in restrict_section(sec, line) for x in coeffs]
 
 
 def is_scaled_image(new, old, z):
@@ -592,7 +593,7 @@ def test_omega_basis_matches_section_arithmetic(n, d):
 @pytest.mark.parametrize("maker", ["generic", "special", "very-special"])
 def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     """Each integer section image (of _omega_image, in its order, and of
-    _section_image on the listed and rescaling terms) is the BinaryForm
+    _section_image on the listed and rescaling terms) is the Fraction
     restriction of the same section scaled by the line's column factors and
     a positive row factor.  So the two have the same rank, alone and with
     the listed and rescaling sections appended, and first_outside_span gives
@@ -728,10 +729,8 @@ def test_secant_random_configuration_not_well_defined():
         z = random_generic_scheme(2, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
         xif = restrict_poly(b.f_poly(), z.line)
-        if not xif.is_zero():
-            from fermatlines.lines import distinct_root_count
-            if distinct_root_count(xif) >= 3:
-                break
+        if any(xif) and distinct_root_count(xif) >= 3:
+            break
     rep = secant_obstruction(b, z)
     assert rep.verdict == PASS          # the three conditions agree: all false
     assert rep.dims["well_defined"] == 0
@@ -751,9 +750,9 @@ def test_secant_requires_scheme_on_member():
     """Off the member at p1, at p2, or at both, the computation refuses."""
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("off"))
-    fermat = DeformationPoint.fermat(shape).f_poly()
+    fermat = DeformationPoint(shape).f_poly()
     assert fermat.evaluate(z.p1.coords) != 0 and fermat.evaluate(z.p2.coords) != 0
-    members = [DeformationPoint.fermat(shape),
+    members = [DeformationPoint(shape),
                sample_b_through(shape, [z.p1], rng_for("p1 only")),
                sample_b_through(shape, [z.p2], rng_for("p2 only"))]
     for b, on in zip(members, [(False, False), (True, False), (False, True)]):
@@ -767,16 +766,15 @@ def b_with_line_power_reference(shape, z, m, rng, attempts=20):
     """Oracle: the line-power system built from rational restrictions of the
     deformation monomials and of the Fermat part."""
     nv, d = shape.nvars, shape.d
-    restricted = [restrict_poly(HomogPoly.monomial(nv, f), z.line).coeffs
-                  for f in shape.jd]
-    fermat = restrict_poly(DeformationPoint.fermat(shape).f_poly(), z.line).coeffs
+    restricted = [restrict_poly(HomogPoly.monomial(nv, f), z.line) for f in shape.jd]
+    fermat = restrict_poly(DeformationPoint(shape).f_poly(), z.line)
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
     for a in range(attempts):
         sol = exact.random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        if restrict_poly(b.f_poly(), z.line).coeffs[m]:
+        if restrict_poly(b.f_poly(), z.line)[m]:
             return b
     raise AssertionError("no member with a nonzero top coefficient")
 
@@ -790,8 +788,20 @@ def test_line_power_member_matches_the_rational_system(n, d):
         got = _b_with_line_power(shape, z, d // 2, rng_for("member", seed))
         want = b_with_line_power_reference(shape, z, d // 2, rng_for("member", seed))
         assert got.t == want.t
-        xif = restrict_poly(got.f_poly(), z.line)
-        assert xif.monomial_index() == d // 2
+        assert monomial_index(restrict_poly(got.f_poly(), z.line)) == d // 2
+
+
+def test_secant_without_a_three_point_secant_is_indeterminate(monkeypatch):
+    """When no random secant meets the member in three points, the lemma
+    stops after 40 draws as INDETERMINATE, with the reason naming them."""
+    counts = []
+    monkeypatch.setattr(verifiers, "distinct_root_count", lambda xif: counts.append(1) or 2)
+    rep = verify_secant(2, 6, rng_for("no three"), trials=2)
+    assert rep.verdict == INDETERMINATE
+    assert rep.witness == {"reason": "no secant with >= 3 intersection points found "
+                                     "in 40 draws"}
+    assert rep.params == {"trials": 2}
+    assert len(counts) == 40
 
 
 def test_secant_wrapper():
@@ -819,7 +829,7 @@ def secant_dims_reference(b, z):
     total = Subspace.from_vectors(2 * nv, ker_rho.basis_vectors() + ker_eta.basis_vectors())
     return {"ker_rho": ker_rho.dim, "ker_etahat": ker_eta.dim,
             "overlap": ker_rho.dim + ker_eta.dim - total.dim,
-            "well_defined": int(all(ker_rho.contains_vector(v)
+            "well_defined": int(all(contains_vector(ker_rho, v)
                                     for v in ker_eta.basis_vectors()))}
 
 
@@ -927,15 +937,12 @@ def test_tangency_witness_is_a_genuine_deformation():
     vec = [Fraction(x) for x in rep.witness["moving_deformation"]]
     normals = rep.witness["normal_coordinates"]
     # delta f = sum_i v_i * restriction of dF/dx_i, v_i = vec[2i]*s + vec[2i+1]*t
-    from fermatlines.lines import BinaryForm
-    delta = BinaryForm.zero(d)
+    delta = [Fraction(0)] * (d + 1)
     for pos, i in enumerate(normals):
         base = restrict_poly(f.partial(i), line)
-        s_mult = BinaryForm(1, [vec[2 * pos], 0])
-        t_mult = BinaryForm(1, [0, vec[2 * pos + 1]])
-        delta = delta + (s_mult + t_mult) * base
+        delta = form_add(delta, form_mul([vec[2 * pos], vec[2 * pos + 1]], base))
     allowed = {m - 1, m, m + 1}
-    assert all(c == 0 for k, c in enumerate(delta.coeffs) if k not in allowed)
+    assert all(c == 0 for k, c in enumerate(delta) if k not in allowed)
 
 
 def test_tangency_swap_multiplicities_same_dimension():
@@ -951,7 +958,7 @@ def test_tangency_precondition():
     with pytest.raises(NotInTangencyStratum):
         tangency_deformation_dim(f, line, 2)   # wrong multiplicity
     shape = FamilyShape(2, 6)
-    g = DeformationPoint.fermat(shape).f_poly()
+    g = DeformationPoint(shape).f_poly()
     with pytest.raises(NotInTangencyStratum):
         tangency_deformation_dim(g, line, 3)   # restriction is not a monomial
 
