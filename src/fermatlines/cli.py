@@ -13,6 +13,7 @@ INFEASIBLE or INDETERMINATE, 64 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -162,23 +163,26 @@ def run(config: RunConfig, out=None) -> int:
     reports = []
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0, INFEASIBLE: 0}
     try:
-        for rep in _reports(items, config.jobs):
-            reports.append(rep)
-            counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+        with fh or contextlib.nullcontext():
+            for rep in _reports(items, config.jobs):
+                reports.append(rep)
+                counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+                if fh:
+                    fh.write(rep.to_json() + "\n")
+                    fh.flush()
             if fh:
-                fh.write(rep.to_json() + "\n")
-                fh.flush()
-        if fh:
-            fh.write(json.dumps({"summary": {
-                "runs": len(reports),
-                "pass": counts[PASS],
-                "fail": counts[FAIL],
-                "indeterminate": counts[INDETERMINATE],
-                "infeasible": counts[INFEASIBLE],
-            }}) + "\n")
-    finally:
-        if fh:
-            fh.close()
+                fh.write(json.dumps({"summary": {
+                    "runs": len(reports),
+                    "pass": counts[PASS],
+                    "fail": counts[FAIL],
+                    "indeterminate": counts[INDETERMINATE],
+                    "infeasible": counts[INFEASIBLE],
+                }}) + "\n")
+    except OSError as exc:
+        if not fh:      # no report file, so not a write error
+            raise
+        sys.stderr.write("error: cannot write reports: %s\n" % exc)
+        return EXIT_USAGE
 
     # The table is written last: its column widths need every row.
     header = ("lemma", "n", "d", "seed", "verdict", "dims", "ms")

@@ -13,9 +13,10 @@ Span relations are decided by rank: rank_sparse, first_outside_span, and
 kernel_span_dims for claims "span(gens) == ker(m)" on sparse generator rows
 {column: value} (the inclusion m·g == 0, the rank of m and the rank of the
 generators are all exact, so the claim holds iff the inclusion holds and the
-two dimensions agree).  Subspace is canonical, in reduced column echelon
-form so equality is a plain entry-wise comparison; it serves witness
-vectors and the tests' reference computations.
+two dimensions agree; given the inclusion, span_dim <= kernel_dim and the
+generators' elimination stops at rank kernel_dim).  Subspace is canonical,
+in reduced column echelon form so equality is a plain entry-wise
+comparison; it serves witness vectors and the tests' reference computations.
 """
 
 from __future__ import annotations
@@ -84,12 +85,15 @@ def _reduce(r, echelon):
     return None
 
 
-def _echelon(rows):
+def _echelon(rows, stop=None):
     """Echelon form {leftmost column: primitive integer row} of the span of
     the integer rows {column: int}: each row is reduced once, in place, and
-    what is left, divided by the gcd of its entries, is a new pivot row."""
+    what is left, divided by the gcd of its entries, is a new pivot row;
+    no row is read once there are `stop` pivot rows."""
     echelon = {}
     for r in rows:
+        if len(echelon) == stop:
+            break
         c = _reduce(r, echelon)
         if c is not None:
             g = gcd(*r.values())
@@ -201,18 +205,23 @@ def first_outside_span(rows, vectors):
 
 def kernel_span_dims(m: Matrix, gens):
     """(inside, kernel_dim, span_dim), all exact, for sparse generator rows
-    {column: value}: inside is m·g == 0 for every g and kernel_dim is
-    ncols - rank(m), both on m's rows cleared to integers once, and span_dim
-    is rank(gens)."""
+    {column: value}, on m's rows and the generators cleared to integers once:
+    inside is m·g == 0 for every g, kernel_dim is ncols - rank(m) and
+    span_dim is rank(gens).  The generators are eliminated by leftmost
+    column, the first row of each column (a new pivot row) first; when inside
+    holds, span(gens) ⊆ ker(m) and the elimination stops at rank kernel_dim."""
+    if any(not 0 <= j < m.ncols for g in gens for j in g):
+        raise DimensionMismatch("generator column outside %d columns" % m.ncols)
     rows = [clear_denominators(row)[0] for row in m.data]
-    inside = True
-    for g in gens:
-        if any(not 0 <= j < m.ncols for j in g):
-            raise DimensionMismatch("generator column outside %d columns" % m.ncols)
-        if inside:
-            nums, _ = clear_denominators(g.values())
-            inside = not any(sum(row[j] * x for j, x in zip(g, nums)) for row in rows)
-    return inside, m.ncols - len(_echelon(map(_integer_row, rows))), rank_sparse(gens)
+    columns = [[row[j] for row in rows] for j in range(m.ncols)]    # m·g is a sum of these
+    cleared = [_integer_row(g) for g in gens]
+    inside = all(not any(map(sum, zip(*[[v * x for x in columns[j]]
+                                        for j, v in r.items()]))) for r in cleared)
+    kernel_dim = m.ncols - len(_echelon(map(_integer_row, rows)))
+    firsts, rest = [], []
+    for r in sorted(filter(None, cleared), key=min):
+        (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)
+    return inside, kernel_dim, len(_echelon(firsts + rest, kernel_dim if inside else None))
 
 
 class Subspace:

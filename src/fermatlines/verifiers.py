@@ -478,7 +478,10 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
     """Vanishing at one non-coordinate point cuts the degree-(d+1)
     deformation span down to (linear forms at p) * (deformation span), of
     codimension exactly one; the same space splits through any two-point
-    scheme supported at p plus one extra linear form."""
+    scheme supported at p plus one extra linear form s.  The split span
+    depends only on span(I_Z(1) + s), inside I_p(1) (l*g is linear in l):
+    when those forms have rank n+1 it is the point span, whose decision and
+    witness are reused."""
     with _Trials("point-ideal", n, d, rng, trials) as run:
         nv = n + 2
         if p is None:
@@ -502,11 +505,13 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             while q == p or q.is_coordinate_point():
                 q = _random_point(nv, sub)
             zt = LengthTwoScheme(p, q)
-            iz = iz_linear(zt)
-            s = first_outside_span(iz.basis_vectors(), ip.basis_vectors())
-            vectors = _ideal_product_vectors(iz.basis_vectors(), jd, jd1)
-            vectors += _ideal_product_vectors([s], jd, jd1)
-            split_ok, _, _, outside = _kernel_is_span(evaluation, vectors)
+            forms = iz_linear(zt).basis_vectors()
+            forms.append(first_outside_span(forms, ip.basis_vectors()))
+            if rank_sparse(forms) == ip.dim:
+                split_ok, outside = equal, point_outside
+            else:
+                split_ok, _, _, outside = _kernel_is_span(
+                    evaluation, _ideal_product_vectors(forms, jd, jd1))
             run.record(ok_point and split_ok, run.dims,
                        lambda: {"reason": "split part" if ok_point else "point part",
                                 "vector": (outside if ok_point else point_outside)()})
@@ -829,7 +834,7 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             rep_r = _random_secant_report(shape, sub, rng.origin_seed)
             if rep_r is None:
                 raise _Stop("no secant with >= 3 intersection points found in %d draws"
-                            % _SECANT_DRAWS, {"trials": trials})
+                            % _SECANT_DRAWS, {"trials": trials, "m": m})
             zc = random_generic_scheme(n, sub)
             bc = _b_with_line_power(shape, zc, m, sub)
             rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed)

@@ -138,6 +138,30 @@ def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, monkeypatch, ta
     assert captured.err.count("\n") == 1 and str(path) in captured.err
 
 
+class _FullFile(io.StringIO):
+    """A report file on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "patched open"])
+def test_report_write_error_is_a_usage_error(capsys, monkeypatch, target):
+    """A report file that fails on write gives the open failure's message
+    and exit code, not a traceback."""
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    if target == "patched open":
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullFile(),
+                            raising=False)
+    code = main(["secant", "--n", "1", "--d", "4", "--trials", "1", "--json", target])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write reports: ")
+    assert captured.err.count("\n") == 1 and "No space left on device" in captured.err
+
+
 def test_defaults_d_and_m():
     config = RunConfig(n=2)
     d, m = config.resolve()

@@ -330,6 +330,50 @@ def test_certify_kernel_span_matches_exact_kernel():
             assert kernel_span_dims(m, sparse(gens[1:])) == (True, nullity, nullity - 1)
 
 
+def test_kernel_span_stop_gives_the_full_rank():
+    """Inside the kernel, the ordered elimination that stops at kernel_dim
+    gives the same span_dim as a full rank, whether or not the generators
+    fill the kernel, with repeated leftmost columns, multiples and empty
+    rows among them."""
+    rng = Rng(52)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 8), bound=5)
+        kernel = m.kernel_vectors()
+        gens = sparse(kernel)
+        combos = sparse([[2 * x - y for x, y in zip(a, b)] for a, b in zip(kernel, kernel[1:])])
+        pool = gens + combos + [{j: 3 * x for j, x in g.items()} for g in gens] + [{}]
+        for _ in range(4):
+            chosen = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 6))]
+            want = (True, m.ncols - m.rank(), rank_sparse(chosen))
+            assert kernel_span_dims(m, chosen) == want
+
+
+def test_kernel_span_outside_the_kernel_gives_the_full_rank():
+    """When a generator leaves the kernel there is no stop: span_dim is the
+    full rank, also when it exceeds kernel_dim."""
+    rng = Rng(53)
+    above = 0
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
+        gens = sparse(m.kernel_vectors()) + sparse(random_matrix(rng, 2, m.ncols).data)
+        inside, kernel_dim, span_dim = kernel_span_dims(m, gens)
+        assert (kernel_dim, span_dim) == (m.ncols - m.rank(), rank_sparse(gens))
+        assert inside == all(not any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))
+                             for g in gens)
+        above += span_dim > kernel_dim
+    assert above
+
+
+def test_kernel_span_accepts_empty_generator_rows():
+    m = Matrix([[1, -1, 0]])
+    assert kernel_span_dims(m, [{}, {0: 1, 1: 1}, {2: 0}, {}, {2: 4}]) == (True, 2, 2)
+    assert kernel_span_dims(m, [{}, {0: 1}]) == (False, 2, 1)
+    assert kernel_span_dims(m, [{}]) == (True, 2, 0)
+    assert kernel_span_dims(m, []) == (True, 2, 0)
+    # a matrix without rows has every generator inside
+    assert kernel_span_dims(Matrix([], ncols=3), [{0: 1}, {}, {1: 2}]) == (True, 3, 2)
+
+
 def test_subspace_equality_invariant_under_basis_change():
     rng = Rng(45)
     for _ in range(20):

@@ -327,6 +327,106 @@ def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
     assert not contains_vector(Subspace.from_vectors(len(jd1), gens), v)
 
 
+def _recording_ranks(monkeypatch):
+    """Route the verifiers' rank_sparse calls through a recorder; returns
+    the list of (rows, rank) calls."""
+    calls = []
+
+    def record(rows):
+        rows = list(rows)
+        calls.append((rows, rank_sparse(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verifiers, "rank_sparse", record)
+    return calls
+
+
+def test_point_ideal_split_part_reuses_the_point_decision(monkeypatch):
+    """I_Z(1) and the extra form s span I_p(1) in every trial, so the split
+    span is the point span and only the point part is eliminated."""
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    ranks = _recording_ranks(monkeypatch)
+    assert verify_point_ideal(2, 6, rng_for("pi"), trials=3).verdict == PASS
+    assert len(calls) == 1
+    assert [(len(rows), rank) for rows, rank in ranks] == [(3, 3)] * 3
+
+
+def test_point_ideal_split_part_without_a_form_of_iz_fails(monkeypatch):
+    """With one form of I_Z(1) dropped, the n forms left and s span less
+    than I_p(1): the split part is decided on its own and FAILs, with a
+    witness in ker(evaluation) outside the split span."""
+    iz = verifiers.iz_linear
+    monkeypatch.setattr(verifiers, "iz_linear",
+                        lambda z: Subspace.from_vectors(4, iz(z).basis_vectors()[1:]))
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    rep = verify_point_ideal(2, 6, rng_for("pi"), trials=2)
+    assert rep.verdict == FAIL and rep.witness["reason"] == "split part"
+    assert rep.witness["trial"] == 0 and len(calls) == 3
+    v = [Fraction(x) for x in rep.witness["vector"]]
+    assert any(v) and sum(v) == 0    # every monomial is 1 at p = (1, 1, 1, 1)
+    ncols = len(gen_jd(2, 7))
+    split = calls[1][1]
+    assert not contains_vector(Subspace.from_vectors(ncols, dense(split, ncols)), v)
+
+
+def _shifted(mono, i):
+    return mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+
+
+def cut_space_dim(n, d):
+    """Oracle for the point span at p = (1, ..., 1): it is spanned by the
+    rows (x_i - x_0)*g = e_{x_i g} - e_{x_0 g}, g in J_d, the edges of a
+    graph on J_{d+1}, so its dimension is |J_{d+1}| minus the number of
+    components of that graph, counted here by union-find."""
+    jd1 = gen_jd(n, d + 1)
+    parent = list(range(len(jd1)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    components = len(jd1)
+    for g in gen_jd(n, d):
+        root = find(jd1.index[_shifted(g, 0)])
+        for i in range(1, n + 2):
+            other = find(jd1.index[_shifted(g, i)])
+            if other != root:
+                parent[other] = root
+                components -= 1
+    return len(jd1) - components
+
+
+@pytest.mark.parametrize("n, d, dim", [(2, 6, 103), (3, 8, 689), (4, 10, 4331)])
+def test_point_ideal_dims_match_the_cut_space(n, d, dim):
+    assert cut_space_dim(n, d) == dim
+    rep = verify_point_ideal(n, d, rng_for("pi-cut"), trials=1)
+    assert rep.verdict == PASS
+    assert rep.dims == {"lhs": dim, "rhs": dim, "codim": 1}
+
+
+def test_kernel_generic_stops_before_its_last_generator(monkeypatch):
+    """At (3, 8) the generator rows fill the kernel early: once their rank
+    reaches kernel_dim the elimination reads no further rows."""
+    calls = _recording(monkeypatch, "kernel_span_dims")
+    fed = []
+    echelon = exact._echelon
+
+    def counting(rows, stop=None):
+        rows, read = list(rows), []
+        result = echelon((read.append(r) or r for r in rows), stop)
+        fed.append((len(rows), len(read)))
+        return result
+
+    monkeypatch.setattr(exact, "_echelon", counting)
+    assert verify_kernel_generic(3, 8, rng_for("kg-stop"), trials=1).verdict == PASS
+    [(m, gens, (inside, kernel_dim, span_dim))] = calls
+    assert inside and span_dim == kernel_dim
+    [read] = [read for built, read in fed if built == len(gens)]
+    assert kernel_dim <= read < len(gens)
+
+
 def test_certification_agrees_with_sympy_over_qq(monkeypatch):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
@@ -336,15 +436,23 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
         return DomainMatrix(qq, (len(qq), ncols), sympy.QQ).rank()
 
     calls = _recording(monkeypatch, "kernel_span_dims")
+    ranks = _recording_ranks(monkeypatch)
     for run in KERNEL_CLAIMS.values():
         run()
-    assert len(calls) >= 6
+    # two trials each of kernel-generic and kernel-special, and the point
+    # part of point-ideal, whose split part reuses it
+    assert len(calls) >= 5
     for m, gens, result in calls:
         rank_m = rank_qq(m.data, m.ncols)
         rank_gens = rank_qq(dense(gens, m.ncols), m.ncols)
         assert rank_sparse([dict(enumerate(row)) for row in m.data]) == rank_m
         assert rank_sparse(gens) == rank_gens
         assert result == (True, m.ncols - rank_m, rank_gens)
+    # the rank of I_Z(1) and s that lets point-ideal's split part reuse it
+    split_forms = [(rows, rank) for rows, rank in ranks if len(rows) == 3 == rank]
+    assert len(split_forms) >= 2
+    for rows, rank in ranks:
+        assert rank_qq(rows, len(rows[0])) == rank
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +908,7 @@ def test_secant_without_a_three_point_secant_is_indeterminate(monkeypatch):
     assert rep.verdict == INDETERMINATE
     assert rep.witness == {"reason": "no secant with >= 3 intersection points found "
                                      "in 40 draws"}
-    assert rep.params == {"trials": 2}
+    assert rep.params == {"trials": 2, "m": 3}
     assert len(counts) == 40
 
 
