@@ -17,7 +17,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .rng import Rng
 from .verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS, LemmaReport,
@@ -46,16 +45,15 @@ def _is_list_of(x, ok) -> bool:
     return isinstance(x, (list, tuple)) and all(map(ok, x))
 
 
-@dataclass
 class RunConfig:
-    n: int = 2
-    d: int | None = None          # defaults to 2n+2
-    m: int | None = None          # defaults to d // 2
-    seeds: list = field(default_factory=lambda: [0])
-    lemmas: list = field(default_factory=lambda: list(REGISTRY))
-    trials: int = 5
-    jobs: int = 1
-    output_path: str | None = None
+    """One run's settings, stored as given; resolve() validates them.  d
+    defaults to 2n+2 and m to d // 2."""
+
+    def __init__(self, n: int = 2, d: int | None = None, m: int | None = None,
+                 seeds=(0,), lemmas=REGISTRY, trials: int = 5, jobs: int = 1,
+                 output_path: str | None = None):
+        self.n, self.d, self.m, self.seeds, self.lemmas = n, d, m, seeds, lemmas
+        self.trials, self.jobs, self.output_path = trials, jobs, output_path
 
     def resolve(self):
         for name in ("n", "d", "m", "trials", "jobs"):

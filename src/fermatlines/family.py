@@ -7,6 +7,11 @@ normal-bundle contraction eta (a tangent field pairs with dF), the
 correction coefficients c_ijk, the distinguished quadratic sections w_ijk
 whose eta-image stays inside the deformation span, the induced alternating
 maps, and random members through prescribed points.
+
+A member keeps t as Fractions (for its JSON and the c_ijk) and F as integer
+terms: t is cleared once over den, the lcm of its denominators, and f_poly
+and f_partials give den * F and den * dF/dx_i as {exponents: int}, each
+computed once per member; eta alone, for the tests, builds the rational F.
 """
 
 from __future__ import annotations
@@ -58,21 +63,30 @@ class DeformationPoint:
         self._f = None
         self._partials = None
 
-    def f_poly(self) -> HomogPoly:
-        """The defining polynomial of this family member."""
+    def f_poly(self):
+        """den * F as integer terms {exponents: int}, den the lcm of the
+        denominators of t: one clearing per member."""
         if self._f is None:
             nv, d = self.shape.nvars, self.shape.d
-            terms = {tuple(d if j == i else 0 for j in range(nv)): Fraction(1)
-                     for i in range(nv)}
-            for m, v in self.t.items():
-                terms[m] = terms.get(m, ZERO) + v
-            self._f = HomogPoly(nv, d, terms)
+            nums, self._den = clear_denominators(self.t.values())
+            self._f = {tuple(d if j == i else 0 for j in range(nv)): self._den
+                       for i in range(nv)}
+            self._f.update(zip(self.t, nums))   # t lives on exponents <= d-2
         return self._f
 
+    @property
+    def den(self) -> int:
+        self.f_poly()
+        return self._den
+
     def f_partials(self):
+        """den * dF/dx_i as integer terms, for each variable i."""
         if self._partials is None:
-            f = self.f_poly()
-            self._partials = tuple(f.partial(i) for i in range(self.shape.nvars))
+            self._partials = tuple({} for _ in range(self.shape.nvars))
+            for m, c in self.f_poly().items():
+                for i, e in enumerate(m):
+                    if e:
+                        self._partials[i][m[:i] + (e - 1,) + m[i + 1:]] = c * e
         return self._partials
 
     def to_json(self) -> str:
@@ -92,11 +106,12 @@ def eta(b: DeformationPoint, section: EulerSection) -> HomogPoly:
     """Contraction with the normal direction of the family at b: the i-th
     component of the section pairs with dF/dx_i, landing in degree
     m + d - 1 for a section of degree m."""
-    nv = b.shape.nvars
+    nv, d = b.shape.nvars, b.shape.d
     if section.nvars != nv:
         raise DimensionMismatch("section has %d variables, family has %d"
                                 % (section.nvars, nv))
-    pairs = [(comp, partial) for comp, partial in zip(section.components, b.f_partials())
+    f = HomogPoly(nv, d, {m: Fraction(c, b.den) for m, c in b.f_poly().items()})
+    pairs = [(comp, f.partial(i)) for i, comp in enumerate(section.components)
              if not comp.is_zero()]
     return sum_of_products(nv, section.degree + b.shape.d - 1, pairs)
 

@@ -8,12 +8,13 @@ s^(m-k) t^k.  monomial_index and distinct_root_count read such lists.
 
 Restriction runs on Python ints.  A Line clears p and q to integer points
 P / Dp and Q / Dq once and caches, per monomial, the integer coefficients
-of prod_i (P_i s + Q_i t)^e_i; restrict_poly sums the polynomial's integer
-numerators against those vectors over one common denominator and builds
-one Fraction per output coefficient, so its outputs are the same reduced
-Fractions that term-by-term rational expansion gives.  restrict_partials
-restricts all n+2 partial derivatives the same way, in one pass over the
-polynomial's terms, without building the partials.
+of prod_i (P_i s + Q_i t)^e_i.  restrict_poly takes a form as integer terms
+{exponents: int} over one denominator, such as a family member's cleared
+terms, sums them against those vectors and builds one reduced Fraction per
+output coefficient; restrict_partials restricts all n+2 partial
+derivatives the same way, in one pass over the terms, without building the
+partials.  distinct_root_count ranks the Bezout matrix of a restriction's
+core and its derivative, half the size of their Sylvester matrix.
 
 Length-2 schemes here are always two distinct points; the coincident
 (non-reduced) case would need jet evaluation and no check in this package
@@ -22,7 +23,6 @@ requires it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, LineInHypersurface
@@ -72,22 +72,25 @@ def monomial_index(coeffs):
 
 def distinct_root_count(coeffs) -> int:
     """Number of distinct projective roots over the algebraic closure of the
-    binary form with coefficient list `coeffs` (entry k at s^(m-k) t^k), via
-    gcd with the derivative (squarefree degree): deg gcd(u, v) = deg u +
-    deg v - rank of their Sylvester matrix."""
+    binary form with coefficient list `coeffs` (entry k at s^(m-k) t^k).
+
+    Roots at t = 0 and s = 0 are counted off the zero ends; the rest are the
+    roots of the core u (ascending in t, degree n, nonzero at both ends),
+    whose count is n - deg gcd(u, u') = the rank of the n x n Bezout matrix
+    of u and u', with (u(x) u'(y) - u(y) u'(x)) / (x - y) = sum B_ij x^i y^j.
+    """
     nz = [k for k, c in enumerate(coeffs) if c]
     if not nz:
         raise ValueError("zero form has no root divisor")
-    core = list(coeffs[nz[0]: nz[-1] + 1])  # ascending in t
     count = int(nz[0] > 0) + int(nz[-1] < len(coeffs) - 1)
-    deg = len(core) - 1
-    if deg == 0:
-        return count
-    deriv = [k * c for k, c in enumerate(core)][1:]
-    size = 2 * deg - 1
-    sylvester = [[ZERO] * i + u + [ZERO] * (size - len(u) - i)
-                 for u, shifts in ((core, deg - 1), (deriv, deg)) for i in range(shifts)]
-    return count + deg - (size - Matrix(sylvester).rank())
+    u, _ = clear_denominators(coeffs[nz[0]: nz[-1] + 1])
+    n = len(u) - 1
+    du = [k * c for k, c in enumerate(u)][1:]
+    u, du = u + [0] * n, du + [0] * (n + 1)
+    # B_ij sums u_p u'_q - u_q u'_p over p + q = i + j + 1, q <= min(i, j)
+    bezout = [[sum(u[i + j + 1 - q] * du[q] - u[q] * du[i + j + 1 - q]
+                   for q in range(min(i, j) + 1)) for j in range(n)] for i in range(n)]
+    return count + rank_sparse(bezout)
 
 
 class Line:
@@ -137,34 +140,33 @@ def _coefficients(line: Line, m: int, acc, den: int):
     return [Fraction(a, den * dp ** (m - k) * dq ** k) for k, a in enumerate(acc)]
 
 
-def restrict_poly(poly: HomogPoly, line: Line):
-    """Substitute x = s*p + t*q and expand exactly; the coefficient list of
-    the degree-m binary form, entry k at s^(m-k) t^k.
+def restrict_poly(terms, degree: int, line: Line, den: int = 1):
+    """Substitute x = s*p + t*q into the degree-`degree` form with terms
+    {exponents: coefficient} / den and expand exactly; the coefficient list,
+    entry k at s^(m-k) t^k.  Integer terms keep every sum in ints.
 
     With p = P / Dp and q = Q / Dq, the coefficient of s^(m-k) t^k is
-    sum_e c_e * (integer restriction of x^e)_k / (Dp^(m-k) Dq^k).
+    sum_e c_e * (integer restriction of x^e)_k / (den Dp^(m-k) Dq^k).
     """
-    if poly.nvars != line.nvars:
+    if terms and len(next(iter(terms))) != line.nvars:
         raise DimensionMismatch("polynomial and line live in different spaces")
-    m = poly.degree
-    nums, den = clear_denominators(poly.terms.values())
-    acc = [0] * (m + 1)
-    for exps, c in zip(poly.terms, nums):
+    acc = [0] * (degree + 1)
+    for exps, c in terms.items():
         for k, v in enumerate(line.integer_restriction(exps)):
             acc[k] += c * v
-    return _coefficients(line, m, acc, den)
+    return _coefficients(line, degree, acc, den)
 
 
-def restrict_partials(poly: HomogPoly, line: Line):
-    """[restrict_poly(poly.partial(i), line) for each variable i], in one
-    pass over poly's integer numerators: the term c_e x^e adds
-    c_e * e_i * (integer restriction of x^(e - 1_i)) to the i-th sum."""
-    if poly.nvars != line.nvars:
+def restrict_partials(terms, degree: int, line: Line, den: int = 1):
+    """The restrictions of the n+2 partial derivatives of the form
+    restrict_poly takes, in one pass over its terms and without building
+    the partials: the term c_e x^e adds c_e * e_i * (integer restriction of
+    x^(e - 1_i)) to the i-th sum."""
+    if terms and len(next(iter(terms))) != line.nvars:
         raise DimensionMismatch("polynomial and line live in different spaces")
-    m = max(poly.degree - 1, 0)
-    nums, den = clear_denominators(poly.terms.values())
-    accs = [[0] * (m + 1) for _ in range(poly.nvars)]
-    for exps, c in zip(poly.terms, nums):
+    m = max(degree - 1, 0)
+    accs = [[0] * (m + 1) for _ in range(line.nvars)]
+    for exps, c in terms.items():
         for i, e in enumerate(exps):
             if e:
                 acc, ce = accs[i], c * e
@@ -177,7 +179,7 @@ def restrict_partials(poly: HomogPoly, line: Line):
 def restrict_section(sec: EulerSection, line: Line):
     """Component-wise restriction of a section to the line: one coefficient
     list per d/dx_i."""
-    return [restrict_poly(c, line) for c in sec.components]
+    return [restrict_poly(c.terms, c.degree, line) for c in sec.components]
 
 
 def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly):
@@ -192,10 +194,10 @@ def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly):
     d = f_poly.degree
     if m < d:
         raise ValueError("degree %d below the modulus degree %d" % (m, d))
-    xif = restrict_poly(f_poly, line)
+    xif = restrict_poly(f_poly.terms, d, line)
     if not any(xif):
         raise LineInHypersurface("the defining polynomial vanishes on the line")
-    vec = restrict_poly(poly, line)
+    vec = restrict_poly(poly.terms, m, line)
     multiples = [[ZERO] * j + xif + [ZERO] * (m - d - j) for j in range(m - d + 1)]
     rows, pivots = Matrix(multiples).rref()
     for row, c in zip(rows, pivots):
@@ -227,7 +229,6 @@ class LengthTwoScheme:
         return {"p1": self.p1.to_json(), "p2": self.p2.to_json()}
 
 
-@dataclass(frozen=True)
 class SchemeClass:
     """Classification of a length-2 scheme with respect to the coordinates.
 
@@ -236,12 +237,22 @@ class SchemeClass:
     (None for generic).  `perm` is the coordinate permutation realizing the
     normalized arrangement: position 0 is the dropped coordinate, then the
     non-vanishing ones ascending, then the vanishing ones ascending.
+    Compared and hashed by value.
     """
 
-    tag: str
-    a: int | None
-    vanishing: tuple
-    perm: tuple
+    __slots__ = ("tag", "a", "vanishing", "perm")
+
+    def __init__(self, tag: str, a: int | None, vanishing: tuple, perm: tuple):
+        self.tag, self.a, self.vanishing, self.perm = tag, a, vanishing, perm
+
+    def __eq__(self, other):
+        return isinstance(other, SchemeClass) and self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash((self.tag, self.a, self.vanishing, self.perm))
+
+    def __repr__(self):
+        return "SchemeClass(%s)" % self.to_json()
 
     def is_generic(self) -> bool:
         return self.tag == "generic"

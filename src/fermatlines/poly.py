@@ -3,7 +3,10 @@
 Monomials are plain exponent tuples, ordered graded-lexicographically with
 x0 > x1 > ... (larger tuples first within a degree).  Polynomials are
 dictionaries monomial -> Fraction with no stored zeros; dense coefficient
-vectors are materialized only when a matrix column is needed.
+vectors are materialized only when a matrix column is needed.  The
+verifiers build no HomogPoly: a family member and tangency's form are
+integer term dicts {exponents: int} over one denominator (family.f_poly),
+and HomogPoly with its Fraction arithmetic serves the tests' oracles.
 
 Products (sum_of_products, and HomogPoly.__mul__ through it) and monomial
 evaluation (eval_monomials) run on Python ints: coefficients and

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
@@ -30,7 +29,7 @@ from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, monomial_index,
                     permute_point, restrict_partials, restrict_poly, scheme_json)
-from .poly import HomogPoly, all_monomials, gen_jd, integer_monomial_values, mono_mul
+from .poly import all_monomials, gen_jd, integer_monomial_values, mono_mul
 from .rng import Rng
 
 PASS = "PASS"
@@ -46,19 +45,14 @@ _SECANT_DRAWS = 40
 _LINE_POWER_ATTEMPTS = 20
 
 
-@dataclass
 class LemmaReport:
     """Structured outcome of one verifier run."""
 
-    lemma: str
-    n: int
-    d: int
-    seed: int
-    verdict: str
-    dims: dict
-    witness: dict | None = None
-    elapsed_ms: int = 0
-    params: dict = field(default_factory=dict)
+    def __init__(self, lemma: str, n: int, d: int, seed: int, verdict: str, dims: dict,
+                 witness: dict | None = None, elapsed_ms: int = 0, params: dict | None = None):
+        self.lemma, self.n, self.d, self.seed = lemma, n, d, seed
+        self.verdict, self.dims, self.witness = verdict, dims, witness
+        self.elapsed_ms, self.params = elapsed_ms, {} if params is None else params
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -216,7 +210,7 @@ def _very_special_scheme(n: int, rng: Rng) -> LengthTwoScheme:
 
 def _generic_scheme_three_independent(n: int, rng: Rng) -> LengthTwoScheme:
     """Generic scheme where x0, x1, x2 restrict pairwise independently."""
-    for _ in range(60):
+    for _ in range(_GENERIC_ATTEMPTS):
         z = random_generic_scheme(n, rng)
         if all(rank_sparse([(p.coords[i], p.coords[j]) for p in (z.p1, z.p2)]) == 2
                for i, j in ((0, 1), (1, 2), (0, 2))):
@@ -229,7 +223,7 @@ def _generic_scheme_split_shape(n: int, rng: Rng) -> LengthTwoScheme:
     every later coordinate is a multiple of x0 or x1."""
     if n < 2:
         raise ValueError("needs at least 4 coordinates beyond the spanning pair")
-    for _ in range(60):
+    for _ in range(_GENERIC_ATTEMPTS):
         u1 = _nonzero_sample(rng)
         u2 = _nonzero_sample(rng)
         if u1 == u2:
@@ -276,28 +270,35 @@ def _terms_row(terms, deg2):
 
 
 def _w_basis_rows(b: DeformationPoint, deg2):
-    """Sparse rows {column: coefficient}, one per degree-(d+1) monomial
-    outside the deformation index set (some exponent >= d): column
+    """Sparse integer rows {column: coefficient}, one per degree-(d+1)
+    monomial outside the deformation index set (some exponent >= d): column
     j*len(deg2) + k holds the coefficient there of eta(deg2[k] d/dx_j), and
     column nv*len(deg2) + i that of x_i*F.  So a section w with coefficient
     vector v on `deg2` has eta(w) in the deformation span exactly when every
-    row, restricted to the section columns, is orthogonal to v."""
+    row, restricted to the section columns, is orthogonal to v.
+
+    The rows are read off the member's integer terms (den * F and its
+    partials), each divided by the gcd of its entries: a row keeps the size
+    of its own few coefficients, not the bits of den."""
     nv, d = b.shape.nvars, b.shape.d
     rows = {}
     for j, partial in enumerate(b.f_partials()):
-        for mm, c in partial.terms.items():
+        for mm, c in partial.items():
             if max(mm) + 2 < d:
                 continue  # x^mu, of degree 2, cannot lift an exponent to d
             for k, mu in enumerate(deg2.members):
                 m = mono_mul(mu, mm)
                 if max(m) >= d:
                     rows.setdefault(m, {})[j * len(deg2) + k] = c
-    for mm, c in b.f_poly().terms.items():
+    for mm, c in b.f_poly().items():
+        if max(mm) + 1 < d:
+            continue
         for i in range(nv):
             m = _times(mm, i)
             if max(m) >= d:
                 rows.setdefault(m, {})[nv * len(deg2) + i] = c
-    return list(rows.values())
+    return [{k: v // g for k, v in row.items()}
+            for row in rows.values() for g in (gcd(*row.values()),)]
 
 
 def _eta_in_span(rows, vec) -> bool:
@@ -326,13 +327,14 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             rank_family = rank_sparse(omega_rows + alpha_rows)
 
             # eta of the Euler field is d*F (Euler's identity), read off
-            # the exponent shifts of the partials
+            # the exponent shifts of the integer partials
             euler = {}
             for j, partial in enumerate(b.f_partials()):
-                for mm, c in partial.terms.items():
+                for mm, c in partial.items():
                     m = _times(mm, j)
-                    euler[m] = euler.get(m, ZERO) + c
-            euler_ok = HomogPoly(nv, d, euler) == b.f_poly().scale(d)
+                    euler[m] = euler.get(m, 0) + c
+            euler_ok = ({m: c for m, c in euler.items() if c}
+                        == {m: d * c for m, c in b.f_poly().items()})
 
             # kernel of (eta followed by the quotient collapsing the
             # deformation span and multiples of F), on the (n+2)^2
@@ -365,10 +367,11 @@ def _xi_matrix_on(monomials, line: Line) -> Matrix:
 
 
 def _ideal_product_vectors(lin_forms, gens, jd):
-    """Sparse rows {position in jd of x_i*g: l_i} of l*g, for l in
-    lin_forms and g in gens."""
+    """Sparse integer rows {position in jd of x_i*g: L_i} of L*g, for g in
+    gens and L each of the rational lin_forms cleared once to integers (a
+    positive multiple of the form, so the same span)."""
     return [{jd.index[_times(g, i)]: c for i, c in enumerate(lv) if c}
-            for lv in lin_forms for g in gens]
+            for lv in (clear_denominators(lv)[0] for lv in lin_forms) for g in gens]
 
 
 def _special_extras(jd, d: int, cmap):
@@ -642,8 +645,7 @@ def _draw_coeffs(rng: Rng):
 def _nine_by_six(c) -> Matrix:
     """The reduced 9-equation system in the unknowns a_i x_i^2 d/dx_j,
     ordered (01, 02, 10, 12, 20, 21)."""
-    z = ZERO
-    one = Fraction(1)
+    z, one = ZERO, Fraction(1)
     rows = [
         [z, z, c[(0, 1, 3)], z, c[(0, 2, 3)], z],
         [c[(1, 0, 3)], z, z, z, z, c[(1, 2, 3)]],
@@ -713,10 +715,11 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
 # ---------------------------------------------------------------------------
 # secant-line obstruction
 
-def _motion_columns(fpoly: HomogPoly, line: Line, coords):
+def _motion_columns(terms, d: int, line: Line, coords, den: int = 1):
     """Two columns per coordinate i in `coords`: s*dF/dx_i and t*dF/dx_i
-    restricted to the line, the image of moving x_i by a linear form."""
-    partials = restrict_partials(fpoly, line)
+    restricted to the line, for the degree-d form F with terms {exponents:
+    coefficient} / den; the image of moving x_i by a linear form."""
+    partials = restrict_partials(terms, d, line, den)
     cols = []
     for i in coords:
         cols += [partials[i] + [ZERO], [ZERO] + partials[i]]
@@ -724,12 +727,13 @@ def _motion_columns(fpoly: HomogPoly, line: Line, coords):
 
 
 def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
-                       seed: int = 0) -> LemmaReport:
+                       seed: int = 0, xif=None) -> LemmaReport:
     """Exact comparison of the three equivalent descriptions of when the
     induced map on the line is well defined: kernel containment, linear
     dependence of the restricted polynomial against its radial derivative,
     and the restriction being a pure two-root monomial.  PASS means the
-    three agree (whether all hold or all fail)."""
+    three agree (whether all hold or all fail).  `xif`, when given, is the
+    member's restriction to z's line, already computed."""
     t0 = time.perf_counter()
     shape = b.shape
     nv, d = shape.nvars, shape.d
@@ -737,8 +741,8 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     if not cls.is_generic():
         raise NonGenericScheme("the obstruction computation assumes a generic scheme")
     line = z.line
-    fpoly = b.f_poly()
-    xif = restrict_poly(fpoly, line)
+    if xif is None:
+        xif = restrict_poly(b.f_poly(), d, line, b.den)
     # z.line = Line(p1, p2): F(p1) and F(p2) are the s^d and t^d coefficients
     if xif[0] or xif[d]:
         raise ValueError("the scheme does not lie on the family member")
@@ -750,7 +754,7 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     rho = [{2 * i + k: pt.coords[j], 2 * j + k: -pt.coords[i]}
            for k, pt in enumerate((z.p1, z.p2))
            for i in range(nv) for j in range(i + 1, nv)]
-    etahat = list(zip(*_motion_columns(fpoly, line, range(nv))))
+    etahat = list(zip(*_motion_columns(b.f_poly(), d, line, range(nv), b.den)))
     ker_rho = 2 * nv - rank_sparse(rho)
     rank_eta, rank_both = rank_sparse(etahat), rank_sparse(rho + etahat)
 
@@ -772,20 +776,17 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
         "two_point_line": int(cond_monomial),
         "distinct_roots": distinct_root_count(xif),
     }
-    verdict = PASS if agree else FAIL
-    witness = None
-    if verdict == FAIL:
-        witness = {"reason": "equivalent conditions disagree",
-                   "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
-                   "xi_f": _vec_json(xif)}
-    return LemmaReport("secant", shape.n, d, seed, verdict, dims, witness,
+    witness = None if agree else {
+        "reason": "equivalent conditions disagree",
+        "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
+        "xi_f": _vec_json(xif)}
+    return LemmaReport("secant", shape.n, d, seed, PASS if agree else FAIL, dims, witness,
                        _ms_since(t0), {})
 
 
-def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
-                       rng: Rng) -> DeformationPoint:
-    """Family member through Z whose restriction to the line is a nonzero
-    multiple of s^(d-m) t^m.
+def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int, rng: Rng):
+    """(b, restriction): a family member b through Z whose restriction to
+    the line, also returned, is a nonzero multiple of s^(d-m) t^m.
 
     Row k of the system is the s^(d-k) t^k coefficient of the restriction
     on the line's integer cache: the rational row times Dp^(d-k) Dq^k > 0,
@@ -802,8 +803,9 @@ def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int,
         if sol is None:
             raise InfeasibleSystem("line-power conditions are inconsistent")
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        if restrict_poly(b.f_poly(), z.line)[m]:
-            return b
+        xif = restrict_poly(b.f_poly(), d, line, b.den)
+        if xif[m]:
+            return b, xif
     raise InfeasibleSystem("could not reach a nonzero top coefficient")
 
 
@@ -836,8 +838,8 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
                 raise _Stop("no secant with >= 3 intersection points found in %d draws"
                             % _SECANT_DRAWS, {"trials": trials, "m": m})
             zc = random_generic_scheme(n, sub)
-            bc = _b_with_line_power(shape, zc, m, sub)
-            rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed)
+            bc, xif = _b_with_line_power(shape, zc, m, sub)
+            rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed, xif=xif)
             ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0
                   and rep_c.verdict == PASS and rep_c.dims["well_defined"] == 1
                   and rep_c.dims["overlap"] >= 1)
@@ -869,68 +871,64 @@ def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
     return LemmaReport("incidence", n, d, seed, PASS, dims, None, _ms_since(t0), {"m": m})
 
 
-def _tangency_system(fpoly: HomogPoly, line: Line, m: int):
-    """(matrix, normals) of the tangency system: two columns per normal
-    coordinate (its motion is a binary linear form), one row per coefficient
-    of the restricted derivative outside the stratum's tangent space."""
-    d = fpoly.degree
+def _tangency_system(terms, d: int, line: Line, m: int):
+    """(matrix, normals) of the tangency system of the degree-d form with
+    terms {exponents: coefficient}: two columns per normal coordinate (its
+    motion is a binary linear form), one row per coefficient of the
+    restricted derivative outside the stratum's tangent space."""
     rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
-    normals = [i for i in range(fpoly.nvars) if i not in pivots]
-    cols = _motion_columns(fpoly, line, normals)
+    normals = [i for i in range(line.nvars) if i not in pivots]
+    cols = _motion_columns(terms, d, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
     return Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals)), normals
 
 
-def tangency_deformation_dim(fpoly: HomogPoly, line: Line, m: int,
-                             seed: int = 0) -> LemmaReport:
+def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaReport:
     """First-order deformations of the line preserving the two-root
-    tangency pattern: unknowns are normal motions (n binary linear forms),
-    constrained so the derivative of the restricted polynomial stays inside
-    the tangent space of the multiplicity stratum (the pure monomial and its
-    two root-moving neighbours).  Verdict PASS means the count is zero, i.e.
-    the configuration is rigid."""
+    tangency pattern of the form with terms {exponents: coefficient} (any
+    positive multiple gives the same count and witness): unknowns are normal
+    motions (n binary linear forms), constrained so the derivative of the
+    restricted polynomial stays inside the tangent space of the multiplicity
+    stratum (the pure monomial and its two root-moving neighbours).  Verdict
+    PASS means the count is zero, i.e. the configuration is rigid."""
     t0 = time.perf_counter()
-    d = fpoly.degree
-    nv = fpoly.nvars
-    xif = restrict_poly(fpoly, line)
+    d = sum(next(iter(terms), ()))      # no terms: degree 0, outside every stratum
+    xif = restrict_poly(terms, d, line)
     idx = monomial_index(xif)
     if idx is None or idx != m or not 0 < m < d:
         raise NotInTangencyStratum(
             "restriction is not a nonzero multiple of s^(d-m) t^m")
-    mat, normals = _tangency_system(fpoly, line, m)
+    mat, normals = _tangency_system(terms, d, line, m)
     dim = 2 * len(normals) - mat.rank()
     dims = {"deformations": dim, "unknowns": 2 * len(normals), "m": m}
-    verdict = PASS if dim == 0 else FAIL
-    witness = None
-    if dim > 0:
-        witness = {"reason": "the line moves inside the stratum",
-                   "moving_deformation": _vec_json(mat.kernel_vectors()[0]),
-                   "normal_coordinates": normals}
-    return LemmaReport("tangency", nv - 2, d, seed, verdict, dims, witness,
-                       _ms_since(t0), {"m": m})
+    witness = None if dim == 0 else {
+        "reason": "the line moves inside the stratum",
+        "moving_deformation": _vec_json(mat.kernel_vectors()[0]),
+        "normal_coordinates": normals}
+    return LemmaReport("tangency", line.nvars - 2, d, seed, PASS if dim == 0 else FAIL, dims,
+                       witness, _ms_since(t0), {"m": m})
 
 
 def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """A random member of the stratum through the coordinate line is rigid
-    (count zero); the cone-like member with no transverse terms is not."""
+    (count zero); the cone-like member with no transverse terms is not.
+    The member x0^(d-m) x1^m + sum_i x_i g_i is built as integer terms, its
+    draws cleared over one denominator."""
     with _Trials("tangency", n, d, rng, trials, m=m) as run:
         nv = n + 2
         if not 0 < m < d:
             raise ValueError("multiplicity must satisfy 0 < m < d")
         line = Line(ProjPoint([1] + [0] * (nv - 1)),
                     ProjPoint([0, 1] + [0] * (nv - 2)))
-        lead_exps = [0] * nv
-        lead_exps[0] = d - m
-        lead_exps[1] = m
-        lead = HomogPoly.monomial(nv, tuple(lead_exps))
-        degenerate = tangency_deformation_dim(lead, line, m, seed=rng.origin_seed)
-        deg_dm1 = all_monomials(nv, d - 1)
+        lead = (d - m, m) + (0,) * n
+        degenerate = tangency_deformation_dim({lead: 1}, line, m, seed=rng.origin_seed)
+        shifts = [(i, mm) for i in range(2, nv) for mm in all_monomials(nv, d - 1)]
         for sub in run:
-            f = lead
-            for i in range(2, nv):
-                g = HomogPoly(nv, d - 1,
-                              {mm: _nonzero_sample(sub, 20) for mm in deg_dm1.members})
-                f = f + HomogPoly.variable(nv, i) * g
+            nums, den = clear_denominators([_nonzero_sample(sub, 20) for _ in shifts])
+            f = {lead: den}
+            for (i, mm), c in zip(shifts, nums):
+                x = _times(mm, i)
+                f[x] = f.get(x, 0) + c
             rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
             run.record(rep.dims["deformations"] == 0 and degenerate.dims["deformations"] > 0,
                        {"deformations": rep.dims["deformations"],

@@ -127,7 +127,7 @@ def test_acceptance_7_secant_obstruction():
     while random_runs < 10:
         z = random_generic_scheme(n, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
-        xif = restrict_poly(b.f_poly(), z.line)
+        xif = restrict_poly(b.f_poly(), d, z.line, b.den)
         if not any(xif) or distinct_root_count(xif) < 3:
             continue
         rep = secant_obstruction(b, z)
@@ -136,7 +136,7 @@ def test_acceptance_7_secant_obstruction():
         random_runs += 1
     for i, m in enumerate((1, 3, 5)):
         z = random_generic_scheme(n, rng)
-        b = _b_with_line_power(shape, z, m, rng)
+        b, _ = _b_with_line_power(shape, z, m, rng)
         rep = secant_obstruction(b, z)
         assert rep.verdict == PASS, rep.to_json()
         assert rep.dims["well_defined"] == 1
@@ -154,10 +154,10 @@ def test_acceptance_8_incidence_and_tangency():
         for m in range(1, d):
             assert incidence_dimension(n, d, m) == 0
     f, line = build_tangency_instance(n=2, d=6, m=3)
-    rep = tangency_deformation_dim(f, line, 3)
+    rep = tangency_deformation_dim(f.terms, line, 3)
     assert rep.dims["deformations"] == 0
     f0, _ = build_tangency_instance(n=2, d=6, m=3, zero_transverse=True)
-    rep0 = tangency_deformation_dim(f0, line, 3)
+    rep0 = tangency_deformation_dim(f0.terms, line, 3)
     assert rep0.dims["deformations"] > 0
     wrapped = verify_tangency(2, 6, 3, Rng(0).split("tangency"), trials=5)
     assert wrapped.verdict == PASS

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,14 +15,33 @@ from fermatlines.lines import ProjPoint
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
                               eval_monomials, euler_alpha, gen_jd)
 from fermatlines.rng import Rng
-from tests.oracles import contains_vector
+from tests.oracles import contains_vector, member_poly
 from tests.polytext import deformation_from_json, parse_poly
 
 
 def test_f_poly_fermat():
     shape = FamilyShape(1, 4)
-    f = DeformationPoint(shape).f_poly()
+    f = member_poly(DeformationPoint(shape))
     assert f == parse_poly("x0^4+x1^4+x2^4", 3)
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])
+def test_integer_member_matches_the_rational_polynomial(n, d):
+    """f_poly and f_partials are den * F and den * dF/dx_i as integer terms,
+    den the lcm of the denominators of t: read back over den they are the
+    rational F, built here from its definition, and HomogPoly.partial of it."""
+    shape = FamilyShape(n, d)
+    nv = n + 2
+    p, q = ProjPoint([1, 2] + [3] * n), ProjPoint([1, -1] + [Fraction(1, 2)] * n)
+    for b in (random_deformation(shape, Rng(n)), sample_b_through(shape, [p, q], Rng(d))):
+        fermat = {tuple(d * (j == i) for j in range(nv)): 1 for i in range(nv)}
+        f = HomogPoly(nv, d, {**fermat, **b.t})
+        assert b.den == lcm(*(v.denominator for v in b.t.values()))
+        forms = [(b.f_poly(), f)] + [(g, f.partial(i)) for i, g in enumerate(b.f_partials())]
+        for terms, poly in forms:
+            assert all(type(c) is int and c for c in terms.values())
+            assert {m: Fraction(c, b.den) for m, c in terms.items()} == poly.terms
+        assert b.f_poly() is b.f_poly() and b.f_partials() is b.f_partials()
 
 
 def test_shape_rejects_index_set_disagreeing_with_formula(monkeypatch):
@@ -34,7 +54,7 @@ def test_shape_rejects_index_set_disagreeing_with_formula(monkeypatch):
 def test_f_poly_with_one_deformation():
     shape = FamilyShape(1, 4)
     b = DeformationPoint(shape, {(2, 2, 0): 5})
-    assert b.f_poly() == parse_poly("x0^4+5*x0^2*x1^2+x1^4+x2^4", 3)
+    assert member_poly(b) == parse_poly("x0^4+5*x0^2*x1^2+x1^4+x2^4", 3)
 
 
 def test_f_vanishing_pattern_at_coordinate_points():
@@ -46,14 +66,14 @@ def test_f_vanishing_pattern_at_coordinate_points():
     for i in range(4):
         e = [0, 0, 0, 0]
         e[i] = 1
-        assert b.f_poly().evaluate(e) == 1
+        assert member_poly(b).evaluate(e) == 1
 
 
 def test_eta_of_euler_field_is_degree_times_f():
     shape = FamilyShape(2, 6)
     b = random_deformation(shape, Rng(2))
     alpha = euler_alpha(2)
-    assert eta(b, alpha) == b.f_poly() * 6
+    assert eta(b, alpha) == member_poly(b) * 6
 
 
 def test_eta_monomial_field_at_fermat():
@@ -209,7 +229,7 @@ def test_sample_b_through_hits_the_points_exactly():
     q = ProjPoint([1, -1, 1, 5])
     for seed in range(5):
         b = sample_b_through(shape, [p, q], Rng(seed))
-        f = b.f_poly()
+        f = member_poly(b)
         assert f.evaluate(p.coords) == 0
         assert f.evaluate(q.coords) == 0
 

@@ -15,6 +15,8 @@ elimination.
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -141,3 +143,15 @@ def test_the_check_sees_planted_definitions():
     assert [(name, line) for name, line in defined_names(source)
             if name in MOVED_OUT] == [("BinaryForm", 1), ("is_fermat", 2),
                                       ("_pair_rank", 7), ("contains_vector", 9)]
+
+
+def test_cli_import_leaves_dataclasses_out():
+    """A fresh interpreter importing the CLI loads no dataclasses (nor the
+    inspect, ast, dis and tokenize it pulls in): that import time would be
+    paid by every run."""
+    code = ("import sys, fermatlines.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -22,6 +22,7 @@ from fermatlines.lines import Line, ProjPoint, restrict_partials, restrict_poly
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
                               eval_monomials, gen_jd, sum_of_products)
 from fermatlines.rng import Rng
+from tests.oracles import member_poly, restrict, restrict_all_partials
 from tests.test_poly import random_poly
 
 ZERO = Fraction(0)
@@ -60,7 +61,8 @@ def mul_reference(a, b):
 
 def eta_reference(b, section):
     """eta as a running sum of separately built products."""
-    partials = b.f_partials()
+    f = member_poly(b)
+    partials = [f.partial(i) for i in range(b.shape.nvars)]
     out = HomogPoly.zero(b.shape.nvars, section.degree + b.shape.d - 1)
     for j, comp in enumerate(section.components):
         out = out + mul_reference(comp, partials[j])
@@ -82,7 +84,7 @@ def assert_same_fractions(got, want):
 
 
 def check_restriction(poly, line):
-    assert_same_fractions(restrict_poly(poly, line), restrict_poly_reference(poly, line))
+    assert_same_fractions(restrict(poly, line), restrict_poly_reference(poly, line))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_restrict_points_with_zero_coordinates_and_coordinate_lines():
 def test_restrict_zero_polynomial():
     line = Line(ProjPoint([1, Fraction(-2, 3), 5]), ProjPoint([Fraction(1, 4), 1, 0]))
     for degree in range(5):
-        form = restrict_poly(HomogPoly.zero(3, degree), line)
+        form = restrict(HomogPoly.zero(3, degree), line)
         assert_same_fractions(form, [ZERO] * (degree + 1))
 
 
@@ -162,26 +164,29 @@ def test_restrict_paper_size_member_and_partials():
     q = ProjPoint([1, -24, Fraction(-27, 5), -24, 27])
     b = sample_b_through(shape, [p, q], rng)
     line = Line(p, q)
-    f = b.f_poly()
+    f = member_poly(b)
     check_restriction(f, line)
-    for g in b.f_partials():
-        check_restriction(g, line)
+    for i in range(5):
+        check_restriction(f.partial(i), line)
     check_partials(f, line)
-    assert restrict_poly(f, line)[0] == 0 == restrict_poly(f, line)[-1]
+    assert restrict(f, line)[0] == 0 == restrict(f, line)[-1]
+    # the member's own integer terms over den restrict to the same forms
+    assert restrict_poly(b.f_poly(), 8, line, b.den) == restrict(f, line)
+    assert restrict_partials(b.f_poly(), 8, line, b.den) == restrict_all_partials(f, line)
 
 
 def test_restrict_checks_the_variable_count():
     line = Line(ProjPoint([1, 0, 0]), ProjPoint([0, 1, 0]))
     with pytest.raises(DimensionMismatch):
-        restrict_poly(HomogPoly.variable(4, 0), line)
+        restrict(HomogPoly.variable(4, 0), line)
 
 
 def check_partials(poly, line):
     """restrict_partials against the restriction of each HomogPoly.partial."""
-    got = restrict_partials(poly, line)
+    got = restrict_all_partials(poly, line)
     assert len(got) == poly.nvars
     for i, form in enumerate(got):
-        assert_same_fractions(form, restrict_poly(poly.partial(i), line))
+        assert_same_fractions(form, restrict(poly.partial(i), line))
 
 
 @given(lines_and_polys())
@@ -202,12 +207,12 @@ def test_restrict_partials_with_an_absent_variable_and_degree_one():
             poly = HomogPoly(4, degree,
                              {m[:2] + (0,) + m[2:]: c for m, c in sub.terms.items()})
             check_partials(poly, line)
-            assert not any(restrict_partials(poly, line)[2])
+            assert not any(restrict_all_partials(poly, line)[2])
     linear = HomogPoly(4, 1, {(1, 0, 0, 0): Fraction(-5, 3), (0, 0, 0, 1): Fraction(7, 2)})
-    assert restrict_partials(linear, line) == [[Fraction(-5, 3)], [ZERO], [ZERO],
+    assert restrict_all_partials(linear, line) == [[Fraction(-5, 3)], [ZERO], [ZERO],
                                                [Fraction(7, 2)]]
     with pytest.raises(DimensionMismatch):
-        restrict_partials(HomogPoly.variable(5, 0), line)
+        restrict_all_partials(HomogPoly.variable(5, 0), line)
 
 
 def test_line_cache_entry_is_product_of_linear_factors():

@@ -7,14 +7,16 @@ import pytest
 
 from fermatlines.errors import LineInHypersurface
 from fermatlines.exact import Matrix, sample_rational
-from fermatlines.family import DeformationPoint, FamilyShape, omega_basis
+from fermatlines.family import DeformationPoint, FamilyShape, omega_basis, sample_b_through
 from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, classify,
                                distinct_root_count, ip_linear, iz_linear,
                                monomial_index, permute_point, restrict_mod_f,
                                restrict_poly, restrict_section)
 from fermatlines.poly import EulerSection, HomogPoly, euler_alpha
 from fermatlines.rng import Rng
-from tests.oracles import contains_vector, form_add, form_evaluate, form_mul, form_sub
+from fermatlines.verifiers import random_generic_scheme
+from tests.oracles import (contains_vector, form_add, form_evaluate, form_mul, form_sub,
+                           member_poly, restrict, sylvester_root_count)
 from tests.polytext import parse_poly
 from tests.test_poly import random_poly
 
@@ -93,23 +95,23 @@ def test_classify_normalization_permutation_nontrivial():
 def test_restrict_linear_forms():
     line = Line(pt(1, 0, 0), pt(0, 1, 0))
     x0 = HomogPoly.variable(3, 0)
-    assert restrict_poly(x0, line) == [1, 0]   # s
+    assert restrict(x0, line) == [1, 0]   # s
     x2 = HomogPoly.variable(3, 2)
-    assert restrict_poly(x2, line) == [0, 0]
+    assert restrict(x2, line) == [0, 0]
 
 
 def test_restrict_monomial_by_hand():
     line = Line(pt(1, 0, 0), pt(0, 1, 1))
     p = HomogPoly.monomial(3, (1, 1, 1))
     # x0 -> s, x1 -> t, x2 -> t: product s*t^2
-    assert restrict_poly(p, line) == [0, 0, 1, 0]
+    assert restrict(p, line) == [0, 0, 1, 0]
 
 
 def test_restrict_fermat_value_at_first_point():
     shape = FamilyShape(2, 6)
-    f = DeformationPoint(shape).f_poly()
+    f = member_poly(DeformationPoint(shape))
     line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
-    xif = restrict_poly(f, line)
+    xif = restrict(f, line)
     assert form_evaluate(xif, 1, 0) == 4 == f.evaluate([1, 1, 1, 1])
     assert form_evaluate(xif, 0, 1) == 4 == f.evaluate([1, -1, 1, -1])
 
@@ -120,11 +122,11 @@ def test_restriction_is_ring_homomorphism():
     for _ in range(8):
         p = random_poly(3, 3, rng)
         q = random_poly(3, 2, rng)
-        assert restrict_poly(p * q, line) == form_mul(restrict_poly(p, line),
-                                                      restrict_poly(q, line))
+        assert restrict(p * q, line) == form_mul(restrict(p, line),
+                                                      restrict(q, line))
         p2 = random_poly(3, 3, rng)
-        assert restrict_poly(p + p2, line) == form_add(restrict_poly(p, line),
-                                                       restrict_poly(p2, line))
+        assert restrict(p + p2, line) == form_add(restrict(p, line),
+                                                       restrict(p2, line))
 
 
 def test_restrict_section_euler_field():
@@ -162,12 +164,12 @@ def test_restrict_section_matches_componentwise():
     comps = [random_poly(4, 2, rng) for _ in range(4)]
     sec = EulerSection(comps)
     got = restrict_section(sec, line)
-    assert got == [restrict_poly(c, line) for c in comps]
+    assert got == [restrict(c, line) for c in comps]
 
 
 def test_restrict_mod_f_multiple_of_f_is_zero():
     shape = FamilyShape(2, 6)
-    f = DeformationPoint(shape).f_poly()
+    f = member_poly(DeformationPoint(shape))
     line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
     p = f * HomogPoly.variable(4, 0)
     assert restrict_mod_f(p, line, f) == [0] * 8
@@ -175,7 +177,7 @@ def test_restrict_mod_f_multiple_of_f_is_zero():
 
 def test_restrict_mod_f_additive_shift():
     shape = FamilyShape(2, 6)
-    f = DeformationPoint(shape).f_poly()
+    f = member_poly(DeformationPoint(shape))
     line = Line(pt(1, 1, 1, 1), pt(1, -1, 1, -1))
     extra = HomogPoly.monomial(4, (6, 0, 0, 0))       # restricts to s^6
     cls_f_plus = restrict_mod_f(f + extra, line, f)
@@ -187,13 +189,13 @@ def test_restrict_mod_f_division_reconstruction():
     shape = FamilyShape(2, 6)
     rng = Rng(24)
     b = DeformationPoint(shape, {(4, 1, 1, 0): 2, (2, 2, 2, 0): -1})
-    f = b.f_poly()
+    f = member_poly(b)
     line = Line(pt(1, 1, 2, 1), pt(1, -1, 1, 3))
-    xif = restrict_poly(f, line)
+    xif = restrict(f, line)
     for _ in range(5):
         p = random_poly(4, 7, rng)
         rem = restrict_mod_f(p, line, f)
-        diff = form_sub(restrict_poly(p, line), rem)
+        diff = form_sub(restrict(p, line), rem)
         # difference must be xi(f) times a linear binary form
         rows = []
         for j in (0, 1):
@@ -296,7 +298,7 @@ def distinct_root_count_reference(f) -> int:
 
 def test_distinct_root_count_matches_euclid_on_products_of_linear_forms():
     """Products of pairwise non-proportional linear forms with random
-    multiplicities: the Sylvester-rank count is the number of forms, and it
+    multiplicities: the Bezoutian count is the number of forms, and it
     agrees with the Euclidean reference (also on random dense forms)."""
     rng = Rng(52)
     for trial in range(300):
@@ -313,6 +315,60 @@ def test_distinct_root_count_matches_euclid_on_products_of_linear_forms():
         dense = [sample_rational(rng, 3) for _ in range(trial % 8 + 2)]
         if any(dense):
             assert distinct_root_count(dense) == distinct_root_count_reference(dense)
+
+
+def random_product_of_linear_forms(rng, ends):
+    """(form, number of distinct roots): a nonzero constant times pairwise
+    non-proportional linear forms a*s + b*t, each to a power 1..3; `ends`
+    forces the forms s (a root at s = 0) and t (a root at t = 0) in."""
+    roots = list(ends)
+    target = len(roots) + rng.randint(0 if roots else 1, 4)
+    while len(roots) < target:
+        a, b = sample_rational(rng, 6), sample_rational(rng, 6)
+        if (a or b) and all(a * d - b * c for c, d in roots):
+            roots.append((a, b))
+    f = [sample_rational(rng, 9) or 1]
+    for a, b in roots:
+        for _ in range(rng.randint(1, 3)):
+            f = form_mul(f, [a, b])
+    return f, len(roots)
+
+
+def test_bezoutian_root_count_matches_sylvester_and_euclid():
+    """The Bezoutian count against the Sylvester-rank oracle and the
+    Euclidean reference: on products of linear forms with multiplicities,
+    with and without roots at s = 0 and t = 0, and on random dense forms."""
+    rng = Rng(71)
+    for trial in range(240):
+        ends = [(1, 0)] * (trial % 3 == 0) + [(0, 1)] * (trial % 4 == 0)
+        f, count = random_product_of_linear_forms(rng, ends)
+        assert (distinct_root_count(f) == count == sylvester_root_count(f)
+                == distinct_root_count_reference(f))
+        dense = [sample_rational(rng, 3) for _ in range(trial % 10 + 1)]
+        if any(dense):
+            assert (distinct_root_count(dense) == sylvester_root_count(dense)
+                    == distinct_root_count_reference(dense))
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])
+def test_bezoutian_root_count_on_member_restrictions(n, d):
+    """The three counts agree on the restrictions of random members through
+    two points, whose restriction vanishes at both ends (roots at s = 0 and
+    t = 0), to the line through them, and on the random members' own
+    restrictions to a second, unrelated line."""
+    shape = FamilyShape(n, d)
+    rng = Rng(72).split("%d-%d" % (n, d))
+    seen = set()
+    for _ in range(6):
+        z, other = random_generic_scheme(n, rng), random_generic_scheme(n, rng)
+        b = sample_b_through(shape, [z.p1, z.p2], rng)
+        for line in (z.line, other.line):
+            xif = restrict_poly(b.f_poly(), d, line, b.den)
+            if any(xif):
+                count = distinct_root_count(xif)
+                assert count == sylvester_root_count(xif) == distinct_root_count_reference(xif)
+                seen.add(count)
+    assert max(seen) >= 3
 
 
 def test_monomial_index():

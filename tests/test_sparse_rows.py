@@ -1,25 +1,27 @@
 """The kernel claims' inputs against the dense polynomial constructions
 they replaced.
 
-The ideal products l*g and kernel-special's extra generators are sparse rows
-built from exponent shifts, and the restriction matrix is read from the
-line's integer cache.  The references below build the same objects through
+The ideal products l*g (l cleared once to an integer form) and
+kernel-special's extra generators are sparse rows built from exponent
+shifts, and the restriction matrix is read from the line's integer cache.  The references below build the same objects through
 HomogPoly products, dense coefficient vectors and restrict_poly; they live
 here only, as oracles.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from fermatlines.exact import Matrix, kernel_basis
 from fermatlines.family import FamilyShape
-from fermatlines.lines import ip_linear, iz_linear, restrict_poly
+from fermatlines.lines import ip_linear, iz_linear
 from fermatlines.poly import HomogPoly, gen_jd
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (_ideal_product_vectors, _random_point,
                                    _special_extras, _special_scheme,
                                    _xi_matrix_on, random_generic_scheme)
+from tests.oracles import restrict
 from tests.test_verifiers import dense
 
 
@@ -34,6 +36,14 @@ def ideal_products_reference(lin_forms, gens, jd, nv):
     return out
 
 
+def cleared_forms(lin_forms):
+    """Each rational form times the lcm of its denominators: the integer
+    form the ideal products are built from, a positive multiple with the
+    same span."""
+    return [[int(c * lcm(*(Fraction(x).denominator for x in lv))) for c in lv]
+            for lv in lin_forms]
+
+
 def special_extras_reference(jd, d, cmap, nv):
     x1 = HomogPoly.variable(nv, 1)
     base = HomogPoly.monomial(nv, (d - 2,) + (0,) * (nv - 1))
@@ -44,7 +54,7 @@ def special_extras_reference(jd, d, cmap, nv):
 
 def restriction_matrix_reference(monomials, line, nv):
     """Columns: the rational restriction of each monomial to the line."""
-    return Matrix.from_columns(restrict_poly(HomogPoly.monomial(nv, m), line)
+    return Matrix.from_columns(restrict(HomogPoly.monomial(nv, m), line)
                                for m in monomials)
 
 
@@ -60,7 +70,7 @@ def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
         for z in (generic, special):
             forms = iz_linear(z).basis_vectors()
             assert (dense(_ideal_product_vectors(forms, jdm1, jd), len(jd))
-                    == ideal_products_reference(forms, jdm1, jd, nv))
+                    == ideal_products_reference(cleared_forms(forms), jdm1, jd, nv))
         # the sampled multipliers, then some and then all of them zero
         for c in (cmap, {j: c if j == 2 else Fraction(0) for j, c in cmap.items()},
                   dict.fromkeys(cmap, Fraction(0))):
@@ -70,7 +80,7 @@ def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
         forms = ip_linear(_random_point(nv, sub)).basis_vectors()
         jd1 = gen_jd(n, d + 1)
         assert (dense(_ideal_product_vectors(forms, jd, jd1), len(jd1))
-                == ideal_products_reference(forms, jd, jd1, nv))
+                == ideal_products_reference(cleared_forms(forms), jd, jd1, nv))
 
 
 @pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])

@@ -33,7 +33,8 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_w_basis, verify_xi_generic,
                                    verify_xi_special)
 from test_exact import kernel_basis_oracle
-from tests.oracles import contains_vector, form_add, form_mul, support_in
+from tests.oracles import (contains_vector, form_add, form_mul, member_poly, restrict,
+                           support_in)
 
 
 def rng_for(label, seed=7):
@@ -70,7 +71,8 @@ def test_w_basis_kernel_against_dense_oracle():
     deg2 = all_monomials(nv, 2)
     deg5 = all_monomials(nv, d + 1)
     jd1 = gen_jd(n, d + 1)
-    partials = b.f_partials()
+    fp = member_poly(b)
+    partials = [fp.partial(j) for j in range(nv)]
     cols = []
     for j in range(nv):
         for mu in deg2.members:
@@ -78,7 +80,6 @@ def test_w_basis_kernel_against_dense_oracle():
             cols.append(poly.coeffs_on(deg5))
     for f in jd1.members:
         cols.append(HomogPoly.monomial(nv, f).coeffs_on(deg5))
-    fp = b.f_poly()
     for i in range(nv):
         cols.append((fp * HomogPoly.variable(nv, i)).coeffs_on(deg5))
     stacked = Matrix.from_columns(cols)
@@ -113,6 +114,16 @@ def test_w_basis_row_membership_matches_eta(n, d):
         assert support_in(eta(b, w), jd1) is inside
 
 
+def test_w_basis_rows_keep_their_own_size():
+    """The rows come off den * F, whose den has hundreds of bits at (3, 8),
+    but each row is divided by its content: its entries stay as small as
+    the member's few coefficients it holds."""
+    b = random_deformation(FamilyShape(3, 8), rng_for("row size"))
+    rows = verifiers._w_basis_rows(b, all_monomials(5, 2))
+    assert b.den.bit_length() > 500
+    assert max(abs(v).bit_length() for row in rows for v in row.values()) < 64
+
+
 def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
     """With every c_ijk forced to 0 the w_iik stay independent but their
     eta leaves the deformation span."""
@@ -142,13 +153,13 @@ def test_w_basis_fails_on_the_f_block_alone(monkeypatch):
 
 
 def test_w_basis_fails_on_the_euler_identity_alone(monkeypatch):
-    """With every partial of F doubled, sum_j x_j dF/dx_j is 2d*F, not d*F,
-    while membership, the basis rank, the F-block and the kernel count keep
-    their values (doubling the section block of every row keeps its kernel):
-    the Euler-identity check alone makes w-basis FAIL."""
+    """With every integer partial of den*F doubled, sum_j x_j dF/dx_j is
+    2d*F, not d*F, while membership, the basis rank, the F-block and the
+    kernel count keep their values (doubling the section block of every row
+    keeps its kernel): the Euler-identity check alone makes w-basis FAIL."""
     partials = DeformationPoint.f_partials
-    monkeypatch.setattr(DeformationPoint, "f_partials",
-                        lambda b: tuple(p.scale(2) for p in partials(b)))
+    monkeypatch.setattr(DeformationPoint, "f_partials", lambda b: tuple(
+        {m: 2 * c for m, c in p.items()} for p in partials(b)))
     rep = run_lemma("w-basis", 2, 6, 0, 0, trials=2)
     assert rep.verdict == FAIL
     assert rep.witness["trial"] == 0
@@ -467,7 +478,8 @@ def _zero_first_block(terms, line):
 
 
 def _member_without_line_power(shape, z, m, rng, attempts=20):
-    return sample_b_through(shape, [z.p1, z.p2], rng)
+    b = sample_b_through(shape, [z.p1, z.p2], rng)
+    return b, restrict_poly(b.f_poly(), shape.d, z.line, b.den)
 
 
 def _zero_first_system_column(c):
@@ -476,8 +488,8 @@ def _zero_first_system_column(c):
     return Matrix([[0] + row[1:] for row in _nine_by_six(c).data])
 
 
-def _drop_first_tangency_row(fpoly, line, m):
-    mat, normals = _tangency_system(fpoly, line, m)
+def _drop_first_tangency_row(terms, d, line, m):
+    mat, normals = _tangency_system(terms, d, line, m)
     return Matrix(mat.data[1:], ncols=mat.ncols), normals
 
 
@@ -813,7 +825,7 @@ def make_two_point_config(n=2, d=6, m=3, seed=3):
     rng = rng_for("twopoint", seed)
     shape = FamilyShape(n, d)
     z = random_generic_scheme(n, rng)
-    b = _b_with_line_power(shape, z, m, rng)
+    b, _ = _b_with_line_power(shape, z, m, rng)
     return shape, b, z
 
 
@@ -836,7 +848,7 @@ def test_secant_random_configuration_not_well_defined():
     while True:
         z = random_generic_scheme(2, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
-        xif = restrict_poly(b.f_poly(), z.line)
+        xif = restrict_poly(b.f_poly(), 6, z.line, b.den)
         if any(xif) and distinct_root_count(xif) >= 3:
             break
     rep = secant_obstruction(b, z)
@@ -858,13 +870,13 @@ def test_secant_requires_scheme_on_member():
     """Off the member at p1, at p2, or at both, the computation refuses."""
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("off"))
-    fermat = DeformationPoint(shape).f_poly()
+    fermat = member_poly(DeformationPoint(shape))
     assert fermat.evaluate(z.p1.coords) != 0 and fermat.evaluate(z.p2.coords) != 0
     members = [DeformationPoint(shape),
                sample_b_through(shape, [z.p1], rng_for("p1 only")),
                sample_b_through(shape, [z.p2], rng_for("p2 only"))]
     for b, on in zip(members, [(False, False), (True, False), (False, True)]):
-        f = b.f_poly()
+        f = member_poly(b)
         assert (f.evaluate(z.p1.coords) == 0, f.evaluate(z.p2.coords) == 0) == on
         with pytest.raises(ValueError):
             secant_obstruction(b, z)
@@ -874,29 +886,31 @@ def b_with_line_power_reference(shape, z, m, rng, attempts=20):
     """Oracle: the line-power system built from rational restrictions of the
     deformation monomials and of the Fermat part."""
     nv, d = shape.nvars, shape.d
-    restricted = [restrict_poly(HomogPoly.monomial(nv, f), z.line) for f in shape.jd]
-    fermat = restrict_poly(DeformationPoint(shape).f_poly(), z.line)
+    restricted = [restrict(HomogPoly.monomial(nv, f), z.line) for f in shape.jd]
+    fermat = restrict(member_poly(DeformationPoint(shape)), z.line)
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
     for a in range(attempts):
         sol = exact.random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        if restrict_poly(b.f_poly(), z.line)[m]:
+        if restrict(member_poly(b), z.line)[m]:
             return b
     raise AssertionError("no member with a nonzero top coefficient")
 
 
 @pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])
 def test_line_power_member_matches_the_rational_system(n, d):
-    """The integer-cache system gives the same member as the rational one."""
+    """The integer-cache system gives the same member as the rational one,
+    and hands over that member's restriction to the line."""
     shape = FamilyShape(n, d)
     for seed in range(3):
         z = random_generic_scheme(n, rng_for("line power", seed))
-        got = _b_with_line_power(shape, z, d // 2, rng_for("member", seed))
+        got, xif = _b_with_line_power(shape, z, d // 2, rng_for("member", seed))
         want = b_with_line_power_reference(shape, z, d // 2, rng_for("member", seed))
         assert got.t == want.t
-        assert monomial_index(restrict_poly(got.f_poly(), z.line)) == d // 2
+        assert xif == restrict(member_poly(got), z.line)
+        assert monomial_index(xif) == d // 2
 
 
 def test_secant_without_a_three_point_secant_is_indeterminate(monkeypatch):
@@ -933,7 +947,7 @@ def secant_dims_reference(b, z):
                 rows.append(row)
     ker_rho = kernel_basis_oracle(Matrix(rows))
     ker_eta = kernel_basis_oracle(Matrix.from_columns(
-        verifiers._motion_columns(b.f_poly(), z.line, range(nv))))
+        verifiers._motion_columns(b.f_poly(), b.shape.d, z.line, range(nv), b.den)))
     total = Subspace.from_vectors(2 * nv, ker_rho.basis_vectors() + ker_eta.basis_vectors())
     return {"ker_rho": ker_rho.dim, "ker_etahat": ker_eta.dim,
             "overlap": ker_rho.dim + ker_eta.dim - total.dim,
@@ -951,7 +965,7 @@ def test_secant_rank_dims_match_canonical_kernels(n, d):
     for seed in range(2):
         rng = rng_for("secant oracle", seed)
         z = random_generic_scheme(n, rng)
-        for b in (_b_with_line_power(shape, z, d // 2, rng),
+        for b in (_b_with_line_power(shape, z, d // 2, rng)[0],
                   sample_b_through(shape, [z.p1, z.p2], rng)):
             rep = secant_obstruction(b, z)
             want = secant_dims_reference(b, z)
@@ -967,8 +981,8 @@ def test_secant_names_disagreeing_conditions(monkeypatch):
     kernel condition fails while the other two hold."""
     motion = verifiers._motion_columns
 
-    def zero_first(fpoly, line, coords):
-        cols = motion(fpoly, line, coords)
+    def zero_first(*args):
+        cols = motion(*args)
         return [[0] * len(cols[0])] + cols[1:]
 
     monkeypatch.setattr(verifiers, "_motion_columns", zero_first)
@@ -1019,13 +1033,13 @@ def build_tangency_instance(n=2, d=6, m=3, seed=5, zero_transverse=False):
 
 def test_tangency_explicit_instance_is_rigid():
     f, line = build_tangency_instance()
-    rep = tangency_deformation_dim(f, line, 3)
+    rep = tangency_deformation_dim(f.terms, line, 3)
     assert rep.verdict == PASS and rep.dims["deformations"] == 0
 
 
 def test_tangency_degenerate_instance_moves():
     f, line = build_tangency_instance(zero_transverse=True)
-    rep = tangency_deformation_dim(f, line, 3)
+    rep = tangency_deformation_dim(f.terms, line, 3)
     assert rep.verdict == FAIL
     assert rep.dims["deformations"] == 4 == rep.dims["unknowns"]
     assert rep.witness is not None
@@ -1041,13 +1055,13 @@ def test_tangency_witness_is_a_genuine_deformation():
     # the pure two-root monomial kills the transverse derivatives along the
     # line, so the tangency count is positive and a witness must exist
     f, line = build_tangency_instance(zero_transverse=True)
-    rep = tangency_deformation_dim(f, line, m)
+    rep = tangency_deformation_dim(f.terms, line, m)
     vec = [Fraction(x) for x in rep.witness["moving_deformation"]]
     normals = rep.witness["normal_coordinates"]
     # delta f = sum_i v_i * restriction of dF/dx_i, v_i = vec[2i]*s + vec[2i+1]*t
     delta = [Fraction(0)] * (d + 1)
     for pos, i in enumerate(normals):
-        base = restrict_poly(f.partial(i), line)
+        base = restrict(f.partial(i), line)
         delta = form_add(delta, form_mul([vec[2 * pos], vec[2 * pos + 1]], base))
     allowed = {m - 1, m, m + 1}
     assert all(c == 0 for k, c in enumerate(delta) if k not in allowed)
@@ -1056,15 +1070,15 @@ def test_tangency_witness_is_a_genuine_deformation():
 def test_tangency_swap_multiplicities_same_dimension():
     f, line = build_tangency_instance(m=2)
     swapped, _ = build_tangency_instance(m=4)
-    rep = tangency_deformation_dim(f, line, 2)
-    rep_swapped = tangency_deformation_dim(swapped, line, 4)
+    rep = tangency_deformation_dim(f.terms, line, 2)
+    rep_swapped = tangency_deformation_dim(swapped.terms, line, 4)
     assert rep.dims["deformations"] == rep_swapped.dims["deformations"]
 
 
 def test_tangency_precondition():
     f, line = build_tangency_instance()
     with pytest.raises(NotInTangencyStratum):
-        tangency_deformation_dim(f, line, 2)   # wrong multiplicity
+        tangency_deformation_dim(f.terms, line, 2)   # wrong multiplicity
     shape = FamilyShape(2, 6)
     g = DeformationPoint(shape).f_poly()
     with pytest.raises(NotInTangencyStratum):
@@ -1087,12 +1101,12 @@ def test_tangency_monotone_under_added_transverse_terms():
         rng = rng_for("monotone", seed)
         lead = HomogPoly.monomial(nv, (d - m, m, 0, 0))
         f = lead
-        prev = tangency_deformation_dim(f, line, m).dims["deformations"]
+        prev = tangency_deformation_dim(f.terms, line, m).dims["deformations"]
         for i in (2, 3):
             g = HomogPoly(nv, d - 1,
                           {mm: sample_rational(rng, 9) for mm in deg.members})
             f = f + HomogPoly.variable(nv, i) * g
-            cur = tangency_deformation_dim(f, line, m).dims["deformations"]
+            cur = tangency_deformation_dim(f.terms, line, m).dims["deformations"]
             assert cur <= prev
             prev = cur
 
@@ -1103,7 +1117,7 @@ def test_tangency_off_coordinate_line():
     rng = rng_for("offline")
     shape = FamilyShape(n, d)
     z = random_generic_scheme(n, rng)
-    b = _b_with_line_power(shape, z, m, rng)
+    b, _ = _b_with_line_power(shape, z, m, rng)
     rep = tangency_deformation_dim(b.f_poly(), z.line, m)
     assert rep.dims["unknowns"] == 2 * n
     assert rep.dims["deformations"] >= 0
