@@ -4,10 +4,11 @@ Usage pattern: `verify <lemma-id|all> [--n N] [--d D] [--m M] [--seed S]...
 [--trials K] [--jobs J] [--json PATH] [--config PATH]`.  One JSON line is
 written per (lemma, seed) pair, flushed as soon as that pair is done and in
 registry order, plus a trailing summary object; stdout gets an aligned
-human table at the end.  `--jobs J` runs the pairs in min(J, pairs, CPUs)
-forked worker processes; `--jobs 1` runs them in this process.  Exit code
-0 when everything passes, 1 on any FAIL, 2 when the worst outcome is
-INFEASIBLE or INDETERMINATE, 64 on usage errors.
+human table, each pair's row also written when the pair is done.
+`--jobs J` runs the pairs in min(J, pairs, CPUs) forked worker processes;
+`--jobs 1` runs them in this process.  Exit code 0 when everything passes,
+1 on any FAIL, 2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64
+on usage errors.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class RunConfig:
                 raise ValueError("unknown lemma id %r" % lemma)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not self.lemmas:
+            raise ValueError("need at least one lemma")
         return d, m
 
 
@@ -114,8 +117,8 @@ def run_lemma(lemma: str, n: int, d: int, m: int, seed: int,
     raise ValueError("unknown lemma id %r" % lemma)
 
 
-def _dims_str(dims: dict) -> str:
-    return ",".join("%s=%s" % (k, v) for k, v in dims.items())
+def _table_row(cells, widths) -> str:
+    return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip() + "\n"
 
 
 def _work(item) -> LemmaReport:
@@ -158,42 +161,38 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_USAGE
     items = [(lemma, config.n, d, m, seed, config.trials)
              for lemma in config.lemmas for seed in config.seeds]
-    reports = []
+    # Every column but the last, dims, has a width known before any row
+    # (ms is padded to 7 digits), so each row is written as its report is
+    # done, the header with the first.
+    header = ("lemma", "n", "d", "seed", "verdict", "ms", "dims")
+    widest = (max(REGISTRY, key=len), str(config.n), str(d),
+              max(map(str, config.seeds), key=len), INDETERMINATE, "9" * 7, "")
+    widths = [max(len(h), len(w)) for h, w in zip(header, widest)]
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0, INFEASIBLE: 0}
     try:
         with fh or contextlib.nullcontext():
-            for rep in _reports(items, config.jobs):
-                reports.append(rep)
-                counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+            for i, rep in enumerate(_reports(items, config.jobs)):
+                counts[rep.verdict] += 1
                 if fh:
                     fh.write(rep.to_json() + "\n")
                     fh.flush()
+                if i == 0:
+                    out.write(_table_row(header, widths))
+                dims = ",".join("%s=%s" % kv for kv in rep.dims.items())
+                out.write(_table_row((rep.lemma, str(rep.n), str(rep.d), str(rep.seed),
+                                      rep.verdict, str(rep.elapsed_ms), dims), widths))
+                out.flush()
+            summary = {"runs": len(items), "pass": counts[PASS], "fail": counts[FAIL],
+                       "indeterminate": counts[INDETERMINATE], "infeasible": counts[INFEASIBLE]}
             if fh:
-                fh.write(json.dumps({"summary": {
-                    "runs": len(reports),
-                    "pass": counts[PASS],
-                    "fail": counts[FAIL],
-                    "indeterminate": counts[INDETERMINATE],
-                    "infeasible": counts[INFEASIBLE],
-                }}) + "\n")
+                fh.write(json.dumps({"summary": summary}) + "\n")
     except OSError as exc:
         if not fh:      # no report file, so not a write error
             raise
         sys.stderr.write("error: cannot write reports: %s\n" % exc)
         return EXIT_USAGE
-
-    # The table is written last: its column widths need every row.
-    header = ("lemma", "n", "d", "seed", "verdict", "dims", "ms")
-    table = [header]
-    for rep in reports:
-        table.append((rep.lemma, str(rep.n), str(rep.d), str(rep.seed),
-                      rep.verdict, _dims_str(rep.dims), str(rep.elapsed_ms)))
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    for row in table:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
     out.write("summary: %d runs, %d pass, %d fail, %d indeterminate, %d infeasible\n"
-              % (len(reports), counts[PASS], counts[FAIL],
-                 counts[INDETERMINATE], counts[INFEASIBLE]))
+              % tuple(summary.values()))
 
     if counts[FAIL]:
         return EXIT_FAIL

@@ -10,13 +10,11 @@ rows keyed by their leftmost column and divided by the gcd of their entries
 back-substitution pass.
 
 Span relations are decided by rank: rank_sparse, first_outside_span, and
-kernel_span_dims for claims "span(gens) == ker(m)" on sparse generator rows
-{column: value} (the inclusion m·g == 0, the rank of m and the rank of the
-generators are all exact, so the claim holds iff the inclusion holds and the
-two dimensions agree; given the inclusion, span_dim <= kernel_dim and the
-generators' elimination stops at rank kernel_dim).  Subspace is canonical,
-in reduced column echelon form so equality is a plain entry-wise
-comparison; it serves witness vectors and the tests' reference computations.
+kernel_span_dims for claims "span(gens) == ker(m)" on sparse integer
+generator rows {column: int}, which hold iff m·g == 0 for every g and the
+two exact dimensions agree.  Subspace is canonical, in reduced column
+echelon form so equality is a plain entry-wise comparison; it serves
+witness vectors and the tests' reference computations.
 """
 
 from __future__ import annotations
@@ -204,22 +202,24 @@ def first_outside_span(rows, vectors):
 
 
 def kernel_span_dims(m: Matrix, gens):
-    """(inside, kernel_dim, span_dim), all exact, for sparse generator rows
-    {column: value}, on m's rows and the generators cleared to integers once:
+    """(inside, kernel_dim, span_dim), all exact, for sparse integer
+    generator rows {column: int}, on m's rows cleared to integers once:
     inside is m·g == 0 for every g, kernel_dim is ncols - rank(m) and
     span_dim is rank(gens).  The generators are eliminated by leftmost
-    column, the first row of each column (a new pivot row) first; when inside
-    holds, span(gens) ⊆ ker(m) and the elimination stops at rank kernel_dim."""
+    column, the first row of each column (a new pivot row) first; when
+    inside holds, span(gens) ⊆ ker(m) and the elimination stops at rank
+    kernel_dim.  Entries are not cleared: a rational one read by the
+    elimination raises TypeError from gcd."""
     if any(not 0 <= j < m.ncols for g in gens for j in g):
         raise DimensionMismatch("generator column outside %d columns" % m.ncols)
     rows = [clear_denominators(row)[0] for row in m.data]
     columns = [[row[j] for row in rows] for j in range(m.ncols)]    # m·g is a sum of these
-    cleared = [_integer_row(g) for g in gens]
+    gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
     inside = all(not any(map(sum, zip(*[[v * x for x in columns[j]]
-                                        for j, v in r.items()]))) for r in cleared)
+                                        for j, v in r.items()]))) for r in gens)
     kernel_dim = m.ncols - len(_echelon(map(_integer_row, rows)))
     firsts, rest = [], []
-    for r in sorted(filter(None, cleared), key=min):
+    for r in sorted(filter(None, gens), key=min):
         (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)
     return inside, kernel_dim, len(_echelon(firsts + rest, kernel_dim if inside else None))
 

@@ -23,7 +23,8 @@ from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
                     random_solution, sample_rational)
 from .poly import (EulerSection, HomogPoly, gen_jd, integer_monomial_values,
-                   jd_size_formula, mono_str, order_key, sum_of_products)
+                   jd_size_formula, mono_str, order_key, sum_of_products,
+                   term_partials)
 from .rng import Rng
 
 
@@ -82,11 +83,7 @@ class DeformationPoint:
     def f_partials(self):
         """den * dF/dx_i as integer terms, for each variable i."""
         if self._partials is None:
-            self._partials = tuple({} for _ in range(self.shape.nvars))
-            for m, c in self.f_poly().items():
-                for i, e in enumerate(m):
-                    if e:
-                        self._partials[i][m[:i] + (e - 1,) + m[i + 1:]] = c * e
+            self._partials = term_partials(self.f_poly(), self.shape.nvars)
         return self._partials
 
     def to_json(self) -> str:

@@ -1,20 +1,18 @@
 """Points, lines, length-2 schemes and restriction to a line.
 
-A line through two distinct points p, q is parameterized by
-(s, t) -> s*p + t*q, so p sits at (1, 0) and q at (0, 1).  Restricting a
-degree-m form along the parameterization yields a binary form of degree m
-in (s, t), kept as its plain coefficient list: entry k multiplies
-s^(m-k) t^k.  monomial_index and distinct_root_count read such lists.
+A Line through two distinct points p, q is parameterized along their
+integer points, (s, t) -> s*P + t*Q (see Line), so p sits at (1, 0) and q
+at (0, 1).  Restricting a degree-m form along the parameterization yields a
+binary form of degree m in (s, t), kept as its plain coefficient list:
+entry k multiplies s^(m-k) t^k.  monomial_index and distinct_root_count
+read such lists.
 
-Restriction runs on Python ints.  A Line clears p and q to integer points
-P / Dp and Q / Dq once and caches, per monomial, the integer coefficients
-of prod_i (P_i s + Q_i t)^e_i.  restrict_poly takes a form as integer terms
-{exponents: int} over one denominator, such as a family member's cleared
-terms, sums them against those vectors and builds one reduced Fraction per
-output coefficient; restrict_partials restricts all n+2 partial
-derivatives the same way, in one pass over the terms, without building the
-partials.  distinct_root_count ranks the Bezout matrix of a restriction's
-core and its derivative, half the size of their Sylvester matrix.
+Restriction runs on Python ints.  A Line caches, per monomial, the integer
+coefficients of prod_i (P_i s + Q_i t)^e_i, and restrict_poly sums a form's
+terms {exponents: coefficient} against them: integer terms, such as a
+family member's, give integer coefficients.  distinct_root_count ranks the
+Bezout matrix of a restriction's core and its derivative, half the size of
+their Sylvester matrix.
 
 Length-2 schemes here are always two distinct points; the coincident
 (non-reduced) case would need jet evaluation and no check in this package
@@ -22,8 +20,6 @@ requires it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DimensionMismatch, LineInHypersurface
 from .exact import (Matrix, Subspace, ZERO, clear_denominators, format_fraction,
@@ -94,7 +90,13 @@ def distinct_root_count(coeffs) -> int:
 
 
 class Line:
-    """Line spanned by two distinct points, with restriction caching."""
+    """Line spanned by two distinct points p and q, with restriction caching.
+
+    It is parameterized as s*P + t*Q, with P = Dp * p and Q = Dq * q the
+    points cleared of denominators (Dp, Dq > 0): F(s*P + t*Q) is the
+    restriction along s*p + t*q with entry k scaled by Dp^(m-k) Dq^k > 0.
+    So every zero test, monomial_index, distinct_root_count and rank read
+    off it are those of the rational restriction."""
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.nvars != q.nvars:
@@ -103,8 +105,8 @@ class Line:
             raise ValueError("coincident points do not span a line")
         self.p = p
         self.q = q
-        self._p_ints, self._p_den = clear_denominators(p.coords)
-        self._q_ints, self._q_den = clear_denominators(q.coords)
+        self._p_ints, _ = clear_denominators(p.coords)
+        self._q_ints, _ = clear_denominators(q.coords)
         self._restricted = {(0,) * p.nvars: (1,)}
 
     @property
@@ -113,7 +115,7 @@ class Line:
 
     def integer_restriction(self, exps):
         """Integer coefficients of prod_i (P_i s + Q_i t)^e_i, entry k at
-        s^(m-k) t^k, for P = Dp * p and Q = Dq * q.
+        s^(m-k) t^k.
 
         Cached per monomial; an entry is the entry of the monomial with its
         first nonzero exponent lowered by one, times one linear factor.
@@ -132,48 +134,17 @@ class Line:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
 
 
-def _coefficients(line: Line, m: int, acc, den: int):
-    """The coefficient list acc[k] / (den Dp^(m-k) Dq^k) of a degree-m
-    restriction: integer sums over the line's cache back to reduced
-    Fractions."""
-    dp, dq = line._p_den, line._q_den
-    return [Fraction(a, den * dp ** (m - k) * dq ** k) for k, a in enumerate(acc)]
-
-
-def restrict_poly(terms, degree: int, line: Line, den: int = 1):
-    """Substitute x = s*p + t*q into the degree-`degree` form with terms
-    {exponents: coefficient} / den and expand exactly; the coefficient list,
-    entry k at s^(m-k) t^k.  Integer terms keep every sum in ints.
-
-    With p = P / Dp and q = Q / Dq, the coefficient of s^(m-k) t^k is
-    sum_e c_e * (integer restriction of x^e)_k / (den Dp^(m-k) Dq^k).
-    """
+def restrict_poly(terms, degree: int, line: Line):
+    """Substitute x = s*P + t*Q into the degree-`degree` form with terms
+    {exponents: coefficient} and expand exactly: the coefficient list, entry
+    k at s^(m-k) t^k, ints for integer terms."""
     if terms and len(next(iter(terms))) != line.nvars:
         raise DimensionMismatch("polynomial and line live in different spaces")
     acc = [0] * (degree + 1)
     for exps, c in terms.items():
         for k, v in enumerate(line.integer_restriction(exps)):
             acc[k] += c * v
-    return _coefficients(line, degree, acc, den)
-
-
-def restrict_partials(terms, degree: int, line: Line, den: int = 1):
-    """The restrictions of the n+2 partial derivatives of the form
-    restrict_poly takes, in one pass over its terms and without building
-    the partials: the term c_e x^e adds c_e * e_i * (integer restriction of
-    x^(e - 1_i)) to the i-th sum."""
-    if terms and len(next(iter(terms))) != line.nvars:
-        raise DimensionMismatch("polynomial and line live in different spaces")
-    m = max(degree - 1, 0)
-    accs = [[0] * (m + 1) for _ in range(line.nvars)]
-    for exps, c in terms.items():
-        for i, e in enumerate(exps):
-            if e:
-                acc, ce = accs[i], c * e
-                lower = exps[:i] + (e - 1,) + exps[i + 1:]
-                for k, v in enumerate(line.integer_restriction(lower)):
-                    acc[k] += ce * v
-    return [_coefficients(line, m, acc, den) for acc in accs]
+    return acc
 
 
 def restrict_section(sec: EulerSection, line: Line):

@@ -6,7 +6,8 @@ dictionaries monomial -> Fraction with no stored zeros; dense coefficient
 vectors are materialized only when a matrix column is needed.  The
 verifiers build no HomogPoly: a family member and tangency's form are
 integer term dicts {exponents: int} over one denominator (family.f_poly),
-and HomogPoly with its Fraction arithmetic serves the tests' oracles.
+differentiated by term_partials, and HomogPoly with its Fraction
+arithmetic serves the tests' oracles.
 
 Products (sum_of_products, and HomogPoly.__mul__ through it) and monomial
 evaluation (eval_monomials) run on Python ints: coefficients and
@@ -38,6 +39,17 @@ def mono_degree(m) -> int:
 
 def mono_mul(a, b):
     return tuple(map(add, a, b))
+
+
+def term_partials(terms, nvars: int):
+    """The partial derivatives by x_0 ... x_(nvars-1) of the form with terms
+    {exponents: coefficient}, as term dicts of the same kind."""
+    out = tuple({} for _ in range(nvars))
+    for m, c in terms.items():
+        for i, e in enumerate(m):
+            if e:
+                out[i][m[:i] + (e - 1,) + m[i + 1:]] = c * e
+    return out
 
 
 def order_key(m):
@@ -191,14 +203,8 @@ class HomogPoly:
         """Formal partial derivative with respect to x_i."""
         if i >= self.nvars:
             raise ValueError("variable index out of range")
-        deg = max(self.degree - 1, 0)
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                dm = m[:i] + (e - 1,) + m[i + 1:]
-                terms[dm] = terms.get(dm, ZERO) + c * e
-        return HomogPoly(self.nvars, deg, terms)
+        return HomogPoly(self.nvars, max(self.degree - 1, 0),
+                         term_partials(self.terms, self.nvars)[i])
 
     def evaluate(self, coords):
         if len(coords) != self.nvars:

@@ -21,15 +21,15 @@ from math import comb, gcd
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ONE, ZERO, clear_denominators, first_outside_span,
+from .exact import (Matrix, Subspace, ZERO, clear_denominators, first_outside_span,
                     format_fraction, kernel_basis, kernel_span_dims, rank_sparse,
                     sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
                      point_condition, sample_b_through, random_deformation)
 from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
                     distinct_root_count, ip_linear, iz_linear, monomial_index,
-                    permute_point, restrict_partials, restrict_poly, scheme_json)
-from .poly import all_monomials, gen_jd, integer_monomial_values, mono_mul
+                    permute_point, restrict_poly, scheme_json)
+from .poly import all_monomials, gen_jd, integer_monomial_values, mono_mul, term_partials
 from .rng import Rng
 
 PASS = "PASS"
@@ -360,9 +360,8 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
 # kernel of restriction on the deformation span
 
 def _xi_matrix_on(monomials, line: Line) -> Matrix:
-    """Columns: restriction of each monomial to the line, as the line's
-    integer cache gives it (row k scaled by Dp^(d-k) Dq^k, which keeps the
-    rank and the kernel)."""
+    """Columns: restriction of each monomial to the line, from the line's
+    integer cache."""
     return Matrix.from_columns(line.integer_restriction(m) for m in monomials)
 
 
@@ -375,9 +374,11 @@ def _ideal_product_vectors(lin_forms, gens, jd):
 
 
 def _special_extras(jd, d: int, cmap):
-    """Sparse rows of x0^(d-2) x_i (x_j - c_j x_1), for i >= 1 and j >= 2."""
+    """Sparse integer rows of x0^(d-2) x_i (x_j - c_j x_1) times the
+    denominator of c_j, for i >= 1 and j >= 2."""
     base = (d - 2,) + (0,) * (jd.nvars - 1)
-    return [{jd.index[_times(base, i, j)]: ONE, jd.index[_times(base, i, 1)]: -cmap[j]}
+    return [{jd.index[_times(base, i, j)]: cmap[j].denominator,
+             jd.index[_times(base, i, 1)]: -cmap[j].numerator}
             for i in range(1, jd.nvars) for j in range(2, jd.nvars)]
 
 
@@ -527,10 +528,10 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
 def _section_image(terms, line: Line):
     """Image on the line of the quadratic section with sparse terms
     {(component, exponents): coefficient}: entry 3*comp + k sums the
-    section's integer numerators times line.integer_restriction(exps)[k].
-    That is the rational restriction times one positive factor per row and,
-    at entry k, Dp^(2-k) Dq^k, shared by every vector on the line; so ranks
-    and span membership are those of the rational restrictions."""
+    section's integer numerators times line.integer_restriction(exps)[k]:
+    the restriction along the line's integer points (see Line) times one
+    positive factor, so ranks and span membership are those of the
+    rational sections."""
     nums, _ = clear_denominators(terms.values())
     vec = [0] * (3 * line.nvars)
     for (comp, exps), c in zip(terms, nums):
@@ -715,14 +716,14 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
 # ---------------------------------------------------------------------------
 # secant-line obstruction
 
-def _motion_columns(terms, d: int, line: Line, coords, den: int = 1):
+def _motion_columns(partials, d: int, line: Line, coords):
     """Two columns per coordinate i in `coords`: s*dF/dx_i and t*dF/dx_i
-    restricted to the line, for the degree-d form F with terms {exponents:
-    coefficient} / den; the image of moving x_i by a linear form."""
-    partials = restrict_partials(terms, d, line, den)
+    restricted to the line, for the degree-d form F whose partials are the
+    term dicts `partials`; the image of moving x_i by a linear form."""
     cols = []
     for i in coords:
-        cols += [partials[i] + [ZERO], [ZERO] + partials[i]]
+        restricted = restrict_poly(partials[i], d - 1, line)
+        cols += [restricted + [0], [0] + restricted]
     return cols
 
 
@@ -742,7 +743,7 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
         raise NonGenericScheme("the obstruction computation assumes a generic scheme")
     line = z.line
     if xif is None:
-        xif = restrict_poly(b.f_poly(), d, line, b.den)
+        xif = restrict_poly(b.f_poly(), d, line)
     # z.line = Line(p1, p2): F(p1) and F(p2) are the s^d and t^d coefficients
     if xif[0] or xif[d]:
         raise ValueError("the scheme does not lie on the family member")
@@ -754,7 +755,7 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     rho = [{2 * i + k: pt.coords[j], 2 * j + k: -pt.coords[i]}
            for k, pt in enumerate((z.p1, z.p2))
            for i in range(nv) for j in range(i + 1, nv)]
-    etahat = list(zip(*_motion_columns(b.f_poly(), d, line, range(nv), b.den)))
+    etahat = list(zip(*_motion_columns(b.f_partials(), d, line, range(nv))))
     ker_rho = 2 * nv - rank_sparse(rho)
     rank_eta, rank_both = rank_sparse(etahat), rank_sparse(rho + etahat)
 
@@ -786,24 +787,20 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
 
 def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int, rng: Rng):
     """(b, restriction): a family member b through Z whose restriction to
-    the line, also returned, is a nonzero multiple of s^(d-m) t^m.
-
-    Row k of the system is the s^(d-k) t^k coefficient of the restriction
-    on the line's integer cache: the rational row times Dp^(d-k) Dq^k > 0,
-    which has the same solutions."""
-    d, nv, line = shape.d, shape.nvars, z.line
+    the line, also returned, is a nonzero multiple of s^(d-m) t^m.  Row k
+    of the system is the s^(d-k) t^k coefficient of the restriction."""
+    d, line = shape.d, z.line
     restricted = [line.integer_restriction(f) for f in shape.jd]
-    fermat = [line.integer_restriction(tuple(d * (j == i) for j in range(nv)))
-              for i in range(nv)]
+    fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, line)
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
-    rhs = [-sum(col[k] for col in fermat) for k in keep]
+    rhs = [-fermat[k] for k in keep]
     for a in range(_LINE_POWER_ATTEMPTS):
         sol = random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         if sol is None:
             raise InfeasibleSystem("line-power conditions are inconsistent")
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        xif = restrict_poly(b.f_poly(), d, line, b.den)
+        xif = restrict_poly(b.f_poly(), d, line)
         if xif[m]:
             return b, xif
     raise InfeasibleSystem("could not reach a nonzero top coefficient")
@@ -878,7 +875,7 @@ def _tangency_system(terms, d: int, line: Line, m: int):
     restricted derivative outside the stratum's tangent space."""
     rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
     normals = [i for i in range(line.nvars) if i not in pivots]
-    cols = _motion_columns(terms, d, line, normals)
+    cols = _motion_columns(term_partials(terms, line.nvars), d, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
     return Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals)), normals
 
@@ -889,8 +886,9 @@ def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaR
     positive multiple gives the same count and witness): unknowns are normal
     motions (n binary linear forms), constrained so the derivative of the
     restricted polynomial stays inside the tangent space of the multiplicity
-    stratum (the pure monomial and its two root-moving neighbours).  Verdict
-    PASS means the count is zero, i.e. the configuration is rigid."""
+    stratum (the pure monomial and its two root-moving neighbours), in the
+    line's integer parameters (s, t).  Verdict PASS means the count is zero,
+    i.e. the configuration is rigid."""
     t0 = time.perf_counter()
     d = sum(next(iter(terms), ()))      # no terms: degree 0, outside every stratum
     xif = restrict_poly(terms, d, line)

@@ -9,18 +9,23 @@ verifiers._eta_in_span is checked against.  sylvester_root_count is the
 Sylvester-rank root count that lines.distinct_root_count's Bezoutian is
 checked against.
 
-The package restricts integer terms over one denominator; restrict and
-restrict_all_partials feed it a HomogPoly cleared that way, and
-member_poly reads a family member's integer terms back as the rational
-HomogPoly F.
+The package restricts along a line's integer points s*P + t*Q.
+restrict_reference expands a form along any two points term by term in
+Fractions: at integer_points(line) it is what lines.restrict_poly must
+give exactly, and at the line's normalized rational points
+(restrict_rational) it is the restriction along s*p + t*q.  restrict and
+restrict_all_partials are restrict_poly of a HomogPoly and of its partials
+(poly.term_partials), and member_poly reads a family member's integer terms
+back as the rational HomogPoly F.
 """
 
 from fractions import Fraction
+from math import comb
 
 from fermatlines.errors import DimensionMismatch
 from fermatlines.exact import Matrix, clear_denominators
-from fermatlines.lines import restrict_partials, restrict_poly
-from fermatlines.poly import HomogPoly
+from fermatlines.lines import restrict_poly
+from fermatlines.poly import HomogPoly, term_partials
 
 ZERO = Fraction(0)
 
@@ -70,6 +75,11 @@ def support_in(poly, mset) -> bool:
     return all(m in mset.index for m in poly.terms)
 
 
+def integer_points(line):
+    """(P, Q): the line's points p and q cleared of denominators."""
+    return clear_denominators(line.p.coords)[0], clear_denominators(line.q.coords)[0]
+
+
 def cleared(poly):
     """(terms, den): the HomogPoly's coefficients as ints over the lcm of
     their denominators."""
@@ -77,16 +87,39 @@ def cleared(poly):
     return dict(zip(poly.terms, nums)), den
 
 
+def restrict_reference(poly, p, q):
+    """Coefficients of poly(s*p + t*q), expanded term by term in Fractions:
+    each term is its coefficient times the product of its binomial
+    expansions (p_i s + q_i t)^e_i."""
+    powers = {}
+    acc = [ZERO] * (poly.degree + 1)
+    for exps, c in poly.terms.items():
+        vec = [Fraction(c)]
+        for i, e in enumerate(exps):
+            if (i, e) not in powers:
+                a, b = Fraction(p[i]), Fraction(q[i])
+                powers[i, e] = [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
+            vec = form_mul(vec, powers[i, e])
+        acc = form_add(acc, vec)
+    return acc
+
+
+def restrict_rational(poly, line):
+    """restrict_reference at the line's normalized rational points: the
+    restriction along s*p + t*q."""
+    return restrict_reference(poly, line.p.coords, line.q.coords)
+
+
 def restrict(poly, line):
-    """restrict_poly of a HomogPoly, through its cleared integer terms."""
-    terms, den = cleared(poly)
-    return restrict_poly(terms, poly.degree, line, den)
+    """restrict_poly of a HomogPoly: its restriction along s*P + t*Q."""
+    return restrict_poly(poly.terms, poly.degree, line)
 
 
 def restrict_all_partials(poly, line):
-    """restrict_partials of a HomogPoly, through its cleared integer terms."""
-    terms, den = cleared(poly)
-    return restrict_partials(terms, poly.degree, line, den)
+    """The restrictions along s*P + t*Q of poly's partials, by
+    term_partials and restrict_poly."""
+    return [restrict_poly(part, max(poly.degree - 1, 0), line)
+            for part in term_partials(poly.terms, poly.nvars)]
 
 
 def member_poly(b):

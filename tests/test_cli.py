@@ -96,6 +96,7 @@ def test_usage_errors_exit_64(capsys):
     ({"lemmas": "w-basis"}, "lemmas must be a list of lemma ids, got 'w-basis'"),
     ({"lemmas": [1]}, "lemmas must be a list of lemma ids, got [1]"),
     ({"json": 5}, "json must be a path, got 5"),
+    ({"lemmas": []}, "need at least one lemma"),
 ])
 def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, cfg, message):
     path = tmp_path / "cfg.json"
@@ -303,6 +304,31 @@ def test_human_table_has_header_and_summary():
     text = buf.getvalue()
     assert text.splitlines()[0].startswith("lemma")
     assert "summary:" in text
+
+
+def test_table_rows_are_written_as_reports_finish(monkeypatch):
+    """Each row is on stdout before the next report exists, aligned to
+    widths known up front, with dims last; the summary line follows."""
+    buf = io.StringIO()
+    seen = []
+
+    def stub_reports(items, jobs):
+        for k, (lemma, n, d, m, seed, trials) in enumerate(items):
+            seen.append(buf.getvalue())
+            dims = {"basis": 24 * 10 ** k, "kernel_total": 28}
+            yield LemmaReport(lemma, n, d, seed, ["PASS", "INDETERMINATE"][k], dims,
+                              None, 10 ** (3 * k))
+
+    monkeypatch.setattr(cli, "_reports", stub_reports)
+    assert run(RunConfig(n=2, d=6, seeds=[0, 12345], lemmas=["w-basis"]), out=buf) == EXIT_SOFT
+    lines = buf.getvalue().splitlines()
+    assert seen[0] == ""
+    assert seen[1].splitlines() == lines[:2]
+    assert lines == [
+        "lemma           n  d  seed   verdict        ms       dims",
+        "w-basis         2  6  0      PASS           1        basis=24,kernel_total=28",
+        "w-basis         2  6  12345  INDETERMINATE  1000     basis=240,kernel_total=28",
+        "summary: 2 runs, 1 pass, 0 fail, 1 indeterminate, 0 infeasible"]
 
 
 def test_checks_survive_optimized_interpreter():

@@ -32,6 +32,13 @@ def sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+def integer_sparse(rows):
+    """Integer rows {column: int} of the nonzero entries of dense rational
+    rows, each cleared of denominators (a positive multiple, the same span),
+    as kernel_span_dims takes generators."""
+    return [exact._integer_row(row) for row in rows]
+
+
 def kernel_basis_oracle(m):
     """Oracle: the kernel's free-variable basis canonicalized by a second rref."""
     return Subspace.from_vectors(m.ncols, m.kernel_vectors())
@@ -301,7 +308,7 @@ def test_certify_kernel_span_examples():
     m = Matrix([[1, -1, 0]])
     assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}]) == (True, 2, 2)
     assert kernel_span_dims(Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]]),
-                            [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: 5}]) == (True, 2, 2)
+                            [{0: 1, 1: 1}, {2: 5}]) == (True, 2, 2)
     # too few generators: the span is smaller than the kernel
     assert kernel_span_dims(m, [{0: 1, 1: 1}]) == (True, 2, 1)
     # a generator outside the kernel
@@ -325,9 +332,9 @@ def test_certify_kernel_span_matches_exact_kernel():
         nullity = m.ncols - m.rank()
         # one redundant generator on top of a basis
         extra = [[x + 3 * y for x, y in zip(gens[0], gens[-1])]] if gens else []
-        assert kernel_span_dims(m, sparse(gens + extra)) == (True, nullity, nullity)
+        assert kernel_span_dims(m, integer_sparse(gens + extra)) == (True, nullity, nullity)
         if gens:
-            assert kernel_span_dims(m, sparse(gens[1:])) == (True, nullity, nullity - 1)
+            assert kernel_span_dims(m, integer_sparse(gens[1:])) == (True, nullity, nullity - 1)
 
 
 def test_kernel_span_stop_gives_the_full_rank():
@@ -339,8 +346,9 @@ def test_kernel_span_stop_gives_the_full_rank():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 8), bound=5)
         kernel = m.kernel_vectors()
-        gens = sparse(kernel)
-        combos = sparse([[2 * x - y for x, y in zip(a, b)] for a, b in zip(kernel, kernel[1:])])
+        gens = integer_sparse(kernel)
+        combos = integer_sparse([[2 * x - y for x, y in zip(a, b)]
+                                 for a, b in zip(kernel, kernel[1:])])
         pool = gens + combos + [{j: 3 * x for j, x in g.items()} for g in gens] + [{}]
         for _ in range(4):
             chosen = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 6))]
@@ -355,13 +363,26 @@ def test_kernel_span_outside_the_kernel_gives_the_full_rank():
     above = 0
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
-        gens = sparse(m.kernel_vectors()) + sparse(random_matrix(rng, 2, m.ncols).data)
+        gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 2, m.ncols).data)
         inside, kernel_dim, span_dim = kernel_span_dims(m, gens)
         assert (kernel_dim, span_dim) == (m.ncols - m.rank(), rank_sparse(gens))
         assert inside == all(not any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))
                              for g in gens)
         above += span_dim > kernel_dim
     assert above
+
+
+def test_kernel_span_rational_generator_row_is_a_type_error():
+    """Generators are taken as integer rows, not cleared: a rational entry
+    the elimination reads raises TypeError from its gcd, never a wrong
+    rank, also when m's own rows are rational.  (A row past the stop at
+    kernel_dim is not read; the rank is exact without it.)"""
+    for m in (Matrix([[1, -1, 0]]), Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]])):
+        for gens in ([{0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: 5}],
+                     [{2: 5}, {0: 1, 1: 1}, {0: Fraction(1, 2)}],
+                     [{0: Fraction(2), 1: 2}]):
+            with pytest.raises(TypeError):
+                kernel_span_dims(m, gens)
 
 
 def test_kernel_span_accepts_empty_generator_rows():
@@ -558,7 +579,7 @@ def test_integer_rows_decide_as_their_fractions():
         assert m.kernel_vectors() == q.kernel_vectors()
         assert kernel_basis(m) == kernel_basis(q)
         assert m.solve(rhs) == q.solve(qrhs)
-        gens = sparse(q.kernel_vectors()) + [{0: 1}]
+        gens = integer_sparse(q.kernel_vectors()) + [{0: 1}]
         assert kernel_span_dims(m, gens) == kernel_span_dims(q, gens)
         rm, rq = Rng(trial), Rng(trial)
         assert random_solution(m, rhs, rm) == random_solution(q, qrhs, rq)

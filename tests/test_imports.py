@@ -4,7 +4,9 @@ package module has an `assert` statement.
 A stdlib stand-in for pyflakes' unused-import check: each module under
 src/fermatlines/ except __init__.py (whose imports are the public
 re-exports) is parsed with ast, and a name it imports but never reads,
-in code or in a string annotation, fails the test.  An assert anywhere
+in code or in a string annotation, fails the test.  A name only bound
+again (an assignment, a loop target) or only mentioned in a docstring or
+comment is not read.  An assert anywhere
 under src/fermatlines/ fails too: `python -O` strips asserts, so a
 correctness guard must raise an explicit error instead.  And verifiers.py
 imports none of the dense section helpers it no longer uses, and no
@@ -47,9 +49,11 @@ def annotation(node):
 
 
 def used_names(tree):
+    """The names tree reads: loaded, or deleted, in code or in a string
+    annotation."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         ann = annotation(node)
         if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
@@ -75,6 +79,23 @@ def test_the_check_sees_unused_and_used_names():
     source = ("import json\nimport os.path\nfrom math import comb, lcm as l\n"
               "def f(x) -> 'json.JSONDecoder':\n    return l(x, 2)\n")
     assert unused_imports(source) == [("os", 2), ("comb", 3)]
+
+
+def test_the_check_sees_planted_unused_imports():
+    """A leftover import is found though its name is still written in the
+    module: in the docstring, in a comment, or bound again and never read;
+    an import read only inside a function counts as used."""
+    source = ('"""Restrictions are reduced Fraction lists."""\n'
+              "from fractions import Fraction\n"
+              "from math import gcd, lcm\n"
+              "from .exact import clear_denominators\n"
+              "def f(xs):\n"
+              "    import multiprocessing  # gcd of the entries\n"
+              "    for gcd in xs:\n"
+              "        clear_denominators = xs\n"
+              "    return lcm(*xs), multiprocessing.cpu_count()\n")
+    assert unused_imports(source) == [("Fraction", 2), ("gcd", 3),
+                                      ("clear_denominators", 4)]
 
 
 def assert_lines(source):

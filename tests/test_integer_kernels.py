@@ -1,10 +1,12 @@
 """The integer-numerator kernels against term-by-term Fraction references.
 
-restrict_poly, restrict_partials, HomogPoly.__mul__ (sum_of_products), eta
-and eval_monomials clear denominators once and build one Fraction per output
-coefficient.
-The references below are the plain rational expansions they replaced; they
-live here only, as oracles.
+restrict_poly sums integer terms against a line's integer cache, along
+s*P + t*Q; it must equal the Fraction expansion oracles.restrict_reference
+at the line's integer points, and the verdicts read off it must be those of
+the normalized rational restriction along s*p + t*q.  HomogPoly.__mul__
+(sum_of_products), eta and eval_monomials clear denominators once and build
+one Fraction per output coefficient.  The references below are the plain
+rational expansions they replaced; they live here only, as oracles.
 """
 
 from fractions import Fraction
@@ -14,15 +16,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fermatlines.errors import DimensionMismatch
-from fermatlines.exact import sample_rational
+from fermatlines.exact import Matrix, clear_denominators, sample_rational
 from fermatlines.family import (DeformationPoint, FamilyShape, eta,
                                 omega_basis, random_deformation,
                                 sample_b_through)
-from fermatlines.lines import Line, ProjPoint, restrict_partials, restrict_poly
+from fermatlines.lines import (Line, ProjPoint, distinct_root_count, monomial_index,
+                               restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
                               eval_monomials, gen_jd, sum_of_products)
 from fermatlines.rng import Rng
-from tests.oracles import member_poly, restrict, restrict_all_partials
+from fermatlines.verifiers import (_b_with_line_power, random_generic_scheme,
+                                   secant_obstruction)
+from tests.oracles import (cleared, integer_points, member_poly, restrict,
+                           restrict_all_partials, restrict_rational,
+                           restrict_reference)
 from tests.test_poly import random_poly
 
 ZERO = Fraction(0)
@@ -31,23 +38,6 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # ---------------------------------------------------------------------------
 # references
-
-def restrict_poly_reference(poly, line):
-    """Coefficients of poly(s*p + t*q), expanded term by term in Fractions."""
-    acc = [ZERO] * (poly.degree + 1)
-    for exps, c in poly.terms.items():
-        vec = [c]
-        for a, b, e in zip(line.p.coords, line.q.coords, exps):
-            power = [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
-            out = [ZERO] * (len(vec) + e)
-            for i, x in enumerate(vec):
-                for j, y in enumerate(power):
-                    out[i + j] += x * y
-            vec = out
-        for k, v in enumerate(vec):
-            acc[k] += v
-    return acc
-
 
 def mul_reference(a, b):
     """Product with one Fraction multiply and add per pair of terms."""
@@ -84,7 +74,14 @@ def assert_same_fractions(got, want):
 
 
 def check_restriction(poly, line):
-    assert_same_fractions(restrict(poly, line), restrict_poly_reference(poly, line))
+    """restrict_poly equals the Fraction expansion along s*P + t*Q, and the
+    cleared integer terms c*den restrict to ints, den times that."""
+    want = restrict_reference(poly, *integer_points(line))
+    assert restrict(poly, line) == want
+    terms, den = cleared(poly)
+    got = restrict_poly(terms, poly.degree, line)
+    assert all(type(x) is int for x in got)
+    assert got == [den * x for x in want]
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +139,7 @@ def test_restrict_points_with_zero_coordinates_and_coordinate_lines():
 def test_restrict_zero_polynomial():
     line = Line(ProjPoint([1, Fraction(-2, 3), 5]), ProjPoint([Fraction(1, 4), 1, 0]))
     for degree in range(5):
-        form = restrict(HomogPoly.zero(3, degree), line)
-        assert_same_fractions(form, [ZERO] * (degree + 1))
+        assert restrict(HomogPoly.zero(3, degree), line) == [0] * (degree + 1)
 
 
 def test_restrict_large_coefficient_lcm():
@@ -170,9 +166,10 @@ def test_restrict_paper_size_member_and_partials():
         check_restriction(f.partial(i), line)
     check_partials(f, line)
     assert restrict(f, line)[0] == 0 == restrict(f, line)[-1]
-    # the member's own integer terms over den restrict to the same forms
-    assert restrict_poly(b.f_poly(), 8, line, b.den) == restrict(f, line)
-    assert restrict_partials(b.f_poly(), 8, line, b.den) == restrict_all_partials(f, line)
+    # the member's own integer terms, den * F, restrict to den times the forms
+    assert restrict_poly(b.f_poly(), 8, line) == [b.den * x for x in restrict(f, line)]
+    assert ([restrict_poly(part, 7, line) for part in b.f_partials()]
+            == [[b.den * x for x in form] for form in restrict_all_partials(f, line)])
 
 
 def test_restrict_checks_the_variable_count():
@@ -182,11 +179,13 @@ def test_restrict_checks_the_variable_count():
 
 
 def check_partials(poly, line):
-    """restrict_partials against the restriction of each HomogPoly.partial."""
+    """term_partials and restrict_poly against the restriction of each
+    HomogPoly.partial."""
     got = restrict_all_partials(poly, line)
     assert len(got) == poly.nvars
     for i, form in enumerate(got):
-        assert_same_fractions(form, restrict(poly.partial(i), line))
+        assert form == restrict(poly.partial(i), line)
+        assert form == restrict_reference(poly.partial(i), *integer_points(line))
 
 
 @given(lines_and_polys())
@@ -230,6 +229,60 @@ def test_line_cache_entry_is_product_of_linear_factors():
             want = [x * a + y * b for x, y in zip(want + [0], [0] + want)]
     assert list(vec) == want
     assert line.integer_restriction((2, 1, 1)) is vec
+
+
+def secant_reference(f, z):
+    """ker_etahat, overlap and dependent_pair of secant_obstruction, from
+    the rational restrictions of f and its partials along s*p + t*q and
+    dense Matrix ranks."""
+    nv = f.nvars
+    rho = []
+    for k, pt in enumerate((z.p1, z.p2)):
+        for i in range(nv):
+            for j in range(i + 1, nv):
+                row = [ZERO] * (2 * nv)
+                row[2 * i + k], row[2 * j + k] = pt.coords[j], -pt.coords[i]
+                rho.append(row)
+    cols = []
+    for i in range(nv):
+        form = restrict_rational(f.partial(i), z.line)
+        cols += [form + [ZERO], [ZERO] + form]
+    etahat = [list(row) for row in zip(*cols)]
+    xif = restrict_rational(f, z.line)
+    pair = Matrix([xif, [k * c for k, c in enumerate(xif)]])
+    return {"ker_etahat": 2 * nv - Matrix(etahat).rank(),
+            "overlap": 2 * nv - Matrix(rho + etahat).rank(),
+            "dependent_pair": int(pair.rank() <= 1)}
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 8), (2, 5)])
+def test_integer_restriction_keeps_the_rational_verdicts(n, d):
+    """On random members and lines, the integer restriction along s*P + t*Q
+    and the normalized rational one along s*p + t*q have the same
+    monomial_index and distinct_root_count, and secant_obstruction's
+    ker_etahat, overlap and dependent_pair are those of the rational
+    restrictions of F and its partials, on constructed two-point lines and
+    random secants."""
+    shape = FamilyShape(n, d)
+    rng = Rng(40).split("%d-%d" % (n, d))
+    scaled, pairs = 0, set()
+    for _ in range(2):
+        z = random_generic_scheme(n, rng)
+        p, q = z.line.p.coords, z.line.q.coords
+        scaled += clear_denominators(p)[1] * clear_denominators(q)[1] > 1
+        through = (_b_with_line_power(shape, z, d // 2, rng)[0],
+                   sample_b_through(shape, [z.p1, z.p2], rng))
+        for b in through + (random_deformation(shape, rng),):
+            f = member_poly(b)
+            xif, want = restrict_poly(b.f_poly(), d, z.line), restrict_rational(f, z.line)
+            assert monomial_index(xif) == monomial_index(want)
+            assert distinct_root_count(xif) == distinct_root_count(want)
+            if b in through:
+                dims = secant_obstruction(b, z).dims
+                ref = secant_reference(f, z)
+                assert {key: dims[key] for key in ref} == ref
+                pairs.add(ref["dependent_pair"])
+    assert scaled and pairs == {0, 1}
 
 
 # ---------------------------------------------------------------------------

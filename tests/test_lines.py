@@ -276,7 +276,7 @@ def gcd_degree_reference(u, v) -> int:
             p.pop()
         return p
 
-    a, b = trim(list(u)), trim(list(v))
+    a, b = trim([Fraction(x) for x in u]), trim([Fraction(x) for x in v])
     while b:
         while len(a) >= len(b) and a:
             f = a[-1] / b[-1]
@@ -363,7 +363,7 @@ def test_bezoutian_root_count_on_member_restrictions(n, d):
         z, other = random_generic_scheme(n, rng), random_generic_scheme(n, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
         for line in (z.line, other.line):
-            xif = restrict_poly(b.f_poly(), d, line, b.den)
+            xif = restrict_poly(b.f_poly(), d, line)
             if any(xif):
                 count = distinct_root_count(xif)
                 assert count == sylvester_root_count(xif) == distinct_root_count_reference(xif)

@@ -2,10 +2,12 @@
 they replaced.
 
 The ideal products l*g (l cleared once to an integer form) and
-kernel-special's extra generators are sparse rows built from exponent
-shifts, and the restriction matrix is read from the line's integer cache.  The references below build the same objects through
-HomogPoly products, dense coefficient vectors and restrict_poly; they live
-here only, as oracles.
+kernel-special's extra generators (each times the denominator of its c_j)
+are sparse integer rows built from exponent shifts, and the restriction
+matrix is read from the line's integer cache.  The references below build
+the same objects through HomogPoly products, dense coefficient vectors and
+the rational restriction along s*p + t*q; they live here only, as
+oracles.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import lcm
 
 import pytest
 
-from fermatlines.exact import Matrix, kernel_basis
+from fermatlines.exact import Matrix, clear_denominators, kernel_basis
 from fermatlines.family import FamilyShape
 from fermatlines.lines import ip_linear, iz_linear
 from fermatlines.poly import HomogPoly, gen_jd
@@ -21,7 +23,7 @@ from fermatlines.rng import Rng
 from fermatlines.verifiers import (_ideal_product_vectors, _random_point,
                                    _special_extras, _special_scheme,
                                    _xi_matrix_on, random_generic_scheme)
-from tests.oracles import restrict
+from tests.oracles import restrict_rational
 from tests.test_verifiers import dense
 
 
@@ -54,7 +56,7 @@ def special_extras_reference(jd, d, cmap, nv):
 
 def restriction_matrix_reference(monomials, line, nv):
     """Columns: the rational restriction of each monomial to the line."""
-    return Matrix.from_columns(restrict(HomogPoly.monomial(nv, m), line)
+    return Matrix.from_columns(restrict_rational(HomogPoly.monomial(nv, m), line)
                                for m in monomials)
 
 
@@ -71,11 +73,16 @@ def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
             forms = iz_linear(z).basis_vectors()
             assert (dense(_ideal_product_vectors(forms, jdm1, jd), len(jd))
                     == ideal_products_reference(cleared_forms(forms), jdm1, jd, nv))
-        # the sampled multipliers, then some and then all of them zero
+        # the sampled multipliers, then some and then all of them zero; each
+        # integer row is the rational one times the denominator of its c_j
         for c in (cmap, {j: c if j == 2 else Fraction(0) for j, c in cmap.items()},
                   dict.fromkeys(cmap, Fraction(0))):
-            assert (dense(_special_extras(jd, d, c), len(jd))
-                    == special_extras_reference(jd, d, c, nv))
+            dens = [c[j].denominator for i in range(1, nv) for j in range(2, nv)]
+            extras = _special_extras(jd, d, c)
+            assert all(type(v) is int for row in extras for v in row.values())
+            assert (dense(extras, len(jd))
+                    == [[den * x for x in row] for den, row in
+                        zip(dens, special_extras_reference(jd, d, c, nv))])
         # point-ideal: forms at one point, one degree up
         forms = ip_linear(_random_point(nv, sub)).basis_vectors()
         jd1 = gen_jd(n, d + 1)
@@ -93,7 +100,7 @@ def test_integer_restriction_matrix_keeps_rank_and_kernel(n, d):
         for z in (random_generic_scheme(n, sub), _special_scheme(n, sub)[0]):
             got = _xi_matrix_on(jd, z.line)
             want = restriction_matrix_reference(jd, z.line, nv)
-            dp, dq = z.line._p_den, z.line._q_den
+            dp, dq = (clear_denominators(pt.coords)[1] for pt in (z.line.p, z.line.q))
             assert got.data == [[x * dp ** (d - k) * dq ** k for x in row]
                                 for k, row in enumerate(want.data)]
             assert got.rank() == want.rank()

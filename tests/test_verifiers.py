@@ -15,7 +15,7 @@ from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outsi
 from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
                                 omega_terms, random_deformation, sample_b_through)
 from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, distinct_root_count,
-                               monomial_index, restrict_poly, restrict_section)
+                               monomial_index, restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
                               eval_monomials, gen_jd)
 from fermatlines.rng import Rng
@@ -34,7 +34,7 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_xi_special)
 from test_exact import kernel_basis_oracle
 from tests.oracles import (contains_vector, form_add, form_mul, member_poly, restrict,
-                           support_in)
+                           restrict_rational, support_in)
 
 
 def rng_for(label, seed=7):
@@ -479,7 +479,7 @@ def _zero_first_block(terms, line):
 
 def _member_without_line_power(shape, z, m, rng, attempts=20):
     b = sample_b_through(shape, [z.p1, z.p2], rng)
-    return b, restrict_poly(b.f_poly(), shape.d, z.line, b.den)
+    return b, restrict_poly(b.f_poly(), shape.d, z.line)
 
 
 def _zero_first_system_column(c):
@@ -681,9 +681,9 @@ def by_terms(sections):
 
 
 def fraction_row(sec, line):
-    """A section's restriction to the line as reduced Fractions, one
-    coefficient list per component, concatenated."""
-    return [x for coeffs in restrict_section(sec, line) for x in coeffs]
+    """A section's rational restriction along s*p + t*q, one coefficient
+    list per component, concatenated."""
+    return [x for c in sec.components for x in restrict_rational(c, line)]
 
 
 def is_scaled_image(new, old, z):
@@ -848,7 +848,7 @@ def test_secant_random_configuration_not_well_defined():
     while True:
         z = random_generic_scheme(2, rng)
         b = sample_b_through(shape, [z.p1, z.p2], rng)
-        xif = restrict_poly(b.f_poly(), 6, z.line, b.den)
+        xif = restrict_poly(b.f_poly(), 6, z.line)
         if any(xif) and distinct_root_count(xif) >= 3:
             break
     rep = secant_obstruction(b, z)
@@ -886,15 +886,15 @@ def b_with_line_power_reference(shape, z, m, rng, attempts=20):
     """Oracle: the line-power system built from rational restrictions of the
     deformation monomials and of the Fermat part."""
     nv, d = shape.nvars, shape.d
-    restricted = [restrict(HomogPoly.monomial(nv, f), z.line) for f in shape.jd]
-    fermat = restrict(member_poly(DeformationPoint(shape)), z.line)
+    restricted = [restrict_rational(HomogPoly.monomial(nv, f), z.line) for f in shape.jd]
+    fermat = restrict_rational(member_poly(DeformationPoint(shape)), z.line)
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
     for a in range(attempts):
         sol = exact.random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        if restrict(member_poly(b), z.line)[m]:
+        if restrict_rational(member_poly(b), z.line)[m]:
             return b
     raise AssertionError("no member with a nonzero top coefficient")
 
@@ -909,7 +909,7 @@ def test_line_power_member_matches_the_rational_system(n, d):
         got, xif = _b_with_line_power(shape, z, d // 2, rng_for("member", seed))
         want = b_with_line_power_reference(shape, z, d // 2, rng_for("member", seed))
         assert got.t == want.t
-        assert xif == restrict(member_poly(got), z.line)
+        assert xif == [got.den * x for x in restrict(member_poly(got), z.line)]
         assert monomial_index(xif) == d // 2
 
 
@@ -947,7 +947,7 @@ def secant_dims_reference(b, z):
                 rows.append(row)
     ker_rho = kernel_basis_oracle(Matrix(rows))
     ker_eta = kernel_basis_oracle(Matrix.from_columns(
-        verifiers._motion_columns(b.f_poly(), b.shape.d, z.line, range(nv), b.den)))
+        verifiers._motion_columns(b.f_partials(), b.shape.d, z.line, range(nv))))
     total = Subspace.from_vectors(2 * nv, ker_rho.basis_vectors() + ker_eta.basis_vectors())
     return {"ker_rho": ker_rho.dim, "ker_etahat": ker_eta.dim,
             "overlap": ker_rho.dim + ker_eta.dim - total.dim,
