@@ -15,9 +15,9 @@ from .exact import (Matrix, Subspace, format_fraction, kernel_basis,
                     sample_rational)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, koszul_eta_m,
                      omega_basis, random_deformation, sample_b_through)
-from .lines import (LengthTwoScheme, Line, ProjPoint, SchemeClass, classify,
-                    distinct_root_count, ip_linear, iz_linear, monomial_index,
-                    restrict_mod_f, restrict_poly, restrict_section)
+from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
+                    iz_linear, monomial_index, restrict_mod_f, restrict_poly,
+                    restrict_section)
 from .poly import (EulerSection, HomogPoly, MonomialSet, all_monomials,
                    euler_alpha, gen_jd, jd_size_formula)
 from .rng import Rng

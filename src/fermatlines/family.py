@@ -23,8 +23,8 @@ from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
                     random_solution, sample_rational)
 from .poly import (EulerSection, HomogPoly, gen_jd, integer_monomial_values,
-                   jd_size_formula, mono_str, order_key, sum_of_products,
-                   term_partials)
+                   jd_size_formula, mono_str, mono_times, order_key,
+                   sum_of_products, term_partials)
 from .rng import Rng
 
 
@@ -122,20 +122,10 @@ def c_coeff(b: DeformationPoint, i: int, j: int, k: int) -> Fraction:
             raise ValueError("index out of range")
     if i == j or i == k:
         raise ValueError("the squared index must differ from the others")
-    exps = [0] * nv
-    exps[i] = d - 2
-    exps[j] += 1
-    exps[k] += 1
-    t_f = b.t.get(tuple(exps), ZERO)
+    base = (0,) * i + (d - 2,) + (0,) * (nv - 1 - i)
+    t_f = b.t.get(mono_times(base, j, k), ZERO)
     factor = 2 if j == k else 1
     return Fraction(factor, d) * t_f
-
-
-def _pair_exps(nv: int, i: int, j: int):
-    exps = [0] * nv
-    exps[i] += 1
-    exps[j] += 1
-    return tuple(exps)
 
 
 def omega_terms(b: DeformationPoint):
@@ -155,14 +145,14 @@ def omega_terms(b: DeformationPoint):
             for k in range(nv):
                 if k == i or k == j:
                     continue
-                terms = {(k, _pair_exps(nv, i, j)): ONE}
+                terms = {(k, mono_times((0,) * nv, i, j)): ONE}
                 if i == j:
                     for jp in range(nv):
                         if jp == i:
                             continue
                         c = c_coeff(b, i, jp, k)
                         if c:
-                            terms[(i, _pair_exps(nv, i, jp))] = -c
+                            terms[(i, mono_times((0,) * nv, i, jp))] = -c
                 out.append(terms)
     return out
 

@@ -1,4 +1,4 @@
-"""Points, lines, length-2 schemes and restriction to a line.
+"""Points, lines (the length-2 schemes) and restriction to a line.
 
 A Line through two distinct points p, q is parameterized along their
 integer points, (s, t) -> s*P + t*Q (see Line), so p sits at (1, 0) and q
@@ -13,10 +13,6 @@ terms {exponents: coefficient} against them: integer terms, such as a
 family member's, give integer coefficients.  distinct_root_count ranks the
 Bezout matrix of a restriction's core and its derivative, half the size of
 their Sylvester matrix.
-
-Length-2 schemes here are always two distinct points; the coincident
-(non-reduced) case would need jet evaluation and no check in this package
-requires it.
 """
 
 from __future__ import annotations
@@ -92,6 +88,10 @@ def distinct_root_count(coeffs) -> int:
 class Line:
     """Line spanned by two distinct points p and q, with restriction caching.
 
+    It is also the length-2 scheme Z = {p, q}: schemes here are always two
+    distinct points; the coincident (non-reduced) case would need jet
+    evaluation and no check in this package requires it.
+
     It is parameterized as s*P + t*Q, with P = Dp * p and Q = Dq * q the
     points cleared of denominators (Dp, Dq > 0): F(s*P + t*Q) is the
     restriction along s*p + t*q with entry k scaled by Dp^(m-k) Dq^k > 0.
@@ -129,9 +129,6 @@ class Line:
         out = tuple(x * a + y * b for x, y in zip(lower + (0,), (0,) + lower))
         self._restricted[exps] = out
         return out
-
-    def to_json(self):
-        return {"p": self.p.to_json(), "q": self.q.to_json()}
 
 
 def restrict_poly(terms, degree: int, line: Line):
@@ -178,100 +175,43 @@ def restrict_mod_f(poly: HomogPoly, line: Line, f_poly: HomogPoly):
     return vec
 
 
-class LengthTwoScheme:
-    """Two distinct points and the line they span."""
+def classify(z: Line) -> dict:
+    """Decide generic / special / very-special and return the normalization,
+    as the report's `class` object {"tag", "a", "vanishing", "perm"}.
 
-    def __init__(self, p1: ProjPoint, p2: ProjPoint):
-        if p1 == p2:
-            raise ValueError("length-2 schemes here must be reduced (distinct points)")
-        self.p1 = p1
-        self.p2 = p2
-        self.line = Line(p1, p2)
-
-    @property
-    def nvars(self) -> int:
-        return self.p1.nvars
-
-    def evaluation_matrix(self) -> Matrix:
-        """2 x (n+2) matrix whose kernel is the linear forms vanishing on Z."""
-        return Matrix([list(self.p1.coords), list(self.p2.coords)])
-
-    def to_json(self):
-        return {"p1": self.p1.to_json(), "p2": self.p2.to_json()}
-
-
-class SchemeClass:
-    """Classification of a length-2 scheme with respect to the coordinates.
-
-    tag is one of generic / special / very-special; `a` counts the
-    non-vanishing coordinates among positions 1..n+1 after normalization
-    (None for generic).  `perm` is the coordinate permutation realizing the
-    normalized arrangement: position 0 is the dropped coordinate, then the
-    non-vanishing ones ascending, then the vanishing ones ascending.
-    Compared and hashed by value.
-    """
-
-    __slots__ = ("tag", "a", "vanishing", "perm")
-
-    def __init__(self, tag: str, a: int | None, vanishing: tuple, perm: tuple):
-        self.tag, self.a, self.vanishing, self.perm = tag, a, vanishing, perm
-
-    def __eq__(self, other):
-        return isinstance(other, SchemeClass) and self.to_json() == other.to_json()
-
-    def __hash__(self):
-        return hash((self.tag, self.a, self.vanishing, self.perm))
-
-    def __repr__(self):
-        return "SchemeClass(%s)" % self.to_json()
-
-    def is_generic(self) -> bool:
-        return self.tag == "generic"
-
-    def to_json(self):
-        return {"tag": self.tag, "a": self.a,
-                "vanishing": list(self.vanishing), "perm": list(self.perm)}
-
-
-def classify(z: LengthTwoScheme) -> SchemeClass:
-    """Decide generic / special / very-special and return the normalization.
-
-    Generic means: dropping any single coordinate still leaves a full
-    2-dimensional restricted span on Z.  Very special means exactly n
-    coordinates vanish identically on Z.
+    tag is one of generic / special / very-special.  Generic means: dropping
+    any single coordinate still leaves a full 2-dimensional restricted span
+    on Z.  Very special means exactly n coordinates vanish identically on Z.
+    `a` counts the non-vanishing coordinates among positions 1..n+1 after
+    normalization (None for generic).  `perm` is the coordinate permutation
+    realizing the normalized arrangement: position 0 is the dropped
+    coordinate, then the non-vanishing ones ascending, then the vanishing
+    ones ascending.
     """
     nv = z.nvars
     n = nv - 2
-    points = (z.p1.coords, z.p2.coords)
-    vanishing = tuple(i for i in range(nv) if not any(p[i] for p in points))
+    points = (z.p.coords, z.q.coords)
+    vanishing = [i for i in range(nv) if not any(p[i] for p in points)]
     drops = [i for i in range(nv) if rank_sparse([p[:i] + p[i + 1:] for p in points]) < 2]
     if not drops:
-        return SchemeClass("generic", None, vanishing, tuple(range(nv)))
+        return {"tag": "generic", "a": None, "vanishing": vanishing, "perm": list(range(nv))}
     i0 = min(drops)
     nonvan = [j for j in range(nv) if j != i0 and j not in vanishing]
-    perm = (i0, *nonvan, *vanishing)
-    a = len(nonvan)
     tag = "very-special" if len(vanishing) == n else "special"
-    return SchemeClass(tag, a, vanishing, perm)
+    return {"tag": tag, "a": len(nonvan), "vanishing": vanishing,
+            "perm": [i0, *nonvan, *vanishing]}
 
 
-def scheme_json(z: LengthTwoScheme) -> dict:
+def scheme_json(z: Line) -> dict:
     """Two points plus the computed class, for report payloads."""
-    data = z.to_json()
-    data["class"] = classify(z).to_json()
-    return data
+    return {"p1": z.p.to_json(), "p2": z.q.to_json(), "class": classify(z)}
 
 
-def iz_linear(z: LengthTwoScheme) -> Subspace:
+def iz_linear(z: Line) -> Subspace:
     """The linear forms vanishing at both points, dimension n."""
-    return kernel_basis(z.evaluation_matrix())
+    return kernel_basis(Matrix([list(z.p.coords), list(z.q.coords)]))
 
 
 def ip_linear(p: ProjPoint) -> Subspace:
     """The linear forms vanishing at one point, dimension n+1."""
     return kernel_basis(Matrix([list(p.coords)]))
-
-
-def permute_point(p: ProjPoint, perm) -> ProjPoint:
-    """Reorder coordinates so that old index perm[k] lands at position k."""
-    return ProjPoint([p.coords[i] for i in perm])

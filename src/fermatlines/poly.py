@@ -41,6 +41,14 @@ def mono_mul(a, b):
     return tuple(map(add, a, b))
 
 
+def mono_times(g, *variables):
+    """The exponent tuple of g times x_i for each i in `variables`."""
+    g = list(g)
+    for i in variables:
+        g[i] += 1
+    return tuple(g)
+
+
 def term_partials(terms, nvars: int):
     """The partial derivatives by x_0 ... x_(nvars-1) of the form with terms
     {exponents: coefficient}, as term dicts of the same kind."""

@@ -26,10 +26,10 @@ from .exact import (Matrix, Subspace, ZERO, clear_denominators, first_outside_sp
                     sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
                      point_condition, sample_b_through, random_deformation)
-from .lines import (LengthTwoScheme, Line, ProjPoint, classify,
-                    distinct_root_count, ip_linear, iz_linear, monomial_index,
-                    permute_point, restrict_poly, scheme_json)
-from .poly import all_monomials, gen_jd, integer_monomial_values, mono_mul, term_partials
+from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
+                    iz_linear, monomial_index, restrict_poly, scheme_json)
+from .poly import (all_monomials, gen_jd, integer_monomial_values, mono_mul, mono_times,
+                   term_partials)
 from .rng import Rng
 
 PASS = "PASS"
@@ -43,6 +43,8 @@ INFEASIBLE = "INFEASIBLE"
 _GENERIC_ATTEMPTS = 60
 _SECANT_DRAWS = 40
 _LINE_POWER_ATTEMPTS = 20
+# Height bound of the rationals in sampled points and scheme parameters.
+_SAMPLE_BOUND = 9
 
 
 class LemmaReport:
@@ -150,31 +152,40 @@ class _Trials:
 # ---------------------------------------------------------------------------
 # random construction helpers
 
-def _nonzero_sample(rng: Rng, bound: int = 9) -> Fraction:
+def _nonzero_sample(rng: Rng, bound: int = _SAMPLE_BOUND) -> Fraction:
     while True:
         q = sample_rational(rng, bound)
         if q != 0:
             return q
 
 
-def _random_point(nvars: int, rng: Rng, bound: int = 9) -> ProjPoint:
+def _random_point(nvars: int, rng: Rng) -> ProjPoint:
     while True:
-        coords = [sample_rational(rng, bound) for _ in range(nvars)]
+        coords = [sample_rational(rng, _SAMPLE_BOUND) for _ in range(nvars)]
         if any(x != 0 for x in coords):
             return ProjPoint(coords)
 
 
-def random_generic_scheme(n: int, rng: Rng) -> LengthTwoScheme:
+def random_generic_scheme(n: int, rng: Rng) -> Line:
     nv = n + 2
     for _ in range(_GENERIC_ATTEMPTS):
         p1 = _random_point(nv, rng)
         p2 = _random_point(nv, rng)
         if p1 == p2 or p1.is_coordinate_point() or p2.is_coordinate_point():
             continue
-        z = LengthTwoScheme(p1, p2)
-        if classify(z).is_generic():
+        z = Line(p1, p2)
+        if classify(z)["tag"] == "generic":
             return z
     raise NonGenericScheme("failed to sample a generic length-2 scheme")
+
+
+def _two_distinct_nonzero(rng: Rng):
+    """(u, v): two distinct nonzero samples, v redrawn until it differs."""
+    u = _nonzero_sample(rng)
+    v = _nonzero_sample(rng)
+    while v == u:
+        v = _nonzero_sample(rng)
+    return u, v
 
 
 def _special_scheme(n: int, rng: Rng):
@@ -185,40 +196,33 @@ def _special_scheme(n: int, rng: Rng):
     multipliers packed first so the normalization permutation is trivial.
     Returns (scheme, {j: c_j}).
     """
-    u = _nonzero_sample(rng)
-    v = _nonzero_sample(rng)
-    while v == u:
-        v = _nonzero_sample(rng)
+    u, v = _two_distinct_nonzero(rng)
     k = rng.randint(1, n)
     cmap = {}
     for j in range(2, n + 2):
         cmap[j] = _nonzero_sample(rng) if j < 2 + k else ZERO
     p1 = ProjPoint([Fraction(1), u] + [cmap[j] * u for j in range(2, n + 2)])
     p2 = ProjPoint([Fraction(1), v] + [cmap[j] * v for j in range(2, n + 2)])
-    return LengthTwoScheme(p1, p2), cmap
+    return Line(p1, p2), cmap
 
 
-def _very_special_scheme(n: int, rng: Rng) -> LengthTwoScheme:
-    u = _nonzero_sample(rng)
-    v = _nonzero_sample(rng)
-    while v == u:
-        v = _nonzero_sample(rng)
+def _very_special_scheme(n: int, rng: Rng) -> Line:
+    u, v = _two_distinct_nonzero(rng)
     zeros = [ZERO] * n
-    return LengthTwoScheme(ProjPoint([Fraction(1), u] + zeros),
-                           ProjPoint([Fraction(1), v] + zeros))
+    return Line(ProjPoint([Fraction(1), u] + zeros), ProjPoint([Fraction(1), v] + zeros))
 
 
-def _generic_scheme_three_independent(n: int, rng: Rng) -> LengthTwoScheme:
+def _generic_scheme_three_independent(n: int, rng: Rng) -> Line:
     """Generic scheme where x0, x1, x2 restrict pairwise independently."""
     for _ in range(_GENERIC_ATTEMPTS):
         z = random_generic_scheme(n, rng)
-        if all(rank_sparse([(p.coords[i], p.coords[j]) for p in (z.p1, z.p2)]) == 2
+        if all(rank_sparse([(p.coords[i], p.coords[j]) for p in (z.p, z.q)]) == 2
                for i, j in ((0, 1), (1, 2), (0, 2))):
             return z
     raise NonGenericScheme("failed to sample the three-independent shape")
 
 
-def _generic_scheme_split_shape(n: int, rng: Rng) -> LengthTwoScheme:
+def _generic_scheme_split_shape(n: int, rng: Rng) -> Line:
     """Generic scheme where x2 is a multiple of x0 and x3 of x1 on Z, and
     every later coordinate is a multiple of x0 or x1."""
     if n < 2:
@@ -240,8 +244,8 @@ def _generic_scheme_split_shape(n: int, rng: Rng) -> LengthTwoScheme:
             else:
                 c1.append(e * u1)
                 c2.append(e * u2)
-        z = LengthTwoScheme(ProjPoint(c1), ProjPoint(c2))
-        if classify(z).is_generic():
+        z = Line(ProjPoint(c1), ProjPoint(c2))
+        if classify(z)["tag"] == "generic":
             return z
     raise NonGenericScheme("failed to sample the split shape")
 
@@ -249,17 +253,9 @@ def _generic_scheme_split_shape(n: int, rng: Rng) -> LengthTwoScheme:
 # ---------------------------------------------------------------------------
 # basis of the distinguished quadratic sections
 
-def _times(g, *variables):
-    """The exponent tuple of g times x_i for each i in `variables`."""
-    g = list(g)
-    for i in variables:
-        g[i] += 1
-    return tuple(g)
-
-
 def _x_alpha(nv: int, i: int):
     """x_i times the Euler field, as sparse terms."""
-    return {(c, _times((0,) * nv, i, c)): 1 for c in range(nv)}
+    return {(c, mono_times((0,) * nv, i, c)): 1 for c in range(nv)}
 
 
 def _terms_row(terms, deg2):
@@ -294,7 +290,7 @@ def _w_basis_rows(b: DeformationPoint, deg2):
         if max(mm) + 1 < d:
             continue
         for i in range(nv):
-            m = _times(mm, i)
+            m = mono_times(mm, i)
             if max(m) >= d:
                 rows.setdefault(m, {})[nv * len(deg2) + i] = c
     return [{k: v // g for k, v in row.items()}
@@ -331,7 +327,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             euler = {}
             for j, partial in enumerate(b.f_partials()):
                 for mm, c in partial.items():
-                    m = _times(mm, j)
+                    m = mono_times(mm, j)
                     euler[m] = euler.get(m, 0) + c
             euler_ok = ({m: c for m, c in euler.items() if c}
                         == {m: d * c for m, c in b.f_poly().items()})
@@ -369,7 +365,7 @@ def _ideal_product_vectors(lin_forms, gens, jd):
     """Sparse integer rows {position in jd of x_i*g: L_i} of L*g, for g in
     gens and L each of the rational lin_forms cleared once to integers (a
     positive multiple of the form, so the same span)."""
-    return [{jd.index[_times(g, i)]: c for i, c in enumerate(lv) if c}
+    return [{jd.index[mono_times(g, i)]: c for i, c in enumerate(lv) if c}
             for lv in (clear_denominators(lv)[0] for lv in lin_forms) for g in gens]
 
 
@@ -377,8 +373,8 @@ def _special_extras(jd, d: int, cmap):
     """Sparse integer rows of x0^(d-2) x_i (x_j - c_j x_1) times the
     denominator of c_j, for i >= 1 and j >= 2."""
     base = (d - 2,) + (0,) * (jd.nvars - 1)
-    return [{jd.index[_times(base, i, j)]: cmap[j].denominator,
-             jd.index[_times(base, i, 1)]: -cmap[j].numerator}
+    return [{jd.index[mono_times(base, i, j)]: cmap[j].denominator,
+             jd.index[mono_times(base, i, 1)]: -cmap[j].numerator}
             for i in range(1, jd.nvars) for j in range(2, jd.nvars)]
 
 
@@ -405,7 +401,7 @@ def _kernel_is_span(m: Matrix, gens):
 
 
 def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
-                          z: LengthTwoScheme | None = None) -> LemmaReport:
+                          z: Line | None = None) -> LemmaReport:
     """For a generic scheme, the part of the deformation span vanishing on
     the line is exactly (linear forms of Z) * (deformation span one degree
     down), and the quotient maps isomorphically onto the degree-d forms on
@@ -414,12 +410,12 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
         shape = FamilyShape(n, d)
         jd = shape.jd
         jdm1 = gen_jd(n, d - 1)
-        if z is not None and not classify(z).is_generic():
-            raise _Stop("scheme is %s; claim is scoped to generic" % classify(z).tag,
+        if z is not None and classify(z)["tag"] != "generic":
+            raise _Stop("scheme is %s; claim is scoped to generic" % classify(z)["tag"],
                         {"skipped": True})
         for sub in run:
             zt = z if z is not None else random_generic_scheme(n, sub)
-            xi = _xi_matrix_on(jd, zt.line)
+            xi = _xi_matrix_on(jd, zt)
             gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens)
             qrank = xi.ncols - kernel_dim
@@ -432,7 +428,7 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
 
 
 def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
-                          z: LengthTwoScheme | None = None) -> LemmaReport:
+                          z: Line | None = None) -> LemmaReport:
     """For a special-but-not-very-special scheme in normalized position, the
     kernel of restriction on the deformation span is the ideal part plus the
     explicit generators x0^(d-2) x_i (x_j - c_j x_1)."""
@@ -444,14 +440,13 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
         provided = None
         if z is not None:
             cls = classify(z)
-            if cls.tag != "special":
+            if cls["tag"] != "special":
                 raise _Stop("scheme is %s; claim needs special but not very special"
-                            % cls.tag, {"skipped": True})
-            p1 = permute_point(z.p1, cls.perm)
-            p2 = permute_point(z.p2, cls.perm)
+                            % cls["tag"], {"skipped": True})
+            p1, p2 = (ProjPoint([pt.coords[i] for i in cls["perm"]]) for pt in (z.p, z.q))
             for pt in (p1, p2):     # InfeasibleSystem when no member passes
                 point_condition(shape, pt)
-            znorm = LengthTwoScheme(p1, p2)
+            znorm = Line(p1, p2)
             cmap = {}
             for j in range(2, nv):
                 cj = p1.coords[j] / p1.coords[1]
@@ -462,7 +457,7 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
             provided = (znorm, cmap)
         for sub in run:
             zt, cmap = provided if provided else _special_scheme(n, sub)
-            xi = _xi_matrix_on(jd, zt.line)
+            xi = _xi_matrix_on(jd, zt)
             vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
             extra = _special_extras(jd, d, cmap)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, vectors + extra)
@@ -508,7 +503,7 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             q = _random_point(nv, sub)
             while q == p or q.is_coordinate_point():
                 q = _random_point(nv, sub)
-            zt = LengthTwoScheme(p, q)
+            zt = Line(p, q)
             forms = iz_linear(zt).basis_vectors()
             forms.append(first_outside_span(forms, ip.basis_vectors()))
             if rank_sparse(forms) == ip.dim:
@@ -540,13 +535,13 @@ def _section_image(terms, line: Line):
     return vec
 
 
-def _omega_image(shape: FamilyShape, z: LengthTwoScheme, rng: Rng):
+def _omega_image(shape: FamilyShape, z: Line, rng: Rng):
     """(b, vectors): a member b through Z and the images on Z's line of its
     quadratic sections w_ijk.  The one-term (uncorrected) sections come
     first: their small integer rows become the pivots, and the corrected
     w_iik, whose entries carry the c_ijk, are reduced against them."""
-    b = sample_b_through(shape, [z.p1, z.p2], rng)
-    return b, [_section_image(terms, z.line) for terms in sorted(omega_terms(b), key=len)]
+    b = sample_b_through(shape, [z.p, z.q], rng)
+    return b, [_section_image(terms, z) for terms in sorted(omega_terms(b), key=len)]
 
 
 def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
@@ -560,17 +555,17 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         shape = FamilyShape(n, d)
         nv = n + 2
         amb = 3 * nv
-        x00, x01, x11 = (_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
+        x00, x01, x11 = (mono_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
         listed = [{(i, x11): 1} for i in range(nv)] + [{(j, x01): 1} for j in range(1, nv)]
         for sub in run:
             zs, _ = _special_scheme(n, sub)
             _, svecs = _omega_image(shape, zs, sub)
             xi_w_special = rank_sparse(svecs)
             member_ok = first_outside_span(
-                svecs, [_section_image(terms, zs.line) for terms in listed]) is None
+                svecs, [_section_image(terms, zs) for terms in listed]) is None
             # the Euler field times x0 and x1 spans the rescaling directions
             # when x0 and x1 restrict independently
-            rescale = [_section_image(_x_alpha(nv, i), zs.line) for i in (0, 1)]
+            rescale = [_section_image(_x_alpha(nv, i), zs) for i in (0, 1)]
             if rank_sparse(rescale) != 2:
                 raise NonGenericScheme("x0 and x1 do not restrict independently")
             total = rank_sparse(svecs + rescale)
@@ -583,7 +578,7 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             explicit += [{(k, x00): 1, (0, x01): -c_coeff(bv, 0, 1, k)} for k in range(1, nv)]
             explicit += [{(k, x11): 1, (1, x01): -c_coeff(bv, 1, 0, k)}
                          for k in range(nv) if k != 1]
-            ev = [_section_image(terms, zv.line) for terms in explicit]
+            ev = [_section_image(terms, zv) for terms in explicit]
             xi_w_very_special = rank_sparse(vv)
             # equal spans of dimension 3n+2: both ranks equal that of the union
             vs_ok = (xi_w_very_special == rank_sparse(ev) == rank_sparse(vv + ev)
@@ -727,7 +722,7 @@ def _motion_columns(partials, d: int, line: Line, coords):
     return cols
 
 
-def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
+def secant_obstruction(b: DeformationPoint, z: Line,
                        seed: int = 0, xif=None) -> LemmaReport:
     """Exact comparison of the three equivalent descriptions of when the
     induced map on the line is well defined: kernel containment, linear
@@ -738,13 +733,11 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     t0 = time.perf_counter()
     shape = b.shape
     nv, d = shape.nvars, shape.d
-    cls = classify(z)
-    if not cls.is_generic():
+    if classify(z)["tag"] != "generic":
         raise NonGenericScheme("the obstruction computation assumes a generic scheme")
-    line = z.line
     if xif is None:
-        xif = restrict_poly(b.f_poly(), d, line)
-    # z.line = Line(p1, p2): F(p1) and F(p2) are the s^d and t^d coefficients
+        xif = restrict_poly(b.f_poly(), d, z)
+    # z = Line(p, q): F(p) and F(q) are the s^d and t^d coefficients
     if xif[0] or xif[d]:
         raise ValueError("the scheme does not lie on the family member")
     if not any(xif):
@@ -753,9 +746,9 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
     # evaluation map to the tangent spaces at the two points: a section
     # u kills it iff u(p) is radial at both points
     rho = [{2 * i + k: pt.coords[j], 2 * j + k: -pt.coords[i]}
-           for k, pt in enumerate((z.p1, z.p2))
+           for k, pt in enumerate((z.p, z.q))
            for i in range(nv) for j in range(i + 1, nv)]
-    etahat = list(zip(*_motion_columns(b.f_partials(), d, line, range(nv))))
+    etahat = list(zip(*_motion_columns(b.f_partials(), d, z, range(nv))))
     ker_rho = 2 * nv - rank_sparse(rho)
     rank_eta, rank_both = rank_sparse(etahat), rank_sparse(rho + etahat)
 
@@ -785,22 +778,20 @@ def secant_obstruction(b: DeformationPoint, z: LengthTwoScheme,
                        _ms_since(t0), {})
 
 
-def _b_with_line_power(shape: FamilyShape, z: LengthTwoScheme, m: int, rng: Rng):
+def _b_with_line_power(shape: FamilyShape, z: Line, m: int, rng: Rng):
     """(b, restriction): a family member b through Z whose restriction to
-    the line, also returned, is a nonzero multiple of s^(d-m) t^m.  Row k
-    of the system is the s^(d-k) t^k coefficient of the restriction."""
-    d, line = shape.d, z.line
-    restricted = [line.integer_restriction(f) for f in shape.jd]
-    fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, line)
-    keep = [k for k in range(d + 1) if k != m]
-    mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
-    rhs = [-fermat[k] for k in keep]
+    the line, also returned, is a nonzero multiple of s^(d-m) t^m.  The
+    system is every row of _xi_matrix_on but row m."""
+    d = shape.d
+    fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, z)
+    mat = Matrix([row for k, row in enumerate(_xi_matrix_on(shape.jd, z).data) if k != m])
+    rhs = [-fermat[k] for k in range(d + 1) if k != m]
     for a in range(_LINE_POWER_ATTEMPTS):
         sol = random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         if sol is None:
             raise InfeasibleSystem("line-power conditions are inconsistent")
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        xif = restrict_poly(b.f_poly(), d, line)
+        xif = restrict_poly(b.f_poly(), d, z)
         if xif[m]:
             return b, xif
     raise InfeasibleSystem("could not reach a nonzero top coefficient")
@@ -812,7 +803,7 @@ def _random_secant_report(shape: FamilyShape, rng: Rng, seed: int) -> LemmaRepor
     _SECANT_DRAWS schemes give no such line."""
     for _ in range(_SECANT_DRAWS):
         z = random_generic_scheme(shape.n, rng)
-        b = sample_b_through(shape, [z.p1, z.p2], rng)
+        b = sample_b_through(shape, [z.p, z.q], rng)
         try:
             rep = secant_obstruction(b, z, seed=seed)
         except LineInHypersurface:
@@ -925,7 +916,7 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
             nums, den = clear_denominators([_nonzero_sample(sub, 20) for _ in shifts])
             f = {lead: den}
             for (i, mm), c in zip(shifts, nums):
-                x = _times(mm, i)
+                x = mono_times(mm, i)
                 f[x] = f.get(x, 0) + c
             rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
             run.record(rep.dims["deformations"] == 0 and degenerate.dims["deformations"] > 0,

@@ -126,8 +126,8 @@ def test_acceptance_7_secant_obstruction():
     random_runs = 0
     while random_runs < 10:
         z = random_generic_scheme(n, rng)
-        b = sample_b_through(shape, [z.p1, z.p2], rng)
-        xif = restrict_poly(b.f_poly(), d, z.line)
+        b = sample_b_through(shape, [z.p, z.q], rng)
+        xif = restrict_poly(b.f_poly(), d, z)
         if not any(xif) or distinct_root_count(xif) < 3:
             continue
         rep = secant_obstruction(b, z)

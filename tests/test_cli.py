@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -378,8 +377,7 @@ def test_readme_library_example_runs(capsys):
 def test_exhausted_sampler_reports_infeasible(monkeypatch, tmp_path, capsys):
     """A generic-scheme sampler that runs out of attempts ends the lemma as
     INFEASIBLE with exit code 2 instead of a traceback."""
-    never_generic = SimpleNamespace(is_generic=lambda: False, tag="special")
-    monkeypatch.setattr(verifiers, "classify", lambda z: never_generic)
+    monkeypatch.setattr(verifiers, "classify", lambda z: {"tag": "special"})
     out = tmp_path / "exhausted.jsonl"
     code = main(["kernel-generic", "--trials", "1", "--json", str(out)])
     assert code == EXIT_SOFT

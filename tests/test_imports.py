@@ -11,8 +11,8 @@ under src/fermatlines/ fails too: `python -O` strips asserts, so a
 correctness guard must raise an explicit error instead.  And verifiers.py
 imports none of the dense section helpers it no longer uses, and no
 package module defines a name that now lives only in the tests' oracles
-(tests/oracles.py, tests/polytext.py) or was folded into exact's
-elimination.
+(tests/oracles.py, tests/polytext.py), was folded into exact's
+elimination, or was deleted with the scheme classes that Line replaced.
 """
 
 import ast
@@ -127,9 +127,13 @@ def test_verifiers_import_no_dense_section_helpers():
 
 
 # Restrictions are coefficient lists, span tests go through exact's
-# elimination, and the parsers and dense references are test helpers.
+# elimination, the parsers and dense references are test helpers, a length-2
+# scheme is its Line, classify returns the report's class object, and one
+# exponent helper (poly.mono_times) adds variables to a monomial.
 MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
-             "mono_parse", "from_json", "fermat", "is_fermat", "support_in"}
+             "mono_parse", "from_json", "fermat", "is_fermat", "support_in",
+             "LengthTwoScheme", "SchemeClass", "permute_point", "evaluation_matrix",
+             "_pair_exps"}
 
 
 def defined_names(source):
@@ -164,6 +168,12 @@ def test_the_check_sees_planted_definitions():
     assert [(name, line) for name, line in defined_names(source)
             if name in MOVED_OUT] == [("BinaryForm", 1), ("is_fermat", 2),
                                       ("_pair_rank", 7), ("contains_vector", 9)]
+
+
+def test_line_has_no_json_form():
+    """A scheme's report form is lines.scheme_json; Line itself has none."""
+    from fermatlines.lines import Line
+    assert not hasattr(Line, "to_json")
 
 
 def test_cli_import_leaves_dataclasses_out():

@@ -237,7 +237,7 @@ def secant_reference(f, z):
     dense Matrix ranks."""
     nv = f.nvars
     rho = []
-    for k, pt in enumerate((z.p1, z.p2)):
+    for k, pt in enumerate((z.p, z.q)):
         for i in range(nv):
             for j in range(i + 1, nv):
                 row = [ZERO] * (2 * nv)
@@ -245,10 +245,10 @@ def secant_reference(f, z):
                 rho.append(row)
     cols = []
     for i in range(nv):
-        form = restrict_rational(f.partial(i), z.line)
+        form = restrict_rational(f.partial(i), z)
         cols += [form + [ZERO], [ZERO] + form]
     etahat = [list(row) for row in zip(*cols)]
-    xif = restrict_rational(f, z.line)
+    xif = restrict_rational(f, z)
     pair = Matrix([xif, [k * c for k, c in enumerate(xif)]])
     return {"ker_etahat": 2 * nv - Matrix(etahat).rank(),
             "overlap": 2 * nv - Matrix(rho + etahat).rank(),
@@ -268,13 +268,13 @@ def test_integer_restriction_keeps_the_rational_verdicts(n, d):
     scaled, pairs = 0, set()
     for _ in range(2):
         z = random_generic_scheme(n, rng)
-        p, q = z.line.p.coords, z.line.q.coords
+        p, q = z.p.coords, z.q.coords
         scaled += clear_denominators(p)[1] * clear_denominators(q)[1] > 1
         through = (_b_with_line_power(shape, z, d // 2, rng)[0],
-                   sample_b_through(shape, [z.p1, z.p2], rng))
+                   sample_b_through(shape, [z.p, z.q], rng))
         for b in through + (random_deformation(shape, rng),):
             f = member_poly(b)
-            xif, want = restrict_poly(b.f_poly(), d, z.line), restrict_rational(f, z.line)
+            xif, want = restrict_poly(b.f_poly(), d, z), restrict_rational(f, z)
             assert monomial_index(xif) == monomial_index(want)
             assert distinct_root_count(xif) == distinct_root_count(want)
             if b in through:

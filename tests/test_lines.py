@@ -1,6 +1,7 @@
 """Restriction to lines as coefficient lists, scheme classification,
 binary-form roots."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,8 @@ import pytest
 from fermatlines.errors import LineInHypersurface
 from fermatlines.exact import Matrix, sample_rational
 from fermatlines.family import DeformationPoint, FamilyShape, omega_basis, sample_b_through
-from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, classify,
-                               distinct_root_count, ip_linear, iz_linear,
-                               monomial_index, permute_point, restrict_mod_f,
+from fermatlines.lines import (Line, ProjPoint, classify, distinct_root_count,
+                               ip_linear, iz_linear, monomial_index, restrict_mod_f,
                                restrict_poly, restrict_section)
 from fermatlines.poly import EulerSection, HomogPoly, euler_alpha
 from fermatlines.rng import Rng
@@ -26,7 +26,7 @@ def pt(*coords):
 
 
 def scheme(c1, c2):
-    return LengthTwoScheme(pt(*c1), pt(*c2))
+    return Line(pt(*c1), pt(*c2))
 
 
 def test_projpoint_normalization():
@@ -47,30 +47,33 @@ def test_scheme_rejects_coincident_points():
 def test_classify_generic_example():
     z = scheme((1, 1, 1, 1), (1, 2, 3, 4))
     cls = classify(z)
-    assert cls.tag == "generic" and cls.a is None
+    assert cls["tag"] == "generic" and cls["a"] is None
+    assert cls == json.loads(json.dumps(cls))
     # oracle: every drop-one restricted span is 2-dimensional
     for i in range(4):
-        cols = [[z.p1.coords[j], z.p2.coords[j]] for j in range(4) if j != i]
+        cols = [[z.p.coords[j], z.q.coords[j]] for j in range(4) if j != i]
         assert Matrix(cols).rank() == 2
 
 
 def test_classify_very_special_example():
     z = scheme((1, 1, 0, 0), (1, -1, 0, 0))
     cls = classify(z)
-    assert cls.tag == "very-special"
-    assert set(cls.vanishing) == {2, 3} and len(cls.vanishing) == 2
-    assert cls.a == 1
-    assert cls.perm == (0, 1, 2, 3)
+    assert cls["tag"] == "very-special"
+    assert set(cls["vanishing"]) == {2, 3} and len(cls["vanishing"]) == 2
+    assert cls["a"] == 1
+    assert cls["perm"] == [0, 1, 2, 3]
+    assert cls == json.loads(json.dumps(cls))
 
 
 def test_classify_special_not_very_special_example():
     z = scheme((1, 1, 1, 0), (1, -1, -1, 0))
     cls = classify(z)
-    assert cls.tag == "special"
-    assert cls.a == 2
-    assert cls.vanishing == (3,)
+    assert cls["tag"] == "special"
+    assert cls["a"] == 2
+    assert cls["vanishing"] == [3]
+    assert cls == json.loads(json.dumps(cls))
     # dropping x0 leaves x1, x2, x3 restricting to a 1-dimensional span
-    cols = [[z.p1.coords[j], z.p2.coords[j]] for j in (1, 2, 3)]
+    cols = [[z.p.coords[j], z.q.coords[j]] for j in (1, 2, 3)]
     assert Matrix(cols).rank() == 1
 
 
@@ -79,17 +82,18 @@ def test_classify_invariant_under_swap_and_scaling():
     z_swapped = scheme((1, -1, -1, 0), (1, 1, 1, 0))
     z_scaled = scheme((2, 2, 2, 0), (-3, 3, 3, 0))
     assert classify(z) == classify(z_swapped) == classify(z_scaled)
+    assert classify(z) == json.loads(json.dumps(classify(z)))
 
 
 def test_classify_normalization_permutation_nontrivial():
     # drop coordinate is x1 here; x0 and x3 vanish on Z
     z = scheme((0, 1, 1, 0), (0, 1, -1, 0))
     cls = classify(z)
-    assert cls.tag == "very-special"
-    assert cls.perm[0] == 1 and set(cls.perm[:2]) == {1, 2}
-    moved = LengthTwoScheme(permute_point(z.p1, cls.perm),
-                            permute_point(z.p2, cls.perm))
-    assert classify(moved).perm == (0, 1, 2, 3)
+    assert cls["tag"] == "very-special"
+    assert cls["perm"][0] == 1 and set(cls["perm"][:2]) == {1, 2}
+    assert cls == json.loads(json.dumps(cls))
+    moved = Line(*(pt(*(p.coords[i] for i in cls["perm"])) for p in (z.p, z.q)))
+    assert classify(moved)["perm"] == [0, 1, 2, 3]
 
 
 def test_restrict_linear_forms():
@@ -221,8 +225,8 @@ def test_iz_linear_dimensions_and_vanishing():
     iz = iz_linear(z)
     assert iz.dim == 2  # = n
     for v in iz.basis_vectors():
-        assert sum(c * x for c, x in zip(v, z.p1.coords)) == 0
-        assert sum(c * x for c, x in zip(v, z.p2.coords)) == 0
+        assert sum(c * x for c, x in zip(v, z.p.coords)) == 0
+        assert sum(c * x for c, x in zip(v, z.q.coords)) == 0
 
 
 def test_iz_linear_very_special_contains_coordinates():
@@ -361,8 +365,8 @@ def test_bezoutian_root_count_on_member_restrictions(n, d):
     seen = set()
     for _ in range(6):
         z, other = random_generic_scheme(n, rng), random_generic_scheme(n, rng)
-        b = sample_b_through(shape, [z.p1, z.p2], rng)
-        for line in (z.line, other.line):
+        b = sample_b_through(shape, [z.p, z.q], rng)
+        for line in (z, other):
             xif = restrict_poly(b.f_poly(), d, line)
             if any(xif):
                 count = distinct_root_count(xif)

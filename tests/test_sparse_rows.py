@@ -98,9 +98,9 @@ def test_integer_restriction_matrix_keeps_rank_and_kernel(n, d):
     for trial in range(2):
         sub = rng.split("trial%d" % trial)
         for z in (random_generic_scheme(n, sub), _special_scheme(n, sub)[0]):
-            got = _xi_matrix_on(jd, z.line)
-            want = restriction_matrix_reference(jd, z.line, nv)
-            dp, dq = (clear_denominators(pt.coords)[1] for pt in (z.line.p, z.line.q))
+            got = _xi_matrix_on(jd, z)
+            want = restriction_matrix_reference(jd, z, nv)
+            dp, dq = (clear_denominators(pt.coords)[1] for pt in (z.p, z.q))
             assert got.data == [[x * dp ** (d - k) * dq ** k for x in row]
                                 for k, row in enumerate(want.data)]
             assert got.rank() == want.rank()

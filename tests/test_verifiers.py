@@ -14,8 +14,8 @@ from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outsi
                                kernel_basis, rank_sparse, sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
                                 omega_terms, random_deformation, sample_b_through)
-from fermatlines.lines import (LengthTwoScheme, Line, ProjPoint, distinct_root_count,
-                               monomial_index, restrict_poly)
+from fermatlines.lines import (Line, ProjPoint, distinct_root_count, monomial_index,
+                               restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
                               eval_monomials, gen_jd)
 from fermatlines.rng import Rng
@@ -201,7 +201,7 @@ def test_kernel_special_routes_generic_input_away():
 
 def test_kernel_special_accepts_unnormalized_scheme():
     # same scheme as the normalized sample but with coordinates shuffled
-    z = LengthTwoScheme(ProjPoint([1, 0, 1, 1]), ProjPoint([-1, 0, 1, -1]))
+    z = Line(ProjPoint([1, 0, 1, 1]), ProjPoint([-1, 0, 1, -1]))
     # here x1 vanishes on Z; classification must supply the permutation
     rep = verify_kernel_special(2, 6, rng_for("ks3"), trials=2, z=z)
     assert rep.verdict == PASS
@@ -214,7 +214,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
     for maker in (lambda r: _special_scheme(2, r)[0],
                   lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
-        xi = _xi_matrix_on(shape.jd, z.line)
+        xi = _xi_matrix_on(shape.jd, z)
         k2 = kernel_basis(xi)
         k1 = Subspace.from_vectors(
             len(shape.jd),
@@ -478,8 +478,8 @@ def _zero_first_block(terms, line):
 
 
 def _member_without_line_power(shape, z, m, rng, attempts=20):
-    b = sample_b_through(shape, [z.p1, z.p2], rng)
-    return b, restrict_poly(b.f_poly(), shape.d, z.line)
+    b = sample_b_through(shape, [z.p, z.q], rng)
+    return b, restrict_poly(b.f_poly(), shape.d, z)
 
 
 def _zero_first_system_column(c):
@@ -552,7 +552,7 @@ def test_kernel_special_scheme_through_a_coordinate_point_is_infeasible(swap):
     if swap:
         points.reverse()
     rep = verify_kernel_special(2, 6, rng_for("kscoord"), trials=1,
-                                z=LengthTwoScheme(*points))
+                                z=Line(*points))
     assert rep.verdict == INFEASIBLE
     assert rep.witness == {"reason": "no family member passes through "
                            "ProjPoint(1, 0, 0, 0) (all deformation monomials "
@@ -632,7 +632,7 @@ def test_xi_generic_at_fermat_is_informational_only():
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("xf"))
     b0 = DeformationPoint(shape)
-    vecs = [_section_image(terms, z.line) for terms in omega_terms(b0)]
+    vecs = [_section_image(terms, z) for terms in omega_terms(b0)]
     assert 0 < Matrix(vecs).rank() <= 12
 
 
@@ -690,8 +690,8 @@ def is_scaled_image(new, old, z):
     """Whether the integer row `new` is the Fraction row `old` times a
     positive factor and, at entry 3*comp + k, Dp^(2-k) Dq^k, where p1 and p2
     of z clear to P/Dp and Q/Dq (a zero row only as the image of zero)."""
-    dp = clear_denominators(z.p1.coords)[1]
-    dq = clear_denominators(z.p2.coords)[1]
+    dp = clear_denominators(z.p.coords)[1]
+    dq = clear_denominators(z.q.coords)[1]
     scaled = [x * dp ** (2 - j % 3) * dq ** (j % 3) for j, x in enumerate(old)]
     ratio = next((Fraction(a) / b for a, b in zip(new, scaled) if b), 1)
     return ratio > 0 and all(a == ratio * b for a, b in zip(new, scaled))
@@ -725,7 +725,7 @@ def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     b, new = verifiers._omega_image(FamilyShape(n, d), z, rng)
     sections = by_terms(omega_basis_oracle(b))
     assert omega_basis(b) == omega_basis_oracle(b)
-    old = [fraction_row(w, z.line) for w in sections]
+    old = [fraction_row(w, z) for w in sections]
     x0, x1 = HomogPoly.variable(nv, 0), HomogPoly.variable(nv, 1)
     extra = [EulerSection.single(nv, i, x1 * x1) for i in range(nv)]
     extra += [EulerSection.single(nv, j, x0 * x1) for j in range(1, nv)]
@@ -734,8 +734,8 @@ def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     extra_terms += [{(j, _pair(nv, 0, 1)): 1} for j in range(1, nv)]
     extra_terms += [verifiers._x_alpha(nv, i) for i in (0, 1)]
     assert [as_section(terms, nv) for terms in extra_terms] == extra
-    new_extra = [_section_image(terms, z.line) for terms in extra_terms]
-    old_extra = [fraction_row(sec, z.line) for sec in extra]
+    new_extra = [_section_image(terms, z) for terms in extra_terms]
+    old_extra = [fraction_row(sec, z) for sec in extra]
     assert all(isinstance(x, int) for v in new + new_extra for x in v)
     assert all(is_scaled_image(u, v, z) for u, v in zip(new + new_extra, old + old_extra))
     assert rank_sparse(new) == rank_sparse(old)
@@ -847,8 +847,8 @@ def test_secant_random_configuration_not_well_defined():
     shape = FamilyShape(2, 6)
     while True:
         z = random_generic_scheme(2, rng)
-        b = sample_b_through(shape, [z.p1, z.p2], rng)
-        xif = restrict_poly(b.f_poly(), 6, z.line)
+        b = sample_b_through(shape, [z.p, z.q], rng)
+        xif = restrict_poly(b.f_poly(), 6, z)
         if any(xif) and distinct_root_count(xif) >= 3:
             break
     rep = secant_obstruction(b, z)
@@ -861,7 +861,7 @@ def test_secant_random_configuration_not_well_defined():
 def test_secant_rejects_special_scheme():
     shape = FamilyShape(2, 6)
     z, _ = _special_scheme(2, rng_for("ss"))
-    b = sample_b_through(shape, [z.p1, z.p2], rng_for("ssb"))
+    b = sample_b_through(shape, [z.p, z.q], rng_for("ssb"))
     with pytest.raises(NonGenericScheme):
         secant_obstruction(b, z)
 
@@ -871,13 +871,13 @@ def test_secant_requires_scheme_on_member():
     shape = FamilyShape(2, 6)
     z = random_generic_scheme(2, rng_for("off"))
     fermat = member_poly(DeformationPoint(shape))
-    assert fermat.evaluate(z.p1.coords) != 0 and fermat.evaluate(z.p2.coords) != 0
+    assert fermat.evaluate(z.p.coords) != 0 and fermat.evaluate(z.q.coords) != 0
     members = [DeformationPoint(shape),
-               sample_b_through(shape, [z.p1], rng_for("p1 only")),
-               sample_b_through(shape, [z.p2], rng_for("p2 only"))]
+               sample_b_through(shape, [z.p], rng_for("p1 only")),
+               sample_b_through(shape, [z.q], rng_for("p2 only"))]
     for b, on in zip(members, [(False, False), (True, False), (False, True)]):
         f = member_poly(b)
-        assert (f.evaluate(z.p1.coords) == 0, f.evaluate(z.p2.coords) == 0) == on
+        assert (f.evaluate(z.p.coords) == 0, f.evaluate(z.q.coords) == 0) == on
         with pytest.raises(ValueError):
             secant_obstruction(b, z)
 
@@ -886,15 +886,15 @@ def b_with_line_power_reference(shape, z, m, rng, attempts=20):
     """Oracle: the line-power system built from rational restrictions of the
     deformation monomials and of the Fermat part."""
     nv, d = shape.nvars, shape.d
-    restricted = [restrict_rational(HomogPoly.monomial(nv, f), z.line) for f in shape.jd]
-    fermat = restrict_rational(member_poly(DeformationPoint(shape)), z.line)
+    restricted = [restrict_rational(HomogPoly.monomial(nv, f), z) for f in shape.jd]
+    fermat = restrict_rational(member_poly(DeformationPoint(shape)), z)
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
     for a in range(attempts):
         sol = exact.random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        if restrict_rational(member_poly(b), z.line)[m]:
+        if restrict_rational(member_poly(b), z)[m]:
             return b
     raise AssertionError("no member with a nonzero top coefficient")
 
@@ -909,7 +909,7 @@ def test_line_power_member_matches_the_rational_system(n, d):
         got, xif = _b_with_line_power(shape, z, d // 2, rng_for("member", seed))
         want = b_with_line_power_reference(shape, z, d // 2, rng_for("member", seed))
         assert got.t == want.t
-        assert xif == [got.den * x for x in restrict(member_poly(got), z.line)]
+        assert xif == [got.den * x for x in restrict(member_poly(got), z)]
         assert monomial_index(xif) == d // 2
 
 
@@ -938,7 +938,7 @@ def secant_dims_reference(b, z):
     contains_vector over a basis."""
     nv = b.shape.nvars
     rows = []
-    for k, pt in enumerate((z.p1, z.p2)):
+    for k, pt in enumerate((z.p, z.q)):
         for i in range(nv):
             for j in range(i + 1, nv):
                 row = [0] * (2 * nv)
@@ -947,7 +947,7 @@ def secant_dims_reference(b, z):
                 rows.append(row)
     ker_rho = kernel_basis_oracle(Matrix(rows))
     ker_eta = kernel_basis_oracle(Matrix.from_columns(
-        verifiers._motion_columns(b.f_partials(), b.shape.d, z.line, range(nv))))
+        verifiers._motion_columns(b.f_partials(), b.shape.d, z, range(nv))))
     total = Subspace.from_vectors(2 * nv, ker_rho.basis_vectors() + ker_eta.basis_vectors())
     return {"ker_rho": ker_rho.dim, "ker_etahat": ker_eta.dim,
             "overlap": ker_rho.dim + ker_eta.dim - total.dim,
@@ -966,7 +966,7 @@ def test_secant_rank_dims_match_canonical_kernels(n, d):
         rng = rng_for("secant oracle", seed)
         z = random_generic_scheme(n, rng)
         for b in (_b_with_line_power(shape, z, d // 2, rng)[0],
-                  sample_b_through(shape, [z.p1, z.p2], rng)):
+                  sample_b_through(shape, [z.p, z.q], rng)):
             rep = secant_obstruction(b, z)
             want = secant_dims_reference(b, z)
             assert {key: rep.dims[key] for key in want} == want
@@ -1118,7 +1118,7 @@ def test_tangency_off_coordinate_line():
     shape = FamilyShape(n, d)
     z = random_generic_scheme(n, rng)
     b, _ = _b_with_line_power(shape, z, m, rng)
-    rep = tangency_deformation_dim(b.f_poly(), z.line, m)
+    rep = tangency_deformation_dim(b.f_poly(), z, m)
     assert rep.dims["unknowns"] == 2 * n
     assert rep.dims["deformations"] >= 0
 
@@ -1143,7 +1143,7 @@ def test_reports_reproducible_from_seed():
 def test_very_special_scheme_helper_classifies():
     from fermatlines.lines import classify
     z = _very_special_scheme(3, rng_for("vs"))
-    assert classify(z).tag == "very-special"
+    assert classify(z)["tag"] == "very-special"
 
 
 def test_scheme_json_includes_class():
