@@ -14,7 +14,7 @@ from .errors import (CoordinatePointError, DimensionMismatch, InfeasibleSystem,
 from .exact import (Matrix, Subspace, format_fraction, kernel_basis,
                     sample_rational)
 from .family import (DeformationPoint, FamilyShape, c_coeff, eta, koszul_eta_m,
-                     omega_basis, random_deformation, sample_b_through)
+                     omega_basis, sample_b_through)
 from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
                     iz_linear, monomial_index, restrict_mod_f, restrict_poly,
                     restrict_section)

@@ -27,6 +27,11 @@ from .rng import Rng
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# random_solution draws a member's free coordinates from [-DRAW, DRAW].  A
+# nonzero polynomial of degree D vanishes at a uniform draw from S^k with
+# probability at most D/|S| (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979):
+# a bad locus of degree D is hit with probability at most D/(2*DRAW+1).
+DRAW = 2 ** 31
 
 
 def frac(x) -> Fraction:
@@ -279,34 +284,26 @@ def sample_rational(rng: Rng, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_solution(m: Matrix, rhs, rng: Rng, bound: int = 1000):
-    """Random exact solution of m·x = rhs: free variables are sampled in
-    ascending column order, pivot variables back-substituted from the last
-    pivot up on the integer echelon form of [m | rhs].  Returns None when
-    the system is inconsistent.
-
-    The sampled free variables are cleared to integer numerators X_j over
-    one denominator D, so each pivot row sums its free part as ints,
-    rhs·D - sum v_j X_j, and only its few entries at later pivot columns
-    as Fractions."""
+def random_solution(m: Matrix, rhs, rng: Rng):
+    """Random exact solution of m·x = rhs: the free variables are integers
+    drawn from [-DRAW, DRAW] in ascending column order, and the pivot
+    variables are back-substituted from the last pivot up on the integer
+    echelon form of [m | rhs], each pivot row summing its free part as ints
+    and only its entries at later pivot columns as Fractions.  Returns None
+    when the system is inconsistent."""
     n = m.ncols
     echelon = _echelon(_integer_row(row + [b])
                        for row, b in zip(m.data, rhs))
     if n in echelon:
         return None
-    x = [ZERO] * n
-    free = [j for j in range(n) if j not in echelon]
-    for j in free:
-        x[j] = sample_rational(rng, bound)
-    nums, den = clear_denominators(x[j] for j in free)
-    cleared = dict(zip(free, nums))
+    x = [0 if j in echelon else rng.randint(-DRAW, DRAW) for j in range(n)]
     for c in sorted(echelon, reverse=True):
         row = echelon[c]
-        acc, later = row.get(n, 0) * den, ZERO
+        acc, later = row.get(n, 0), ZERO
         for j, v in row.items():
-            if j in cleared:
-                acc -= v * cleared[j]
+            if j not in echelon and j < n:
+                acc -= v * x[j]
             elif c < j < n:
                 later += v * x[j]
-        x[c] = (Fraction(acc, den) - later) / row[c]
-    return x
+        x[c] = (acc - later) / row[c]
+    return [frac(v) for v in x]

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, InfeasibleSystem
 from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
-                    random_solution, sample_rational)
+                    random_solution)
 from .poly import (EulerSection, HomogPoly, gen_jd, integer_monomial_values,
                    jd_size_formula, mono_str, mono_times, order_key,
                    sum_of_products, term_partials)
@@ -221,11 +221,6 @@ def koszul_eta_m(b: DeformationPoint, factors):
     return out
 
 
-def random_deformation(shape: FamilyShape, rng: Rng, bound: int = 1000) -> DeformationPoint:
-    """Unconstrained random base point."""
-    return DeformationPoint(shape, {m: sample_rational(rng, bound) for m in shape.jd})
-
-
 def point_condition(shape: FamilyShape, p):
     """(row, rhs): the member at t passes through p iff row . t == rhs.
 
@@ -249,18 +244,16 @@ def point_condition(shape: FamilyShape, p):
     return row, -fermat
 
 
-def sample_b_through(shape: FamilyShape, points, rng: Rng, bound: int = 1000) -> DeformationPoint:
+def sample_b_through(shape: FamilyShape, points, rng: Rng) -> DeformationPoint:
     """Random base point whose family member passes through the given points.
 
-    Each point imposes its point_condition on (t_f); the free coordinates
-    are filled with sample_rational.  Raises InfeasibleSystem when a
-    condition cannot be met.
+    Each point imposes its point_condition on (t_f), and random_solution
+    draws the free coordinates; with no points every coordinate is free.
+    Raises InfeasibleSystem when a condition cannot be met.
     """
-    points = list(points)
-    if not points:
-        return random_deformation(shape, rng, bound)
-    rows, rhs = zip(*(point_condition(shape, p) for p in points))
-    sol = random_solution(Matrix(rows, ncols=shape.N), rhs, rng, bound)
+    conditions = [point_condition(shape, p) for p in points]
+    sol = random_solution(Matrix([row for row, _ in conditions], ncols=shape.N),
+                          [rhs for _, rhs in conditions], rng)
     if sol is None:
         raise InfeasibleSystem("point conditions are mutually inconsistent")
     return DeformationPoint(shape, dict(zip(shape.jd, sol)))

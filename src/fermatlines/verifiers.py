@@ -4,9 +4,9 @@ Each verifier returns a LemmaReport with an exact verdict, the dimensions it
 computed, and (on failure) an exact witness.  Claims quantified over a
 general member of the family are sampled: a claim PASSes when it holds for
 every one of `trials` independent random draws, FAILs when it holds for
-none, and is INDETERMINATE otherwise.  Random rationals miss the bad loci
-with probability zero for all practical purposes, but the protocol keeps
-the sampling semantics explicit.
+none, and is INDETERMINATE otherwise.  A member's free coordinates are
+integers from [-DRAW, DRAW] (exact.random_solution), so a bad locus of
+degree D is hit with probability at most D/(2*DRAW+1).
 
 The protocol is implemented once, by the `_Trials` runner, and the three
 kernel claims share `_kernel_is_span`.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
@@ -25,7 +25,7 @@ from .exact import (Matrix, Subspace, ZERO, clear_denominators, first_outside_sp
                     format_fraction, kernel_basis, kernel_span_dims, rank_sparse,
                     sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
-                     point_condition, sample_b_through, random_deformation)
+                     point_condition, sample_b_through)
 from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
                     iz_linear, monomial_index, restrict_poly, scheme_json)
 from .poly import (all_monomials, gen_jd, integer_monomial_values, mono_mul, mono_times,
@@ -271,11 +271,8 @@ def _w_basis_rows(b: DeformationPoint, deg2):
     j*len(deg2) + k holds the coefficient there of eta(deg2[k] d/dx_j), and
     column nv*len(deg2) + i that of x_i*F.  So a section w with coefficient
     vector v on `deg2` has eta(w) in the deformation span exactly when every
-    row, restricted to the section columns, is orthogonal to v.
-
-    The rows are read off the member's integer terms (den * F and its
-    partials), each divided by the gcd of its entries: a row keeps the size
-    of its own few coefficients, not the bits of den."""
+    row, restricted to the section columns, is orthogonal to v.  The rows
+    are read off the member's integer terms, den * F and its partials."""
     nv, d = b.shape.nvars, b.shape.d
     rows = {}
     for j, partial in enumerate(b.f_partials()):
@@ -293,8 +290,7 @@ def _w_basis_rows(b: DeformationPoint, deg2):
             m = mono_times(mm, i)
             if max(m) >= d:
                 rows.setdefault(m, {})[nv * len(deg2) + i] = c
-    return [{k: v // g for k, v in row.items()}
-            for row in rows.values() for g in (gcd(*row.values()),)]
+    return list(rows.values())
 
 
 def _eta_in_span(rows, vec) -> bool:
@@ -317,7 +313,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         alpha_rows = [_terms_row(_x_alpha(nv, i), deg2) for i in range(nv)]
 
         for sub in run:
-            b = random_deformation(shape, sub)
+            b = sample_b_through(shape, [], sub)
             omega_rows = [_terms_row(terms, deg2) for terms in omega_terms(b)]
             rank_omega = rank_sparse(omega_rows)
             rank_family = rank_sparse(omega_rows + alpha_rows)
@@ -787,7 +783,7 @@ def _b_with_line_power(shape: FamilyShape, z: Line, m: int, rng: Rng):
     mat = Matrix([row for k, row in enumerate(_xi_matrix_on(shape.jd, z).data) if k != m])
     rhs = [-fermat[k] for k in range(d + 1) if k != m]
     for a in range(_LINE_POWER_ATTEMPTS):
-        sol = random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
+        sol = random_solution(mat, rhs, rng.split("power%d" % a))
         if sol is None:
             raise InfeasibleSystem("line-power conditions are inconsistent")
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))

@@ -183,3 +183,37 @@ def test_acceptance_9_determinism(tmp_path):
     assert outputs[0] == outputs[1]
     announce(9, "the full registry at (2,6) seed 7 reproduces byte-identical "
                 "reports modulo elapsed_ms")
+
+
+def closed_form_dims(n, d):
+    """Each PASS dim of `verify all` that has a closed form in (n, d), with
+    |J_d| from jd_size_formula."""
+    basis = (n + 2) * comb(n + 2, 2)
+    generic = jd_size_formula(n, d) - (d + 1)
+    special = jd_size_formula(n, d) - d + 1
+    point = jd_size_formula(n, d + 1) - 1
+    return {
+        "w-basis": {"basis": basis, "kernel_total": basis + n + 2},
+        "kernel-generic": {"lhs": generic, "rhs": generic, "quotient": d + 1},
+        "kernel-special": {"lhs": special, "rhs": special, "extra_generators": n * (n + 1)},
+        "point-ideal": {"lhs": point, "rhs": point, "codim": 1},
+        "xi-generic": {"rank": 3 * (n + 2)},
+        "xi-special": {"target_quotient": 3 * n + 4, "xi_w_very_special": 3 * n + 2},
+        "tangency": {"unknowns": 2 * n, "degenerate_deformations": 2 * n},
+        "secant": {"euler_excess": 2 * (n + 2) - (d + 1)},
+    }
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (3, 8), (4, 10)])
+def test_dims_match_their_closed_forms(tmp_path, n, d):
+    """`verify all --seed 7 --trials 1` passes every lemma, and each dim of
+    the closed-form table has its value, above the golden files' sizes too."""
+    path = tmp_path / "all.jsonl"
+    config = RunConfig(n=n, d=d, seeds=[7], trials=1, output_path=str(path))
+    assert run(config, out=io.StringIO()) == EXIT_OK
+    with open(path, encoding="utf-8") as fh:
+        reports = {obj["lemma"]: obj for obj in map(json.loads, fh) if "lemma" in obj}
+    assert all(rep["verdict"] == PASS for rep in reports.values())
+    for lemma, want in closed_form_dims(n, d).items():
+        got = reports[lemma]["dims"]
+        assert {key: got[key] for key in want} == want, lemma

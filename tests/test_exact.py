@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import fermatlines.exact as exact
 from fermatlines.errors import DimensionMismatch
-from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
-                               format_fraction, kernel_basis, kernel_span_dims,
-                               rank_sparse, random_solution, sample_rational)
+from fermatlines.exact import (DRAW, Matrix, Subspace, clear_denominators,
+                               first_outside_span, format_fraction, kernel_basis,
+                               kernel_span_dims, rank_sparse, random_solution,
+                               sample_rational)
 from fermatlines.rng import Rng
 from tests.oracles import contains_vector
 
@@ -471,9 +472,10 @@ def test_random_solution_solves_or_reports_none():
             assert mul_vec(m, x) == [Fraction(r) for r in rhs]
 
 
-def random_solution_reference(m, rhs, rng, bound=1000):
-    """Oracle: the full rational rref of [m | rhs], free variables sampled in
-    ascending column order, pivot variables read off the reduced rows."""
+def random_solution_reference(m, rhs, rng):
+    """Oracle: the full rational rref of [m | rhs], free variables drawn as
+    integers in [-DRAW, DRAW] in ascending column order, pivot variables
+    read off the reduced rows."""
     aug = Matrix([row + [Fraction(b)] for row, b in zip(m.data, rhs)], ncols=m.ncols + 1)
     rows, pivots = aug.rref()
     if m.ncols in pivots:
@@ -482,7 +484,7 @@ def random_solution_reference(m, rhs, rng, bound=1000):
     x = [Fraction(0)] * m.ncols
     for j in range(m.ncols):
         if j not in pivset:
-            x[j] = sample_rational(rng, bound)
+            x[j] = Fraction(rng.randint(-DRAW, DRAW))
     for k, c in enumerate(pivots):
         acc = rows[k][m.ncols]
         for j in range(c + 1, m.ncols):

@@ -128,12 +128,14 @@ def test_verifiers_import_no_dense_section_helpers():
 
 # Restrictions are coefficient lists, span tests go through exact's
 # elimination, the parsers and dense references are test helpers, a length-2
-# scheme is its Line, classify returns the report's class object, and one
-# exponent helper (poly.mono_times) adds variables to a monomial.
+# scheme is its Line, classify returns the report's class object, one
+# exponent helper (poly.mono_times) adds variables to a monomial, and
+# random_solution draws every member (sample_b_through with no points is an
+# unconstrained one).
 MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
              "mono_parse", "from_json", "fermat", "is_fermat", "support_in",
              "LengthTwoScheme", "SchemeClass", "permute_point", "evaluation_matrix",
-             "_pair_exps"}
+             "_pair_exps", "random_deformation"}
 
 
 def defined_names(source):

@@ -18,8 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fermatlines.errors import DimensionMismatch
 from fermatlines.exact import Matrix, clear_denominators, sample_rational
 from fermatlines.family import (DeformationPoint, FamilyShape, eta,
-                                omega_basis, random_deformation,
-                                sample_b_through)
+                                omega_basis, sample_b_through)
 from fermatlines.lines import (Line, ProjPoint, distinct_root_count, monomial_index,
                                restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
@@ -272,7 +271,7 @@ def test_integer_restriction_keeps_the_rational_verdicts(n, d):
         scaled += clear_denominators(p)[1] * clear_denominators(q)[1] > 1
         through = (_b_with_line_power(shape, z, d // 2, rng)[0],
                    sample_b_through(shape, [z.p, z.q], rng))
-        for b in through + (random_deformation(shape, rng),):
+        for b in through + (sample_b_through(shape, [], rng),):
             f = member_poly(b)
             xif, want = restrict_poly(b.f_poly(), d, z), restrict_rational(f, z)
             assert monomial_index(xif) == monomial_index(want)
@@ -372,7 +371,7 @@ def test_sum_of_products_checks_degree_and_sums():
 @pytest.mark.parametrize("n,d,seed", [(2, 6, 36), (3, 8, 37)])
 def test_eta_matches_running_sum_on_every_omega(n, d, seed):
     shape = FamilyShape(n, d)
-    b = random_deformation(shape, Rng(seed))
+    b = sample_b_through(shape, [], Rng(seed))
     omegas = omega_basis(b)
     assert len(omegas) == (n + 2) * comb(n + 2, 2)
     for w in omegas:
@@ -384,7 +383,7 @@ def test_eta_matches_reference_on_mixed_sections():
     field at the Fermat point."""
     shape = FamilyShape(2, 6)
     rng = Rng(38)
-    b = random_deformation(shape, rng)
+    b = sample_b_through(shape, [], rng)
     nv = shape.nvars
     for _ in range(4):
         sec = EulerSection([random_poly(nv, 2, rng, nterms=4) for _ in range(nv)])

@@ -13,7 +13,7 @@ from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
 from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
                                kernel_basis, rank_sparse, sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
-                                omega_terms, random_deformation, sample_b_through)
+                                omega_terms, point_condition, sample_b_through)
 from fermatlines.lines import (Line, ProjPoint, distinct_root_count, monomial_index,
                                restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
@@ -114,14 +114,24 @@ def test_w_basis_row_membership_matches_eta(n, d):
         assert support_in(eta(b, w), jd1) is inside
 
 
-def test_w_basis_rows_keep_their_own_size():
-    """The rows come off den * F, whose den has hundreds of bits at (3, 8),
-    but each row is divided by its content: its entries stay as small as
-    the member's few coefficients it holds."""
-    b = random_deformation(FamilyShape(3, 8), rng_for("row size"))
+def test_members_draw_integer_free_coordinates():
+    """A member's free coordinates are integers in [-DRAW, DRAW]: the
+    unconstrained member of w-basis has den 1, so its w-basis rows keep the
+    size of its coefficients, and a member through two points is integral
+    off the pivot columns of its point conditions."""
+    shape = FamilyShape(3, 8)
+    b = sample_b_through(shape, [], rng_for("row size"))
+    assert b.den == 1 and len(b.t) == shape.N
+    assert all(v.denominator == 1 and abs(v) <= exact.DRAW for v in b.t.values())
     rows = verifiers._w_basis_rows(b, all_monomials(5, 2))
-    assert b.den.bit_length() > 500
-    assert max(abs(v).bit_length() for row in rows for v in row.values()) < 64
+    assert max(abs(v).bit_length() for row in rows for v in row.values()) < 40
+    points = [ProjPoint([1, 2, -1, 3, 1]), ProjPoint([2, 1, 1, Fraction(1, 2), -3])]
+    b = sample_b_through(shape, points, rng_for("two points"))
+    _, pivots = Matrix([point_condition(shape, p)[0] for p in points]).rref()
+    coords = [Fraction(b.t.get(f, 0)) for f in shape.jd.members]
+    assert all(v.denominator == 1 and abs(v) <= exact.DRAW
+               for j, v in enumerate(coords) if j not in pivots)
+    assert len(pivots) == 2 and any(coords[j].denominator > 1 for j in pivots)
 
 
 def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
@@ -705,7 +715,7 @@ def outside_index(rows, vectors):
 
 @pytest.mark.parametrize("n, d", [(2, 6), (3, 8), (2, 5)])
 def test_omega_basis_matches_section_arithmetic(n, d):
-    b = random_deformation(FamilyShape(n, d), rng_for("omega%d%d" % (n, d)))
+    b = sample_b_through(FamilyShape(n, d), [], rng_for("omega%d%d" % (n, d)))
     assert omega_basis(b) == omega_basis_oracle(b)
 
 
@@ -892,7 +902,7 @@ def b_with_line_power_reference(shape, z, m, rng, attempts=20):
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
     for a in range(attempts):
-        sol = exact.random_solution(mat, rhs, rng.split("power%d" % a), bound=50)
+        sol = exact.random_solution(mat, rhs, rng.split("power%d" % a))
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
         if restrict_rational(member_poly(b), z)[m]:
             return b
