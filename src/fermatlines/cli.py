@@ -217,14 +217,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--d", type=int, default=None, help="degree (default 2n+2)")
     parser.add_argument("--m", type=int, default=None,
                         help="multiplicity for incidence/tangency (default d//2)")
-    parser.add_argument("--seed", type=int, action="append", default=None,
-                        help="seed, repeatable (default 0)")
+    parser.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append",
+                        default=None, help="seed, repeatable (default 0)")
     parser.add_argument("--trials", type=int, default=None,
                         help="samples per genericity claim (default 5)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the (lemma, seed) runs, at most one "
                              "per run and per CPU (default 1: run in this process)")
-    parser.add_argument("--json", dest="json_path", default=None,
+    parser.add_argument("--json", metavar="JSON_PATH", default=None,
                         help="write JSON Lines reports to this path")
     parser.add_argument("--config", default=None,
                         help="JSON config file; explicit flags override it")
@@ -253,26 +253,12 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             sys.stderr.write("error: cannot read config: %s\n" % exc)
             return EXIT_USAGE
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, fallback)
-
-    if args.lemma == "all":
-        lemmas = file_cfg.get("lemmas", list(REGISTRY))
-    else:
-        lemmas = [args.lemma]
-    config = RunConfig(
-        n=pick(args.n, "n", 2),
-        d=pick(args.d, "d", None),
-        m=pick(args.m, "m", None),
-        seeds=pick(args.seed, "seeds", [0]),
-        lemmas=lemmas,
-        trials=pick(args.trials, "trials", 5),
-        jobs=pick(args.jobs, "jobs", 1),
-        output_path=pick(args.json_path, "json", None),
-    )
+    # the given flags over the config file; RunConfig supplies the rest
+    given = {**file_cfg, **{key: value for key, value in vars(args).items()
+                            if key in CONFIG_KEYS and value is not None}}
+    if args.lemma != "all":
+        given["lemmas"] = [args.lemma]
+    config = RunConfig(output_path=given.pop("json", None), **given)
     try:
         config.resolve()
     except ValueError as exc:

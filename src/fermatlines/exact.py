@@ -10,11 +10,11 @@ rows keyed by their leftmost column and divided by the gcd of their entries
 back-substitution pass.
 
 Span relations are decided by rank: rank_sparse, first_outside_span, and
-kernel_span_dims for claims "span(gens) == ker(m)" on sparse integer
-generator rows {column: int}, which hold iff m·g == 0 for every g and the
-two exact dimensions agree.  Subspace is canonical, in reduced column
-echelon form so equality is a plain entry-wise comparison; it serves
-witness vectors and the tests' reference computations.
+kernel_span_dims for claims "span(gens) == ker(m)", m given as its columns
+and gens as sparse integer rows {column: int}, which hold iff m·g == 0 for
+every g and the two exact dimensions agree.  Subspace is canonical (reduced
+column echelon form, so equality is entry-wise); it serves witness vectors
+and the tests' reference computations.
 """
 
 from __future__ import annotations
@@ -206,23 +206,23 @@ def first_outside_span(rows, vectors):
                  if _reduce(_integer_row(v), echelon) is not None), None)
 
 
-def kernel_span_dims(m: Matrix, gens):
-    """(inside, kernel_dim, span_dim), all exact, for sparse integer
-    generator rows {column: int}, on m's rows cleared to integers once:
-    inside is m·g == 0 for every g, kernel_dim is ncols - rank(m) and
-    span_dim is rank(gens).  The generators are eliminated by leftmost
-    column, the first row of each column (a new pivot row) first; when
-    inside holds, span(gens) ⊆ ker(m) and the elimination stops at rank
-    kernel_dim.  Entries are not cleared: a rational one read by the
-    elimination raises TypeError from gcd."""
-    if any(not 0 <= j < m.ncols for g in gens for j in g):
-        raise DimensionMismatch("generator column outside %d columns" % m.ncols)
-    rows = [clear_denominators(row)[0] for row in m.data]
-    columns = [[row[j] for row in rows] for j in range(m.ncols)]    # m·g is a sum of these
-    gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
+def kernel_span_dims(columns, gens):
+    """(inside, kernel_dim, span_dim), all exact, for the map m with the
+    rational `columns` and sparse integer generator rows {column: int}:
+    inside is m·g == 0 for every g, summed from the columns, kernel_dim is
+    len(columns) - rank(m), from one pass over the rows of m cleared to
+    integers, and span_dim is rank(gens).  The generators are eliminated by
+    leftmost column, the first row of each column (a new pivot row) first;
+    when inside holds, span(gens) ⊆ ker(m) and the elimination stops at
+    rank kernel_dim.  Generator entries are not cleared: a rational one
+    read by the elimination raises TypeError from gcd."""
+    ncols = len(columns)
+    if any(not 0 <= j < ncols for g in gens for j in g):
+        raise DimensionMismatch("generator column outside %d columns" % ncols)
     inside = all(not any(map(sum, zip(*[[v * x for x in columns[j]]
                                         for j, v in r.items()]))) for r in gens)
-    kernel_dim = m.ncols - len(_echelon(map(_integer_row, rows)))
+    kernel_dim = ncols - len(_echelon(map(_integer_row, zip(*columns))))
+    gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
     firsts, rest = [], []
     for r in sorted(filter(None, gens), key=min):
         (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)

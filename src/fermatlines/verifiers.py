@@ -351,10 +351,10 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # kernel of restriction on the deformation span
 
-def _xi_matrix_on(monomials, line: Line) -> Matrix:
-    """Columns: restriction of each monomial to the line, from the line's
-    integer cache."""
-    return Matrix.from_columns(line.integer_restriction(m) for m in monomials)
+def _xi_matrix_on(monomials, line: Line):
+    """The restriction map's columns: each monomial's restriction to the
+    line, the line's own cached integer tuple."""
+    return [line.integer_restriction(m) for m in monomials]
 
 
 def _ideal_product_vectors(lin_forms, gens, jd):
@@ -374,22 +374,23 @@ def _special_extras(jd, d: int, cmap):
             for i in range(1, jd.nvars) for j in range(2, jd.nvars)]
 
 
-def _kernel_is_span(m: Matrix, gens):
-    """Decide whether ker(m) equals the span of the sparse rows `gens`.
+def _kernel_is_span(columns, gens):
+    """Decide whether the kernel of the map with these columns is span(gens).
 
     Returns (equal, kernel_dim, span_dim, outside), decided exactly by
     kernel_span_dims.  `outside()` gives, as JSON, the first canonical
     basis vector of the kernel outside the span, else of the span outside
-    the kernel, else None; only it builds canonical Subspaces.
+    the kernel, else None; only it builds a Matrix and canonical Subspaces.
     """
-    inside, kernel_dim, span_dim = kernel_span_dims(m, gens)
+    inside, kernel_dim, span_dim = kernel_span_dims(columns, gens)
 
     def outside():
-        kernel = kernel_basis(m).basis_vectors()
+        ncols = len(columns)
+        kernel = kernel_basis(Matrix.from_columns(columns)).basis_vectors()
         v = first_outside_span(gens, kernel)
         if v is None:
-            span = Subspace.from_vectors(m.ncols, [[g.get(j, ZERO) for j in range(m.ncols)]
-                                                   for g in gens])
+            span = Subspace.from_vectors(ncols, [[g.get(j, ZERO) for j in range(ncols)]
+                                                 for g in gens])
             v = first_outside_span(kernel, span.basis_vectors())
         return None if v is None else _vec_json(v)
 
@@ -414,7 +415,7 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
             xi = _xi_matrix_on(jd, zt)
             gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens)
-            qrank = xi.ncols - kernel_dim
+            qrank = len(xi) - kernel_dim
             run.record(equal and qrank == d + 1,
                        {"lhs": span_dim, "rhs": kernel_dim, "quotient": qrank},
                        lambda: {"reason": "subspace mismatch",
@@ -486,9 +487,9 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         jd = gen_jd(n, d)
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
-        # the rational values at p times D^(d+1) > 0, p cleared to X / D:
-        # the same kernel and canonical witness basis
-        evaluation = Matrix([integer_monomial_values(jd1, clear_denominators(p.coords)[0])])
+        # the columns of the rational values at p times D^(d+1) > 0, p
+        # cleared to X / D: the same kernel and canonical witness basis
+        evaluation = [(v,) for v in integer_monomial_values(jd1, clear_denominators(p.coords)[0])]
         ip = ip_linear(p)
         point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd, jd1)
         equal, kernel_dim, span_dim, point_outside = _kernel_is_span(evaluation, point_vectors)
@@ -780,7 +781,7 @@ def _b_with_line_power(shape: FamilyShape, z: Line, m: int, rng: Rng):
     system is every row of _xi_matrix_on but row m."""
     d = shape.d
     fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, z)
-    mat = Matrix([row for k, row in enumerate(_xi_matrix_on(shape.jd, z).data) if k != m])
+    mat = Matrix(row for k, row in enumerate(zip(*_xi_matrix_on(shape.jd, z))) if k != m)
     rhs = [-fermat[k] for k in range(d + 1) if k != m]
     for a in range(_LINE_POWER_ATTEMPTS):
         sol = random_solution(mat, rhs, rng.split("power%d" % a))
@@ -844,15 +845,32 @@ def incidence_dimension(n: int, d: int, m: int) -> int:
         raise ValueError("n must be >= 1")
     if not 0 < m < d:
         raise ValueError("multiplicity must satisfy 0 < m < d")
-    lines = 2 * n
-    return lines + 2 - d
+    return 2 * n + 2 - d
+
+
+def _stratum(n: int, d: int, m: int):
+    """(line, lead): the coordinate line through (1:0:...:0) and (0:1:0:...:0)
+    and the exponents of x0^(d-m) x1^m, the cone member of the
+    multiplicity-m stratum through it."""
+    if not 0 < m < d:
+        raise ValueError("multiplicity must satisfy 0 < m < d")
+    line = Line(ProjPoint([1] + [0] * (n + 1)), ProjPoint([0, 1] + [0] * n))
+    return line, (d - m, m) + (0,) * n
 
 
 def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
+    """Unknowns minus equations of the tangency system of the stratum's cone
+    member, checked against the count incidence_dimension."""
     t0 = time.perf_counter()
-    offset = incidence_dimension(n, d, m)
-    dims = {"offset": offset, "m": m}
-    return LemmaReport("incidence", n, d, seed, PASS, dims, None, _ms_since(t0), {"m": m})
+    formula = incidence_dimension(n, d, m)
+    line, lead = _stratum(n, d, m)
+    mat, _ = _tangency_system({lead: 1}, d, line, m)
+    offset = mat.ncols - mat.nrows
+    witness = None if offset == formula else {
+        "reason": "system shape disagrees with the count",
+        "system_offset": offset, "formula_offset": formula}
+    return LemmaReport("incidence", n, d, seed, FAIL if witness else PASS,
+                       {"offset": offset, "m": m}, witness, _ms_since(t0), {"m": m})
 
 
 def _tangency_system(terms, d: int, line: Line, m: int):
@@ -900,14 +918,9 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
     The member x0^(d-m) x1^m + sum_i x_i g_i is built as integer terms, its
     draws cleared over one denominator."""
     with _Trials("tangency", n, d, rng, trials, m=m) as run:
-        nv = n + 2
-        if not 0 < m < d:
-            raise ValueError("multiplicity must satisfy 0 < m < d")
-        line = Line(ProjPoint([1] + [0] * (nv - 1)),
-                    ProjPoint([0, 1] + [0] * (nv - 2)))
-        lead = (d - m, m) + (0,) * n
+        line, lead = _stratum(n, d, m)
         degenerate = tangency_deformation_dim({lead: 1}, line, m, seed=rng.origin_seed)
-        shifts = [(i, mm) for i in range(2, nv) for mm in all_monomials(nv, d - 1)]
+        shifts = [(i, mm) for i in range(2, n + 2) for mm in all_monomials(n + 2, d - 1)]
         for sub in run:
             nums, den = clear_denominators([_nonzero_sample(sub, 20) for _ in shifts])
             f = {lead: den}

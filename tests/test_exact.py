@@ -40,6 +40,11 @@ def integer_sparse(rows):
     return [exact._integer_row(row) for row in rows]
 
 
+def columns(m):
+    """The columns of a Matrix, as kernel_span_dims takes its map."""
+    return [[row[j] for row in m.data] for j in range(m.ncols)]
+
+
 def kernel_basis_oracle(m):
     """Oracle: the kernel's free-variable basis canonicalized by a second rref."""
     return Subspace.from_vectors(m.ncols, m.kernel_vectors())
@@ -306,9 +311,9 @@ def test_reduction_against_an_echelon_form_decides_span_membership():
 
 
 def test_certify_kernel_span_examples():
-    m = Matrix([[1, -1, 0]])
+    m = [(1,), (-1,), (0,)]     # the columns of the 1 x 3 matrix (1 -1 0)
     assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}]) == (True, 2, 2)
-    assert kernel_span_dims(Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]]),
+    assert kernel_span_dims([(Fraction(1, 3),), (Fraction(-1, 3),), (0,)],
                             [{0: 1, 1: 1}, {2: 5}]) == (True, 2, 2)
     # too few generators: the span is smaller than the kernel
     assert kernel_span_dims(m, [{0: 1, 1: 1}]) == (True, 2, 1)
@@ -316,7 +321,7 @@ def test_certify_kernel_span_examples():
     assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}, {0: 1}]) == (False, 2, 3)
     # a common factor of every entry does not change the rank
     assert kernel_span_dims(m, [{0: 3, 1: 3}, {2: 3}]) == (True, 2, 2)
-    assert kernel_span_dims(zeros(2, 2), [{0: 1}, {1: 1}]) == (True, 2, 2)
+    assert kernel_span_dims(columns(zeros(2, 2)), [{0: 1}, {1: 1}]) == (True, 2, 2)
     for outside in ({3: 1}, {-1: 1}):
         with pytest.raises(DimensionMismatch):
             kernel_span_dims(m, [{0: 1, 1: 1}, outside])
@@ -333,9 +338,11 @@ def test_certify_kernel_span_matches_exact_kernel():
         nullity = m.ncols - m.rank()
         # one redundant generator on top of a basis
         extra = [[x + 3 * y for x, y in zip(gens[0], gens[-1])]] if gens else []
-        assert kernel_span_dims(m, integer_sparse(gens + extra)) == (True, nullity, nullity)
+        assert (kernel_span_dims(columns(m), integer_sparse(gens + extra))
+                == (True, nullity, nullity))
         if gens:
-            assert kernel_span_dims(m, integer_sparse(gens[1:])) == (True, nullity, nullity - 1)
+            assert (kernel_span_dims(columns(m), integer_sparse(gens[1:]))
+                    == (True, nullity, nullity - 1))
 
 
 def test_kernel_span_stop_gives_the_full_rank():
@@ -354,7 +361,7 @@ def test_kernel_span_stop_gives_the_full_rank():
         for _ in range(4):
             chosen = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 6))]
             want = (True, m.ncols - m.rank(), rank_sparse(chosen))
-            assert kernel_span_dims(m, chosen) == want
+            assert kernel_span_dims(columns(m), chosen) == want
 
 
 def test_kernel_span_outside_the_kernel_gives_the_full_rank():
@@ -365,7 +372,7 @@ def test_kernel_span_outside_the_kernel_gives_the_full_rank():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
         gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 2, m.ncols).data)
-        inside, kernel_dim, span_dim = kernel_span_dims(m, gens)
+        inside, kernel_dim, span_dim = kernel_span_dims(columns(m), gens)
         assert (kernel_dim, span_dim) == (m.ncols - m.rank(), rank_sparse(gens))
         assert inside == all(not any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))
                              for g in gens)
@@ -376,9 +383,9 @@ def test_kernel_span_outside_the_kernel_gives_the_full_rank():
 def test_kernel_span_rational_generator_row_is_a_type_error():
     """Generators are taken as integer rows, not cleared: a rational entry
     the elimination reads raises TypeError from its gcd, never a wrong
-    rank, also when m's own rows are rational.  (A row past the stop at
+    rank, also when m's own columns are rational.  (A row past the stop at
     kernel_dim is not read; the rank is exact without it.)"""
-    for m in (Matrix([[1, -1, 0]]), Matrix([[Fraction(1, 3), Fraction(-1, 3), 0]])):
+    for m in ([(1,), (-1,), (0,)], [(Fraction(1, 3),), (Fraction(-1, 3),), (0,)]):
         for gens in ([{0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: 5}],
                      [{2: 5}, {0: 1, 1: 1}, {0: Fraction(1, 2)}],
                      [{0: Fraction(2), 1: 2}]):
@@ -387,13 +394,13 @@ def test_kernel_span_rational_generator_row_is_a_type_error():
 
 
 def test_kernel_span_accepts_empty_generator_rows():
-    m = Matrix([[1, -1, 0]])
+    m = [(1,), (-1,), (0,)]
     assert kernel_span_dims(m, [{}, {0: 1, 1: 1}, {2: 0}, {}, {2: 4}]) == (True, 2, 2)
     assert kernel_span_dims(m, [{}, {0: 1}]) == (False, 2, 1)
     assert kernel_span_dims(m, [{}]) == (True, 2, 0)
     assert kernel_span_dims(m, []) == (True, 2, 0)
     # a matrix without rows has every generator inside
-    assert kernel_span_dims(Matrix([], ncols=3), [{0: 1}, {}, {1: 2}]) == (True, 3, 2)
+    assert kernel_span_dims([(), (), ()], [{0: 1}, {}, {1: 2}]) == (True, 3, 2)
 
 
 def test_subspace_equality_invariant_under_basis_change():
@@ -582,7 +589,7 @@ def test_integer_rows_decide_as_their_fractions():
         assert kernel_basis(m) == kernel_basis(q)
         assert m.solve(rhs) == q.solve(qrhs)
         gens = integer_sparse(q.kernel_vectors()) + [{0: 1}]
-        assert kernel_span_dims(m, gens) == kernel_span_dims(q, gens)
+        assert kernel_span_dims(columns(m), gens) == kernel_span_dims(columns(q), gens)
         rm, rq = Rng(trial), Rng(trial)
         assert random_solution(m, rhs, rm) == random_solution(q, qrhs, rq)
         assert rm.randint(0, 10 ** 9) == rq.randint(0, 10 ** 9)

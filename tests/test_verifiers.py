@@ -224,8 +224,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
     for maker in (lambda r: _special_scheme(2, r)[0],
                   lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
-        xi = _xi_matrix_on(shape.jd, z)
-        k2 = kernel_basis(xi)
+        k2 = kernel_basis(Matrix.from_columns(_xi_matrix_on(shape.jd, z)))
         k1 = Subspace.from_vectors(
             len(shape.jd),
             dense(_ideal_product_vectors(iz_linear(z).basis_vectors(),
@@ -245,13 +244,13 @@ KERNEL_CLAIMS = {
 
 def _recording(monkeypatch, name):
     """Route the verifiers' calls of `name` through a recorder; returns the
-    list of (m, gens, result) calls."""
+    list of (columns, gens, result) calls."""
     calls = []
     real = getattr(verifiers, name)
 
-    def record(m, gens):
-        result = real(m, gens)
-        calls.append((m, gens, result))
+    def record(columns, gens):
+        result = real(columns, gens)
+        calls.append((columns, gens, result))
         return result
 
     monkeypatch.setattr(verifiers, name, record)
@@ -288,7 +287,8 @@ def test_kernel_claim_decision_matches_canonical_subspaces(monkeypatch, lemma):
             calls = _recording(mp, "_kernel_is_span")
             assert KERNEL_CLAIMS[lemma]().verdict == verdict
         assert calls
-        for m, gens, (equal, kernel_dim, span_dim, _) in calls:
+        for columns, gens, (equal, kernel_dim, span_dim, _) in calls:
+            m = Matrix.from_columns(columns)
             kernel = kernel_basis_oracle(m)
             span = Subspace.from_vectors(m.ncols, dense(gens, m.ncols))
             assert (equal, kernel_dim, span_dim) == (kernel == span, kernel.dim, span.dim)
@@ -303,8 +303,9 @@ def test_late_witness_eliminates_the_generators_once(monkeypatch):
     calls = _recording(monkeypatch, "_kernel_is_span")
     rep = run_lemma("kernel-special", 2, 6, 0, 7, trials=1)
     assert rep.verdict == FAIL
-    [(m, gens, (_, _, _, outside))] = calls
-    assert rep.witness["vector"] != verifiers._vec_json(kernel_basis_oracle(m).basis_vectors()[0])
+    [(columns, gens, (_, _, _, outside))] = calls
+    first = kernel_basis_oracle(Matrix.from_columns(columns)).basis_vectors()[0]
+    assert rep.witness["vector"] != verifiers._vec_json(first)
     sizes = []
     echelon = exact._echelon
 
@@ -319,7 +320,7 @@ def test_late_witness_eliminates_the_generators_once(monkeypatch):
 
 
 def test_kernel_is_span_witness_examples():
-    m = Matrix([[1, -1, 0]])
+    m = [(1,), (-1,), (0,)]     # the columns of the 1 x 3 matrix (1 -1 0)
     # ker(m) has the canonical basis (1, 1, 0), (0, 0, 1)
     equal, kernel_dim, span_dim, outside = verifiers._kernel_is_span(m, [{0: 1, 1: 1}])
     assert (equal, kernel_dim, span_dim) == (False, 2, 1)
@@ -448,6 +449,43 @@ def test_kernel_generic_stops_before_its_last_generator(monkeypatch):
     assert kernel_dim <= read < len(gens)
 
 
+@pytest.mark.parametrize("shift", [False, True])
+def test_kernel_generic_holds_its_map_once(monkeypatch, shift):
+    """During a PASS kernel-generic the restriction map is the line cache's
+    own tuples, handed to kernel_span_dims as they are, and no Matrix with
+    |J_d| columns is built.  Feeding kernel_span_dims shifted columns is
+    caught."""
+    maps, fed, widths = [], [], []
+    xi_matrix_on, dims, init = verifiers._xi_matrix_on, verifiers.kernel_span_dims, Matrix.__init__
+
+    def recording_xi(monomials, line):
+        columns = xi_matrix_on(monomials, line)
+        maps.append((monomials, line, columns))
+        return columns
+
+    def recording_dims(columns, gens):
+        if shift:
+            columns = columns[1:] + columns[:1]
+        fed.append(columns)
+        return dims(columns, gens)
+
+    def recording_init(self, rows, ncols=None):
+        init(self, rows, ncols)
+        widths.append(self.ncols)
+
+    monkeypatch.setattr(verifiers, "_xi_matrix_on", recording_xi)
+    monkeypatch.setattr(verifiers, "kernel_span_dims", recording_dims)
+    monkeypatch.setattr(Matrix, "__init__", recording_init)
+    rep = verify_kernel_generic(2, 6, rng_for("kg"), trials=2)
+    held_once = (len(maps) == len(fed) == 2
+                 and all(columns is given for (_, _, columns), given in zip(maps, fed))
+                 and all(column is line.integer_restriction(mono)
+                         for monomials, line, columns in maps
+                         for mono, column in zip(monomials, columns))
+                 and len(gen_jd(2, 6)) not in widths)
+    assert (rep.verdict, held_once) == ((FAIL, False) if shift else (PASS, True))
+
+
 def test_certification_agrees_with_sympy_over_qq(monkeypatch):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
@@ -463,7 +501,8 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
     # two trials each of kernel-generic and kernel-special, and the point
     # part of point-ideal, whose split part reuses it
     assert len(calls) >= 5
-    for m, gens, result in calls:
+    for columns, gens, result in calls:
+        m = Matrix.from_columns(columns)
         rank_m = rank_qq(m.data, m.ncols)
         rank_gens = rank_qq(dense(gens, m.ncols), m.ncols)
         assert rank_sparse([dict(enumerate(row)) for row in m.data]) == rank_m
@@ -606,12 +645,12 @@ def test_point_ideal_integer_row_has_the_rational_kernel(monkeypatch, coords):
         rng = rng_for("pi-row")
         coords = [sample_rational(rng, 9) or Fraction(1) for _ in range(4)]
     p = ProjPoint(coords)
-    matrices = []
+    maps = []
     is_span = verifiers._kernel_is_span
     monkeypatch.setattr(verifiers, "_kernel_is_span",
-                        lambda m, gens: matrices.append(m) or is_span(m, gens))
+                        lambda columns, gens: maps.append(columns) or is_span(columns, gens))
     verify_point_ideal(2, 6, rng_for("pi-row"), p=p, trials=1)
-    evaluation = matrices[0]
+    evaluation = Matrix.from_columns(maps[0])
     assert all(type(x) is int for x in evaluation.data[0])
     rational = Matrix([eval_monomials(gen_jd(2, 7), p.coords)])
     assert kernel_basis(evaluation) == kernel_basis(rational)
@@ -1023,6 +1062,18 @@ def test_incidence_bounds():
         incidence_dimension(2, 6, 6)
     rep = verify_incidence(3, 8, 4)
     assert rep.verdict == PASS and rep.dims["offset"] == 0
+
+
+def test_incidence_reads_its_offset_from_the_tangency_system(monkeypatch):
+    """With the first row of tangency's system dropped, the system has one
+    more unknown than equations beyond the count, and incidence FAILs
+    naming both offsets."""
+    monkeypatch.setattr(verifiers, "_tangency_system", _drop_first_tangency_row)
+    rep = verify_incidence(2, 6, 3)
+    assert rep.verdict == FAIL
+    assert rep.dims == {"offset": 1, "m": 3}
+    assert rep.witness == {"reason": "system shape disagrees with the count",
+                           "system_offset": 1, "formula_offset": 0}
 
 
 def build_tangency_instance(n=2, d=6, m=3, seed=5, zero_transverse=False):
