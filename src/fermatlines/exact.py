@@ -9,6 +9,10 @@ rows keyed by their leftmost column and divided by the gcd of their entries
 (_reduce, _echelon).  Reduced echelon forms are finished with a rational
 back-substitution pass.
 
+random_solution finds its pivot columns by a scan that keeps the
+annihilator of the columns taken so far as integer functionals, and solves
+only the small system on those columns.
+
 Span relations are decided by rank: rank_sparse, first_outside_span, and
 kernel_span_dims for claims "span(gens) == ker(m)", m given as its columns
 and gens as sparse integer rows {column: int}, which hold iff m·g == 0 for
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch
 from .rng import Rng
@@ -284,26 +289,47 @@ def sample_rational(rng: Rng, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_solution(m: Matrix, rhs, rng: Rng):
-    """Random exact solution of m·x = rhs: the free variables are integers
-    drawn from [-DRAW, DRAW] in ascending column order, and the pivot
-    variables are back-substituted from the last pivot up on the integer
-    echelon form of [m | rhs], each pivot row summing its free part as ints
-    and only its entries at later pivot columns as Fractions.  Returns None
-    when the system is inconsistent."""
-    n = m.ncols
-    echelon = _echelon(_integer_row(row + [b])
-                       for row, b in zip(m.data, rhs))
-    if n in echelon:
+def random_solution(columns, rhs, rng: Rng):
+    """Random exact solution of m·x = rhs, for the map m with the rational
+    `columns`, or None when the system is inconsistent.
+
+    The pivots are the leftmost independent columns, found by a column scan
+    that stops at len(rhs) of them.  The scan keeps integer functionals
+    spanning the annihilator of the pivot columns so far: a column is
+    independent iff one of them is nonzero on it, and then the others are
+    combined with that one to vanish on it.  The free variables are
+    integers drawn from [-DRAW, DRAW] in ascending column order and kept as
+    ints; their part, summed row by row, moves to the right-hand side, and
+    the small system on the pivot columns is solved exactly."""
+    annihilator = [[int(i == k) for i in range(len(rhs))] for k in range(len(rhs))]
+    pivots = []
+    for j, column in enumerate(columns):
+        if not annihilator:
+            break
+        values = [sum(map(mul, a, column)) for a in annihilator]
+        if any(values):
+            pivots.append(j)
+            values, _ = clear_denominators(values)     # a positive multiple
+            k = next(k for k, w in enumerate(values) if w)
+            a, w = annihilator.pop(k), values.pop(k)
+            annihilator = [_primitive([w * x - u * y for x, y in zip(b, a)]) if u else b
+                           for b, u in zip(annihilator, values)]
+    if any(sum(map(mul, a, rhs)) for a in annihilator):
         return None
-    x = [0 if j in echelon else rng.randint(-DRAW, DRAW) for j in range(n)]
-    for c in sorted(echelon, reverse=True):
-        row = echelon[c]
-        acc, later = row.get(n, 0), ZERO
-        for j, v in row.items():
-            if j not in echelon and j < n:
-                acc -= v * x[j]
-            elif c < j < n:
-                later += v * x[j]
-        x[c] = (acc - later) / row[c]
-    return [frac(v) for v in x]
+    x = [rng.randint(-DRAW, DRAW) for _ in range(len(columns) - len(pivots))]
+    for j in pivots:
+        x.insert(j, 0)
+    r = len(pivots)
+    echelon = _echelon(_integer_row([row[j] for j in pivots] + [c - sum(map(mul, row, x))])
+                       for row, c in zip(zip(*columns), rhs))
+    for k in range(r - 1, -1, -1):
+        row = echelon[k]
+        later = sum(v * x[pivots[i]] for i, v in row.items() if k < i < r)
+        x[pivots[k]] = (row.get(r, 0) - later) / Fraction(row[k])
+    return x
+
+
+def _primitive(v):
+    """The nonzero integer list v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v]

@@ -8,20 +8,23 @@ correction coefficients c_ijk, the distinguished quadratic sections w_ijk
 whose eta-image stays inside the deformation span, the induced alternating
 maps, and random members through prescribed points.
 
-A member keeps t as Fractions (for its JSON and the c_ijk) and F as integer
+A member keeps t as given, the ints drawn for its free coordinates and
+exact rationals for the rest (for its JSON and the c_ijk), and F as integer
 terms: t is cleared once over den, the lcm of its denominators, and f_poly
 and f_partials give den * F and den * dF/dx_i as {exponents: int}, each
 computed once per member; eta alone, for the tests, builds the rational F.
+The verifiers share one FamilyShape per process (family_shape), so J_d is
+enumerated and sorted once per run.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionMismatch, InfeasibleSystem
-from .exact import (Matrix, ONE, ZERO, clear_denominators, format_fraction, frac,
-                    random_solution)
+from .exact import ONE, clear_denominators, format_fraction, random_solution
 from .poly import (EulerSection, HomogPoly, gen_jd, integer_monomial_values,
                    jd_size_formula, mono_str, mono_times, order_key,
                    sum_of_products, term_partials)
@@ -47,20 +50,25 @@ class FamilyShape:
         return "FamilyShape(n=%d, d=%d, N=%d)" % (self.n, self.d, self.N)
 
 
+@lru_cache(maxsize=1)
+def family_shape(n: int, d: int) -> FamilyShape:
+    """The FamilyShape of (n, d), shared: a run at one (n, d) sorts J_d
+    once, and only the last shape asked for is kept, so no J_(d-1) or
+    J_(d+1) outlives its verifier."""
+    return FamilyShape(n, d)
+
+
 class DeformationPoint:
     """A rational point of the base: a finitely supported map f -> t_f."""
 
     def __init__(self, shape: FamilyShape, t=None):
         self.shape = shape
-        clean = {}
-        for m, v in (t or {}).items():
-            m = tuple(m)
-            if m not in shape.jd:
-                raise ValueError("monomial %s is not a deformation coordinate" % mono_str(m))
-            v = frac(v)
-            if v != 0:
-                clean[m] = v
-        self.t = clean
+        t = t or {}
+        outside = t.keys() - shape.jd.index.keys()
+        if outside:
+            raise ValueError("monomial %s is not a deformation coordinate"
+                             % mono_str(min(outside)))
+        self.t = {m: v for m, v in t.items() if v}
         self._f = None
         self._partials = None
 
@@ -123,9 +131,9 @@ def c_coeff(b: DeformationPoint, i: int, j: int, k: int) -> Fraction:
     if i == j or i == k:
         raise ValueError("the squared index must differ from the others")
     base = (0,) * i + (d - 2,) + (0,) * (nv - 1 - i)
-    t_f = b.t.get(mono_times(base, j, k), ZERO)
+    t_f = b.t.get(mono_times(base, j, k), 0)
     factor = 2 if j == k else 1
-    return Fraction(factor, d) * t_f
+    return Fraction(factor * t_f.numerator, d * t_f.denominator)
 
 
 def omega_terms(b: DeformationPoint):
@@ -252,8 +260,8 @@ def sample_b_through(shape: FamilyShape, points, rng: Rng) -> DeformationPoint:
     Raises InfeasibleSystem when a condition cannot be met.
     """
     conditions = [point_condition(shape, p) for p in points]
-    sol = random_solution(Matrix([row for row, _ in conditions], ncols=shape.N),
-                          [rhs for _, rhs in conditions], rng)
+    columns = list(zip(*[row for row, _ in conditions])) or [()] * shape.N
+    sol = random_solution(columns, [rhs for _, rhs in conditions], rng)
     if sol is None:
         raise InfeasibleSystem("point conditions are mutually inconsistent")
     return DeformationPoint(shape, dict(zip(shape.jd, sol)))

@@ -17,6 +17,8 @@ their Sylvester matrix.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import DimensionMismatch, LineInHypersurface
 from .exact import (Matrix, Subspace, ZERO, clear_denominators, format_fraction,
                     frac, kernel_basis, rank_sparse)
@@ -118,15 +120,15 @@ class Line:
         s^(m-k) t^k.
 
         Cached per monomial; an entry is the entry of the monomial with its
-        first nonzero exponent lowered by one, times one linear factor.
+        (first) largest exponent lowered by one, times one linear factor.
         """
         got = self._restricted.get(exps)
         if got is not None:
             return got
-        i = next(j for j, e in enumerate(exps) if e)
+        i = exps.index(max(exps))
         lower = self.integer_restriction(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
         a, b = self._p_ints[i], self._q_ints[i]
-        out = tuple(x * a + y * b for x, y in zip(lower + (0,), (0,) + lower))
+        out = tuple([x * a + y * b for x, y in zip(lower + (0,), (0,) + lower)])
         self._restricted[exps] = out
         return out
 
@@ -135,13 +137,13 @@ def restrict_poly(terms, degree: int, line: Line):
     """Substitute x = s*P + t*Q into the degree-`degree` form with terms
     {exponents: coefficient} and expand exactly: the coefficient list, entry
     k at s^(m-k) t^k, ints for integer terms."""
-    if terms and len(next(iter(terms))) != line.nvars:
+    if not terms:
+        return [0] * (degree + 1)
+    if len(next(iter(terms))) != line.nvars:
         raise DimensionMismatch("polynomial and line live in different spaces")
-    acc = [0] * (degree + 1)
-    for exps, c in terms.items():
-        for k, v in enumerate(line.integer_restriction(exps)):
-            acc[k] += c * v
-    return acc
+    coeffs = list(terms.values())
+    return [sum(map(mul, coeffs, column))
+            for column in zip(*map(line.integer_restriction, terms))]
 
 
 def restrict_section(sec: EulerSection, line: Line):

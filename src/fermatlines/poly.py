@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import DimensionMismatch
 from .exact import ZERO, clear_denominators, frac
@@ -300,16 +300,13 @@ def eval_monomials(monomials, coords):
 
 def integer_monomial_values(monomials, nums):
     """The ints prod X_i^e_i of the monomials at the integer point `nums`,
-    read from power tables."""
+    multiplied in one variable at a time: X_i's powers are read from a
+    table along the column of i-th exponents."""
     monomials = list(monomials)
-    top = max((e for m in monomials for e in m), default=0)
-    tables = [[x ** e for e in range(top + 1)] for x in nums]
-    out = []
-    for m in monomials:
-        v = 1
-        for table, e in zip(tables, m):
-            v *= table[e]
-        out.append(v)
+    out = [1] * len(monomials)
+    for x, exponents in zip(nums, zip(*monomials)):
+        powers = [x ** e for e in range(max(exponents) + 1)]
+        out = list(map(mul, out, map(powers.__getitem__, exponents)))
     return out
 
 

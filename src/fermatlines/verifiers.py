@@ -21,10 +21,10 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (Matrix, Subspace, ZERO, clear_denominators, first_outside_span,
+from .exact import (DRAW, Matrix, Subspace, ZERO, clear_denominators, first_outside_span,
                     format_fraction, kernel_basis, kernel_span_dims, rank_sparse,
                     sample_rational, random_solution)
-from .family import (DeformationPoint, FamilyShape, c_coeff, omega_terms,
+from .family import (DeformationPoint, FamilyShape, c_coeff, family_shape, omega_terms,
                      point_condition, sample_b_through)
 from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
                     iz_linear, monomial_index, restrict_poly, scheme_json)
@@ -304,7 +304,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     are independent, and together with the Euler-field multiples exhaust the
     sections that do so (modulo multiples of the defining polynomial)."""
     with _Trials("w-basis", n, d, rng, trials) as run:
-        shape = FamilyShape(n, d)
+        shape = family_shape(n, d)
         nv = n + 2
         deg2 = all_monomials(nv, 2)
         expected_basis = nv * comb(nv, 2)
@@ -404,7 +404,7 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
     down), and the quotient maps isomorphically onto the degree-d forms on
     the line (dimension d+1)."""
     with _Trials("kernel-generic", n, d, rng, trials) as run:
-        shape = FamilyShape(n, d)
+        shape = family_shape(n, d)
         jd = shape.jd
         jdm1 = gen_jd(n, d - 1)
         if z is not None and classify(z)["tag"] != "generic":
@@ -430,7 +430,7 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
     kernel of restriction on the deformation span is the ideal part plus the
     explicit generators x0^(d-2) x_i (x_j - c_j x_1)."""
     with _Trials("kernel-special", n, d, rng, trials) as run:
-        shape = FamilyShape(n, d)
+        shape = family_shape(n, d)
         nv = n + 2
         jd = shape.jd
         jdm1 = gen_jd(n, d - 1)
@@ -484,7 +484,7 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
             p = ProjPoint([Fraction(1)] * nv)
         if p.is_coordinate_point():
             raise CoordinatePointError("the statement excludes coordinate points")
-        jd = gen_jd(n, d)
+        jd = family_shape(n, d).jd
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
         # the columns of the rational values at p times D^(d+1) > 0, p
@@ -549,7 +549,7 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     with _Trials("xi-special", n, d, rng, trials) as run:
         if n < 2:
             raise InfeasibleSystem("needs n >= 2")
-        shape = FamilyShape(n, d)
+        shape = family_shape(n, d)
         nv = n + 2
         amb = 3 * nv
         x00, x01, x11 = (mono_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
@@ -603,7 +603,7 @@ def verify_xi_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     with _Trials("xi-generic", n, d, rng, trials) as run:
         if n < 2:
             raise InfeasibleSystem("needs n >= 2")
-        shape = FamilyShape(n, d)
+        shape = family_shape(n, d)
         nv = n + 2
         amb = 3 * nv
         for sub in run:
@@ -626,12 +626,16 @@ _SYSTEM_KEYS = [(0, 1, 3), (0, 2, 3), (1, 0, 3), (1, 2, 3), (2, 0, 3), (2, 1, 3)
 
 
 def _draw_coeffs(rng: Rng):
-    """Random coefficient table c[i, j, k], symmetric in the last two slots."""
+    """Random coefficient table c[i, j, k], symmetric in the last two slots,
+    of nonzero integers from [-DRAW, DRAW]: the 2x2 determinant pair, of
+    degree 2, vanishes with probability at most 2/(2*DRAW+1) unless it
+    vanishes identically."""
     c = {}
     for (i, j, k) in _SYSTEM_KEYS:
-        v = _nonzero_sample(rng, 50)
-        c[(i, j, k)] = v
-        c[(i, k, j)] = v
+        v = 0
+        while not v:
+            v = rng.randint(-DRAW, DRAW)
+        c[(i, j, k)] = c[(i, k, j)] = v
     return c
 
 
@@ -778,13 +782,13 @@ def secant_obstruction(b: DeformationPoint, z: Line,
 def _b_with_line_power(shape: FamilyShape, z: Line, m: int, rng: Rng):
     """(b, restriction): a family member b through Z whose restriction to
     the line, also returned, is a nonzero multiple of s^(d-m) t^m.  The
-    system is every row of _xi_matrix_on but row m."""
+    system's columns are those of _xi_matrix_on without entry m."""
     d = shape.d
     fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, z)
-    mat = Matrix(row for k, row in enumerate(zip(*_xi_matrix_on(shape.jd, z))) if k != m)
+    columns = [col[:m] + col[m + 1:] for col in _xi_matrix_on(shape.jd, z)]
     rhs = [-fermat[k] for k in range(d + 1) if k != m]
     for a in range(_LINE_POWER_ATTEMPTS):
-        sol = random_solution(mat, rhs, rng.split("power%d" % a))
+        sol = random_solution(columns, rhs, rng.split("power%d" % a))
         if sol is None:
             raise InfeasibleSystem("line-power conditions are inconsistent")
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
@@ -816,7 +820,7 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     with a nontrivial shared kernel; the three conditions agree throughout."""
     m = d // 2
     with _Trials("secant", n, d, rng, trials, m=m) as run:
-        shape = FamilyShape(n, d)
+        shape = family_shape(n, d)
         for sub in run:
             rep_r = _random_secant_report(shape, sub, rng.origin_seed)
             if rep_r is None:

@@ -1,17 +1,21 @@
 """CLI surface: registry, dispatch, exit codes, report files, determinism."""
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import fermatlines.cli as cli
+import fermatlines.family as family
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import (EXIT_FAIL, EXIT_OK, EXIT_SOFT, EXIT_USAGE,
                              REGISTRY, RunConfig, main, run, run_lemma)
+from fermatlines.poly import gen_jd
 from fermatlines.verifiers import LemmaReport
 
 
@@ -33,6 +37,33 @@ def test_every_id_dispatches():
         rep = run_lemma(lemma, 2, 6, 3, seed=1, trials=1)
         assert rep.lemma == lemma
         assert rep.seed == 1
+
+
+def test_a_run_enumerates_its_index_set_once(monkeypatch, capsys):
+    """One `verify all` at (3, 8) enumerates J_8 once, shared by every
+    verifier through family_shape and mutated by none; J_7 and J_9 are
+    enumerated where needed and not kept alive after the run."""
+    family.family_shape.cache_clear()
+    enumerated, others = [], []
+
+    def counting(n, d):
+        jd = gen_jd(n, d)
+        enumerated.append((n, d))
+        if d != 8:
+            others.append(weakref.ref(jd))
+        return jd
+
+    monkeypatch.setattr(family, "gen_jd", counting)
+    monkeypatch.setattr(verifiers, "gen_jd", counting)
+    assert main(["all", "--n", "3", "--d", "8", "--trials", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert enumerated.count((3, 8)) == 1
+    assert {(3, 7), (3, 9)} <= set(enumerated)
+    gc.collect()
+    assert others and all(ref() is None for ref in others)
+    shared, fresh = family.family_shape(3, 8).jd, gen_jd(3, 8)
+    assert (shared.members, shared.index) == (fresh.members, fresh.index)
+    assert enumerated.count((3, 8)) == 1
 
 
 def test_single_lemma_run_writes_one_line(tmp_path):

@@ -472,7 +472,7 @@ def test_random_solution_solves_or_reports_none():
         nc = rng.randint(1, 6)
         m = random_matrix(rng, nr, nc, bound=5)
         rhs = [sample_rational(rng, 5) for _ in range(nr)]
-        x = random_solution(m, rhs, rng)
+        x = random_solution(columns(m), rhs, rng)
         if x is None:
             assert m.solve(rhs) is None
         else:
@@ -501,6 +501,16 @@ def random_solution_reference(m, rhs, rng):
     return x
 
 
+def assert_solution_contract(m, rhs, x):
+    """x solves m·x = rhs exactly, its free coordinates (off the leftmost
+    independent columns) are the ints drawn from [-DRAW, DRAW], and its
+    pivot coordinates are exact rationals."""
+    _, pivots = m.rref()
+    assert all(isinstance(x[j], Fraction) if j in pivots
+               else type(x[j]) is int and -DRAW <= x[j] <= DRAW for j in range(m.ncols))
+    assert mul_vec(m, x) == [Fraction(r) for r in rhs]
+
+
 def test_random_solution_matches_the_rref_reference():
     """Same draws and same exact values as the rref-based reference on
     wide, rank-deficient, inconsistent and all-integer systems, and on
@@ -526,12 +536,11 @@ def test_random_solution_matches_the_rref_reference():
         if kind == 2 and nr > 1:    # inconsistent unless the last row is free
             m = Matrix(m.data[:-1] + [m.data[0]])
             rhs[-1] = rhs[0] + 1
-        got = random_solution(m, rhs, Rng(trial))
+        got = random_solution(columns(m), rhs, Rng(trial))
         want = random_solution_reference(m, rhs, Rng(trial))
         assert got == want
         if got is not None:
-            assert all(type(x) is Fraction for x in got)
-            assert mul_vec(m, got) == [Fraction(r) for r in rhs]
+            assert_solution_contract(m, rhs, got)
         outcomes.add((kind, got is None))
     assert {(1, False), (2, True), (3, False)} <= outcomes
     # wide systems shaped like the member systems: 1-2 rows (points on a
@@ -551,9 +560,9 @@ def test_random_solution_matches_the_rref_reference():
                 v = sample_rational(rng, 9) or Fraction(1)
                 m.data[i][lead[i]] = m.data[i][lead[i + 1]] = v
         rhs = [sample_rational(rng, 50) for _ in range(nr)]
-        got = random_solution(m, rhs, Rng(1000 + trial))
+        got = random_solution(columns(m), rhs, Rng(1000 + trial))
         assert got == random_solution_reference(m, rhs, Rng(1000 + trial))
-        assert mul_vec(m, got) == [Fraction(r) for r in rhs]
+        assert_solution_contract(m, rhs, got)
 
 
 def integer_systems(rng):
@@ -591,7 +600,7 @@ def test_integer_rows_decide_as_their_fractions():
         gens = integer_sparse(q.kernel_vectors()) + [{0: 1}]
         assert kernel_span_dims(columns(m), gens) == kernel_span_dims(columns(q), gens)
         rm, rq = Rng(trial), Rng(trial)
-        assert random_solution(m, rhs, rm) == random_solution(q, qrhs, rq)
+        assert random_solution(columns(m), rhs, rm) == random_solution(columns(q), qrhs, rq)
         assert rm.randint(0, 10 ** 9) == rq.randint(0, 10 ** 9)
 
 

@@ -32,7 +32,7 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_secant, verify_tangency,
                                    verify_w_basis, verify_xi_generic,
                                    verify_xi_special)
-from test_exact import kernel_basis_oracle
+from test_exact import assert_solution_contract, kernel_basis_oracle, random_solution_reference
 from tests.oracles import (contains_vector, form_add, form_mul, member_poly, restrict,
                            restrict_rational, support_in)
 
@@ -842,11 +842,12 @@ def test_systems_pass():
     assert rep.dims["kernel_dim_max"] == 0
 
 
-@pytest.mark.parametrize("lemma,seed", [("systems", 1000122), ("tangency", 1000075),
-                                         ("tangency", 2516083234)])
+@pytest.mark.parametrize("lemma,seed", [("systems", 35), ("systems", 1000122),
+                                         ("tangency", 1000075), ("tangency", 2516083234)])
 def test_general_position_draws_have_no_zero_coefficient(lemma, seed):
-    """These seeds once drew a zero "general" coefficient (for systems,
-    c013 = c103 = 0 made the 2x2 determinant vanish) and came out
+    """These seeds once drew a degenerate "general" coefficient table (for
+    systems, c013 = c103 = 0 at seed 1000122, and a vanishing 2x2
+    determinant from small rationals at seed 35) and came out
     INDETERMINATE."""
     rep = run_lemma(lemma, 2, 6, 3, seed, 5)
     assert rep.verdict == PASS, rep.witness
@@ -941,7 +942,7 @@ def b_with_line_power_reference(shape, z, m, rng, attempts=20):
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
     for a in range(attempts):
-        sol = exact.random_solution(mat, rhs, rng.split("power%d" % a))
+        sol = random_solution_reference(mat, rhs, rng.split("power%d" % a))
         b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
         if restrict_rational(member_poly(b), z)[m]:
             return b
@@ -960,6 +961,28 @@ def test_line_power_member_matches_the_rational_system(n, d):
         assert got.t == want.t
         assert xif == [got.den * x for x in restrict(member_poly(got), z)]
         assert monomial_index(xif) == d // 2
+
+
+def test_member_systems_at_3_8_match_the_rref_reference():
+    """random_solution on the columns of the member systems at (3, 8), the
+    point rows through one and two points and the line-power system, gives
+    the reference's solution for the same draws."""
+    shape, m = FamilyShape(3, 8), 4
+    for seed in range(2):
+        z = random_generic_scheme(3, rng_for("systems at 3 8", seed))
+        conditions = [point_condition(shape, p) for p in (z.p, z.q)]
+        restricted = verifiers._xi_matrix_on(shape.jd, z)
+        fermat = restrict_poly(DeformationPoint(shape).f_poly(), 8, z)
+        keep = [k for k in range(9) if k != m]
+        systems = [([row for row, _ in conditions[:k]], [rhs for _, rhs in conditions[:k]])
+                   for k in (1, 2)]
+        systems.append(([[col[k] for col in restricted] for k in keep],
+                        [-fermat[k] for k in keep]))
+        for rows, rhs in systems:
+            mat = Matrix(rows, ncols=shape.N)
+            got = exact.random_solution(list(zip(*rows)), rhs, rng_for("solve", seed))
+            assert got == random_solution_reference(mat, rhs, rng_for("solve", seed))
+            assert_solution_contract(mat, rhs, got)
 
 
 def test_secant_without_a_three_point_secant_is_indeterminate(monkeypatch):
