@@ -26,9 +26,26 @@ from .verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS, LemmaReport,
                         verify_point_ideal, verify_secant, verify_tangency,
                         verify_w_basis, verify_xi_generic, verify_xi_special)
 
-REGISTRY = ("w-basis", "kernel-generic", "kernel-special", "point-ideal",
-            "xi-special", "xi-generic", "systems", "secant", "incidence",
-            "tangency")
+# Lemma id -> its verifier called as (n, d, m, seed, rng, trials), in
+# registry order.  Each lambda looks its verifier up when called, so a
+# replaced module global (a monkeypatch, a tracer's wrapper) is the one run.
+LEMMAS = {
+    "w-basis": lambda n, d, m, seed, rng, trials: verify_w_basis(n, d, rng, trials),
+    "kernel-generic":
+        lambda n, d, m, seed, rng, trials: verify_kernel_generic(n, d, rng, trials),
+    "kernel-special":
+        lambda n, d, m, seed, rng, trials: verify_kernel_special(n, d, rng, trials),
+    "point-ideal":
+        lambda n, d, m, seed, rng, trials: verify_point_ideal(n, d, rng, trials=trials),
+    "xi-special": lambda n, d, m, seed, rng, trials: verify_xi_special(n, d, rng, trials),
+    "xi-generic": lambda n, d, m, seed, rng, trials: verify_xi_generic(n, d, rng, trials),
+    "systems": lambda n, d, m, seed, rng, trials:
+        verify_generic_systems(rng, draws=trials, singular_draws=trials, n=n, d=d),
+    "secant": lambda n, d, m, seed, rng, trials: verify_secant(n, d, rng, trials),
+    "incidence": lambda n, d, m, seed, rng, trials: verify_incidence(n, d, m, seed=seed),
+    "tangency": lambda n, d, m, seed, rng, trials: verify_tangency(n, d, m, rng, trials),
+}
+REGISTRY = tuple(LEMMAS)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -92,29 +109,9 @@ class RunConfig:
 def run_lemma(lemma: str, n: int, d: int, m: int, seed: int,
               trials: int = 5) -> LemmaReport:
     """Dispatch one (lemma, seed) pair to its verifier."""
-    rng = Rng(seed).split(lemma)
-    if lemma == "w-basis":
-        return verify_w_basis(n, d, rng, trials)
-    if lemma == "kernel-generic":
-        return verify_kernel_generic(n, d, rng, trials)
-    if lemma == "kernel-special":
-        return verify_kernel_special(n, d, rng, trials)
-    if lemma == "point-ideal":
-        return verify_point_ideal(n, d, rng, trials=trials)
-    if lemma == "xi-special":
-        return verify_xi_special(n, d, rng, trials)
-    if lemma == "xi-generic":
-        return verify_xi_generic(n, d, rng, trials)
-    if lemma == "systems":
-        return verify_generic_systems(rng, draws=trials, singular_draws=trials,
-                                      n=n, d=d)
-    if lemma == "secant":
-        return verify_secant(n, d, rng, trials)
-    if lemma == "incidence":
-        return verify_incidence(n, d, m, seed=seed)
-    if lemma == "tangency":
-        return verify_tangency(n, d, m, rng, trials)
-    raise ValueError("unknown lemma id %r" % lemma)
+    if lemma not in LEMMAS:
+        raise ValueError("unknown lemma id %r" % lemma)
+    return LEMMAS[lemma](n, d, m, seed, Rng(seed).split(lemma), trials)
 
 
 def _table_row(cells, widths) -> str:

@@ -9,16 +9,18 @@ rows keyed by their leftmost column and divided by the gcd of their entries
 (_reduce, _echelon).  Reduced echelon forms are finished with a rational
 back-substitution pass.
 
-random_solution finds its pivot columns by a scan that keeps the
-annihilator of the columns taken so far as integer functionals, and solves
-only the small system on those columns.
+A map given by its columns is ranked by one column scan, column_scan,
+which keeps the annihilator of the columns taken so far as integer
+functionals: its pivots are the leftmost independent columns.
+random_solution solves only the small system on those pivots.
 
 Span relations are decided by rank: rank_sparse, first_outside_span, and
 kernel_span_dims for claims "span(gens) == ker(m)", m given as its columns
-and gens as sparse integer rows {column: int}, which hold iff m·g == 0 for
-every g and the two exact dimensions agree.  Subspace is canonical (reduced
-column echelon form, so equality is entry-wise); it serves witness vectors
-and the tests' reference computations.
+(ranked by column_scan) and gens as sparse integer rows {column: int},
+which hold iff m·g == 0 for every g and the two exact dimensions agree.
+Subspace is canonical (reduced column echelon form, so equality is
+entry-wise); it serves witness vectors and the tests' reference
+computations.
 """
 
 from __future__ import annotations
@@ -215,8 +217,8 @@ def kernel_span_dims(columns, gens):
     """(inside, kernel_dim, span_dim), all exact, for the map m with the
     rational `columns` and sparse integer generator rows {column: int}:
     inside is m·g == 0 for every g, summed from the columns, kernel_dim is
-    len(columns) - rank(m), from one pass over the rows of m cleared to
-    integers, and span_dim is rank(gens).  The generators are eliminated by
+    len(columns) - rank(m), rank(m) the number of column_scan's pivots, and
+    span_dim is rank(gens).  The generators are eliminated by
     leftmost column, the first row of each column (a new pivot row) first;
     when inside holds, span(gens) ⊆ ker(m) and the elimination stops at
     rank kernel_dim.  Generator entries are not cleared: a rational one
@@ -226,7 +228,7 @@ def kernel_span_dims(columns, gens):
         raise DimensionMismatch("generator column outside %d columns" % ncols)
     inside = all(not any(map(sum, zip(*[[v * x for x in columns[j]]
                                         for j, v in r.items()]))) for r in gens)
-    kernel_dim = ncols - len(_echelon(map(_integer_row, zip(*columns))))
+    kernel_dim = ncols - len(column_scan(columns, len(columns[0]) if columns else 0)[0])
     gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
     firsts, rest = [], []
     for r in sorted(filter(None, gens), key=min):
@@ -289,19 +291,18 @@ def sample_rational(rng: Rng, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_solution(columns, rhs, rng: Rng):
-    """Random exact solution of m·x = rhs, for the map m with the rational
-    `columns`, or None when the system is inconsistent.
+def column_scan(columns, size):
+    """(pivots, annihilator) of the map with the rational `columns`, each of
+    length `size`: pivots are the indices of the leftmost independent
+    columns, and annihilator is a list of integer functionals spanning the
+    annihilator of every column, so it has size - rank members.
 
-    The pivots are the leftmost independent columns, found by a column scan
-    that stops at len(rhs) of them.  The scan keeps integer functionals
-    spanning the annihilator of the pivot columns so far: a column is
-    independent iff one of them is nonzero on it, and then the others are
-    combined with that one to vanish on it.  The free variables are
-    integers drawn from [-DRAW, DRAW] in ascending column order and kept as
-    ints; their part, summed row by row, moves to the right-hand side, and
-    the small system on the pivot columns is solved exactly."""
-    annihilator = [[int(i == k) for i in range(len(rhs))] for k in range(len(rhs))]
+    The scan reads the columns in order and keeps the functionals spanning
+    the annihilator of the pivot columns so far: a column is independent
+    iff one of them is nonzero on it, and then the others are combined with
+    that one to vanish on it and divided by their content.  No column is
+    read once the annihilator is empty (rank `size`)."""
+    annihilator = [[int(i == k) for i in range(size)] for k in range(size)]
     pivots = []
     for j, column in enumerate(columns):
         if not annihilator:
@@ -314,6 +315,19 @@ def random_solution(columns, rhs, rng: Rng):
             a, w = annihilator.pop(k), values.pop(k)
             annihilator = [_primitive([w * x - u * y for x, y in zip(b, a)]) if u else b
                            for b, u in zip(annihilator, values)]
+    return pivots, annihilator
+
+
+def random_solution(columns, rhs, rng: Rng):
+    """Random exact solution of m·x = rhs, for the map m with the rational
+    `columns`, or None when the system is inconsistent (a functional of
+    column_scan's annihilator is nonzero on rhs).
+
+    The pivots are column_scan's.  The free variables are integers drawn
+    from [-DRAW, DRAW] in ascending column order and kept as ints; their
+    part, summed row by row, moves to the right-hand side, and the small
+    system on the pivot columns is solved exactly."""
+    pivots, annihilator = column_scan(columns, len(rhs))
     if any(sum(map(mul, a, rhs)) for a in annihilator):
         return None
     x = [rng.randint(-DRAW, DRAW) for _ in range(len(columns) - len(pivots))]

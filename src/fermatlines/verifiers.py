@@ -21,9 +21,9 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (DRAW, Matrix, Subspace, ZERO, clear_denominators, first_outside_span,
-                    format_fraction, kernel_basis, kernel_span_dims, rank_sparse,
-                    sample_rational, random_solution)
+from .exact import (DRAW, Matrix, Subspace, ZERO, clear_denominators, column_scan,
+                    first_outside_span, format_fraction, kernel_basis, kernel_span_dims,
+                    rank_sparse, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, family_shape, omega_terms,
                      point_condition, sample_b_through)
 from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
@@ -881,8 +881,9 @@ def _tangency_system(terms, d: int, line: Line, m: int):
     """(matrix, normals) of the tangency system of the degree-d form with
     terms {exponents: coefficient}: two columns per normal coordinate (its
     motion is a binary linear form), one row per coefficient of the
-    restricted derivative outside the stratum's tangent space."""
-    rows, pivots = Matrix([list(line.p.coords), list(line.q.coords)]).rref()
+    restricted derivative outside the stratum's tangent space.  The normal
+    coordinates are the non-pivots of the scan over the columns (p_i, q_i)."""
+    pivots, _ = column_scan(zip(line.p.coords, line.q.coords), 2)
     normals = [i for i in range(line.nvars) if i not in pivots]
     cols = _motion_columns(term_partials(terms, line.nvars), d, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
@@ -920,22 +921,24 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
     """A random member of the stratum through the coordinate line is rigid
     (count zero); the cone-like member with no transverse terms is not.
     The member x0^(d-m) x1^m + sum_i x_i g_i is built as integer terms, its
-    draws cleared over one denominator."""
+    draws cleared over one denominator.  Only the terms x0^(d-1-a) x1^a of
+    each g_i are drawn: on the line x_2 = ... = x_(n+1) = 0, dF/dx_i is
+    that part of g_i, every other term keeping a factor x_j with j >= 2,
+    and the tangency system reads nothing else."""
     with _Trials("tangency", n, d, rng, trials, m=m) as run:
         line, lead = _stratum(n, d, m)
-        degenerate = tangency_deformation_dim({lead: 1}, line, m, seed=rng.origin_seed)
-        shifts = [(i, mm) for i in range(2, n + 2) for mm in all_monomials(n + 2, d - 1)]
+        cone, _ = _tangency_system({lead: 1}, d, line, m)
+        degenerate = cone.ncols - cone.rank()
+        transverse = [mono_times((d - 1 - a, a) + (0,) * n, i)
+                      for i in range(2, n + 2) for a in range(d)]
         for sub in run:
-            nums, den = clear_denominators([_nonzero_sample(sub, 20) for _ in shifts])
-            f = {lead: den}
-            for (i, mm), c in zip(shifts, nums):
-                x = mono_times(mm, i)
-                f[x] = f.get(x, 0) + c
+            nums, den = clear_denominators([_nonzero_sample(sub, 20) for _ in transverse])
+            f = {lead: den, **dict(zip(transverse, nums))}
             rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
-            run.record(rep.dims["deformations"] == 0 and degenerate.dims["deformations"] > 0,
+            run.record(rep.dims["deformations"] == 0 and degenerate > 0,
                        {"deformations": rep.dims["deformations"],
-                        "degenerate_deformations": degenerate.dims["deformations"],
+                        "degenerate_deformations": degenerate,
                         "unknowns": rep.dims["unknowns"], "m": m},
                        lambda: {"deformations": rep.dims["deformations"],
-                                "degenerate": degenerate.dims["deformations"]})
+                                "degenerate": degenerate})
     return run.report

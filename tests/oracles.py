@@ -17,15 +17,21 @@ give exactly, and at the line's normalized rational points
 restrict_all_partials are restrict_poly of a HomogPoly and of its partials
 (poly.term_partials), and member_poly reads a family member's integer terms
 back as the rational HomogPoly F.
+
+full_tangency_member completes a member of a tangency stratum through the
+coordinate line with every transverse term x_i*h (i >= 2) it lacks, each
+given a random nonzero coefficient: the full member whose tangency system
+verifiers._tangency_system must give for a member that carries only what
+the line sees.
 """
 
 from fractions import Fraction
 from math import comb
 
 from fermatlines.errors import DimensionMismatch
-from fermatlines.exact import Matrix, clear_denominators
+from fermatlines.exact import Matrix, clear_denominators, sample_rational
 from fermatlines.lines import restrict_poly
-from fermatlines.poly import HomogPoly, term_partials
+from fermatlines.poly import HomogPoly, all_monomials, term_partials
 
 ZERO = Fraction(0)
 
@@ -146,3 +152,14 @@ def sylvester_root_count(coeffs) -> int:
     sylvester = [[ZERO] * i + u + [ZERO] * (size - len(u) - i)
                  for u, shifts in ((core, deg - 1), (deriv, deg)) for i in range(shifts)]
     return count + deg - (size - Matrix(sylvester).rank())
+
+
+def full_tangency_member(terms, nvars, d, rng):
+    """The degree-d form with terms {exponents: coefficient}, plus a random
+    nonzero rational coefficient on every degree-d monomial with a positive
+    exponent past x1 that terms lacks."""
+    full = dict(terms)
+    for mono in all_monomials(nvars, d).members:
+        if any(mono[2:]) and mono not in full:
+            full[mono] = sample_rational(rng, 9) or 1
+    return full

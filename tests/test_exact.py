@@ -403,6 +403,57 @@ def test_kernel_span_accepts_empty_generator_rows():
     assert kernel_span_dims([(), (), ()], [{0: 1}, {}, {1: 2}]) == (True, 3, 2)
 
 
+def test_column_scan_matches_the_rref_pivots():
+    """column_scan on random rational matrices, with zero, empty and rank
+    deficient ones among them: its pivots are rref's, every functional is
+    an integer list vanishing on every column, and there are size - rank of
+    them."""
+    rng = Rng(55)
+    cases = [zeros(3, 4), zeros(2, 1), Matrix([[], []]), Matrix([], ncols=3), identity(3)]
+    for _ in range(60):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 9)
+        inner = rng.randint(1, min(nr, nc))
+        left = random_matrix(rng, nr, inner, bound=7)
+        right = random_matrix(rng, inner, nc, bound=7)
+        cases += [random_matrix(rng, nr, nc, bound=7),
+                  Matrix([mul_vec(Matrix(list(zip(*right.data))), row) for row in left.data])]
+    deficient = 0
+    for m in cases:
+        pivots, annihilator = exact.column_scan(columns(m), m.nrows)
+        _, want = m.rref()
+        assert pivots == want
+        assert len(annihilator) == m.nrows - len(want)
+        for a in annihilator:
+            assert len(a) == m.nrows and all(type(x) is int for x in a)
+            assert all(sum(x * y for x, y in zip(a, col)) == 0 for col in columns(m))
+        deficient += len(want) < min(m.nrows, m.ncols)
+    assert deficient >= 20
+
+
+def test_kernel_span_dims_eliminates_generator_rows_only(monkeypatch):
+    """The map's rank comes from column_scan: the one elimination that
+    kernel_span_dims runs is given generator rows, never rows of m."""
+    rng = Rng(56)
+    cases = []
+    for _ in range(10):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
+        gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 1, m.ncols).data)
+        cases.append((m, gens))
+    seen = []
+    echelon = exact._echelon
+
+    def recording(rows, stop=None):
+        rows = list(rows)
+        seen.extend(dict(r) for r in rows)
+        return echelon(rows, stop)
+
+    monkeypatch.setattr(exact, "_echelon", recording)
+    for m, gens in cases:
+        seen.clear()
+        kernel_span_dims(columns(m), gens)
+        assert seen and all(r in gens for r in seen)
+
+
 def test_subspace_equality_invariant_under_basis_change():
     rng = Rng(45)
     for _ in range(20):

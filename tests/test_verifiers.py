@@ -22,7 +22,7 @@ from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    _b_with_line_power, _nine_by_six, _section_image,
                                    random_generic_scheme, _special_scheme,
-                                   _tangency_system, _two_by_two,
+                                   _stratum, _tangency_system, _two_by_two,
                                    _very_special_scheme,
                                    incidence_dimension, secant_obstruction,
                                    tangency_deformation_dim,
@@ -33,8 +33,8 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_w_basis, verify_xi_generic,
                                    verify_xi_special)
 from test_exact import assert_solution_contract, kernel_basis_oracle, random_solution_reference
-from tests.oracles import (contains_vector, form_add, form_mul, member_poly, restrict,
-                           restrict_rational, support_in)
+from tests.oracles import (contains_vector, form_add, form_mul, full_tangency_member,
+                           member_poly, restrict, restrict_rational, support_in)
 
 
 def rng_for(label, seed=7):
@@ -592,6 +592,28 @@ def test_xi_special_names_a_very_special_span_mismatch(monkeypatch):
     assert rep.verdict == FAIL
     assert rep.witness["reason"] == "very-special span mismatch"
     assert rep.witness["scheme"]["class"]["tag"] == "very-special"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_xi_special_at_degree_4_is_infeasible(n):
+    """At d = 4 a very special scheme (1, u, 0, ...), (1, v, 0, ...) meets
+    only x0^2 x1^2 among the deformation monomials, so its point conditions
+    t u^2 = -(1 + u^4) and t v^2 = -(1 + v^4) agree only when u^2 = v^2 or
+    u^2 v^2 = 1, and a random such scheme has no member through it."""
+    shape = FamilyShape(n, 4)
+    rng = rng_for("degree 4")
+
+    def points(u, v):
+        return [ProjPoint([1, u] + [0] * n), ProjPoint([1, v] + [0] * n)]
+
+    with pytest.raises(verifiers.InfeasibleSystem):
+        sample_b_through(shape, points(2, 3), rng)
+    for v in (Fraction(1, 2), -2):
+        b = sample_b_through(shape, points(2, v), rng)
+        assert b.t[(2, 2) + (0,) * n] == Fraction(-17, 4)
+    rep = verify_xi_special(n, 4, rng_for("xi-special"), trials=1)
+    assert rep.verdict == INFEASIBLE
+    assert rep.witness == {"reason": "point conditions are mutually inconsistent"}
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -1173,6 +1195,31 @@ def test_tangency_wrapper():
     rep = verify_tangency(2, 6, 3, rng_for("tw"), trials=2)
     assert rep.verdict == PASS
     assert rep.dims["degenerate_deformations"] == 4
+
+
+@pytest.mark.parametrize("n,d,m", [(2, 6, 3), (2, 6, 1), (2, 5, 2), (3, 8, 4)])
+def test_tangency_member_has_the_system_of_a_full_member(monkeypatch, n, d, m):
+    """verify_tangency draws only the x0, x1 part of each g_i.  Its members
+    have the tangency system of the full member that adds a random
+    coefficient on every transverse term they lack, so they lack none that
+    the line sees; at d = 2n+2 that system has full rank 2n."""
+    members = []
+    real = verifiers.tangency_deformation_dim
+
+    def recording(terms, line, m, seed=0):
+        members.append(terms)
+        return real(terms, line, m, seed)
+
+    monkeypatch.setattr(verifiers, "tangency_deformation_dim", recording)
+    rep = verify_tangency(n, d, m, rng_for("full member"), trials=2)
+    line, _ = _stratum(n, d, m)
+    assert len(members) == 2
+    for terms in members:
+        mat, normals = _tangency_system(terms, d, line, m)
+        full = full_tangency_member(terms, n + 2, d, rng_for("oracle"))
+        assert _tangency_system(full, d, line, m) == (mat, normals)
+        assert (mat.rank() == 2 * n) == (d == 2 * n + 2)
+    assert (rep.verdict == PASS) == (d == 2 * n + 2)
 
 
 def test_tangency_monotone_under_added_transverse_terms():
