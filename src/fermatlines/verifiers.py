@@ -37,12 +37,9 @@ FAIL = "FAIL"
 INDETERMINATE = "INDETERMINATE"
 INFEASIBLE = "INFEASIBLE"
 
-# Draws of a generic scheme before the sampler gives up, random secants
-# tried for one with three or more intersection points, and solutions tried
-# for a member whose restriction has a nonzero s^(d-m) t^m coefficient.
+# Draws of a generic scheme before the sampler gives up: height-9 rational
+# points do land on its bad loci.
 _GENERIC_ATTEMPTS = 60
-_SECANT_DRAWS = 40
-_LINE_POWER_ATTEMPTS = 20
 # Height bound of the rationals in sampled points and scheme parameters.
 _SAMPLE_BOUND = 9
 
@@ -188,22 +185,35 @@ def _two_distinct_nonzero(rng: Rng):
     return u, v
 
 
-def _special_scheme(n: int, rng: Rng):
+def _special_scheme(n: int, rng: Rng) -> Line:
     """Special but not very special scheme in normalized position.
 
     Points (1, u, c_2 u, ..., c_{n+1} u) and (1, v, c_2 v, ...): every
     coordinate past x_1 restricts to a multiple of x_1, with the nonzero
     multipliers packed first so the normalization permutation is trivial.
-    Returns (scheme, {j: c_j}).
     """
     u, v = _two_distinct_nonzero(rng)
     k = rng.randint(1, n)
-    cmap = {}
-    for j in range(2, n + 2):
-        cmap[j] = _nonzero_sample(rng) if j < 2 + k else ZERO
-    p1 = ProjPoint([Fraction(1), u] + [cmap[j] * u for j in range(2, n + 2)])
-    p2 = ProjPoint([Fraction(1), v] + [cmap[j] * v for j in range(2, n + 2)])
-    return Line(p1, p2), cmap
+    cs = [_nonzero_sample(rng) if j < 2 + k else ZERO for j in range(2, n + 2)]
+    p1 = ProjPoint([Fraction(1), u] + [c * u for c in cs])
+    p2 = ProjPoint([Fraction(1), v] + [c * v for c in cs])
+    return Line(p1, p2)
+
+
+def _normalized_special(shape: FamilyShape, z: Line):
+    """(scheme, {j: c_j}) for a special scheme z: its points in classify's
+    normalized order, where x_j = c_j x_1 on both points for j >= 2.
+
+    A coordinate point raises InfeasibleSystem from point_condition: every
+    deformation monomial vanishes there.  At any other point the coordinates
+    past position 0 are proportional on Z, and nonzero at position 1.
+    """
+    perm = classify(z)["perm"]
+    p, q = (ProjPoint([pt.coords[i] for i in perm]) for pt in (z.p, z.q))
+    for pt in (p, q):
+        if pt.is_coordinate_point():
+            point_condition(shape, pt)
+    return Line(p, q), {j: p.coords[j] / p.coords[1] for j in range(2, shape.nvars)}
 
 
 def _very_special_scheme(n: int, rng: Rng) -> Line:
@@ -407,9 +417,9 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
         shape = family_shape(n, d)
         jd = shape.jd
         jdm1 = gen_jd(n, d - 1)
-        if z is not None and classify(z)["tag"] != "generic":
-            raise _Stop("scheme is %s; claim is scoped to generic" % classify(z)["tag"],
-                        {"skipped": True})
+        tag = None if z is None else classify(z)["tag"]
+        if tag not in (None, "generic"):
+            raise _Stop("scheme is %s; claim is scoped to generic" % tag, {"skipped": True})
         for sub in run:
             zt = z if z is not None else random_generic_scheme(n, sub)
             xi = _xi_matrix_on(jd, zt)
@@ -431,29 +441,15 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
     explicit generators x0^(d-2) x_i (x_j - c_j x_1)."""
     with _Trials("kernel-special", n, d, rng, trials) as run:
         shape = family_shape(n, d)
-        nv = n + 2
         jd = shape.jd
         jdm1 = gen_jd(n, d - 1)
-        provided = None
-        if z is not None:
-            cls = classify(z)
-            if cls["tag"] != "special":
-                raise _Stop("scheme is %s; claim needs special but not very special"
-                            % cls["tag"], {"skipped": True})
-            p1, p2 = (ProjPoint([pt.coords[i] for i in cls["perm"]]) for pt in (z.p, z.q))
-            for pt in (p1, p2):     # InfeasibleSystem when no member passes
-                point_condition(shape, pt)
-            znorm = Line(p1, p2)
-            cmap = {}
-            for j in range(2, nv):
-                cj = p1.coords[j] / p1.coords[1]
-                if p2.coords[j] != cj * p2.coords[1]:
-                    raise NonGenericScheme("x%d is not a multiple of x1 on the "
-                                           "normalized special scheme" % j)
-                cmap[j] = cj
-            provided = (znorm, cmap)
+        tag = None if z is None else classify(z)["tag"]
+        if tag not in (None, "special"):
+            raise _Stop("scheme is %s; claim needs special but not very special" % tag,
+                        {"skipped": True})
         for sub in run:
-            zt, cmap = provided if provided else _special_scheme(n, sub)
+            zt, cmap = _normalized_special(shape,
+                                           z if z is not None else _special_scheme(n, sub))
             xi = _xi_matrix_on(jd, zt)
             vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
             extra = _special_extras(jd, d, cmap)
@@ -555,7 +551,7 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         x00, x01, x11 = (mono_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
         listed = [{(i, x11): 1} for i in range(nv)] + [{(j, x01): 1} for j in range(1, nv)]
         for sub in run:
-            zs, _ = _special_scheme(n, sub)
+            zs = _special_scheme(n, sub)
             _, svecs = _omega_image(shape, zs, sub)
             xi_w_special = rank_sparse(svecs)
             member_ok = first_outside_span(
@@ -782,50 +778,43 @@ def secant_obstruction(b: DeformationPoint, z: Line,
 def _b_with_line_power(shape: FamilyShape, z: Line, m: int, rng: Rng):
     """(b, restriction): a family member b through Z whose restriction to
     the line, also returned, is a nonzero multiple of s^(d-m) t^m.  The
-    system's columns are those of _xi_matrix_on without entry m."""
+    system's columns are those of _xi_matrix_on without entry m.  It is
+    solved once: the s^(d-m) t^m coefficient is affine in the drawn
+    coordinates, so unless it vanishes identically it vanishes with
+    probability at most 1/(2*DRAW+1)."""
     d = shape.d
     fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, z)
     columns = [col[:m] + col[m + 1:] for col in _xi_matrix_on(shape.jd, z)]
     rhs = [-fermat[k] for k in range(d + 1) if k != m]
-    for a in range(_LINE_POWER_ATTEMPTS):
-        sol = random_solution(columns, rhs, rng.split("power%d" % a))
-        if sol is None:
-            raise InfeasibleSystem("line-power conditions are inconsistent")
-        b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        xif = restrict_poly(b.f_poly(), d, z)
-        if xif[m]:
-            return b, xif
-    raise InfeasibleSystem("could not reach a nonzero top coefficient")
-
-
-def _random_secant_report(shape: FamilyShape, rng: Rng, seed: int) -> LemmaReport | None:
-    """secant_obstruction on the first random generic scheme whose sampled
-    member meets the line in at least three distinct points, or None when
-    _SECANT_DRAWS schemes give no such line."""
-    for _ in range(_SECANT_DRAWS):
-        z = random_generic_scheme(shape.n, rng)
-        b = sample_b_through(shape, [z.p, z.q], rng)
-        try:
-            rep = secant_obstruction(b, z, seed=seed)
-        except LineInHypersurface:
-            continue
-        if rep.dims["distinct_roots"] >= 3:
-            return rep
-    return None
+    sol = random_solution(columns, rhs, rng.split("power0"))
+    if sol is None:
+        raise InfeasibleSystem("line-power conditions are inconsistent")
+    b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
+    xif = restrict_poly(b.f_poly(), d, z)
+    if not xif[m]:
+        raise InfeasibleSystem("could not reach a nonzero top coefficient")
+    return b, xif
 
 
 def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
-    """Random secants with three or more intersection points must come out
-    NOT well defined; constructed two-point lines must come out well defined
-    with a nontrivial shared kernel; the three conditions agree throughout."""
+    """A random secant through a random member meets it in three or more
+    points and must come out NOT well defined; constructed two-point lines
+    must come out well defined with a nontrivial shared kernel; the three
+    conditions agree throughout.  Each trial draws one secant and one
+    member through it: a draw in integers from [-DRAW, DRAW] is as generic
+    as the claim needs, so a secant meeting the member in fewer than three
+    points ends the run as INDETERMINATE and a member containing the line
+    as INFEASIBLE."""
     m = d // 2
     with _Trials("secant", n, d, rng, trials, m=m) as run:
         shape = family_shape(n, d)
         for sub in run:
-            rep_r = _random_secant_report(shape, sub, rng.origin_seed)
-            if rep_r is None:
-                raise _Stop("no secant with >= 3 intersection points found in %d draws"
-                            % _SECANT_DRAWS, {"trials": trials, "m": m})
+            zr = random_generic_scheme(n, sub)
+            rep_r = secant_obstruction(sample_b_through(shape, [zr.p, zr.q], sub), zr,
+                                       seed=rng.origin_seed)
+            if rep_r.dims["distinct_roots"] < 3:
+                raise _Stop("the drawn secant meets the member in %d < 3 distinct points"
+                            % rep_r.dims["distinct_roots"], {"trials": trials, "m": m})
             zc = random_generic_scheme(n, sub)
             bc, xif = _b_with_line_power(shape, zc, m, sub)
             rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed, xif=xif)
@@ -868,8 +857,8 @@ def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
     t0 = time.perf_counter()
     formula = incidence_dimension(n, d, m)
     line, lead = _stratum(n, d, m)
-    mat, _ = _tangency_system({lead: 1}, d, line, m)
-    offset = mat.ncols - mat.nrows
+    rows, normals = _tangency_system({lead: 1}, d, line, m)
+    offset = 2 * len(normals) - len(rows)
     witness = None if offset == formula else {
         "reason": "system shape disagrees with the count",
         "system_offset": offset, "formula_offset": formula}
@@ -878,16 +867,16 @@ def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
 
 
 def _tangency_system(terms, d: int, line: Line, m: int):
-    """(matrix, normals) of the tangency system of the degree-d form with
+    """(rows, normals) of the tangency system of the degree-d form with
     terms {exponents: coefficient}: two columns per normal coordinate (its
-    motion is a binary linear form), one row per coefficient of the
+    motion is a binary linear form), one integer row per coefficient of the
     restricted derivative outside the stratum's tangent space.  The normal
     coordinates are the non-pivots of the scan over the columns (p_i, q_i)."""
     pivots, _ = column_scan(zip(line.p.coords, line.q.coords), 2)
     normals = [i for i in range(line.nvars) if i not in pivots]
     cols = _motion_columns(term_partials(terms, line.nvars), d, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
-    return Matrix([[col[k] for col in cols] for k in keep], ncols=2 * len(normals)), normals
+    return [[col[k] for col in cols] for k in keep], normals
 
 
 def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaReport:
@@ -906,12 +895,13 @@ def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaR
     if idx is None or idx != m or not 0 < m < d:
         raise NotInTangencyStratum(
             "restriction is not a nonzero multiple of s^(d-m) t^m")
-    mat, normals = _tangency_system(terms, d, line, m)
-    dim = 2 * len(normals) - mat.rank()
-    dims = {"deformations": dim, "unknowns": 2 * len(normals), "m": m}
+    rows, normals = _tangency_system(terms, d, line, m)
+    unknowns = 2 * len(normals)
+    dim = unknowns - rank_sparse(rows)
+    dims = {"deformations": dim, "unknowns": unknowns, "m": m}
     witness = None if dim == 0 else {
         "reason": "the line moves inside the stratum",
-        "moving_deformation": _vec_json(mat.kernel_vectors()[0]),
+        "moving_deformation": _vec_json(Matrix(rows, unknowns).kernel_vectors()[0]),
         "normal_coordinates": normals}
     return LemmaReport("tangency", line.nvars - 2, d, seed, PASS if dim == 0 else FAIL, dims,
                        witness, _ms_since(t0), {"m": m})
@@ -927,8 +917,8 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
     and the tangency system reads nothing else."""
     with _Trials("tangency", n, d, rng, trials, m=m) as run:
         line, lead = _stratum(n, d, m)
-        cone, _ = _tangency_system({lead: 1}, d, line, m)
-        degenerate = cone.ncols - cone.rank()
+        cone, normals = _tangency_system({lead: 1}, d, line, m)
+        degenerate = 2 * len(normals) - rank_sparse(cone)
         transverse = [mono_times((d - 1 - a, a) + (0,) * n, i)
                       for i in range(2, n + 2) for a in range(d)]
         for sub in run:

@@ -11,13 +11,13 @@ from math import comb
 
 import pytest
 
-from fermatlines.cli import EXIT_OK, RunConfig, run
+from fermatlines.cli import EXIT_OK, RunConfig, run, run_lemma
 from fermatlines.errors import CoordinatePointError
 from fermatlines.family import FamilyShape, sample_b_through
 from fermatlines.lines import ProjPoint, distinct_root_count, restrict_poly
 from fermatlines.poly import gen_jd, jd_size_formula
 from fermatlines.rng import Rng
-from fermatlines.verifiers import (PASS, _b_with_line_power,
+from fermatlines.verifiers import (FAIL, PASS, _b_with_line_power,
                                    random_generic_scheme, incidence_dimension,
                                    secant_obstruction,
                                    tangency_deformation_dim,
@@ -217,3 +217,27 @@ def test_dims_match_their_closed_forms(tmp_path, n, d):
     for lemma, want in closed_form_dims(n, d).items():
         got = reports[lemma]["dims"]
         assert {key: got[key] for key in want} == want, lemma
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in range(4, 2 * n + 5)])
+def test_off_degree_verdicts_match_their_closed_forms(n, d):
+    """At seed 0, --trials 1, m = d // 2: the stratum's line moves in
+    max(0, 2n+2-d) directions, the incidence offset clipped at 0; off
+    d = 2n+2 secant FAILs, and its random secant meets the member in d
+    points with ker etahat of dimension max(0, 2n+3-d), well defined
+    exactly when that kernel is 0 (d >= 2n+3), never two-point."""
+    m = d // 2
+    tangency = run_lemma("tangency", n, d, m, 0, trials=1)
+    offset = run_lemma("incidence", n, d, m, 0, trials=1).dims["offset"]
+    assert tangency.dims["deformations"] == max(0, 2 * n + 2 - d) == max(0, offset)
+    assert tangency.verdict == (PASS if d >= 2 * n + 2 else FAIL)
+    secant = run_lemma("secant", n, d, m, 0, trials=1)
+    if d == 2 * n + 2:
+        assert secant.verdict == PASS
+        return
+    assert secant.verdict == FAIL
+    random = secant.witness["random"]
+    assert {key: random[key] for key in ("ker_etahat", "well_defined", "dependent_pair",
+                                         "two_point_line", "distinct_roots")} == {
+        "ker_etahat": max(0, 2 * n + 3 - d), "well_defined": int(d >= 2 * n + 3),
+        "dependent_pair": 0, "two_point_line": 0, "distinct_roots": d}

@@ -20,8 +20,8 @@ from fermatlines.family import FamilyShape
 from fermatlines.lines import ip_linear, iz_linear
 from fermatlines.poly import HomogPoly, gen_jd
 from fermatlines.rng import Rng
-from fermatlines.verifiers import (_ideal_product_vectors, _random_point,
-                                   _special_extras, _special_scheme,
+from fermatlines.verifiers import (_ideal_product_vectors, _normalized_special,
+                                   _random_point, _special_extras, _special_scheme,
                                    _xi_matrix_on, random_generic_scheme)
 from tests.oracles import restrict_rational
 from tests.test_verifiers import dense
@@ -68,7 +68,7 @@ def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
     for trial in range(trials):
         sub = rng.split("trial%d" % trial)
         generic = random_generic_scheme(n, sub)
-        special, cmap = _special_scheme(n, sub)
+        special, cmap = _normalized_special(shape, _special_scheme(n, sub))
         for z in (generic, special):
             forms = iz_linear(z).basis_vectors()
             assert (dense(_ideal_product_vectors(forms, jdm1, jd), len(jd))
@@ -97,7 +97,7 @@ def test_integer_restriction_matrix_keeps_rank_and_kernel(n, d):
     rng = Rng(54).split("%d-%d" % (n, d))
     for trial in range(2):
         sub = rng.split("trial%d" % trial)
-        for z in (random_generic_scheme(n, sub), _special_scheme(n, sub)[0]):
+        for z in (random_generic_scheme(n, sub), _special_scheme(n, sub)):
             got = Matrix.from_columns(_xi_matrix_on(jd, z))
             want = restriction_matrix_reference(jd, z, nv)
             dp, dq = (clear_denominators(pt.coords)[1] for pt in (z.p, z.q))

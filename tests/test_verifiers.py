@@ -14,13 +14,14 @@ from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outsi
                                kernel_basis, rank_sparse, sample_rational)
 from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
                                 omega_terms, point_condition, sample_b_through)
-from fermatlines.lines import (Line, ProjPoint, distinct_root_count, monomial_index,
-                               restrict_poly)
+from fermatlines.lines import (Line, ProjPoint, classify, distinct_root_count,
+                               monomial_index, restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
                               eval_monomials, gen_jd)
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
-                                   _b_with_line_power, _nine_by_six, _section_image,
+                                   _b_with_line_power, _nine_by_six, _normalized_special,
+                                   _section_image,
                                    random_generic_scheme, _special_scheme,
                                    _stratum, _tangency_system, _two_by_two,
                                    _very_special_scheme,
@@ -189,7 +190,7 @@ def test_kernel_generic_dims():
 
 
 def test_kernel_generic_rejects_special_scheme_input():
-    z, _ = _special_scheme(2, rng_for("zspec"))
+    z = _special_scheme(2, rng_for("zspec"))
     rep = verify_kernel_generic(2, 6, rng_for("kg2"), trials=2, z=z)
     assert rep.verdict == INDETERMINATE
     assert rep.params.get("skipped") is True
@@ -217,11 +218,28 @@ def test_kernel_special_accepts_unnormalized_scheme():
     assert rep.verdict == PASS
 
 
+def test_normalized_special_keeps_a_sampled_scheme_and_reads_its_multipliers():
+    """A sampled special scheme is already in classify's normalized order:
+    _normalized_special returns the same points, with x_j = c_j x_1 on both.
+    Its coordinates reversed normalize to points with the same property."""
+    shape = FamilyShape(3, 8)
+    for seed in range(4):
+        z = _special_scheme(3, rng_for("normalized", seed))
+        for scheme in (z, Line(*(ProjPoint(pt.coords[::-1]) for pt in (z.p, z.q)))):
+            zn, cmap = _normalized_special(shape, scheme)
+            assert classify(zn)["perm"] == list(range(5))
+            assert set(cmap) == {2, 3, 4}
+            assert all(pt.coords[j] == c * pt.coords[1]
+                       for pt in (zn.p, zn.q) for j, c in cmap.items())
+        zn, _ = _normalized_special(shape, z)
+        assert (zn.p, zn.q) == (z.p, z.q)
+
+
 def test_containment_of_ideal_part_holds_even_for_special_schemes():
     from fermatlines.verifiers import _ideal_product_vectors, _xi_matrix_on
     from fermatlines.lines import iz_linear
     shape = FamilyShape(2, 6)
-    for maker in (lambda r: _special_scheme(2, r)[0],
+    for maker in (lambda r: _special_scheme(2, r),
                   lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
         k2 = kernel_basis(Matrix.from_columns(_xi_matrix_on(shape.jd, z)))
@@ -292,6 +310,53 @@ def test_kernel_claim_decision_matches_canonical_subspaces(monkeypatch, lemma):
             kernel = kernel_basis_oracle(m)
             span = Subspace.from_vectors(m.ncols, dense(gens, m.ncols))
             assert (equal, kernel_dim, span_dim) == (kernel == span, kernel.dim, span.dim)
+
+
+def _drop_first_form(monkeypatch):
+    """Drop every product of the first linear form: in every basis of I_Z(1)
+    and I_p(1), the rows left span less than all of them."""
+    products = verifiers._ideal_product_vectors
+    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
+                        lambda forms, gens, jd: products(forms[1:], gens, jd))
+
+
+class _Recombined:
+    """A space of linear forms with its basis L_0, L_1, ... replaced by the
+    invertible integer recombination L_0 + L_1, L_1, ..."""
+
+    def __init__(self, space):
+        self.dim, self.vectors = space.dim, space.basis_vectors()
+        self.vectors[0] = [a + b for a, b in zip(*self.vectors[:2])]
+
+    def basis_vectors(self):
+        return [list(v) for v in self.vectors]
+
+
+@pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
+def test_kernel_claim_fails_without_the_first_forms_products_in_any_basis(monkeypatch, lemma):
+    """Without the products of the first linear form each kernel claim
+    FAILs, with a witness in ker(m) outside the span of the generators
+    left, both in the reduced basis of I_Z(1) and I_p(1) and in a
+    recombination of it.  The two spans left agree, and so do the
+    witnesses; unmutated, the recombined basis PASSes."""
+    witnesses = []
+    for recombine in (False, True):
+        with monkeypatch.context() as mp:
+            if recombine:
+                for name in ("iz_linear", "ip_linear"):
+                    mp.setattr(verifiers, name,
+                               lambda x, space=getattr(verifiers, name): _Recombined(space(x)))
+                assert KERNEL_CLAIMS[lemma]().verdict == PASS
+            _drop_first_form(mp)
+            calls = _recording(mp, "_kernel_is_span")
+            rep = KERNEL_CLAIMS[lemma]()
+        assert rep.verdict == FAIL and rep.witness["trial"] == 0
+        columns, gens, _ = calls[0]
+        v = [Fraction(x) for x in rep.witness["vector"]]
+        assert not any(map(sum, zip(*[[x * c for c in col] for x, col in zip(v, columns)])))
+        assert first_outside_span(gens, [v]) == v
+        witnesses.append(rep.witness)
+    assert witnesses[0] == witnesses[1]
 
 
 def test_late_witness_eliminates_the_generators_once(monkeypatch):
@@ -526,7 +591,7 @@ def _zero_first_block(terms, line):
     return [0, 0, 0] + _section_image(terms, line)[3:]
 
 
-def _member_without_line_power(shape, z, m, rng, attempts=20):
+def _member_without_line_power(shape, z, m, rng):
     b = sample_b_through(shape, [z.p, z.q], rng)
     return b, restrict_poly(b.f_poly(), shape.d, z)
 
@@ -538,8 +603,8 @@ def _zero_first_system_column(c):
 
 
 def _drop_first_tangency_row(terms, d, line, m):
-    mat, normals = _tangency_system(terms, d, line, m)
-    return Matrix(mat.data[1:], ncols=mat.ncols), normals
+    rows, normals = _tangency_system(terms, d, line, m)
+    return rows[1:], normals
 
 
 def _systems(n, d, rng, trials):
@@ -792,7 +857,7 @@ def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     nv = n + 2
     rng = rng_for("images-%s" % maker)
     z = {"generic": random_generic_scheme, "very-special": _very_special_scheme,
-         "special": lambda n, rng: _special_scheme(n, rng)[0]}[maker](n, rng)
+         "special": _special_scheme}[maker](n, rng)
     b, new = verifiers._omega_image(FamilyShape(n, d), z, rng)
     sections = by_terms(omega_basis_oracle(b))
     assert omega_basis(b) == omega_basis_oracle(b)
@@ -932,7 +997,7 @@ def test_secant_random_configuration_not_well_defined():
 
 def test_secant_rejects_special_scheme():
     shape = FamilyShape(2, 6)
-    z, _ = _special_scheme(2, rng_for("ss"))
+    z = _special_scheme(2, rng_for("ss"))
     b = sample_b_through(shape, [z.p, z.q], rng_for("ssb"))
     with pytest.raises(NonGenericScheme):
         secant_obstruction(b, z)
@@ -954,21 +1019,19 @@ def test_secant_requires_scheme_on_member():
             secant_obstruction(b, z)
 
 
-def b_with_line_power_reference(shape, z, m, rng, attempts=20):
+def b_with_line_power_reference(shape, z, m, rng):
     """Oracle: the line-power system built from rational restrictions of the
-    deformation monomials and of the Fermat part."""
+    deformation monomials and of the Fermat part, solved with one draw."""
     nv, d = shape.nvars, shape.d
     restricted = [restrict_rational(HomogPoly.monomial(nv, f), z) for f in shape.jd]
     fermat = restrict_rational(member_poly(DeformationPoint(shape)), z)
     keep = [k for k in range(d + 1) if k != m]
     mat = Matrix([[col[k] for col in restricted] for k in keep], ncols=shape.N)
     rhs = [-fermat[k] for k in keep]
-    for a in range(attempts):
-        sol = random_solution_reference(mat, rhs, rng.split("power%d" % a))
-        b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
-        if restrict_rational(member_poly(b), z)[m]:
-            return b
-    raise AssertionError("no member with a nonzero top coefficient")
+    sol = random_solution_reference(mat, rhs, rng.split("power0"))
+    b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
+    assert restrict_rational(member_poly(b), z)[m], "no member with a nonzero top coefficient"
+    return b
 
 
 @pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])
@@ -1008,16 +1071,17 @@ def test_member_systems_at_3_8_match_the_rref_reference():
 
 
 def test_secant_without_a_three_point_secant_is_indeterminate(monkeypatch):
-    """When no random secant meets the member in three points, the lemma
-    stops after 40 draws as INDETERMINATE, with the reason naming them."""
+    """When the random secant drawn meets the member in fewer than three
+    points, the lemma stops at that one draw as INDETERMINATE, with the
+    reason naming it."""
     counts = []
     monkeypatch.setattr(verifiers, "distinct_root_count", lambda xif: counts.append(1) or 2)
     rep = verify_secant(2, 6, rng_for("no three"), trials=2)
     assert rep.verdict == INDETERMINATE
-    assert rep.witness == {"reason": "no secant with >= 3 intersection points found "
-                                     "in 40 draws"}
+    assert rep.witness == {"reason": "the drawn secant meets the member in 2 < 3 "
+                                     "distinct points"}
     assert rep.params == {"trials": 2, "m": 3}
-    assert len(counts) == 40
+    assert len(counts) == 1
 
 
 def test_secant_wrapper():
@@ -1197,6 +1261,31 @@ def test_tangency_wrapper():
     assert rep.dims["degenerate_deformations"] == 4
 
 
+def test_tangency_and_incidence_pass_without_a_matrix(monkeypatch):
+    """At (2, 6) the tangency system is ranked as integer rows: PASS runs of
+    tangency and incidence construct no Matrix."""
+    built = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    for m in range(1, 6):
+        assert verify_tangency(2, 6, m, rng_for("no matrix"), trials=2).verdict == PASS
+        assert verify_incidence(2, 6, m).verdict == PASS
+    assert built == []
+
+
+@pytest.mark.parametrize("n,d,m,vector", [
+    (2, 5, 2, ["-213/98", "18/7", "-639/980", "1/1"]),
+    (3, 6, 3, ["5832/8107", "-1146/8107", "2275/16214", "-2674/8107", "1/1", "0/1"])])
+def test_tangency_moving_deformation_is_the_first_free_kernel_vector(n, d, m, vector):
+    """A FAIL names the first free-variable kernel vector of the tangency
+    system, in the order of Matrix.kernel_vectors; the values are pinned."""
+    f, line = build_tangency_instance(n=n, d=d, m=m)
+    rep = tangency_deformation_dim(f.terms, line, m)
+    assert rep.verdict == FAIL
+    assert rep.witness["moving_deformation"] == vector
+
+
 @pytest.mark.parametrize("n,d,m", [(2, 6, 3), (2, 6, 1), (2, 5, 2), (3, 8, 4)])
 def test_tangency_member_has_the_system_of_a_full_member(monkeypatch, n, d, m):
     """verify_tangency draws only the x0, x1 part of each g_i.  Its members
@@ -1215,10 +1304,10 @@ def test_tangency_member_has_the_system_of_a_full_member(monkeypatch, n, d, m):
     line, _ = _stratum(n, d, m)
     assert len(members) == 2
     for terms in members:
-        mat, normals = _tangency_system(terms, d, line, m)
+        rows, normals = _tangency_system(terms, d, line, m)
         full = full_tangency_member(terms, n + 2, d, rng_for("oracle"))
-        assert _tangency_system(full, d, line, m) == (mat, normals)
-        assert (mat.rank() == 2 * n) == (d == 2 * n + 2)
+        assert _tangency_system(full, d, line, m) == (rows, normals)
+        assert (rank_sparse(rows) == 2 * n) == (d == 2 * n + 2)
     assert (rep.verdict == PASS) == (d == 2 * n + 2)
 
 
