@@ -11,7 +11,8 @@ back-substitution pass.
 
 A map given by its columns is ranked by one column scan, column_scan,
 which keeps the annihilator of the columns taken so far as integer
-functionals: its pivots are the leftmost independent columns.
+functionals: its pivots are the leftmost independent columns, and the
+functionals left are the reduced basis of the annihilator.
 random_solution solves only the small system on those pivots.
 
 Span relations are decided by rank: rank_sparse, first_outside_span, and
@@ -298,10 +299,18 @@ def column_scan(columns, size):
     annihilator of every column, so it has size - rank members.
 
     The scan reads the columns in order and keeps the functionals spanning
-    the annihilator of the pivot columns so far: a column is independent
-    iff one of them is nonzero on it, and then the others are combined with
-    that one to vanish on it and divided by their content.  No column is
-    read once the annihilator is empty (rank `size`)."""
+    the annihilator of the pivot columns so far, starting from the unit
+    functionals: a column is independent iff one of them is nonzero on it,
+    and then the last such one is dropped, the others are combined with it
+    to vanish on the column and divided by their content.  No column is
+    read once the annihilator is empty (rank `size`).
+
+    A functional combined with a later one keeps its own leading variable,
+    and no other survivor's variable enters it: the annihilator is, form by
+    form and up to one nonzero integer factor each, kernel_basis's reduced
+    basis of the kernel of the matrix with these columns as rows.  Dropping
+    the first nonzero functional instead gives the same pivots but forms
+    sharing one leading variable."""
     annihilator = [[int(i == k) for i in range(size)] for k in range(size)]
     pivots = []
     for j, column in enumerate(columns):
@@ -311,7 +320,7 @@ def column_scan(columns, size):
         if any(values):
             pivots.append(j)
             values, _ = clear_denominators(values)     # a positive multiple
-            k = next(k for k, w in enumerate(values) if w)
+            k = max(k for k, w in enumerate(values) if w)
             a, w = annihilator.pop(k), values.pop(k)
             annihilator = [_primitive([w * x - u * y for x, y in zip(b, a)]) if u else b
                            for b, u in zip(annihilator, values)]

@@ -20,8 +20,8 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import DimensionMismatch, LineInHypersurface
-from .exact import (Matrix, Subspace, ZERO, clear_denominators, format_fraction,
-                    frac, kernel_basis, rank_sparse)
+from .exact import (Matrix, ZERO, clear_denominators, column_scan, format_fraction, frac,
+                    rank_sparse)
 from .poly import EulerSection, HomogPoly
 
 
@@ -209,11 +209,13 @@ def scheme_json(z: Line) -> dict:
     return {"p1": z.p.to_json(), "p2": z.q.to_json(), "class": classify(z)}
 
 
-def iz_linear(z: Line) -> Subspace:
-    """The linear forms vanishing at both points, dimension n."""
-    return kernel_basis(Matrix([list(z.p.coords), list(z.q.coords)]))
+def iz_linear(z: Line):
+    """The linear forms vanishing at both points, n integer forms: the
+    annihilator of the line's integer points, column_scan's reduced basis."""
+    return column_scan([z._p_ints, z._q_ints], z.nvars)[1]
 
 
-def ip_linear(p: ProjPoint) -> Subspace:
-    """The linear forms vanishing at one point, dimension n+1."""
-    return kernel_basis(Matrix([list(p.coords)]))
+def ip_linear(p: ProjPoint):
+    """The linear forms vanishing at one point, n+1 integer forms: the
+    annihilator of p cleared to integers, column_scan's reduced basis."""
+    return column_scan([clear_denominators(p.coords)[0]], p.nvars)[1]

@@ -6,7 +6,10 @@ general member of the family are sampled: a claim PASSes when it holds for
 every one of `trials` independent random draws, FAILs when it holds for
 none, and is INDETERMINATE otherwise.  A member's free coordinates are
 integers from [-DRAW, DRAW] (exact.random_solution), so a bad locus of
-degree D is hit with probability at most D/(2*DRAW+1).
+degree D is hit with probability at most D/(2*DRAW+1) (Schwartz-Zippel).
+The coefficients that `systems` and `tangency` draw are the nonzero
+integers of that range, where the same bound holds with 2*DRAW in place of
+2*DRAW+1.
 
 The protocol is implemented once, by the `_Trials` runner, and the three
 kernel claims share `_kernel_is_span`.
@@ -154,6 +157,14 @@ def _nonzero_sample(rng: Rng, bound: int = _SAMPLE_BOUND) -> Fraction:
         q = sample_rational(rng, bound)
         if q != 0:
             return q
+
+
+def _nonzero_draw(rng: Rng) -> int:
+    """A nonzero integer from [-DRAW, DRAW], redrawn while zero."""
+    v = 0
+    while not v:
+        v = rng.randint(-DRAW, DRAW)
+    return v
 
 
 def _random_point(nvars: int, rng: Rng) -> ProjPoint:
@@ -369,10 +380,9 @@ def _xi_matrix_on(monomials, line: Line):
 
 def _ideal_product_vectors(lin_forms, gens, jd):
     """Sparse integer rows {position in jd of x_i*g: L_i} of L*g, for g in
-    gens and L each of the rational lin_forms cleared once to integers (a
-    positive multiple of the form, so the same span)."""
+    gens and L each of the integer lin_forms."""
     return [{jd.index[mono_times(g, i)]: c for i, c in enumerate(lv) if c}
-            for lv in (clear_denominators(lv)[0] for lv in lin_forms) for g in gens]
+            for lv in lin_forms for g in gens]
 
 
 def _special_extras(jd, d: int, cmap):
@@ -423,7 +433,7 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
         for sub in run:
             zt = z if z is not None else random_generic_scheme(n, sub)
             xi = _xi_matrix_on(jd, zt)
-            gens = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
+            gens = _ideal_product_vectors(iz_linear(zt), jdm1, jd)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens)
             qrank = len(xi) - kernel_dim
             run.record(equal and qrank == d + 1,
@@ -451,7 +461,7 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
             zt, cmap = _normalized_special(shape,
                                            z if z is not None else _special_scheme(n, sub))
             xi = _xi_matrix_on(jd, zt)
-            vectors = _ideal_product_vectors(iz_linear(zt).basis_vectors(), jdm1, jd)
+            vectors = _ideal_product_vectors(iz_linear(zt), jdm1, jd)
             extra = _special_extras(jd, d, cmap)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, vectors + extra)
             run.record(equal,
@@ -469,15 +479,15 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
                        trials: int = 5) -> LemmaReport:
     """Vanishing at one non-coordinate point cuts the degree-(d+1)
     deformation span down to (linear forms at p) * (deformation span), of
-    codimension exactly one; the same space splits through any two-point
-    scheme supported at p plus one extra linear form s.  The split span
-    depends only on span(I_Z(1) + s), inside I_p(1) (l*g is linear in l):
-    when those forms have rank n+1 it is the point span, whose decision and
-    witness are reused."""
+    codimension exactly one.  The same space splits through any two-point
+    scheme Z supported at p plus one extra linear form s: I_Z(1) is an
+    n-dimensional part of the (n+1)-dimensional I_p(1), so for s in I_p(1)
+    outside it span(I_Z(1) + s) = I_p(1), and the split span is the point
+    span itself (l*g is linear in l).  Every trial records the one point
+    decision."""
     with _Trials("point-ideal", n, d, rng, trials) as run:
-        nv = n + 2
         if p is None:
-            p = ProjPoint([Fraction(1)] * nv)
+            p = ProjPoint([Fraction(1)] * (n + 2))
         if p.is_coordinate_point():
             raise CoordinatePointError("the statement excludes coordinate points")
         jd = family_shape(n, d).jd
@@ -486,27 +496,12 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         # the columns of the rational values at p times D^(d+1) > 0, p
         # cleared to X / D: the same kernel and canonical witness basis
         evaluation = [(v,) for v in integer_monomial_values(jd1, clear_denominators(p.coords)[0])]
-        ip = ip_linear(p)
-        point_vectors = _ideal_product_vectors(ip.basis_vectors(), jd, jd1)
-        equal, kernel_dim, span_dim, point_outside = _kernel_is_span(evaluation, point_vectors)
-        ok_point = equal and kernel_dim == ambient - 1
-        run.dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
-
-        for sub in run:
-            q = _random_point(nv, sub)
-            while q == p or q.is_coordinate_point():
-                q = _random_point(nv, sub)
-            zt = Line(p, q)
-            forms = iz_linear(zt).basis_vectors()
-            forms.append(first_outside_span(forms, ip.basis_vectors()))
-            if rank_sparse(forms) == ip.dim:
-                split_ok, outside = equal, point_outside
-            else:
-                split_ok, _, _, outside = _kernel_is_span(
-                    evaluation, _ideal_product_vectors(forms, jd, jd1))
-            run.record(ok_point and split_ok, run.dims,
-                       lambda: {"reason": "split part" if ok_point else "point part",
-                                "vector": (outside if ok_point else point_outside)()})
+        point_vectors = _ideal_product_vectors(ip_linear(p), jd, jd1)
+        equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, point_vectors)
+        ok = equal and kernel_dim == ambient - 1
+        dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
+        for _ in run:
+            run.record(ok, dims, lambda: {"reason": "point part", "vector": outside()})
     return run.report
 
 
@@ -624,14 +619,11 @@ _SYSTEM_KEYS = [(0, 1, 3), (0, 2, 3), (1, 0, 3), (1, 2, 3), (2, 0, 3), (2, 1, 3)
 def _draw_coeffs(rng: Rng):
     """Random coefficient table c[i, j, k], symmetric in the last two slots,
     of nonzero integers from [-DRAW, DRAW]: the 2x2 determinant pair, of
-    degree 2, vanishes with probability at most 2/(2*DRAW+1) unless it
+    degree 2, vanishes with probability at most 2/(2*DRAW) unless it
     vanishes identically."""
     c = {}
     for (i, j, k) in _SYSTEM_KEYS:
-        v = 0
-        while not v:
-            v = rng.randint(-DRAW, DRAW)
-        c[(i, j, k)] = c[(i, k, j)] = v
+        c[(i, j, k)] = c[(i, k, j)] = _nonzero_draw(rng)
     return c
 
 
@@ -910,9 +902,9 @@ def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaR
 def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """A random member of the stratum through the coordinate line is rigid
     (count zero); the cone-like member with no transverse terms is not.
-    The member x0^(d-m) x1^m + sum_i x_i g_i is built as integer terms, its
-    draws cleared over one denominator.  Only the terms x0^(d-1-a) x1^a of
-    each g_i are drawn: on the line x_2 = ... = x_(n+1) = 0, dF/dx_i is
+    The member x0^(d-m) x1^m + sum_i x_i g_i has integer terms: only the
+    terms x0^(d-1-a) x1^a of each g_i are drawn, as nonzero integers from
+    [-DRAW, DRAW]: on the line x_2 = ... = x_(n+1) = 0, dF/dx_i is
     that part of g_i, every other term keeping a factor x_j with j >= 2,
     and the tangency system reads nothing else."""
     with _Trials("tangency", n, d, rng, trials, m=m) as run:
@@ -922,8 +914,7 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
         transverse = [mono_times((d - 1 - a, a) + (0,) * n, i)
                       for i in range(2, n + 2) for a in range(d)]
         for sub in run:
-            nums, den = clear_denominators([_nonzero_sample(sub, 20) for _ in transverse])
-            f = {lead: den, **dict(zip(transverse, nums))}
+            f = {lead: 1, **{mono: _nonzero_draw(sub) for mono in transverse}}
             rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
             run.record(rep.dims["deformations"] == 0 and degenerate > 0,
                        {"deformations": rep.dims["deformations"],

@@ -430,6 +430,25 @@ def test_column_scan_matches_the_rref_pivots():
     assert deficient >= 20
 
 
+def test_column_scan_annihilator_is_the_reduced_kernel_basis():
+    """Over random sets of 1 and 2 integer vectors, zero entries and zero
+    vectors included, column_scan's annihilator of the vectors is
+    kernel_basis's reduced basis of the matrix with them as rows: form by
+    form, in order, each a nonzero integer multiple of the canonical one.
+    I_Z(1) and I_p(1) are taken this way."""
+    rng = Rng(57)
+    for _ in range(400):
+        size = rng.randint(2, 7)
+        vectors = [[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(size)]
+                   for _ in range(rng.randint(1, 2))]
+        _, annihilator = exact.column_scan(vectors, size)
+        reduced = kernel_basis(Matrix(vectors)).basis_vectors()
+        assert len(annihilator) == len(reduced)
+        for form, canonical in zip(annihilator, reduced):
+            factor = form[next(i for i, x in enumerate(canonical) if x)]
+            assert factor and form == [factor * x for x in canonical]
+
+
 def test_kernel_span_dims_eliminates_generator_rows_only(monkeypatch):
     """The map's rank comes from column_scan: the one elimination that
     kernel_span_dims runs is given generator rows, never rows of m."""

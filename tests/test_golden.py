@@ -84,6 +84,20 @@ def test_cli_reports_match_golden(case, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_off_degree_sweep_matches_golden(tmp_path, capsys):
+    """`verify all --seed 0 --trials 1` at every n <= 3 and 4 <= d <= 2n+4,
+    the runs concatenated: the sweep around the paper's degree d = 2n+2,
+    with the kernel claims' FAIL witnesses at d = 4 and the off-degree
+    secant and tangency FAILs."""
+    lines = []
+    for n in (1, 2, 3):
+        for d in range(4, 2 * n + 5):
+            lines += cli_lines(["all", "--n", str(n), "--d", str(d), "--seed", "0",
+                                "--trials", "1"], tmp_path / ("n%d_d%d.jsonl" % (n, d)))
+    capsys.readouterr()
+    assert lines == golden("all_sweep_seed0_trials1.jsonl")
+
+
 def test_kernel_fail_witnesses_match_golden():
     lines = kernel_fail_lines()
     assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)

@@ -9,7 +9,8 @@ again (an assignment, a loop target) or only mentioned in a docstring or
 comment is not read.  An assert anywhere
 under src/fermatlines/ fails too: `python -O` strips asserts, so a
 correctness guard must raise an explicit error instead.  And verifiers.py
-imports none of the dense section helpers it no longer uses, and no
+imports none of the dense section helpers it no longer uses, lines.py
+imports no canonical kernel or Subspace, and no
 package module defines a name that now lives only in the tests' oracles
 (tests/oracles.py, tests/polytext.py), was folded into exact's
 elimination, or was deleted with the scheme classes that Line replaced.
@@ -124,6 +125,14 @@ def test_verifiers_import_no_dense_section_helpers():
     with open(os.path.join(PACKAGE, "verifiers.py"), encoding="utf-8") as fh:
         names = {name for name, _ in imported_names(ast.parse(fh.read()))}
     assert names.isdisjoint({"EulerSection", "euler_alpha", "eval_monomials", "omega_basis"})
+
+
+def test_lines_import_no_canonical_subspace():
+    """I_Z(1) and I_p(1) are column_scan's integer forms: lines.py imports
+    neither kernel_basis nor Subspace."""
+    with open(os.path.join(PACKAGE, "lines.py"), encoding="utf-8") as fh:
+        names = {name for name, _ in imported_names(ast.parse(fh.read()))}
+    assert names.isdisjoint({"kernel_basis", "Subspace"})
 
 
 # Restrictions are coefficient lists, span tests go through exact's

@@ -1,7 +1,7 @@
 """The kernel claims' inputs against the dense polynomial constructions
 they replaced.
 
-The ideal products l*g (l cleared once to an integer form) and
+The ideal products l*g (l an integer form of column_scan's annihilator) and
 kernel-special's extra generators (each times the denominator of its c_j)
 are sparse integer rows built from exponent shifts, and the restriction
 matrix is read from the line's integer cache.  The references below build
@@ -11,7 +11,6 @@ oracles.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -38,14 +37,6 @@ def ideal_products_reference(lin_forms, gens, jd, nv):
     return out
 
 
-def cleared_forms(lin_forms):
-    """Each rational form times the lcm of its denominators: the integer
-    form the ideal products are built from, a positive multiple with the
-    same span."""
-    return [[int(c * lcm(*(Fraction(x).denominator for x in lv))) for c in lv]
-            for lv in lin_forms]
-
-
 def special_extras_reference(jd, d, cmap, nv):
     x1 = HomogPoly.variable(nv, 1)
     base = HomogPoly.monomial(nv, (d - 2,) + (0,) * (nv - 1))
@@ -70,9 +61,9 @@ def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
         generic = random_generic_scheme(n, sub)
         special, cmap = _normalized_special(shape, _special_scheme(n, sub))
         for z in (generic, special):
-            forms = iz_linear(z).basis_vectors()
+            forms = iz_linear(z)
             assert (dense(_ideal_product_vectors(forms, jdm1, jd), len(jd))
-                    == ideal_products_reference(cleared_forms(forms), jdm1, jd, nv))
+                    == ideal_products_reference(forms, jdm1, jd, nv))
         # the sampled multipliers, then some and then all of them zero; each
         # integer row is the rational one times the denominator of its c_j
         for c in (cmap, {j: c if j == 2 else Fraction(0) for j, c in cmap.items()},
@@ -84,10 +75,10 @@ def test_ideal_products_and_extras_match_the_dense_reference(n, d, trials):
                     == [[den * x for x in row] for den, row in
                         zip(dens, special_extras_reference(jd, d, c, nv))])
         # point-ideal: forms at one point, one degree up
-        forms = ip_linear(_random_point(nv, sub)).basis_vectors()
+        forms = ip_linear(_random_point(nv, sub))
         jd1 = gen_jd(n, d + 1)
         assert (dense(_ideal_product_vectors(forms, jd, jd1), len(jd1))
-                == ideal_products_reference(cleared_forms(forms), jd, jd1, nv))
+                == ideal_products_reference(forms, jd, jd1, nv))
 
 
 @pytest.mark.parametrize("n,d", [(2, 6), (3, 8)])

@@ -7,7 +7,7 @@ import pytest
 import fermatlines.exact as exact
 import fermatlines.family as family
 import fermatlines.verifiers as verifiers
-from fermatlines.cli import run_lemma
+from fermatlines.cli import LEMMAS, run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
 from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
@@ -245,8 +245,8 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
         k2 = kernel_basis(Matrix.from_columns(_xi_matrix_on(shape.jd, z)))
         k1 = Subspace.from_vectors(
             len(shape.jd),
-            dense(_ideal_product_vectors(iz_linear(z).basis_vectors(),
-                                         gen_jd(2, 5), shape.jd), len(shape.jd)))
+            dense(_ideal_product_vectors(iz_linear(z), gen_jd(2, 5), shape.jd),
+                  len(shape.jd)))
         assert all(contains_vector(k2, v) for v in k1.basis_vectors())
 
 
@@ -320,16 +320,10 @@ def _drop_first_form(monkeypatch):
                         lambda forms, gens, jd: products(forms[1:], gens, jd))
 
 
-class _Recombined:
-    """A space of linear forms with its basis L_0, L_1, ... replaced by the
-    invertible integer recombination L_0 + L_1, L_1, ..."""
-
-    def __init__(self, space):
-        self.dim, self.vectors = space.dim, space.basis_vectors()
-        self.vectors[0] = [a + b for a, b in zip(*self.vectors[:2])]
-
-    def basis_vectors(self):
-        return [list(v) for v in self.vectors]
+def _recombined(forms):
+    """The integer linear forms L_0, L_1, ... replaced by the invertible
+    recombination L_0 + L_1, L_1, ..."""
+    return [[a + b for a, b in zip(*forms[:2])]] + forms[1:]
 
 
 @pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
@@ -345,7 +339,7 @@ def test_kernel_claim_fails_without_the_first_forms_products_in_any_basis(monkey
             if recombine:
                 for name in ("iz_linear", "ip_linear"):
                     mp.setattr(verifiers, name,
-                               lambda x, space=getattr(verifiers, name): _Recombined(space(x)))
+                               lambda x, forms=getattr(verifiers, name): _recombined(forms(x)))
                 assert KERNEL_CLAIMS[lemma]().verdict == PASS
             _drop_first_form(mp)
             calls = _recording(mp, "_kernel_is_span")
@@ -403,8 +397,8 @@ def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
     """With one linear form at p missing, the point part fails; its witness
     lies in ker(evaluation) and outside the span of the point generators."""
     p = ProjPoint([1] * 4)      # the default point; every monomial is 1 there
-    forms = verifiers.ip_linear(p).basis_vectors()[1:]
-    monkeypatch.setattr(verifiers, "ip_linear", lambda q: Subspace.from_vectors(4, forms))
+    forms = verifiers.ip_linear(p)[1:]
+    monkeypatch.setattr(verifiers, "ip_linear", lambda q: forms)
     rep = verify_point_ideal(2, 6, Rng(7).split("point-ideal"), trials=2)
     assert rep.verdict == FAIL and rep.witness["reason"] == "point part"
     v = [Fraction(x) for x in rep.witness["vector"]]
@@ -412,48 +406,6 @@ def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
     jd1 = gen_jd(2, 7)
     gens = dense(verifiers._ideal_product_vectors(forms, gen_jd(2, 6), jd1), len(jd1))
     assert not contains_vector(Subspace.from_vectors(len(jd1), gens), v)
-
-
-def _recording_ranks(monkeypatch):
-    """Route the verifiers' rank_sparse calls through a recorder; returns
-    the list of (rows, rank) calls."""
-    calls = []
-
-    def record(rows):
-        rows = list(rows)
-        calls.append((rows, rank_sparse(rows)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(verifiers, "rank_sparse", record)
-    return calls
-
-
-def test_point_ideal_split_part_reuses_the_point_decision(monkeypatch):
-    """I_Z(1) and the extra form s span I_p(1) in every trial, so the split
-    span is the point span and only the point part is eliminated."""
-    calls = _recording(monkeypatch, "_kernel_is_span")
-    ranks = _recording_ranks(monkeypatch)
-    assert verify_point_ideal(2, 6, rng_for("pi"), trials=3).verdict == PASS
-    assert len(calls) == 1
-    assert [(len(rows), rank) for rows, rank in ranks] == [(3, 3)] * 3
-
-
-def test_point_ideal_split_part_without_a_form_of_iz_fails(monkeypatch):
-    """With one form of I_Z(1) dropped, the n forms left and s span less
-    than I_p(1): the split part is decided on its own and FAILs, with a
-    witness in ker(evaluation) outside the split span."""
-    iz = verifiers.iz_linear
-    monkeypatch.setattr(verifiers, "iz_linear",
-                        lambda z: Subspace.from_vectors(4, iz(z).basis_vectors()[1:]))
-    calls = _recording(monkeypatch, "_kernel_is_span")
-    rep = verify_point_ideal(2, 6, rng_for("pi"), trials=2)
-    assert rep.verdict == FAIL and rep.witness["reason"] == "split part"
-    assert rep.witness["trial"] == 0 and len(calls) == 3
-    v = [Fraction(x) for x in rep.witness["vector"]]
-    assert any(v) and sum(v) == 0    # every monomial is 1 at p = (1, 1, 1, 1)
-    ncols = len(gen_jd(2, 7))
-    split = calls[1][1]
-    assert not contains_vector(Subspace.from_vectors(ncols, dense(split, ncols)), v)
 
 
 def _shifted(mono, i):
@@ -560,11 +512,10 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
         return DomainMatrix(qq, (len(qq), ncols), sympy.QQ).rank()
 
     calls = _recording(monkeypatch, "kernel_span_dims")
-    ranks = _recording_ranks(monkeypatch)
     for run in KERNEL_CLAIMS.values():
         run()
-    # two trials each of kernel-generic and kernel-special, and the point
-    # part of point-ideal, whose split part reuses it
+    # two trials each of kernel-generic and kernel-special, and the one
+    # decision of point-ideal
     assert len(calls) >= 5
     for columns, gens, result in calls:
         m = Matrix.from_columns(columns)
@@ -573,11 +524,6 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
         assert rank_sparse([dict(enumerate(row)) for row in m.data]) == rank_m
         assert rank_sparse(gens) == rank_gens
         assert result == (True, m.ncols - rank_m, rank_gens)
-    # the rank of I_Z(1) and s that lets point-ideal's split part reuse it
-    split_forms = [(rows, rank) for rows, rank in ranks if len(rows) == 3 == rank]
-    assert len(split_forms) >= 2
-    for rows, rank in ranks:
-        assert rank_qq(rows, len(rows[0])) == rank
 
 
 # ---------------------------------------------------------------------------
@@ -1263,15 +1209,24 @@ def test_tangency_wrapper():
 
 def test_tangency_and_incidence_pass_without_a_matrix(monkeypatch):
     """At (2, 6) the tangency system is ranked as integer rows: PASS runs of
-    tangency and incidence construct no Matrix."""
+    tangency and incidence construct no Matrix.  Nor does a PASS run of any
+    other lemma but systems, at (2, 6) and (3, 8): the kernel claims rank by
+    column_scan and take I_Z(1) and I_p(1) from it, and no PASS path builds
+    a Subspace.  Only systems ranks its small matrices as Matrix objects."""
     built = []
-    init = Matrix.__init__
-    monkeypatch.setattr(Matrix, "__init__",
-                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    for cls in (Matrix, Subspace):
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *args, init=cls.__init__, **kw:
+                            built.append(type(self)) or init(self, *args, **kw))
     for m in range(1, 6):
         assert verify_tangency(2, 6, m, rng_for("no matrix"), trials=2).verdict == PASS
         assert verify_incidence(2, 6, m).verdict == PASS
     assert built == []
+    for n, d in ((2, 6), (3, 8)):
+        for lemma in sorted(LEMMAS):
+            built.clear()
+            assert run_lemma(lemma, n, d, d // 2, 7, trials=2).verdict == PASS
+            assert set(built) == ({Matrix} if lemma == "systems" else set()), lemma
 
 
 @pytest.mark.parametrize("n,d,m,vector", [
