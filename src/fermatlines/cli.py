@@ -8,7 +8,9 @@ human table, each pair's row also written when the pair is done.
 `--jobs J` runs the pairs in min(J, pairs, CPUs) forked worker processes;
 `--jobs 1` runs them in this process.  Exit code 0 when everything passes,
 1 on any FAIL, 2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64
-on usage errors.
+on usage errors.  A closed stdout (`verify all | head -1`) ends the table,
+not the run: the JSON reports are still written, the exit code is still
+the verdicts', and no traceback or exit-time message is printed.
 """
 
 from __future__ import annotations
@@ -148,8 +150,24 @@ def _reports(items, jobs: int):
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute the configured runs, write reports, return the exit code."""
+    """Execute the configured runs, write reports, return the exit code.
+    A closed `out` (BrokenPipeError) ends the table, not the run."""
     out = out if out is not None else sys.stdout
+
+    def show(text):
+        nonlocal out
+        if out is None:
+            return
+        try:
+            out.write(text)
+            out.flush()
+        except BrokenPipeError:
+            if out is sys.stdout:   # the interpreter flushes stdout again at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, out.fileno())
+                os.close(devnull)
+            out = None
+
     d, m = config.resolve()
     try:
         fh = open(config.output_path, "w", encoding="utf-8") if config.output_path else None
@@ -173,12 +191,10 @@ def run(config: RunConfig, out=None) -> int:
                 if fh:
                     fh.write(rep.to_json() + "\n")
                     fh.flush()
-                if i == 0:
-                    out.write(_table_row(header, widths))
                 dims = ",".join("%s=%s" % kv for kv in rep.dims.items())
-                out.write(_table_row((rep.lemma, str(rep.n), str(rep.d), str(rep.seed),
-                                      rep.verdict, str(rep.elapsed_ms), dims), widths))
-                out.flush()
+                show((_table_row(header, widths) if i == 0 else "")
+                     + _table_row((rep.lemma, str(rep.n), str(rep.d), str(rep.seed),
+                                   rep.verdict, str(rep.elapsed_ms), dims), widths))
             summary = {"runs": len(items), "pass": counts[PASS], "fail": counts[FAIL],
                        "indeterminate": counts[INDETERMINATE], "infeasible": counts[INFEASIBLE]}
             if fh:
@@ -188,8 +204,8 @@ def run(config: RunConfig, out=None) -> int:
             raise
         sys.stderr.write("error: cannot write reports: %s\n" % exc)
         return EXIT_USAGE
-    out.write("summary: %d runs, %d pass, %d fail, %d indeterminate, %d infeasible\n"
-              % tuple(summary.values()))
+    show("summary: %d runs, %d pass, %d fail, %d indeterminate, %d infeasible\n"
+         % tuple(summary.values()))
 
     if counts[FAIL]:
         return EXIT_FAIL

@@ -232,7 +232,7 @@ def koszul_eta_m(b: DeformationPoint, factors):
 def point_condition(shape: FamilyShape, p):
     """(row, rhs): the member at t passes through p iff row . t == rhs.
 
-    With p cleared to an integer point X / D, the row holds the ints
+    With p = X / D for its integer point X = p.ints, the row holds the ints
     prod X_i^e_i of the deformation monomials and rhs is -sum X_i^d: the
     rational condition scaled by D^d > 0, so it has the same solutions.
 
@@ -242,9 +242,8 @@ def point_condition(shape: FamilyShape, p):
     """
     if p.nvars != shape.nvars:
         raise DimensionMismatch("point has %d coordinates" % p.nvars)
-    nums, _ = clear_denominators(p.coords)
-    row = integer_monomial_values(shape.jd, nums)
-    fermat = sum(x ** shape.d for x in nums)
+    row = integer_monomial_values(shape.jd, p.ints)
+    fermat = sum(x ** shape.d for x in p.ints)
     if not any(row) and fermat:
         raise InfeasibleSystem(
             "no family member passes through %r (all deformation "

@@ -26,9 +26,13 @@ from .poly import EulerSection, HomogPoly
 
 
 class ProjPoint:
-    """Projective point, normalized so the first nonzero coordinate is 1."""
+    """Projective point, normalized so the first nonzero coordinate is 1.
 
-    __slots__ = ("coords",)
+    `ints` is the point cleared of denominators: the primitive integer
+    vector D * coords, D > 0 the lcm of their denominators, whose first
+    nonzero entry is D."""
+
+    __slots__ = ("coords", "ints")
 
     def __init__(self, coords):
         cs = [frac(x) for x in coords]
@@ -36,6 +40,7 @@ class ProjPoint:
         if lead is None:
             raise ValueError("all coordinates vanish")
         self.coords = tuple(x / lead for x in cs)
+        self.ints = tuple(clear_denominators(self.coords)[0])
 
     @property
     def nvars(self) -> int:
@@ -95,7 +100,7 @@ class Line:
     evaluation and no check in this package requires it.
 
     It is parameterized as s*P + t*Q, with P = Dp * p and Q = Dq * q the
-    points cleared of denominators (Dp, Dq > 0): F(s*P + t*Q) is the
+    points' `ints` (Dp, Dq > 0): F(s*P + t*Q) is the
     restriction along s*p + t*q with entry k scaled by Dp^(m-k) Dq^k > 0.
     So every zero test, monomial_index, distinct_root_count and rank read
     off it are those of the rational restriction."""
@@ -107,8 +112,6 @@ class Line:
             raise ValueError("coincident points do not span a line")
         self.p = p
         self.q = q
-        self._p_ints, _ = clear_denominators(p.coords)
-        self._q_ints, _ = clear_denominators(q.coords)
         self._restricted = {(0,) * p.nvars: (1,)}
 
     @property
@@ -127,7 +130,7 @@ class Line:
             return got
         i = exps.index(max(exps))
         lower = self.integer_restriction(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
-        a, b = self._p_ints[i], self._q_ints[i]
+        a, b = self.p.ints[i], self.q.ints[i]
         out = tuple([x * a + y * b for x, y in zip(lower + (0,), (0,) + lower)])
         self._restricted[exps] = out
         return out
@@ -212,10 +215,10 @@ def scheme_json(z: Line) -> dict:
 def iz_linear(z: Line):
     """The linear forms vanishing at both points, n integer forms: the
     annihilator of the line's integer points, column_scan's reduced basis."""
-    return column_scan([z._p_ints, z._q_ints], z.nvars)[1]
+    return column_scan([z.p.ints, z.q.ints], z.nvars)[1]
 
 
 def ip_linear(p: ProjPoint):
     """The linear forms vanishing at one point, n+1 integer forms: the
-    annihilator of p cleared to integers, column_scan's reduced basis."""
-    return column_scan([clear_denominators(p.coords)[0]], p.nvars)[1]
+    annihilator of p's integer point, column_scan's reduced basis."""
+    return column_scan([p.ints], p.nvars)[1]

@@ -40,8 +40,9 @@ FAIL = "FAIL"
 INDETERMINATE = "INDETERMINATE"
 INFEASIBLE = "INFEASIBLE"
 
-# Draws of a generic scheme before the sampler gives up: height-9 rational
-# points do land on its bad loci.
+# Draws of a generic scheme before random_generic_scheme or the
+# three-independent shape gives up: height-9 rational points do land on
+# their bad loci.
 _GENERIC_ATTEMPTS = 60
 # Height bound of the rationals in sampled points and scheme parameters.
 _SAMPLE_BOUND = 9
@@ -179,8 +180,10 @@ def random_generic_scheme(n: int, rng: Rng) -> Line:
     for _ in range(_GENERIC_ATTEMPTS):
         p1 = _random_point(nv, rng)
         p2 = _random_point(nv, rng)
-        if p1 == p2 or p1.is_coordinate_point() or p2.is_coordinate_point():
+        if p1 == p2:
             continue
+        # a line through a coordinate point is never generic: dropping its
+        # one nonzero coordinate leaves a zero row
         z = Line(p1, p2)
         if classify(z)["tag"] == "generic":
             return z
@@ -196,6 +199,12 @@ def _two_distinct_nonzero(rng: Rng):
     return u, v
 
 
+def _line_over(u, v, coeffs) -> Line:
+    """The line through (1, u, ...) and (1, v, ...) on which x_j restricts
+    to a_j x_0 + b_j x_1, for (a_j, b_j) the (j-2)-th pair of `coeffs`."""
+    return Line(*(ProjPoint([1, w] + [a + b * w for a, b in coeffs]) for w in (u, v)))
+
+
 def _special_scheme(n: int, rng: Rng) -> Line:
     """Special but not very special scheme in normalized position.
 
@@ -205,10 +214,8 @@ def _special_scheme(n: int, rng: Rng) -> Line:
     """
     u, v = _two_distinct_nonzero(rng)
     k = rng.randint(1, n)
-    cs = [_nonzero_sample(rng) if j < 2 + k else ZERO for j in range(2, n + 2)]
-    p1 = ProjPoint([Fraction(1), u] + [c * u for c in cs])
-    p2 = ProjPoint([Fraction(1), v] + [c * v for c in cs])
-    return Line(p1, p2)
+    return _line_over(u, v, [(ZERO, _nonzero_sample(rng) if j < k else ZERO)
+                             for j in range(n)])
 
 
 def _normalized_special(shape: FamilyShape, z: Line):
@@ -228,9 +235,7 @@ def _normalized_special(shape: FamilyShape, z: Line):
 
 
 def _very_special_scheme(n: int, rng: Rng) -> Line:
-    u, v = _two_distinct_nonzero(rng)
-    zeros = [ZERO] * n
-    return Line(ProjPoint([Fraction(1), u] + zeros), ProjPoint([Fraction(1), v] + zeros))
+    return _line_over(*_two_distinct_nonzero(rng), [(ZERO, ZERO)] * n)
 
 
 def _generic_scheme_three_independent(n: int, rng: Rng) -> Line:
@@ -244,31 +249,16 @@ def _generic_scheme_three_independent(n: int, rng: Rng) -> Line:
 
 
 def _generic_scheme_split_shape(n: int, rng: Rng) -> Line:
-    """Generic scheme where x2 is a multiple of x0 and x3 of x1 on Z, and
-    every later coordinate is a multiple of x0 or x1."""
-    if n < 2:
-        raise ValueError("needs at least 4 coordinates beyond the spanning pair")
-    for _ in range(_GENERIC_ATTEMPTS):
-        u1 = _nonzero_sample(rng)
-        u2 = _nonzero_sample(rng)
-        if u1 == u2:
-            continue
-        a = _nonzero_sample(rng)
-        bmul = _nonzero_sample(rng)
-        c1 = [Fraction(1), u1, a, bmul * u1]
-        c2 = [Fraction(1), u2, a, bmul * u2]
-        for k in range(4, n + 2):
-            e = _nonzero_sample(rng)
-            if k % 2 == 0:
-                c1.append(e)
-                c2.append(e)
-            else:
-                c1.append(e * u1)
-                c2.append(e * u2)
-        z = Line(ProjPoint(c1), ProjPoint(c2))
-        if classify(z)["tag"] == "generic":
-            return z
-    raise NonGenericScheme("failed to sample the split shape")
+    """Scheme where x_j (j >= 2) is a nonzero multiple of x0 on Z at even j
+    and of x1 at odd j; u and v are redrawn together until they differ.
+
+    For n >= 2 it is generic: x0, x1 restrict independently, and so do x0,
+    x3 (dropping x1) and x1, x2 (dropping x0)."""
+    u, v = _nonzero_sample(rng), _nonzero_sample(rng)
+    while u == v:
+        u, v = _nonzero_sample(rng), _nonzero_sample(rng)
+    es = [_nonzero_sample(rng) for _ in range(n)]
+    return _line_over(u, v, [(ZERO, e) if j % 2 else (e, ZERO) for j, e in enumerate(es)])
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +483,9 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         jd = family_shape(n, d).jd
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
-        # the columns of the rational values at p times D^(d+1) > 0, p
-        # cleared to X / D: the same kernel and canonical witness basis
-        evaluation = [(v,) for v in integer_monomial_values(jd1, clear_denominators(p.coords)[0])]
+        # the columns of the rational values at p = X / D, X = p.ints, times
+        # D^(d+1) > 0: the same kernel and canonical witness basis
+        evaluation = [(v,) for v in integer_monomial_values(jd1, p.ints)]
         point_vectors = _ideal_product_vectors(ip_linear(p), jd, jd1)
         equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, point_vectors)
         ok = equal and kernel_dim == ambient - 1
@@ -551,11 +541,9 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             xi_w_special = rank_sparse(svecs)
             member_ok = first_outside_span(
                 svecs, [_section_image(terms, zs) for terms in listed]) is None
-            # the Euler field times x0 and x1 spans the rescaling directions
-            # when x0 and x1 restrict independently
+            # the Euler field times x0 and x1 spans the two rescaling
+            # directions: x0 and x1 restrict independently, as u != v
             rescale = [_section_image(_x_alpha(nv, i), zs) for i in (0, 1)]
-            if rank_sparse(rescale) != 2:
-                raise NonGenericScheme("x0 and x1 do not restrict independently")
             total = rank_sparse(svecs + rescale)
             quotient_rank = total - 2
             surjective = total == amb

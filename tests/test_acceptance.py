@@ -221,12 +221,21 @@ def test_dims_match_their_closed_forms(tmp_path, n, d):
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in range(4, 2 * n + 5)])
 def test_off_degree_verdicts_match_their_closed_forms(n, d):
-    """At seed 0, --trials 1, m = d // 2: the stratum's line moves in
-    max(0, 2n+2-d) directions, the incidence offset clipped at 0; off
+    """At seed 0, --trials 1, m = d // 2: kernel-generic's kernel has
+    dimension |J_d| - (d+1), and its ideal part I_Z(1) J_(d-1) fills it at
+    d >= 5, while at d = 4 J_3 holds only the C(n+2, 3) squarefree cubics,
+    so the ideal part has dimension n C(n+2, 3) (independent products at
+    n <= 3) and equals the kernel only at n = 1.  The stratum's line moves
+    in max(0, 2n+2-d) directions, the incidence offset clipped at 0; off
     d = 2n+2 secant FAILs, and its random secant meets the member in d
     points with ker etahat of dimension max(0, 2n+3-d), well defined
     exactly when that kernel is 0 (d >= 2n+3), never two-point."""
     m = d // 2
+    generic = run_lemma("kernel-generic", n, d, m, 0, trials=1)
+    kernel = jd_size_formula(n, d) - (d + 1)
+    ideal = n * comb(n + 2, 3) if d == 4 else kernel
+    assert generic.dims == {"lhs": ideal, "rhs": kernel, "quotient": d + 1}
+    assert generic.verdict == (PASS if ideal == kernel else FAIL)
     tangency = run_lemma("tangency", n, d, m, 0, trials=1)
     offset = run_lemma("incidence", n, d, m, 0, trials=1).dims["offset"]
     assert tangency.dims["deformations"] == max(0, 2 * n + 2 - d) == max(0, offset)

@@ -361,6 +361,51 @@ def test_table_rows_are_written_as_reports_finish(monkeypatch):
         "summary: 2 runs, 1 pass, 0 fail, 1 indeterminate, 0 infeasible"]
 
 
+class _ClosedAfterFirstWrite(io.StringIO):
+    """A stdout whose reader goes away after the first write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_closed_stdout_ends_the_table_not_the_run(tmp_path):
+    """After the first row the table stops, with no further write, while
+    every report is still written and the exit code is the verdicts'."""
+    out = _ClosedAfterFirstWrite()
+    path = tmp_path / "closed.jsonl"
+    config = RunConfig(n=1, d=4, seeds=[0, 1, 2], lemmas=["incidence", "systems"],
+                       trials=1, output_path=str(path))
+    assert run(config, out=out) == EXIT_OK
+    assert out.writes == 2
+    assert out.getvalue().splitlines()[0].startswith("lemma")
+    assert len(read_jsonl(path)) == 7
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_pipe_is_quiet(tmp_path, jobs):
+    """`verify all | head -1` through a real pipe: no traceback or exit-time
+    message, the verdicts' exit code, and the whole report file."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = tmp_path / "piped.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from fermatlines.cli import main; sys.exit(main(sys.argv[1:]))",
+         "all", "--n", "2", "--d", "6", "--trials", "1", "--jobs", jobs,
+         "--json", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("lemma")
+    proc.stdout.close()
+    assert proc.stderr.read() == ""
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert len(read_jsonl(path)) == len(REGISTRY) + 1
+
+
 def test_checks_survive_optimized_interpreter():
     """Under python -O every assert is stripped; the guards must not be."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
