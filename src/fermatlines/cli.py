@@ -8,9 +8,11 @@ human table, each pair's row also written when the pair is done.
 `--jobs J` runs the pairs in min(J, pairs, CPUs) forked worker processes;
 `--jobs 1` runs them in this process.  Exit code 0 when everything passes,
 1 on any FAIL, 2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64
-on usage errors.  A closed stdout (`verify all | head -1`) ends the table,
-not the run: the JSON reports are still written, the exit code is still
-the verdicts', and no traceback or exit-time message is printed.
+on usage errors.  A stdout that fails on write, closed (`verify all | head
+-1`) or full (`> /dev/full`), ends the table, not the run: the JSON
+reports are still written, the exit code is still the verdicts', and no
+traceback or exit-time message is printed; "cannot write reports" (64)
+names only the report file.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def _reports(items, jobs: int):
 
 def run(config: RunConfig, out=None) -> int:
     """Execute the configured runs, write reports, return the exit code.
-    A closed `out` (BrokenPipeError) ends the table, not the run."""
+    An `out` that fails on write (any OSError: a closed pipe, a full disk)
+    ends the table, not the run."""
     out = out if out is not None else sys.stdout
 
     def show(text):
@@ -161,7 +164,7 @@ def run(config: RunConfig, out=None) -> int:
         try:
             out.write(text)
             out.flush()
-        except BrokenPipeError:
+        except OSError:
             if out is sys.stdout:   # the interpreter flushes stdout again at exit
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, out.fileno())

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 A Matrix keeps the rows it is given, ints or Fractions (both carry
-.numerator and .denominator); reduced echelon forms, kernels and solutions
-come out as fractions.Fraction.  Every rank, echelon form and solve runs on
+.numerator and .denominator); reduced echelon forms and solutions come out
+as fractions.Fraction.  Every rank, echelon form and solve of rows runs on
 one elimination: rows are cleared to integers and kept sparse,
 {column: int}, and each is reduced once as r = a*r - b*pivot against pivot
 rows keyed by their leftmost column and divided by the gcd of their entries
@@ -12,16 +12,21 @@ back-substitution pass.
 A map given by its columns is ranked by one column scan, column_scan,
 which keeps the annihilator of the columns taken so far as integer
 functionals: its pivots are the leftmost independent columns, and the
-functionals left are the reduced basis of the annihilator.
-random_solution solves only the small system on those pivots.
+functionals left are the reduced basis of the annihilator.  It also keeps
+one dual functional per pivot column, zero on the other pivot columns, so a
+column in their span is read off as sum x_c*col_c with x_c its dual value
+over the pivot's own.  Every kernel vector and solve of a map comes from
+that scan: free_vectors gives e_f - sum x_c*e_c at each free column f,
+kernel_basis the reduced echelon basis of the kernel from a scan of the
+reversed columns, and random_solution reads its pivot variables off the
+duals.
 
 Span relations are decided by rank: rank_sparse, first_outside_span, and
 kernel_span_dims for claims "span(gens) == ker(m)", m given as its columns
 (ranked by column_scan) and gens as sparse integer rows {column: int},
 which hold iff m·g == 0 for every g and the two exact dimensions agree.
 Subspace is canonical (reduced column echelon form, so equality is
-entry-wise); it serves witness vectors and the tests' reference
-computations.
+entry-wise); it serves the tests' reference computations.
 """
 
 from __future__ import annotations
@@ -129,11 +134,6 @@ class Matrix:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def from_columns(cls, columns) -> "Matrix":
-        columns = [list(c) for c in columns]
-        return cls(zip(*columns), ncols=len(columns))
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.data == other.data)
@@ -227,8 +227,7 @@ def kernel_span_dims(columns, gens):
     ncols = len(columns)
     if any(not 0 <= j < ncols for g in gens for j in g):
         raise DimensionMismatch("generator column outside %d columns" % ncols)
-    inside = all(not any(map(sum, zip(*[[v * x for x in columns[j]]
-                                        for j, v in r.items()]))) for r in gens)
+    inside = not any(any(image(columns, g)) for g in gens)
     kernel_dim = ncols - len(column_scan(columns, len(columns[0]) if columns else 0)[0])
     gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
     firsts, rest = [], []
@@ -276,15 +275,6 @@ class Subspace:
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Kernel of m as a canonical Subspace of Q^(m.ncols), from one rref: the
-    free-variable basis of m with its columns reversed, read back, has each
-    vector's leading 1 at its own free column and 0 at the other free
-    columns, so in ascending order it is the reduced echelon basis."""
-    flipped = Matrix([row[::-1] for row in m.data], ncols=m.ncols)
-    return Subspace(m.ncols, [v[::-1] for v in reversed(flipped.kernel_vectors())])
-
-
 def sample_rational(rng: Rng, bound: int) -> Fraction:
     """Random reduced fraction, numerator in [-bound, bound], denominator in [1, bound]."""
     if bound < 1:
@@ -292,39 +282,78 @@ def sample_rational(rng: Rng, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def image(columns, g):
+    """m·g, for the map m with the rational `columns` and g sparse
+    {column: value}; [] when g has no entry."""
+    return [sum(x) for x in zip(*[[v * x for x in columns[j]] for j, v in g.items()])]
+
+
 def column_scan(columns, size):
-    """(pivots, annihilator) of the map with the rational `columns`, each of
-    length `size`: pivots are the indices of the leftmost independent
-    columns, and annihilator is a list of integer functionals spanning the
-    annihilator of every column, so it has size - rank members.
+    """(pivots, annihilator, duals) of the map with the rational `columns`,
+    a sequence of columns each of length `size`: pivots are the indices of
+    the leftmost independent columns, annihilator is a list of integer
+    functionals spanning the annihilator of every column, so it has
+    size - rank members, and duals holds one (functional, value) per pivot
+    column c, in order: an integer functional zero on every other pivot
+    column, and its nonzero value on column c.  A column in the span of the
+    pivot columns is then sum x_c*col_c, x_c its dual's value on it over
+    that value.
 
     The scan reads the columns in order and keeps the functionals spanning
     the annihilator of the pivot columns so far, starting from the unit
     functionals: a column is independent iff one of them is nonzero on it,
-    and then the last such one is dropped, the others are combined with it
-    to vanish on the column and divided by their content.  No column is
-    read once the annihilator is empty (rank `size`).
+    and then the last such one is dropped and becomes the column's dual;
+    the others, and the earlier duals, are combined with it to vanish on
+    the column and divided by their content.  The duals' values are
+    computed only at pivot columns.  No column is read once the
+    annihilator is empty (rank `size`).
 
     A functional combined with a later one keeps its own leading variable,
     and no other survivor's variable enters it: the annihilator is, form by
-    form and up to one nonzero integer factor each, kernel_basis's reduced
+    form and up to one nonzero integer factor each, the reduced echelon
     basis of the kernel of the matrix with these columns as rows.  Dropping
     the first nonzero functional instead gives the same pivots but forms
     sharing one leading variable."""
     annihilator = [[int(i == k) for i in range(size)] for k in range(size)]
-    pivots = []
+    pivots, duals = [], []
     for j, column in enumerate(columns):
         if not annihilator:
             break
         values = [sum(map(mul, a, column)) for a in annihilator]
         if any(values):
             pivots.append(j)
-            values, _ = clear_denominators(values)     # a positive multiple
             k = max(k for k, w in enumerate(values) if w)
-            a, w = annihilator.pop(k), values.pop(k)
-            annihilator = [_primitive([w * x - u * y for x, y in zip(b, a)]) if u else b
-                           for b, u in zip(annihilator, values)]
-    return pivots, annihilator
+            a = annihilator.pop(k)
+            forms = annihilator + duals
+            values, _ = clear_denominators(     # a positive multiple
+                [sum(map(mul, b, column)) for b in [a] + forms])
+            forms = [_primitive([values[0] * x - u * y for x, y in zip(b, a)]) if u else b
+                     for b, u in zip(forms, values[1:])]
+            annihilator, duals = forms[:len(annihilator)], forms[len(annihilator):] + [a]
+    return pivots, annihilator, [(b, sum(map(mul, b, columns[c])))
+                                 for b, c in zip(duals, pivots)]
+
+
+def free_vectors(columns, pivots, duals):
+    """The kernel vector e_f - sum x_c*e_c, as sparse {column: Fraction},
+    at each free column f of the map with the rational `columns`, in
+    column order: col_f = sum x_c*col_c over the pivot columns c, each x_c
+    read off c's dual, with pivots and duals those of a column_scan of
+    these columns (indices in this order)."""
+    for f in sorted(set(range(len(columns))).difference(pivots)):
+        x = [Fraction(sum(map(mul, dual, columns[f])), value) for dual, value in duals]
+        yield {f: ONE, **{c: -y for c, y in zip(pivots, x) if y}}
+
+
+def kernel_basis(columns, size):
+    """The reduced echelon basis of the kernel of the map with the rational
+    `columns`, each of length `size`, one sparse vector {column: Fraction}
+    at a time, by ascending leading column: free_vectors of a scan of the
+    reversed columns, whose pivots are the rightmost independent columns,
+    so the vector at a free column f is 1 at f and nonzero elsewhere only at
+    pivots right of f.  Only the scan runs before the first vector."""
+    pivots, _, duals = column_scan(columns[::-1], size)
+    return free_vectors(columns, [len(columns) - 1 - c for c in pivots], duals)
 
 
 def random_solution(columns, rhs, rng: Rng):
@@ -334,21 +363,18 @@ def random_solution(columns, rhs, rng: Rng):
 
     The pivots are column_scan's.  The free variables are integers drawn
     from [-DRAW, DRAW] in ascending column order and kept as ints; their
-    part, summed row by row, moves to the right-hand side, and the small
-    system on the pivot columns is solved exactly."""
-    pivots, annihilator = column_scan(columns, len(rhs))
+    part, summed row by row, moves to the right-hand side, and each pivot
+    variable is read off its dual: its value on what is left over its value
+    on the pivot column."""
+    pivots, annihilator, duals = column_scan(columns, len(rhs))
     if any(sum(map(mul, a, rhs)) for a in annihilator):
         return None
     x = [rng.randint(-DRAW, DRAW) for _ in range(len(columns) - len(pivots))]
     for j in pivots:
         x.insert(j, 0)
-    r = len(pivots)
-    echelon = _echelon(_integer_row([row[j] for j in pivots] + [c - sum(map(mul, row, x))])
-                       for row, c in zip(zip(*columns), rhs))
-    for k in range(r - 1, -1, -1):
-        row = echelon[k]
-        later = sum(v * x[pivots[i]] for i, v in row.items() if k < i < r)
-        x[pivots[k]] = (row.get(r, 0) - later) / Fraction(row[k])
+    rest = [c - sum(map(mul, row, x)) for row, c in zip(zip(*columns), rhs)]
+    for j, (dual, value) in zip(pivots, duals):
+        x[j] = Fraction(sum(map(mul, dual, rest)), value)
     return x
 
 

@@ -24,8 +24,8 @@ from math import comb
 
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
-from .exact import (DRAW, Matrix, Subspace, ZERO, clear_denominators, column_scan,
-                    first_outside_span, format_fraction, kernel_basis, kernel_span_dims,
+from .exact import (DRAW, Matrix, ZERO, clear_denominators, column_scan, first_outside_span,
+                    format_fraction, free_vectors, image, kernel_basis, kernel_span_dims,
                     rank_sparse, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, family_shape, omega_terms,
                      point_condition, sample_b_through)
@@ -89,6 +89,11 @@ def protocol_verdict(flags) -> str:
 
 def _vec_json(v):
     return [format_fraction(x) for x in v]
+
+
+def _sparse_json(v, size):
+    """_vec_json of the sparse vector v {column: value} of length size."""
+    return _vec_json(v.get(j, 0) for j in range(size))
 
 
 def _ms_since(t0: float) -> int:
@@ -388,21 +393,17 @@ def _kernel_is_span(columns, gens):
     """Decide whether the kernel of the map with these columns is span(gens).
 
     Returns (equal, kernel_dim, span_dim, outside), decided exactly by
-    kernel_span_dims.  `outside()` gives, as JSON, the first canonical
-    basis vector of the kernel outside the span, else of the span outside
-    the kernel, else None; only it builds a Matrix and canonical Subspaces.
+    kernel_span_dims.  `outside()` gives, as JSON, the first vector of the
+    kernel's reduced echelon basis outside the span (kernel_basis, one
+    sparse vector at a time, each reduced against the generators' echelon
+    form), else the first generator g with m·g != 0, else None.
     """
     inside, kernel_dim, span_dim = kernel_span_dims(columns, gens)
 
     def outside():
-        ncols = len(columns)
-        kernel = kernel_basis(Matrix.from_columns(columns)).basis_vectors()
-        v = first_outside_span(gens, kernel)
-        if v is None:
-            span = Subspace.from_vectors(ncols, [[g.get(j, ZERO) for j in range(ncols)]
-                                                 for g in gens])
-            v = first_outside_span(kernel, span.basis_vectors())
-        return None if v is None else _vec_json(v)
+        v = (first_outside_span(gens, kernel_basis(columns, len(columns[0]) if columns else 0))
+             or next((g for g in gens if any(image(columns, g))), None))
+        return None if v is None else _sparse_json(v, len(columns))
 
     return inside and span_dim == kernel_dim, kernel_dim, span_dim, outside
 
@@ -789,15 +790,17 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     with _Trials("secant", n, d, rng, trials, m=m) as run:
         shape = family_shape(n, d)
         for sub in run:
-            zr = random_generic_scheme(n, sub)
-            rep_r = secant_obstruction(sample_b_through(shape, [zr.p, zr.q], sub), zr,
+            # one name for both lines: each draw ends the last line's life
+            # before its own cache fills, so one line cache is alive at a time
+            z = random_generic_scheme(n, sub)
+            rep_r = secant_obstruction(sample_b_through(shape, [z.p, z.q], sub), z,
                                        seed=rng.origin_seed)
             if rep_r.dims["distinct_roots"] < 3:
                 raise _Stop("the drawn secant meets the member in %d < 3 distinct points"
                             % rep_r.dims["distinct_roots"], {"trials": trials, "m": m})
-            zc = random_generic_scheme(n, sub)
-            bc, xif = _b_with_line_power(shape, zc, m, sub)
-            rep_c = secant_obstruction(bc, zc, seed=rng.origin_seed, xif=xif)
+            z = random_generic_scheme(n, sub)
+            bc, xif = _b_with_line_power(shape, z, m, sub)
+            rep_c = secant_obstruction(bc, z, seed=rng.origin_seed, xif=xif)
             ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0
                   and rep_c.verdict == PASS and rep_c.dims["well_defined"] == 1
                   and rep_c.dims["overlap"] >= 1)
@@ -852,7 +855,7 @@ def _tangency_system(terms, d: int, line: Line, m: int):
     motion is a binary linear form), one integer row per coefficient of the
     restricted derivative outside the stratum's tangent space.  The normal
     coordinates are the non-pivots of the scan over the columns (p_i, q_i)."""
-    pivots, _ = column_scan(zip(line.p.coords, line.q.coords), 2)
+    pivots = column_scan(list(zip(line.p.coords, line.q.coords)), 2)[0]
     normals = [i for i in range(line.nvars) if i not in pivots]
     cols = _motion_columns(term_partials(terms, line.nvars), d, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
@@ -877,11 +880,13 @@ def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaR
             "restriction is not a nonzero multiple of s^(d-m) t^m")
     rows, normals = _tangency_system(terms, d, line, m)
     unknowns = 2 * len(normals)
-    dim = unknowns - rank_sparse(rows)
+    columns = [[row[j] for row in rows] for j in range(unknowns)]
+    pivots, _, duals = column_scan(columns, len(rows))
+    dim = unknowns - len(pivots)
     dims = {"deformations": dim, "unknowns": unknowns, "m": m}
     witness = None if dim == 0 else {
         "reason": "the line moves inside the stratum",
-        "moving_deformation": _vec_json(Matrix(rows, unknowns).kernel_vectors()[0]),
+        "moving_deformation": _sparse_json(next(free_vectors(columns, pivots, duals)), unknowns),
         "normal_coordinates": normals}
     return LemmaReport("tangency", line.nvars - 2, d, seed, PASS if dim == 0 else FAIL, dims,
                        witness, _ms_since(t0), {"m": m})

@@ -7,7 +7,8 @@ reduction against a canonical Subspace that exact.first_outside_span is
 checked against, and support_in the monomial-support test that
 verifiers._eta_in_span is checked against.  sylvester_root_count is the
 Sylvester-rank root count that lines.distinct_root_count's Bezoutian is
-checked against.
+checked against.  matrix_of_columns turns a map given by its columns
+into the dense Matrix those oracles take.
 
 The package restricts along a line's integer points s*P + t*Q.
 restrict_reference expands a form along any two points term by term in
@@ -61,6 +62,14 @@ def form_evaluate(coeffs, s, t):
     m = len(coeffs) - 1
     return sum((Fraction(c) * Fraction(s) ** (m - k) * Fraction(t) ** k
                 for k, c in enumerate(coeffs)), ZERO)
+
+
+def matrix_of_columns(columns):
+    """The dense Matrix whose columns are the given ones: a map given by its
+    columns, as the package's verifiers hold it, for the Matrix-based
+    oracles."""
+    columns = [list(c) for c in columns]
+    return Matrix(zip(*columns), ncols=len(columns))
 
 
 def contains_vector(space, v) -> bool:

@@ -1,5 +1,6 @@
 """CLI surface: registry, dispatch, exit codes, report files, determinism."""
 
+import errno
 import gc
 import io
 import json
@@ -404,6 +405,55 @@ def test_closed_stdout_pipe_is_quiet(tmp_path, jobs):
     assert proc.stderr.read() == ""
     assert proc.wait(timeout=120) == EXIT_OK
     assert len(read_jsonl(path)) == len(REGISTRY) + 1
+
+
+class _FullAfterFirstWrite(io.StringIO):
+    """A stdout on a disk that fills up after the first write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("json_path", [False, True])
+def test_full_stdout_ends_the_table_not_the_run(tmp_path, capsys, json_path):
+    """A stdout write that fails with ENOSPC ends the table as a closed pipe
+    does: the exit code is the verdicts' (FAIL here), every report is
+    written, and nothing blames the report file."""
+    out = _FullAfterFirstWrite()
+    path = tmp_path / "full.jsonl"
+    config = RunConfig(n=2, d=5, seeds=[0, 1], lemmas=["incidence", "secant"], trials=1,
+                       output_path=str(path) if json_path else None)
+    assert run(config, out=out) == EXIT_FAIL
+    assert out.writes == 2
+    assert capsys.readouterr().err == ""
+    if json_path:
+        lines = read_jsonl(path)
+        assert len(lines) == 5 and lines[-1]["summary"]["fail"] >= 1
+
+
+@pytest.mark.parametrize("json_path", [False, True])
+def test_stdout_on_dev_full_is_quiet(tmp_path, json_path):
+    """`verify all > /dev/full`: no traceback or exit-time message, the
+    verdicts' exit code, and with --json the whole report file."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = tmp_path / "full.jsonl"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermatlines", "all", "--n", "2", "--d", "5",
+             "--trials", "1"] + (["--json", str(path)] if json_path else []),
+            env=dict(os.environ, PYTHONPATH=src), stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == EXIT_FAIL
+    if json_path:
+        assert len(read_jsonl(path)) == len(REGISTRY) + 1
 
 
 def test_checks_survive_optimized_interpreter():

@@ -13,7 +13,7 @@ from fermatlines.exact import (DRAW, Matrix, Subspace, clear_denominators,
                                kernel_span_dims, rank_sparse, random_solution,
                                sample_rational)
 from fermatlines.rng import Rng
-from tests.oracles import contains_vector
+from tests.oracles import contains_vector, matrix_of_columns
 
 
 def identity(n):
@@ -50,6 +50,26 @@ def kernel_basis_oracle(m):
     return Subspace.from_vectors(m.ncols, m.kernel_vectors())
 
 
+def kernel_basis_reference(columns, size):
+    """kernel_basis's call by the two-rref oracle: the reduced echelon
+    basis of the kernel of the map with these columns (each of length
+    size), as sparse {column: Fraction} vectors."""
+    return [{j: x for j, x in enumerate(v) if x}
+            for v in kernel_basis_oracle(matrix_of_columns(columns)).basis_vectors()]
+
+
+def kernel_vectors(m):
+    """exact.kernel_basis of the Matrix m, given by its columns, as dense
+    Fraction lists."""
+    return [[v.get(j, Fraction(0)) for j in range(m.ncols)]
+            for v in kernel_basis(columns(m), m.nrows)]
+
+
+def kernel_space(m):
+    """The canonical Subspace spanned by kernel_vectors(m)."""
+    return Subspace.from_vectors(m.ncols, kernel_vectors(m))
+
+
 def mul_vec(m, v):
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.data]
 
@@ -60,7 +80,7 @@ def meet(a, b):
     basis = a.basis_vectors()
     cols = basis + [[-x for x in v] for v in b.basis_vectors()]
     vecs = []
-    for w in Matrix.from_columns(cols).kernel_vectors():
+    for w in matrix_of_columns(cols).kernel_vectors():
         vecs.append([sum((c * v[i] for c, v in zip(w, basis)), Fraction(0))
                      for i in range(a.ambient)])
     return Subspace.from_vectors(a.ambient, vecs)
@@ -167,13 +187,13 @@ def test_rank_examples():
 
 
 def test_kernel_examples():
-    assert kernel_basis(identity(2)).dim == 0
-    k = kernel_basis(Matrix([[1, -1]]))
+    assert kernel_space(identity(2)).dim == 0
+    k = kernel_space(Matrix([[1, -1]]))
     assert k.dim == 1
     # solved by hand: x0 = x1
     assert contains_vector(k, [1, 1])
     assert not contains_vector(k, [1, 2])
-    assert kernel_basis(zeros(3, 3)) == full(3)
+    assert kernel_space(zeros(3, 3)) == full(3)
 
 
 def test_solve_examples():
@@ -225,9 +245,9 @@ def test_rank_plus_nullity_and_kernel_annihilates():
         nr = rng.randint(1, 7)
         nc = rng.randint(1, 7)
         m = random_matrix(rng, nr, nc, bound=6)
-        k = kernel_basis(m)
+        k = kernel_space(m)
         assert m.rank() + k.dim == nc
-        for v in k.basis_vectors():
+        for v in kernel_vectors(m):
             assert all(x == 0 for x in mul_vec(m, v))
 
 
@@ -419,7 +439,7 @@ def test_column_scan_matches_the_rref_pivots():
                   Matrix([mul_vec(Matrix(list(zip(*right.data))), row) for row in left.data])]
     deficient = 0
     for m in cases:
-        pivots, annihilator = exact.column_scan(columns(m), m.nrows)
+        pivots, annihilator, _ = exact.column_scan(columns(m), m.nrows)
         _, want = m.rref()
         assert pivots == want
         assert len(annihilator) == m.nrows - len(want)
@@ -441,12 +461,84 @@ def test_column_scan_annihilator_is_the_reduced_kernel_basis():
         size = rng.randint(2, 7)
         vectors = [[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(size)]
                    for _ in range(rng.randint(1, 2))]
-        _, annihilator = exact.column_scan(vectors, size)
-        reduced = kernel_basis(Matrix(vectors)).basis_vectors()
+        _, annihilator, _ = exact.column_scan(vectors, size)
+        reduced = kernel_basis_oracle(Matrix(vectors)).basis_vectors()
         assert len(annihilator) == len(reduced)
         for form, canonical in zip(annihilator, reduced):
             factor = form[next(i for i, x in enumerate(canonical) if x)]
             assert factor and form == [factor * x for x in canonical]
+
+
+def deficient_columns(rng, nrows, ncols):
+    """Random rational columns of length nrows, some zero and some a
+    combination of two earlier ones, so most maps are rank deficient."""
+    cols = []
+    for j in range(ncols):
+        kind = rng.randint(0, 3) if j > 1 else rng.randint(0, 1)
+        if kind == 0:
+            cols.append([Fraction(0)] * nrows)
+        elif kind == 1:
+            cols.append([sample_rational(rng, 6) for _ in range(nrows)])
+        else:
+            a, b = cols[rng.randint(0, j - 1)], cols[rng.randint(0, j - 1)]
+            u, v = sample_rational(rng, 4), sample_rational(rng, 4)
+            cols.append([u * x + v * y for x, y in zip(a, b)])
+    return cols
+
+
+def test_kernel_basis_is_the_reduced_basis_and_duals_separate_pivots():
+    """On random maps with zero and dependent columns, kernel_basis gives
+    the two-rref oracle's reduced echelon basis, vector by vector in
+    order, each sparse: 1 at its own free column, other entries only at
+    pivots right of it.  In a scan either way, each dual is an integer
+    functional zero on every other pivot column with its value on its own,
+    and the free vectors of a left-to-right scan are Matrix.kernel_vectors'
+    free-variable basis."""
+    rng = Rng(58)
+    deficient = 0
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 9)
+        cols = deficient_columns(rng, nrows, ncols)
+        m = matrix_of_columns(cols)
+        got = list(kernel_basis(cols, nrows))
+        want = kernel_basis_oracle(m).basis_vectors()
+        assert [[v.get(j, 0) for j in range(ncols)] for v in got] == want
+        right = {ncols - 1 - c for c in exact.column_scan(cols[::-1], nrows)[0]}
+        for v in got:
+            f = min(v)
+            assert v[f] == 1 and f not in right and all(v.values())
+            assert all(c == f or (c > f and c in right) for c in v)
+        for scanned in (cols, cols[::-1]):
+            pivots, _, duals = exact.column_scan(scanned, nrows)
+            assert len(duals) == len(pivots)
+            for c, (dual, value) in zip(pivots, duals):
+                assert len(dual) == nrows and all(type(x) is int for x in dual)
+                assert value and value == sum(x * y for x, y in zip(dual, scanned[c]))
+                assert all(sum(x * y for x, y in zip(dual, scanned[e])) == 0
+                           for e in pivots if e != c)
+        pivots, _, duals = exact.column_scan(cols, nrows)
+        free = [[v.get(j, 0) for j in range(ncols)]
+                for v in exact.free_vectors(cols, pivots, duals)]
+        assert free == m.kernel_vectors()
+        deficient += m.rank() < min(nrows, ncols)
+    assert deficient >= 40
+
+
+def test_random_solution_runs_no_elimination(monkeypatch):
+    """random_solution reads its pivot variables off column_scan's duals:
+    with _echelon gone it still gives the rref reference's solutions."""
+    rng = Rng(59)
+    cases = []
+    for trial in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 9)
+        m = matrix_of_columns(deficient_columns(rng, nrows, ncols))
+        rhs = ([sample_rational(rng, 5) for _ in range(nrows)] if trial % 2
+               else mul_vec(m, [sample_rational(rng, 5) for _ in range(ncols)]))
+        cases.append((m, rhs, random_solution_reference(m, rhs, Rng(trial))))
+    monkeypatch.setattr(exact, "_echelon", None)
+    for trial, (m, rhs, want) in enumerate(cases):
+        assert random_solution(columns(m), rhs, Rng(trial)) == want
+    assert sum(want is not None for _, _, want in cases) >= 20
 
 
 def test_kernel_span_dims_eliminates_generator_rows_only(monkeypatch):
@@ -665,7 +757,7 @@ def test_integer_rows_decide_as_their_fractions():
         assert (rows, pivots) == q.rref()
         assert all(type(x) is Fraction for row in rows for x in row)
         assert m.kernel_vectors() == q.kernel_vectors()
-        assert kernel_basis(m) == kernel_basis(q)
+        assert kernel_vectors(m) == kernel_vectors(q)
         assert m.solve(rhs) == q.solve(qrhs)
         gens = integer_sparse(q.kernel_vectors()) + [{0: 1}]
         assert kernel_span_dims(columns(m), gens) == kernel_span_dims(columns(q), gens)
@@ -687,9 +779,9 @@ def test_fraction_formatting_round_trip():
 @settings(max_examples=60, deadline=None)
 def test_kernel_property_hypothesis(rows):
     m = Matrix(rows)
-    k = kernel_basis(m)
-    assert m.rank() + k.dim == m.ncols
-    for v in k.basis_vectors():
+    k = kernel_vectors(m)
+    assert m.rank() + len(k) == m.ncols
+    for v in k:
         assert all(x == 0 for x in mul_vec(m, v))
-    assert k.basis_vectors() == kernel_basis_oracle(m).basis_vectors()
+    assert k == kernel_basis_oracle(m).basis_vectors()
     assert rank_sparse(sparse(rows)) == m.rank()

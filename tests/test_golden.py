@@ -11,7 +11,7 @@ import pytest
 
 import fermatlines.verifiers as verifiers
 from fermatlines.cli import main, run_lemma
-from test_exact import kernel_basis_oracle
+from test_exact import kernel_basis_reference
 from test_verifiers import (KERNEL_CLAIMS, _drop_first_product, _drop_last_product,
                             _zero_first_block)
 
@@ -68,7 +68,7 @@ def kernel_fail_lines():
     vector dropped, first as the verifiers build them, then with the
     witnesses' kernel bases canonicalized by the two-rref oracle."""
     return [mutated(run, **patches)
-            for patches in ({}, {"kernel_basis": kernel_basis_oracle})
+            for patches in ({}, {"kernel_basis": kernel_basis_reference})
             for run in KERNEL_CLAIMS.values()]
 
 
@@ -110,6 +110,15 @@ def test_kernel_fail_witnesses_at_n3_d8_match_golden():
              for lemma in KERNEL_CLAIMS]
     assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
     assert lines == golden("kernel_fail_n3_d8.jsonl")
+
+
+def test_kernel_fail_witnesses_at_n4_d10_match_golden():
+    """The same mutation at (4, 10), seed 7, one trial, recorded when the
+    witnesses came from a dense reduced echelon basis of the kernel."""
+    lines = [mutated(partial(run_lemma, lemma, 4, 10, 0, 7, trials=1))
+             for lemma in KERNEL_CLAIMS]
+    assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+    assert lines == golden("kernel_fail_n4_d10.jsonl")
 
 
 def test_late_kernel_special_witnesses_match_golden():

@@ -9,8 +9,8 @@ again (an assignment, a loop target) or only mentioned in a docstring or
 comment is not read.  An assert anywhere
 under src/fermatlines/ fails too: `python -O` strips asserts, so a
 correctness guard must raise an explicit error instead.  And verifiers.py
-imports none of the dense section helpers it no longer uses, lines.py
-imports no canonical kernel or Subspace, and no
+imports none of the dense section helpers it no longer uses nor
+Subspace, lines.py imports no canonical kernel or Subspace, and no
 package module defines a name that now lives only in the tests' oracles
 (tests/oracles.py, tests/polytext.py), was folded into exact's
 elimination, or was deleted with the scheme classes that Line replaced.
@@ -135,16 +135,25 @@ def test_lines_import_no_canonical_subspace():
     assert names.isdisjoint({"kernel_basis", "Subspace"})
 
 
+def test_verifiers_import_no_subspace():
+    """Every kernel vector the verifiers report comes from exact's column
+    scan (kernel_basis, free_vectors): verifiers.py imports no Subspace."""
+    with open(os.path.join(PACKAGE, "verifiers.py"), encoding="utf-8") as fh:
+        names = {name for name, _ in imported_names(ast.parse(fh.read()))}
+    assert "Subspace" not in names
+
+
 # Restrictions are coefficient lists, span tests go through exact's
 # elimination, the parsers and dense references are test helpers, a length-2
 # scheme is its Line, classify returns the report's class object, one
 # exponent helper (poly.mono_times) adds variables to a monomial, and
 # random_solution draws every member (sample_b_through with no points is an
-# unconstrained one).
+# unconstrained one), and a map given by its columns is never made a dense
+# Matrix (tests/oracles.py's matrix_of_columns does that for the oracles).
 MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
              "mono_parse", "from_json", "fermat", "is_fermat", "support_in",
              "LengthTwoScheme", "SchemeClass", "permute_point", "evaluation_matrix",
-             "_pair_exps", "random_deformation"}
+             "_pair_exps", "random_deformation", "from_columns", "matrix_of_columns"}
 
 
 def defined_names(source):

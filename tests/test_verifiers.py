@@ -1,5 +1,6 @@
 """Verifier-level behavior: spot values, independent oracles, error routes."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,8 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_xi_special)
 from test_exact import assert_solution_contract, kernel_basis_oracle, random_solution_reference
 from tests.oracles import (contains_vector, form_add, form_mul, full_tangency_member,
-                           member_poly, restrict, restrict_rational, support_in)
+                           matrix_of_columns, member_poly, restrict, restrict_rational,
+                           support_in)
 
 
 def rng_for(label, seed=7):
@@ -83,7 +85,7 @@ def test_w_basis_kernel_against_dense_oracle():
         cols.append(HomogPoly.monomial(nv, f).coeffs_on(deg5))
     for i in range(nv):
         cols.append((fp * HomogPoly.variable(nv, i)).coeffs_on(deg5))
-    stacked = Matrix.from_columns(cols)
+    stacked = matrix_of_columns(cols)
     n_unknowns = nv * len(deg2)
     # kernel vectors project injectively to the section unknowns only if the
     # trailing block is injective; count those whose section part is free
@@ -242,7 +244,8 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
     for maker in (lambda r: _special_scheme(2, r),
                   lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
-        k2 = kernel_basis(Matrix.from_columns(_xi_matrix_on(shape.jd, z)))
+        k2 = Subspace.from_vectors(len(shape.jd), dense(kernel_basis(
+            _xi_matrix_on(shape.jd, z), shape.d + 1), len(shape.jd)))
         k1 = Subspace.from_vectors(
             len(shape.jd),
             dense(_ideal_product_vectors(iz_linear(z), gen_jd(2, 5), shape.jd),
@@ -306,7 +309,7 @@ def test_kernel_claim_decision_matches_canonical_subspaces(monkeypatch, lemma):
             assert KERNEL_CLAIMS[lemma]().verdict == verdict
         assert calls
         for columns, gens, (equal, kernel_dim, span_dim, _) in calls:
-            m = Matrix.from_columns(columns)
+            m = matrix_of_columns(columns)
             kernel = kernel_basis_oracle(m)
             span = Subspace.from_vectors(m.ncols, dense(gens, m.ncols))
             assert (equal, kernel_dim, span_dim) == (kernel == span, kernel.dim, span.dim)
@@ -363,7 +366,7 @@ def test_late_witness_eliminates_the_generators_once(monkeypatch):
     rep = run_lemma("kernel-special", 2, 6, 0, 7, trials=1)
     assert rep.verdict == FAIL
     [(columns, gens, (_, _, _, outside))] = calls
-    first = kernel_basis_oracle(Matrix.from_columns(columns)).basis_vectors()[0]
+    first = kernel_basis_oracle(matrix_of_columns(columns)).basis_vectors()[0]
     assert rep.witness["vector"] != verifiers._vec_json(first)
     sizes = []
     echelon = exact._echelon
@@ -518,7 +521,7 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
     # decision of point-ideal
     assert len(calls) >= 5
     for columns, gens, result in calls:
-        m = Matrix.from_columns(columns)
+        m = matrix_of_columns(columns)
         rank_m = rank_qq(m.data, m.ncols)
         rank_gens = rank_qq(dense(gens, m.ncols), m.ncols)
         assert rank_sparse([dict(enumerate(row)) for row in m.data]) == rank_m
@@ -683,10 +686,10 @@ def test_point_ideal_integer_row_has_the_rational_kernel(monkeypatch, coords):
     monkeypatch.setattr(verifiers, "_kernel_is_span",
                         lambda columns, gens: maps.append(columns) or is_span(columns, gens))
     verify_point_ideal(2, 6, rng_for("pi-row"), p=p, trials=1)
-    evaluation = Matrix.from_columns(maps[0])
+    evaluation = matrix_of_columns(maps[0])
     assert all(type(x) is int for x in evaluation.data[0])
-    rational = Matrix([eval_monomials(gen_jd(2, 7), p.coords)])
-    assert kernel_basis(evaluation) == kernel_basis(rational)
+    rational = [(x,) for x in eval_monomials(gen_jd(2, 7), p.coords)]
+    assert list(kernel_basis(maps[0], 1)) == list(kernel_basis(rational, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1033,35 @@ def test_secant_without_a_three_point_secant_is_indeterminate(monkeypatch):
     assert len(counts) == 1
 
 
+def test_secant_keeps_one_line_cache_alive(monkeypatch):
+    """Each secant trial draws a random line, then a constructed one, and
+    each line fills its restriction cache in secant_obstruction (the random
+    one) or _b_with_line_power (the constructed one).  When either starts,
+    every line drawn before the current one is dead: the random line
+    before the constructed one fills, the constructed one before the next
+    trial's random line does."""
+    lines, alive = [], []
+    draw, obstruction, power = (verifiers.random_generic_scheme,
+                                verifiers.secant_obstruction, verifiers._b_with_line_power)
+
+    def drawing(n, rng):
+        z = draw(n, rng)
+        lines.append(weakref.ref(z))
+        return z
+
+    def checked(real):
+        def run(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in lines[:-1]))
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(verifiers, "random_generic_scheme", drawing)
+    monkeypatch.setattr(verifiers, "secant_obstruction", checked(obstruction))
+    monkeypatch.setattr(verifiers, "_b_with_line_power", checked(power))
+    assert verify_secant(2, 6, rng_for("one cache"), trials=3).verdict == PASS
+    assert len(lines) == 6 and alive == [0] * 9
+
+
 def test_secant_wrapper():
     rep = verify_secant(2, 6, rng_for("wrap"), trials=2)
     assert rep.verdict == PASS
@@ -1050,7 +1082,7 @@ def secant_dims_reference(b, z):
                 row[2 * j + k] = -pt.coords[i]
                 rows.append(row)
     ker_rho = kernel_basis_oracle(Matrix(rows))
-    ker_eta = kernel_basis_oracle(Matrix.from_columns(
+    ker_eta = kernel_basis_oracle(matrix_of_columns(
         verifiers._motion_columns(b.f_partials(), b.shape.d, z, range(nv))))
     total = Subspace.from_vectors(2 * nv, ker_rho.basis_vectors() + ker_eta.basis_vectors())
     return {"ker_rho": ker_rho.dim, "ker_etahat": ker_eta.dim,
@@ -1227,6 +1259,28 @@ def test_tangency_and_incidence_pass_without_a_matrix(monkeypatch):
             built.clear()
             assert run_lemma(lemma, n, d, d // 2, 7, trials=2).verdict == PASS
             assert set(built) == ({Matrix} if lemma == "systems" else set()), lemma
+
+
+def test_fail_witnesses_build_no_matrix(monkeypatch):
+    """FAIL runs of the three kernel claims (first ideal-product row
+    dropped) and of tangency (first system row dropped), at (2, 6) and
+    (3, 8), construct no Matrix and no Subspace: their witnesses are free
+    vectors of a column scan."""
+    built = []
+    for cls in (Matrix, Subspace):
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *args, init=cls.__init__, **kw:
+                            built.append(type(self)) or init(self, *args, **kw))
+    for n, d in ((2, 6), (3, 8)):
+        for lemma in (*KERNEL_CLAIMS, "tangency"):
+            with monkeypatch.context() as mp:
+                if lemma == "tangency":
+                    mp.setattr(verifiers, "_tangency_system", _drop_first_tangency_row)
+                else:
+                    _drop_first_product(mp)
+                rep = run_lemma(lemma, n, d, d // 2, 7, trials=2)
+            assert rep.verdict == FAIL and rep.witness, (lemma, n, d)
+            assert built == [], (lemma, n, d)
 
 
 @pytest.mark.parametrize("n,d,m,vector", [
