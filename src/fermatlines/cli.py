@@ -8,11 +8,14 @@ human table, each pair's row also written when the pair is done.
 `--jobs J` runs the pairs in min(J, pairs, CPUs) forked worker processes;
 `--jobs 1` runs them in this process.  Exit code 0 when everything passes,
 1 on any FAIL, 2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64
-on usage errors.  A stdout that fails on write, closed (`verify all | head
--1`) or full (`> /dev/full`), ends the table, not the run: the JSON
-reports are still written, the exit code is still the verdicts', and no
-traceback or exit-time message is printed; "cannot write reports" (64)
-names only the report file.
+on usage errors, 130 when interrupted (SIGINT, Ctrl-C): then one line goes
+to stderr, with no traceback, the reports finished so far stay in the JSON
+file, and the `--jobs` workers, which ignore SIGINT, are terminated.  A
+stdout that fails on write, closed (`verify all | head -1`) or full
+(`> /dev/full`), ends the table, not the run: the JSON reports are still
+written, the exit code is still the verdicts', and no traceback or
+exit-time message is printed; "cannot write reports" (64) names only the
+report file.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SOFT = 2
 EXIT_USAGE = 64
+EXIT_INTERRUPT = 130    # 128 + SIGINT
 
 CONFIG_KEYS = ("n", "d", "m", "seeds", "lemmas", "trials", "jobs", "json")
 
@@ -133,10 +137,12 @@ def _work(item) -> LemmaReport:
 def _pool(processes: int):
     """A pool of `processes` forked workers.  Fork, not spawn: a worker
     starts with the package imported, and no thread runs here before the
-    pool exists.  multiprocessing is imported here, so a run in this
-    process never loads it."""
+    pool exists.  Each worker ignores SIGINT, so an interrupt reaches only
+    this process, whose pool then terminates them.  multiprocessing and
+    signal are imported here, so a run in this process never loads them."""
     import multiprocessing
-    return multiprocessing.get_context("fork").Pool(processes)
+    from signal import SIG_IGN, SIGINT, signal
+    return multiprocessing.get_context("fork").Pool(processes, signal, (SIGINT, SIG_IGN))
 
 
 def _reports(items, jobs: int):
@@ -154,7 +160,8 @@ def _reports(items, jobs: int):
 def run(config: RunConfig, out=None) -> int:
     """Execute the configured runs, write reports, return the exit code.
     An `out` that fails on write (any OSError: a closed pipe, a full disk)
-    ends the table, not the run."""
+    ends the table, not the run.  A KeyboardInterrupt ends the run with
+    EXIT_INTERRUPT, the report file closed on the lines already written."""
     out = out if out is not None else sys.stdout
 
     def show(text):
@@ -172,11 +179,6 @@ def run(config: RunConfig, out=None) -> int:
             out = None
 
     d, m = config.resolve()
-    try:
-        fh = open(config.output_path, "w", encoding="utf-8") if config.output_path else None
-    except OSError as exc:
-        sys.stderr.write("error: cannot write reports: %s\n" % exc)
-        return EXIT_USAGE
     items = [(lemma, config.n, d, m, seed, config.trials)
              for lemma in config.lemmas for seed in config.seeds]
     # Every column but the last, dims, has a width known before any row
@@ -188,7 +190,8 @@ def run(config: RunConfig, out=None) -> int:
     widths = [max(len(h), len(w)) for h, w in zip(header, widest)]
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0, INFEASIBLE: 0}
     try:
-        with fh or contextlib.nullcontext():
+        with (open(config.output_path, "w", encoding="utf-8") if config.output_path
+              else contextlib.nullcontext()) as fh:
             for i, rep in enumerate(_reports(items, config.jobs)):
                 counts[rep.verdict] += 1
                 if fh:
@@ -203,10 +206,13 @@ def run(config: RunConfig, out=None) -> int:
             if fh:
                 fh.write(json.dumps({"summary": summary}) + "\n")
     except OSError as exc:
-        if not fh:      # no report file, so not a write error
+        if not config.output_path:      # no report file, so not a write error
             raise
         sys.stderr.write("error: cannot write reports: %s\n" % exc)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EXIT_INTERRUPT
     show("summary: %d runs, %d pass, %d fail, %d indeterminate, %d infeasible\n"
          % tuple(summary.values()))
 

@@ -21,10 +21,14 @@ kernel_basis the reduced echelon basis of the kernel from a scan of the
 reversed columns, and random_solution reads its pivot variables off the
 duals.
 
-Span relations are decided by rank: rank_sparse, first_outside_span, and
-kernel_span_dims for claims "span(gens) == ker(m)", m given as its columns
-(ranked by column_scan) and gens as sparse integer rows {column: int},
-which hold iff m·g == 0 for every g and the two exact dimensions agree.
+Span relations are decided by rank: rank_sparse, and kernel_span_dims
+for claims "span(gens) == ker(m)", m given as its columns (ranked by
+column_scan) and gens as sparse integer rows {column: int}, which hold iff
+m·g == 0 for every g and the two exact dimensions agree.  kernel_span_dims
+eliminates the generators once and returns their echelon form with the
+first generator g with m·g != 0, so a failed claim's witness,
+first_outside_span of the kernel vectors against that echelon form or
+that generator, eliminates nothing again.
 Subspace is canonical (reduced column echelon form, so equality is
 entry-wise); it serves the tests' reference computations.
 """
@@ -204,36 +208,40 @@ def rank_sparse(rows) -> int:
     return len(_echelon(map(_integer_row, rows)))
 
 
-def first_outside_span(rows, vectors):
-    """The first of the rational `vectors` outside the span of the rational
-    rows, else None; rows and vectors may each be dense lists or sparse
-    {column: value} dicts.  The rows are eliminated once, and each vector is
-    reduced against their echelon form."""
-    echelon = _echelon(map(_integer_row, rows))
-    return next((v for v in vectors
-                 if _reduce(_integer_row(v), echelon) is not None), None)
+def first_outside_span(echelon, vectors):
+    """The first of the rational `vectors` outside the span of an echelon
+    form {leftmost column: primitive integer row}, such as
+    kernel_span_dims', else None; vectors may be dense lists or sparse
+    {column: value} dicts.  Each vector is reduced against the echelon
+    form, and nothing is eliminated here."""
+    return next((v for v in vectors if _reduce(_integer_row(v), echelon) is not None), None)
 
 
 def kernel_span_dims(columns, gens):
-    """(inside, kernel_dim, span_dim), all exact, for the map m with the
+    """(kernel_dim, echelon, escaped), all exact, for the map m with the
     rational `columns` and sparse integer generator rows {column: int}:
-    inside is m·g == 0 for every g, summed from the columns, kernel_dim is
-    len(columns) - rank(m), rank(m) the number of column_scan's pivots, and
-    span_dim is rank(gens).  The generators are eliminated by
-    leftmost column, the first row of each column (a new pivot row) first;
-    when inside holds, span(gens) ⊆ ker(m) and the elimination stops at
-    rank kernel_dim.  Generator entries are not cleared: a rational one
-    read by the elimination raises TypeError from gcd."""
+    kernel_dim is len(columns) - rank(m), rank(m) the number of
+    column_scan's pivots; echelon is the generators' echelon form
+    {leftmost column: primitive integer row}, so rank(gens) is
+    len(echelon); escaped is the first generator g, in the order given,
+    with m·g != 0 (summed from the columns), else None.  So span(gens) ==
+    ker(m) iff escaped is None and len(echelon) == kernel_dim.  The
+    generators are eliminated once, by leftmost column, the first row of
+    each column (a new pivot row) first; when none escapes, span(gens) ⊆
+    ker(m) and the elimination stops at rank kernel_dim, where the claim
+    holds, so a claim that fails gets the full echelon form.  Generator
+    entries are not cleared: a rational one read by the elimination raises
+    TypeError from gcd."""
     ncols = len(columns)
     if any(not 0 <= j < ncols for g in gens for j in g):
         raise DimensionMismatch("generator column outside %d columns" % ncols)
-    inside = not any(any(image(columns, g)) for g in gens)
+    escaped = next((g for g in gens if any(image(columns, g))), None)
     kernel_dim = ncols - len(column_scan(columns, len(columns[0]) if columns else 0)[0])
     gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
     firsts, rest = [], []
     for r in sorted(filter(None, gens), key=min):
         (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)
-    return inside, kernel_dim, len(_echelon(firsts + rest, kernel_dim if inside else None))
+    return kernel_dim, _echelon(firsts + rest, kernel_dim if escaped is None else None), escaped
 
 
 class Subspace:

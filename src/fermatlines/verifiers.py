@@ -25,7 +25,7 @@ from math import comb
 from .errors import (CoordinatePointError, InfeasibleSystem, LineInHypersurface,
                      NonGenericScheme, NotInTangencyStratum)
 from .exact import (DRAW, Matrix, ZERO, clear_denominators, column_scan, first_outside_span,
-                    format_fraction, free_vectors, image, kernel_basis, kernel_span_dims,
+                    format_fraction, free_vectors, kernel_basis, kernel_span_dims,
                     rank_sparse, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, family_shape, omega_terms,
                      point_condition, sample_b_through)
@@ -392,20 +392,24 @@ def _special_extras(jd, d: int, cmap):
 def _kernel_is_span(columns, gens):
     """Decide whether the kernel of the map with these columns is span(gens).
 
-    Returns (equal, kernel_dim, span_dim, outside), decided exactly by
-    kernel_span_dims.  `outside()` gives, as JSON, the first vector of the
-    kernel's reduced echelon basis outside the span (kernel_basis, one
-    sparse vector at a time, each reduced against the generators' echelon
-    form), else the first generator g with m·g != 0, else None.
+    Returns (equal, kernel_dim, span_dim, outside), from one
+    kernel_span_dims call, which eliminates the generators once and
+    computes m·g once per generator.  When the claim fails, `outside()`
+    gives, as JSON, the first vector of the kernel's reduced echelon basis
+    outside the span (kernel_basis, one sparse vector at a time, each
+    reduced against that call's echelon form), else the first generator g
+    with m·g != 0; one of the two exists.  When it holds, `outside` is a
+    thunk with no closure, so no echelon form outlives its trial.
     """
-    inside, kernel_dim, span_dim = kernel_span_dims(columns, gens)
+    kernel_dim, echelon, escaped = kernel_span_dims(columns, gens)
+    if escaped is None and len(echelon) == kernel_dim:
+        return True, kernel_dim, kernel_dim, lambda: None
 
     def outside():
-        v = (first_outside_span(gens, kernel_basis(columns, len(columns[0]) if columns else 0))
-             or next((g for g in gens if any(image(columns, g))), None))
-        return None if v is None else _sparse_json(v, len(columns))
+        basis = kernel_basis(columns, len(columns[0]) if columns else 0)
+        return _sparse_json(first_outside_span(echelon, basis) or escaped, len(columns))
 
-    return inside and span_dim == kernel_dim, kernel_dim, span_dim, outside
+    return False, kernel_dim, len(echelon), outside
 
 
 def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
@@ -540,8 +544,8 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             zs = _special_scheme(n, sub)
             _, svecs = _omega_image(shape, zs, sub)
             xi_w_special = rank_sparse(svecs)
-            member_ok = first_outside_span(
-                svecs, [_section_image(terms, zs) for terms in listed]) is None
+            member_ok = rank_sparse(
+                svecs + [_section_image(terms, zs) for terms in listed]) == xi_w_special
             # the Euler field times x0 and x1 spans the two rescaling
             # directions: x0 and x1 restrict independently, as u != v
             rescale = [_section_image(_x_alpha(nv, i), zs) for i in (0, 1)]

@@ -3,8 +3,10 @@
 Restrictions to a line are coefficient lists, entry k at s^(m-k) t^k; the
 binary-form arithmetic below checks them (a restriction of a product is
 the product of the restrictions, and so on).  contains_vector is the dense
-reduction against a canonical Subspace that exact.first_outside_span is
-checked against, and support_in the monomial-support test that
+reduction against a canonical Subspace that exact's sparse reduction
+against an echelon form (exact.first_outside_span, as the kernel claims'
+witnesses use it on kernel_span_dims' echelon form) is checked against,
+and support_in the monomial-support test that
 verifiers._eta_in_span is checked against.  sylvester_root_count is the
 Sylvester-rank root count that lines.distinct_root_count's Bezoutian is
 checked against.  matrix_of_columns turns a map given by its columns

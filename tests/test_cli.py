@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import weakref
@@ -14,7 +15,7 @@ import pytest
 import fermatlines.cli as cli
 import fermatlines.family as family
 import fermatlines.verifiers as verifiers
-from fermatlines.cli import (EXIT_FAIL, EXIT_OK, EXIT_SOFT, EXIT_USAGE,
+from fermatlines.cli import (EXIT_FAIL, EXIT_INTERRUPT, EXIT_OK, EXIT_SOFT, EXIT_USAGE,
                              REGISTRY, RunConfig, main, run, run_lemma)
 from fermatlines.poly import gen_jd
 from fermatlines.verifiers import LemmaReport
@@ -263,6 +264,52 @@ def test_json_lines_are_written_as_pairs_finish(tmp_path, monkeypatch, jobs):
     line.pop("elapsed_ms")
     first.pop("elapsed_ms")
     assert line == first
+
+
+def test_interrupt_exits_130_and_keeps_the_finished_reports(tmp_path, monkeypatch, capsys):
+    """A KeyboardInterrupt in the second pair ends the run with exit code
+    130 and one stderr line, no traceback; the first pair's JSON line is on
+    disk and no summary follows it."""
+    def second_pair_interrupted(lemma, n, d, m, seed, trials=5):
+        if seed == 1:
+            raise KeyboardInterrupt
+        return run_lemma(lemma, n, d, m, seed, trials)
+
+    monkeypatch.setattr(cli, "run_lemma", second_pair_interrupted)
+    path = tmp_path / "interrupted.jsonl"
+    argv = ["incidence", "--seed", "0", "--seed", "1", "--seed", "2", "--json", str(path)]
+    assert main(argv) == EXIT_INTERRUPT == 128 + signal.SIGINT
+    assert capsys.readouterr().err == "interrupted\n"
+    first = run_lemma("incidence", 2, 6, 3, 0).to_json_obj()
+    (line,) = read_jsonl(path)
+    line.pop("elapsed_ms")
+    first.pop("elapsed_ms")
+    assert line == first
+
+
+def test_sigint_to_a_jobs_run_exits_130_without_a_traceback(tmp_path):
+    """SIGINT to `verify all --n 5 --d 12 --jobs 2` after its first table
+    row: the workers ignore it, the parent stops them and exits 130 with
+    one stderr line and no traceback, and the finished reports stay in the
+    JSON file."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = tmp_path / "interrupted.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fermatlines", "all", "--n", "5", "--d", "12",
+         "--jobs", "2", "--json", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline().startswith("lemma")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and err == "interrupted\n"
+    assert proc.returncode == EXIT_INTERRUPT
+    lines = read_jsonl(path)
+    assert lines[0]["lemma"] == "w-basis" and "summary" not in lines[-1]
 
 
 class _RecordingPool:

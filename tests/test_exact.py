@@ -45,6 +45,20 @@ def columns(m):
     return [[row[j] for row in m.data] for j in range(m.ncols)]
 
 
+def span_claim(result):
+    """kernel_span_dims' (kernel_dim, echelon, escaped) as (inside,
+    kernel_dim, span_dim): inside is no generator escaping ker(m), and
+    span_dim the size of the generators' echelon form."""
+    kernel_dim, echelon, escaped = result
+    return escaped is None, kernel_dim, len(echelon)
+
+
+def echelon_of(rows):
+    """The echelon form of rational rows, dense or sparse, that
+    first_outside_span reduces against: the package's one elimination."""
+    return exact._echelon(map(exact._integer_row, rows))
+
+
 def kernel_basis_oracle(m):
     """Oracle: the kernel's free-variable basis canonicalized by a second rref."""
     return Subspace.from_vectors(m.ncols, m.kernel_vectors())
@@ -321,27 +335,29 @@ def test_reduction_against_an_echelon_form_decides_span_membership():
                  for j in range(amb)]
         else:
             v = [sample_rational(rng, 5) for _ in range(amb)]
-        echelon = exact._echelon(map(exact._integer_row, sparse(rows)))
+        echelon = echelon_of(sparse(rows))
         reduces = exact._reduce(exact._integer_row(v), echelon) is None
         inside = contains_vector(Subspace.from_vectors(amb, rows), v)
         assert reduces == inside
-        assert (first_outside_span(sparse(rows), [v]) is None) == inside
+        assert (first_outside_span(echelon, [v]) is None) == inside
         seen.add(inside)
     assert seen == {True, False}
 
 
 def test_certify_kernel_span_examples():
     m = [(1,), (-1,), (0,)]     # the columns of the 1 x 3 matrix (1 -1 0)
-    assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}]) == (True, 2, 2)
-    assert kernel_span_dims([(Fraction(1, 3),), (Fraction(-1, 3),), (0,)],
-                            [{0: 1, 1: 1}, {2: 5}]) == (True, 2, 2)
+    assert span_claim(kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}])) == (True, 2, 2)
+    assert span_claim(kernel_span_dims([(Fraction(1, 3),), (Fraction(-1, 3),), (0,)],
+                                       [{0: 1, 1: 1}, {2: 5}])) == (True, 2, 2)
     # too few generators: the span is smaller than the kernel
-    assert kernel_span_dims(m, [{0: 1, 1: 1}]) == (True, 2, 1)
+    assert span_claim(kernel_span_dims(m, [{0: 1, 1: 1}])) == (True, 2, 1)
     # a generator outside the kernel
-    assert kernel_span_dims(m, [{0: 1, 1: 1}, {2: 1}, {0: 1}]) == (False, 2, 3)
+    gens = [{0: 1, 1: 1}, {2: 1}, {0: 1}]
+    assert span_claim(kernel_span_dims(m, gens)) == (False, 2, 3)
+    assert kernel_span_dims(m, gens)[2] is gens[2]
     # a common factor of every entry does not change the rank
-    assert kernel_span_dims(m, [{0: 3, 1: 3}, {2: 3}]) == (True, 2, 2)
-    assert kernel_span_dims(columns(zeros(2, 2)), [{0: 1}, {1: 1}]) == (True, 2, 2)
+    assert span_claim(kernel_span_dims(m, [{0: 3, 1: 3}, {2: 3}])) == (True, 2, 2)
+    assert span_claim(kernel_span_dims(columns(zeros(2, 2)), [{0: 1}, {1: 1}])) == (True, 2, 2)
     for outside in ({3: 1}, {-1: 1}):
         with pytest.raises(DimensionMismatch):
             kernel_span_dims(m, [{0: 1, 1: 1}, outside])
@@ -358,10 +374,10 @@ def test_certify_kernel_span_matches_exact_kernel():
         nullity = m.ncols - m.rank()
         # one redundant generator on top of a basis
         extra = [[x + 3 * y for x, y in zip(gens[0], gens[-1])]] if gens else []
-        assert (kernel_span_dims(columns(m), integer_sparse(gens + extra))
+        assert (span_claim(kernel_span_dims(columns(m), integer_sparse(gens + extra)))
                 == (True, nullity, nullity))
         if gens:
-            assert (kernel_span_dims(columns(m), integer_sparse(gens[1:]))
+            assert (span_claim(kernel_span_dims(columns(m), integer_sparse(gens[1:])))
                     == (True, nullity, nullity - 1))
 
 
@@ -381,7 +397,7 @@ def test_kernel_span_stop_gives_the_full_rank():
         for _ in range(4):
             chosen = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 6))]
             want = (True, m.ncols - m.rank(), rank_sparse(chosen))
-            assert kernel_span_dims(columns(m), chosen) == want
+            assert span_claim(kernel_span_dims(columns(m), chosen)) == want
 
 
 def test_kernel_span_outside_the_kernel_gives_the_full_rank():
@@ -392,12 +408,33 @@ def test_kernel_span_outside_the_kernel_gives_the_full_rank():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
         gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 2, m.ncols).data)
-        inside, kernel_dim, span_dim = kernel_span_dims(columns(m), gens)
+        inside, kernel_dim, span_dim = span_claim(kernel_span_dims(columns(m), gens))
         assert (kernel_dim, span_dim) == (m.ncols - m.rank(), rank_sparse(gens))
         assert inside == all(not any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))
                              for g in gens)
         above += span_dim > kernel_dim
     assert above
+
+
+def test_kernel_span_escaped_is_the_first_generator_leaving_the_kernel():
+    """escaped is the first generator g, in the order given, with m·g != 0,
+    the very row given, else None.  With a kernel basis among rows that
+    leave the kernel, ker(m) lies inside span(gens): no kernel vector is
+    outside the echelon form's span, and escaped is the claim's witness."""
+    rng = Rng(57)
+    covered = 0
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
+        gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 2, m.ncols).data)
+        k = rng.randint(0, len(gens) - 1)
+        gens = gens[k:] + gens[:k]
+        kernel_dim, echelon, escaped = kernel_span_dims(columns(m), gens)
+        leaving = [g for g in gens
+                   if any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))]
+        assert escaped is (leaving[0] if leaving else None)
+        assert first_outside_span(echelon, kernel_basis(columns(m), m.nrows)) is None
+        covered += escaped is not None and len(echelon) > kernel_dim
+    assert covered
 
 
 def test_kernel_span_rational_generator_row_is_a_type_error():
@@ -415,12 +452,12 @@ def test_kernel_span_rational_generator_row_is_a_type_error():
 
 def test_kernel_span_accepts_empty_generator_rows():
     m = [(1,), (-1,), (0,)]
-    assert kernel_span_dims(m, [{}, {0: 1, 1: 1}, {2: 0}, {}, {2: 4}]) == (True, 2, 2)
-    assert kernel_span_dims(m, [{}, {0: 1}]) == (False, 2, 1)
-    assert kernel_span_dims(m, [{}]) == (True, 2, 0)
-    assert kernel_span_dims(m, []) == (True, 2, 0)
+    assert span_claim(kernel_span_dims(m, [{}, {0: 1, 1: 1}, {2: 0}, {}, {2: 4}])) == (True, 2, 2)
+    assert span_claim(kernel_span_dims(m, [{}, {0: 1}])) == (False, 2, 1)
+    assert span_claim(kernel_span_dims(m, [{}])) == (True, 2, 0)
+    assert span_claim(kernel_span_dims(m, [])) == (True, 2, 0)
     # a matrix without rows has every generator inside
-    assert kernel_span_dims([(), (), ()], [{0: 1}, {}, {1: 2}]) == (True, 3, 2)
+    assert span_claim(kernel_span_dims([(), (), ()], [{0: 1}, {}, {1: 2}])) == (True, 3, 2)
 
 
 def test_column_scan_matches_the_rref_pivots():

@@ -121,6 +121,17 @@ def test_kernel_fail_witnesses_at_n4_d10_match_golden():
     assert lines == golden("kernel_fail_n4_d10.jsonl")
 
 
+def test_kernel_fail_witnesses_at_n5_d12_match_golden():
+    """The same mutation at (5, 12), seed 7, one trial, for kernel-special
+    and point-ideal, recorded when a FAIL eliminated the generators a
+    second time for its witness.  (kernel-generic takes several times as
+    long there.)"""
+    lines = [mutated(partial(run_lemma, lemma, 5, 12, 0, 7, trials=1))
+             for lemma in ("kernel-special", "point-ideal")]
+    assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+    assert lines == golden("kernel_fail_n5_d12.jsonl")
+
+
 def test_late_kernel_special_witnesses_match_golden():
     """kernel-special at (2, 6) and (3, 8), seed 7, one trial, with the last
     ideal-product row dropped: the first canonical kernel vectors lie in the

@@ -34,7 +34,8 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_secant, verify_tangency,
                                    verify_w_basis, verify_xi_generic,
                                    verify_xi_special)
-from test_exact import assert_solution_contract, kernel_basis_oracle, random_solution_reference
+from test_exact import (assert_solution_contract, echelon_of, kernel_basis_oracle,
+                        random_solution_reference, span_claim)
 from tests.oracles import (contains_vector, form_add, form_mul, full_tangency_member,
                            matrix_of_columns, member_poly, restrict, restrict_rational,
                            support_in)
@@ -351,34 +352,84 @@ def test_kernel_claim_fails_without_the_first_forms_products_in_any_basis(monkey
         columns, gens, _ = calls[0]
         v = [Fraction(x) for x in rep.witness["vector"]]
         assert not any(map(sum, zip(*[[x * c for c in col] for x, col in zip(v, columns)])))
-        assert first_outside_span(gens, [v]) == v
+        assert first_outside_span(echelon_of(gens), [v]) == v
         witnesses.append(rep.witness)
     assert witnesses[0] == witnesses[1]
 
 
+def _generator_eliminations(monkeypatch):
+    """Route exact._echelon through a recorder; returns the list of the rows
+    of each call, copied before the elimination reduces them."""
+    fed = []
+    echelon = exact._echelon
+
+    def recording(rows, stop=None):
+        rows = list(rows)
+        fed.append([dict(r) for r in rows])
+        return echelon(rows, stop)
+
+    monkeypatch.setattr(exact, "_echelon", recording)
+    return fed
+
+
+def _rows_key(rows):
+    """The nonzero rows as a sorted list of their nonzero entries."""
+    return sorted(filter(None, (sorted((j, v) for j, v in r.items() if v) for r in rows)))
+
+
+def _eliminations_of(fed, gens):
+    """How many recorded eliminations were given exactly the rows gens."""
+    return sum(_rows_key(rows) == _rows_key(gens) for rows in fed)
+
+
 def test_late_witness_eliminates_the_generators_once(monkeypatch):
     """With the last ideal-product row dropped, kernel-special's witness is
-    a late canonical kernel vector.  Finding it eliminates the generator
-    rows once and reduces each kernel vector tried against their echelon
-    form, instead of eliminating the generators again per vector."""
+    a late canonical kernel vector.  Over the whole run the generator rows
+    are eliminated once, by kernel_span_dims, and outside() reduces each
+    kernel vector tried against that echelon form, eliminating nothing."""
     _drop_last_product(monkeypatch)
     calls = _recording(monkeypatch, "_kernel_is_span")
+    fed = _generator_eliminations(monkeypatch)
     rep = run_lemma("kernel-special", 2, 6, 0, 7, trials=1)
     assert rep.verdict == FAIL
     [(columns, gens, (_, _, _, outside))] = calls
     first = kernel_basis_oracle(matrix_of_columns(columns)).basis_vectors()[0]
     assert rep.witness["vector"] != verifiers._vec_json(first)
-    sizes = []
-    echelon = exact._echelon
-
-    def counting(rows):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return echelon(rows)
-
-    monkeypatch.setattr(exact, "_echelon", counting)
+    assert _eliminations_of(fed, gens) == 1
+    fed.clear()
     assert outside() == rep.witness["vector"]
-    assert sum(size >= len(gens) for size in sizes) == 1
+    assert fed == []
+
+
+@pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
+def test_each_fail_trial_eliminates_its_generators_once(monkeypatch, lemma):
+    """With the first product row dropped, every trial of each kernel claim
+    FAILs, and the whole run eliminates each trial's generators once: the
+    witness reads kernel_span_dims' echelon form."""
+    _drop_first_product(monkeypatch)
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    fed = _generator_eliminations(monkeypatch)
+    rep = KERNEL_CLAIMS[lemma]()
+    assert rep.verdict == FAIL and rep.witness["vector"] is not None
+    assert calls and not any(equal for _, _, (equal, _, _, _) in calls)
+    assert [_eliminations_of(fed, gens) for _, gens, _ in calls] == [1] * len(calls)
+
+
+@pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
+def test_a_holding_claim_keeps_no_echelon_form(monkeypatch, lemma):
+    """A kernel claim that holds returns a witness thunk with no closure,
+    so no echelon form or generator row outlives its trial; a failing
+    one's thunk holds what its witness reads."""
+    for drop, verdict in ((False, PASS), (True, FAIL)):
+        with monkeypatch.context() as mp:
+            if drop:
+                _drop_first_product(mp)
+            calls = _recording(mp, "_kernel_is_span")
+            assert KERNEL_CLAIMS[lemma]().verdict == verdict
+        assert calls
+        for _, _, (equal, _, _, outside) in calls:
+            assert equal != drop
+            assert (outside.__closure__ is None) == equal
 
 
 def test_kernel_is_span_witness_examples():
@@ -463,8 +514,8 @@ def test_kernel_generic_stops_before_its_last_generator(monkeypatch):
 
     monkeypatch.setattr(exact, "_echelon", counting)
     assert verify_kernel_generic(3, 8, rng_for("kg-stop"), trials=1).verdict == PASS
-    [(m, gens, (inside, kernel_dim, span_dim))] = calls
-    assert inside and span_dim == kernel_dim
+    [(m, gens, (kernel_dim, echelon, escaped))] = calls
+    assert escaped is None and len(echelon) == kernel_dim
     [read] = [read for built, read in fed if built == len(gens)]
     assert kernel_dim <= read < len(gens)
 
@@ -526,7 +577,7 @@ def test_certification_agrees_with_sympy_over_qq(monkeypatch):
         rank_gens = rank_qq(dense(gens, m.ncols), m.ncols)
         assert rank_sparse([dict(enumerate(row)) for row in m.data]) == rank_m
         assert rank_sparse(gens) == rank_gens
-        assert result == (True, m.ncols - rank_m, rank_gens)
+        assert span_claim(result) == (True, m.ncols - rank_m, rank_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +835,7 @@ def is_scaled_image(new, old, z):
 
 def outside_index(rows, vectors):
     """Position of first_outside_span's answer among `vectors`, or None."""
-    got = first_outside_span(rows, vectors)
+    got = first_outside_span(echelon_of(rows), vectors)
     return next((i for i, v in enumerate(vectors) if v is got), None)
 
 
