@@ -8,14 +8,16 @@ human table, each pair's row also written when the pair is done.
 `--jobs J` runs the pairs in min(J, pairs, CPUs) forked worker processes;
 `--jobs 1` runs them in this process.  Exit code 0 when everything passes,
 1 on any FAIL, 2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64
-on usage errors, 130 when interrupted (SIGINT, Ctrl-C): then one line goes
-to stderr, with no traceback, the reports finished so far stay in the JSON
-file, and the `--jobs` workers, which ignore SIGINT, are terminated.  A
-stdout that fails on write, closed (`verify all | head -1`) or full
-(`> /dev/full`), ends the table, not the run: the JSON reports are still
-written, the exit code is still the verdicts', and no traceback or
-exit-time message is printed; "cannot write reports" (64) names only the
-report file.
+on usage errors, 71 on any other OS error (say, no worker process could be
+forked), 74 when the report file cannot be opened, written or flushed
+("cannot write reports"), 130 when interrupted (SIGINT, Ctrl-C): then one
+line goes to stderr, with no traceback, the reports finished so far stay in
+the JSON file, and the `--jobs` workers, which ignore SIGINT, are
+terminated.  Exit codes 71 and 74 also write one `error:` line and no
+traceback.  A stdout that fails on write, closed (`verify all | head -1`)
+or full (`> /dev/full`), ends the table, not the run: the JSON reports are
+still written, the exit code is still the verdicts', and no traceback or
+exit-time message is printed.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SOFT = 2
 EXIT_USAGE = 64
+EXIT_OSERR = 71         # sysexits.h EX_OSERR
+EXIT_IOERR = 74         # sysexits.h EX_IOERR
 EXIT_INTERRUPT = 130    # 128 + SIGINT
 
 CONFIG_KEYS = ("n", "d", "m", "seeds", "lemmas", "trials", "jobs", "json")
@@ -160,8 +164,10 @@ def _reports(items, jobs: int):
 def run(config: RunConfig, out=None) -> int:
     """Execute the configured runs, write reports, return the exit code.
     An `out` that fails on write (any OSError: a closed pipe, a full disk)
-    ends the table, not the run.  A KeyboardInterrupt ends the run with
-    EXIT_INTERRUPT, the report file closed on the lines already written."""
+    ends the table, not the run.  An OSError of the report file's open,
+    writes, flushes or close ends it with EXIT_IOERR, any other with
+    EXIT_OSERR.  A KeyboardInterrupt ends the run with EXIT_INTERRUPT, the
+    report file closed on the lines already written."""
     out = out if out is not None else sys.stdout
 
     def show(text):
@@ -189,27 +195,33 @@ def run(config: RunConfig, out=None) -> int:
               max(map(str, config.seeds), key=len), INDETERMINATE, "9" * 7, "")
     widths = [max(len(h), len(w)) for h, w in zip(header, widest)]
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0, INFEASIBLE: 0}
+    in_report_file = True   # an OSError now is the report file's
     try:
         with (open(config.output_path, "w", encoding="utf-8") if config.output_path
               else contextlib.nullcontext()) as fh:
+            in_report_file = False
             for i, rep in enumerate(_reports(items, config.jobs)):
                 counts[rep.verdict] += 1
                 if fh:
+                    in_report_file = True
                     fh.write(rep.to_json() + "\n")
                     fh.flush()
+                    in_report_file = False
                 dims = ",".join("%s=%s" % kv for kv in rep.dims.items())
                 show((_table_row(header, widths) if i == 0 else "")
                      + _table_row((rep.lemma, str(rep.n), str(rep.d), str(rep.seed),
                                    rep.verdict, str(rep.elapsed_ms), dims), widths))
             summary = {"runs": len(items), "pass": counts[PASS], "fail": counts[FAIL],
                        "indeterminate": counts[INDETERMINATE], "infeasible": counts[INFEASIBLE]}
+            in_report_file = True
             if fh:
                 fh.write(json.dumps({"summary": summary}) + "\n")
     except OSError as exc:
-        if not config.output_path:      # no report file, so not a write error
-            raise
-        sys.stderr.write("error: cannot write reports: %s\n" % exc)
-        return EXIT_USAGE
+        if in_report_file:
+            sys.stderr.write("error: cannot write reports: %s\n" % exc)
+            return EXIT_IOERR
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_OSERR
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return EXIT_INTERRUPT

@@ -25,7 +25,9 @@ Span relations are decided by rank: rank_sparse, and kernel_span_dims
 for claims "span(gens) == ker(m)", m given as its columns (ranked by
 column_scan) and gens as sparse integer rows {column: int}, which hold iff
 m·g == 0 for every g and the two exact dimensions agree.  kernel_span_dims
-eliminates the generators once and returns their echelon form with the
+eliminates the generators once, as given and in place, in the order their
+builder fixed (verifiers._ideal_rows: by leftmost column, the first row of
+each column first), and returns their echelon form with a copy of the
 first generator g with m·g != 0, so a failed claim's witness,
 first_outside_span of the kernel vectors against that echelon form or
 that generator, eliminates nothing again.
@@ -107,9 +109,10 @@ def _reduce(r, echelon):
 
 def _echelon(rows, stop=None):
     """Echelon form {leftmost column: primitive integer row} of the span of
-    the integer rows {column: int}: each row is reduced once, in place, and
-    what is left, divided by the gcd of its entries, is a new pivot row;
-    no row is read once there are `stop` pivot rows."""
+    the integer rows {column: nonzero int}, in the order given: each row is
+    reduced once, in place, and what is left, divided in place by the gcd
+    of its entries, is itself a new pivot row, so the rows must be the
+    caller's to spend; no row is read once there are `stop` pivot rows."""
     echelon = {}
     for r in rows:
         if len(echelon) == stop:
@@ -117,7 +120,10 @@ def _echelon(rows, stop=None):
         c = _reduce(r, echelon)
         if c is not None:
             g = gcd(*r.values())
-            echelon[c] = {j: v // g for j, v in r.items()}
+            if g != 1:
+                for j in r:
+                    r[j] //= g
+            echelon[c] = r
     return echelon
 
 
@@ -219,29 +225,28 @@ def first_outside_span(echelon, vectors):
 
 def kernel_span_dims(columns, gens):
     """(kernel_dim, echelon, escaped), all exact, for the map m with the
-    rational `columns` and sparse integer generator rows {column: int}:
+    rational `columns` and the generator rows {column: nonzero int}:
     kernel_dim is len(columns) - rank(m), rank(m) the number of
     column_scan's pivots; echelon is the generators' echelon form
     {leftmost column: primitive integer row}, so rank(gens) is
-    len(echelon); escaped is the first generator g, in the order given,
-    with m·g != 0 (summed from the columns), else None.  So span(gens) ==
+    len(echelon); escaped is a copy of the first generator g with
+    m·g != 0 (summed from the columns), else None.  So span(gens) ==
     ker(m) iff escaped is None and len(echelon) == kernel_dim.  The
-    generators are eliminated once, by leftmost column, the first row of
-    each column (a new pivot row) first; when none escapes, span(gens) ⊆
-    ker(m) and the elimination stops at rank kernel_dim, where the claim
-    holds, so a claim that fails gets the full echelon form.  Generator
-    entries are not cleared: a rational one read by the elimination raises
-    TypeError from gcd."""
+    generators are eliminated once, in the order given, each reduced in
+    place (they are spent; escaped is the one row copied); when none
+    escapes, span(gens) ⊆ ker(m) and the elimination stops at rank
+    kernel_dim, where the claim holds, so a claim that fails gets the full
+    echelon form.  The order is the caller's: rows sorted by leftmost
+    column, the first row of each column ahead of the rest, make every
+    first row a new pivot row as it comes.  Generator entries are not
+    cleared: a rational one read by the elimination raises TypeError from
+    gcd."""
     ncols = len(columns)
     if any(not 0 <= j < ncols for g in gens for j in g):
         raise DimensionMismatch("generator column outside %d columns" % ncols)
-    escaped = next((g for g in gens if any(image(columns, g))), None)
+    escaped = next((dict(g) for g in gens if any(image(columns, g))), None)
     kernel_dim = ncols - len(column_scan(columns, len(columns[0]) if columns else 0)[0])
-    gens = [{j: v for j, v in g.items() if v} for g in gens]    # copies, reduced in place
-    firsts, rest = [], []
-    for r in sorted(filter(None, gens), key=min):
-        (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)
-    return kernel_dim, _echelon(firsts + rest, kernel_dim if escaped is None else None), escaped
+    return kernel_dim, _echelon(gens, kernel_dim if escaped is None else None), escaped
 
 
 class Subspace:

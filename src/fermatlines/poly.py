@@ -90,7 +90,8 @@ class MonomialSet:
 
     def __init__(self, nvars: int, members):
         self.nvars = nvars
-        self.members = tuple(sorted(members, key=order_key))
+        # descending tuples: order_key's order within one degree
+        self.members = tuple(sorted(members, reverse=True))
         self.index = {m: i for i, m in enumerate(self.members)}
         if len(self.index) != len(self.members):
             raise ValueError("duplicate monomials")

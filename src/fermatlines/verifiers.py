@@ -11,8 +11,10 @@ The coefficients that `systems` and `tangency` draw are the nonzero
 integers of that range, where the same bound holds with 2*DRAW in place of
 2*DRAW+1.
 
-The protocol is implemented once, by the `_Trials` runner, and the three
-kernel claims share `_kernel_is_span`.
+The protocol is implemented once, by the `_Trials` runner.  The three
+kernel claims build their generator rows with one builder, `_ideal_rows`,
+whose order is the order in which exact.kernel_span_dims eliminates them,
+as given and in place, and share `_kernel_is_span`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .exact import (DRAW, Matrix, ZERO, clear_denominators, column_scan, first_o
                     format_fraction, free_vectors, kernel_basis, kernel_span_dims,
                     rank_sparse, sample_rational, random_solution)
 from .family import (DeformationPoint, FamilyShape, c_coeff, family_shape, omega_terms,
-                     point_condition, sample_b_through)
+                     sample_b_through)
 from .lines import (Line, ProjPoint, classify, distinct_root_count, ip_linear,
                     iz_linear, monomial_index, restrict_poly, scheme_json)
 from .poly import (all_monomials, gen_jd, integer_monomial_values, mono_mul, mono_times,
@@ -210,33 +212,19 @@ def _line_over(u, v, coeffs) -> Line:
     return Line(*(ProjPoint([1, w] + [a + b * w for a, b in coeffs]) for w in (u, v)))
 
 
-def _special_scheme(n: int, rng: Rng) -> Line:
-    """Special but not very special scheme in normalized position.
+def _special_scheme(n: int, rng: Rng):
+    """(scheme, {j: c_j}): a special but not very special scheme in
+    normalized position, and its multipliers.
 
     Points (1, u, c_2 u, ..., c_{n+1} u) and (1, v, c_2 v, ...): every
-    coordinate past x_1 restricts to a multiple of x_1, with the nonzero
-    multipliers packed first so the normalization permutation is trivial.
+    coordinate past x_1 restricts to c_j x_1, with the nonzero multipliers
+    packed first so classify's normalization permutation is trivial, and
+    neither point is a coordinate point.
     """
     u, v = _two_distinct_nonzero(rng)
     k = rng.randint(1, n)
-    return _line_over(u, v, [(ZERO, _nonzero_sample(rng) if j < k else ZERO)
-                             for j in range(n)])
-
-
-def _normalized_special(shape: FamilyShape, z: Line):
-    """(scheme, {j: c_j}) for a special scheme z: its points in classify's
-    normalized order, where x_j = c_j x_1 on both points for j >= 2.
-
-    A coordinate point raises InfeasibleSystem from point_condition: every
-    deformation monomial vanishes there.  At any other point the coordinates
-    past position 0 are proportional on Z, and nonzero at position 1.
-    """
-    perm = classify(z)["perm"]
-    p, q = (ProjPoint([pt.coords[i] for i in perm]) for pt in (z.p, z.q))
-    for pt in (p, q):
-        if pt.is_coordinate_point():
-            point_condition(shape, pt)
-    return Line(p, q), {j: p.coords[j] / p.coords[1] for j in range(2, shape.nvars)}
+    cmap = {j: _nonzero_sample(rng) if j < k + 2 else ZERO for j in range(2, n + 2)}
+    return _line_over(u, v, [(ZERO, c) for c in cmap.values()]), cmap
 
 
 def _very_special_scheme(n: int, rng: Rng) -> Line:
@@ -373,32 +361,43 @@ def _xi_matrix_on(monomials, line: Line):
     return [line.integer_restriction(m) for m in monomials]
 
 
-def _ideal_product_vectors(lin_forms, gens, jd):
-    """Sparse integer rows {position in jd of x_i*g: L_i} of L*g, for g in
-    gens and L each of the integer lin_forms."""
-    return [{jd.index[mono_times(g, i)]: c for i, c in enumerate(lv) if c}
-            for lv in lin_forms for g in gens]
+def _ideal_rows(pairs, target):
+    """The sparse integer rows {position in target of x_i*h: L_i} of the
+    products L*h, for each pair (L, lower) of an integer linear form L and
+    monomials h one degree below target's (lower is only asked `h in
+    lower`), in the order kernel_span_dims eliminates them.
 
-
-def _special_extras(jd, d: int, cmap):
-    """Sparse integer rows of x0^(d-2) x_i (x_j - c_j x_1) times the
-    denominator of c_j, for i >= 1 and j >= 2."""
-    base = (d - 2,) + (0,) * (jd.nvars - 1)
-    return [{jd.index[mono_times(base, i, j)]: cmap[j].denominator,
-             jd.index[mono_times(base, i, 1)]: -cmap[j].numerator}
-            for i in range(1, jd.nvars) for j in range(2, jd.nvars)]
+    Target descends, so the leftmost column of L*h is x_k*h, k the first
+    variable of L.  One walk of target meets each row at that column, the
+    pairs in the order given: the first pair with a row there gives a first
+    row, any other goes behind every first row.  That is a stable sort of
+    the rows, pair by pair, by leftmost column, with the first row of each
+    column moved ahead of the rest; each first row is a new pivot row as it
+    comes."""
+    index = target.index
+    leads = [next(i for i, c in enumerate(form) if c) for form, _ in pairs]
+    firsts, rest = [], []
+    for t in target:
+        rows = firsts
+        for (form, lower), k in zip(pairs, leads):
+            if t[k] and (h := t[:k] + (t[k] - 1,) + t[k + 1:]) in lower:
+                rows.append({index[mono_times(h, i)]: c for i, c in enumerate(form) if c})
+                rows = rest
+    firsts += rest
+    return firsts
 
 
 def _kernel_is_span(columns, gens):
     """Decide whether the kernel of the map with these columns is span(gens).
 
     Returns (equal, kernel_dim, span_dim, outside), from one
-    kernel_span_dims call, which eliminates the generators once and
-    computes m·g once per generator.  When the claim fails, `outside()`
-    gives, as JSON, the first vector of the kernel's reduced echelon basis
-    outside the span (kernel_basis, one sparse vector at a time, each
-    reduced against that call's echelon form), else the first generator g
-    with m·g != 0; one of the two exists.  When it holds, `outside` is a
+    kernel_span_dims call, which eliminates the generator rows once, in
+    the order given and in place (they are spent), and computes m·g once
+    per generator.  When the claim fails, `outside()` gives, as JSON, the
+    first vector of the kernel's reduced echelon basis outside the span
+    (kernel_basis, one sparse vector at a time, each reduced against that
+    call's echelon form), else the first generator g with m·g != 0; one of
+    the two exists.  When it holds, `outside` is a
     thunk with no closure, so no echelon form outlives its trial.
     """
     kernel_dim, echelon, escaped = kernel_span_dims(columns, gens)
@@ -412,58 +411,52 @@ def _kernel_is_span(columns, gens):
     return False, kernel_dim, len(echelon), outside
 
 
-def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5,
-                          z: Line | None = None) -> LemmaReport:
+def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """For a generic scheme, the part of the deformation span vanishing on
     the line is exactly (linear forms of Z) * (deformation span one degree
     down), and the quotient maps isomorphically onto the degree-d forms on
     the line (dimension d+1)."""
     with _Trials("kernel-generic", n, d, rng, trials) as run:
-        shape = family_shape(n, d)
-        jd = shape.jd
+        jd = family_shape(n, d).jd
         jdm1 = gen_jd(n, d - 1)
-        tag = None if z is None else classify(z)["tag"]
-        if tag not in (None, "generic"):
-            raise _Stop("scheme is %s; claim is scoped to generic" % tag, {"skipped": True})
         for sub in run:
-            zt = z if z is not None else random_generic_scheme(n, sub)
-            xi = _xi_matrix_on(jd, zt)
-            gens = _ideal_product_vectors(iz_linear(zt), jdm1, jd)
-            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, gens)
+            z = random_generic_scheme(n, sub)
+            xi = _xi_matrix_on(jd, z)
+            rows = _ideal_rows([(form, jdm1) for form in iz_linear(z)], jd)
+            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, rows)
             qrank = len(xi) - kernel_dim
             run.record(equal and qrank == d + 1,
                        {"lhs": span_dim, "rhs": kernel_dim, "quotient": qrank},
                        lambda: {"reason": "subspace mismatch",
                                 "lhs": span_dim, "rhs": kernel_dim,
-                                "scheme": scheme_json(zt), "vector": outside()})
+                                "scheme": scheme_json(z), "vector": outside()})
     return run.report
 
 
-def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5,
-                          z: Line | None = None) -> LemmaReport:
+def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """For a special-but-not-very-special scheme in normalized position, the
     kernel of restriction on the deformation span is the ideal part plus the
-    explicit generators x0^(d-2) x_i (x_j - c_j x_1)."""
+    explicit generators x0^(d-2) x_i (x_j - c_j x_1), i >= 1, j >= 2: the
+    products of den(c_j) x_j - num(c_j) x_1, a form of I_Z(1), with
+    x0^(d-2) x_i, listed after I_Z(1)'s own."""
     with _Trials("kernel-special", n, d, rng, trials) as run:
-        shape = family_shape(n, d)
-        jd = shape.jd
+        jd = family_shape(n, d).jd
         jdm1 = gen_jd(n, d - 1)
-        tag = None if z is None else classify(z)["tag"]
-        if tag not in (None, "special"):
-            raise _Stop("scheme is %s; claim needs special but not very special" % tag,
-                        {"skipped": True})
+        lows = {mono_times((d - 2,) + (0,) * (n + 1), i) for i in range(1, n + 2)}
         for sub in run:
-            zt, cmap = _normalized_special(shape,
-                                           z if z is not None else _special_scheme(n, sub))
-            xi = _xi_matrix_on(jd, zt)
-            vectors = _ideal_product_vectors(iz_linear(zt), jdm1, jd)
-            extra = _special_extras(jd, d, cmap)
-            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, vectors + extra)
+            z, cmap = _special_scheme(n, sub)
+            xi = _xi_matrix_on(jd, z)
+            forms = [[0, -c.numerator] + [c.denominator * (i == j) for i in range(2, n + 2)]
+                     for j, c in cmap.items()]
+            rows = _ideal_rows([(form, jdm1) for form in iz_linear(z)]
+                               + [(form, lows) for form in forms], jd)
+            equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, rows)
             run.record(equal,
-                       {"lhs": kernel_dim, "rhs": span_dim, "extra_generators": len(extra)},
+                       {"lhs": kernel_dim, "rhs": span_dim,
+                        "extra_generators": len(forms) * len(lows)},
                        lambda: {"reason": "subspace mismatch",
                                 "lhs": kernel_dim, "rhs": span_dim,
-                                "scheme": scheme_json(zt), "vector": outside()})
+                                "scheme": scheme_json(z), "vector": outside()})
     return run.report
 
 
@@ -491,8 +484,8 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
         # the columns of the rational values at p = X / D, X = p.ints, times
         # D^(d+1) > 0: the same kernel and canonical witness basis
         evaluation = [(v,) for v in integer_monomial_values(jd1, p.ints)]
-        point_vectors = _ideal_product_vectors(ip_linear(p), jd, jd1)
-        equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, point_vectors)
+        rows = _ideal_rows([(form, jd) for form in ip_linear(p)], jd1)
+        equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, rows)
         ok = equal and kernel_dim == ambient - 1
         dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
         for _ in run:
@@ -541,7 +534,7 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         x00, x01, x11 = (mono_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
         listed = [{(i, x11): 1} for i in range(nv)] + [{(j, x01): 1} for j in range(1, nv)]
         for sub in run:
-            zs = _special_scheme(n, sub)
+            zs, _ = _special_scheme(n, sub)
             _, svecs = _omega_image(shape, zs, sub)
             xi_w_special = rank_sparse(svecs)
             member_ok = rank_sparse(

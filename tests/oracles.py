@@ -21,6 +21,11 @@ restrict_all_partials are restrict_poly of a HomogPoly and of its partials
 (poly.term_partials), and member_poly reads a family member's integer terms
 back as the rational HomogPoly F.
 
+elimination_order_reference is the kernel claims' generator pipeline
+that verifiers._ideal_rows replaced: every product row built pair by
+pair, sorted by leftmost column (a stable sort), then the first row of
+each leftmost column moved ahead of the rest.
+
 full_tangency_member completes a member of a tangency stratum through the
 coordinate line with every transverse term x_i*h (i >= 2) it lacks, each
 given a random nonzero coefficient: the full member whose tangency system
@@ -174,3 +179,17 @@ def full_tangency_member(terms, nvars, d, rng):
         if any(mono[2:]) and mono not in full:
             full[mono] = sample_rational(rng, 9) or 1
     return full
+
+
+def elimination_order_reference(pairs, target):
+    """The sparse rows {position in target of x_i*h: L_i} of the products
+    L*h, for each (L, lower) of pairs and h in lower, built pair by pair,
+    then stably sorted by leftmost column, then partitioned: the first row
+    of each leftmost column ahead of the rest."""
+    rows = [{target.index[tuple(e + (i == j) for j, e in enumerate(h))]: c
+             for i, c in enumerate(form) if c}
+            for form, lower in pairs for h in lower]
+    firsts, rest = [], []
+    for r in sorted(rows, key=min):
+        (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)
+    return firsts + rest

@@ -15,8 +15,8 @@ import pytest
 import fermatlines.cli as cli
 import fermatlines.family as family
 import fermatlines.verifiers as verifiers
-from fermatlines.cli import (EXIT_FAIL, EXIT_INTERRUPT, EXIT_OK, EXIT_SOFT, EXIT_USAGE,
-                             REGISTRY, RunConfig, main, run, run_lemma)
+from fermatlines.cli import (EXIT_FAIL, EXIT_INTERRUPT, EXIT_IOERR, EXIT_OK, EXIT_OSERR,
+                             EXIT_SOFT, EXIT_USAGE, REGISTRY, RunConfig, main, run, run_lemma)
 from fermatlines.poly import gen_jd
 from fermatlines.verifiers import LemmaReport
 
@@ -159,12 +159,13 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, monkeypatch, cfg
 
 @pytest.mark.parametrize("target", ["dir", "missing/x.jsonl"])
 def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, monkeypatch, target):
-    """The path is opened before any lemma runs, so nothing is computed."""
+    """A report file that cannot be opened exits EXIT_IOERR with one line.
+    The path is opened before any lemma runs, so nothing is computed."""
     monkeypatch.setattr(cli, "run_lemma", None)
     path = tmp_path / target
     if target == "dir":
         path.mkdir()
-    assert main(["incidence", "--json", str(path)]) == EXIT_USAGE
+    assert main(["incidence", "--json", str(path)]) == EXIT_IOERR == 74
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write reports: ")
@@ -181,18 +182,65 @@ class _FullFile(io.StringIO):
 @pytest.mark.parametrize("target", ["/dev/full", "patched open"])
 def test_report_write_error_is_a_usage_error(capsys, monkeypatch, target):
     """A report file that fails on write gives the open failure's message
-    and exit code, not a traceback."""
+    and exit code, EXIT_IOERR, not a traceback."""
     if target == "/dev/full" and not os.path.exists(target):
         pytest.skip("no /dev/full")
     if target == "patched open":
         monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullFile(),
                             raising=False)
     code = main(["secant", "--n", "1", "--d", "4", "--trials", "1", "--json", target])
-    assert code == EXIT_USAGE
+    assert code == EXIT_IOERR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write reports: ")
     assert captured.err.count("\n") == 1 and "No space left on device" in captured.err
+
+
+class _FillingFile(io.TextIOWrapper):
+    """A real report file on a disk that fills after its first line: the
+    second write fails."""
+
+    def write(self, text):
+        self.writes = getattr(self, "writes", 0) + 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+def test_report_write_error_after_the_first_line_keeps_it(tmp_path, capsys, monkeypatch):
+    """A report file whose second write fails exits EXIT_IOERR with one
+    `error:` line and no traceback; the first report is on disk."""
+    path = tmp_path / "out.jsonl"
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FillingFile(
+        io.FileIO(path, "w"), encoding="utf-8"), raising=False)
+    code = main(["incidence", "--seed", "0", "--seed", "1", "--json", str(path)])
+    assert code == EXIT_IOERR == 74
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cannot write reports: [Errno %d] No space left on device\n"
+                            % errno.ENOSPC)
+    [first] = read_jsonl(path)
+    assert (first["lemma"], first["seed"]) == ("incidence", 0)
+
+
+@pytest.mark.parametrize("json_path", [False, True])
+def test_os_error_outside_the_report_file_exits_71(tmp_path, capsys, monkeypatch, json_path):
+    """A worker pool that cannot be forked (EAGAIN) ends the run with one
+    `error:` line and EXIT_OSERR, not "cannot write reports" and not a
+    traceback, with or without a report file; no process starts here."""
+    def no_fork(processes):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_pool", no_fork)
+    argv = ["incidence", "--seed", "0", "--seed", "1", "--jobs", "2"]
+    if json_path:
+        argv += ["--json", str(tmp_path / "out.jsonl")]
+    assert main(argv) == EXIT_OSERR == 71
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno %d] Resource temporarily unavailable\n" % errno.EAGAIN
+    assert captured.out == ""
+    if json_path:
+        assert read_jsonl(tmp_path / "out.jsonl") == []
 
 
 def test_defaults_d_and_m():

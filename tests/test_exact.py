@@ -351,10 +351,13 @@ def test_certify_kernel_span_examples():
                                        [{0: 1, 1: 1}, {2: 5}])) == (True, 2, 2)
     # too few generators: the span is smaller than the kernel
     assert span_claim(kernel_span_dims(m, [{0: 1, 1: 1}])) == (True, 2, 1)
-    # a generator outside the kernel
+    # a generator outside the kernel, returned as a copy: the rows given
+    # are reduced in place
     gens = [{0: 1, 1: 1}, {2: 1}, {0: 1}]
     assert span_claim(kernel_span_dims(m, gens)) == (False, 2, 3)
-    assert kernel_span_dims(m, gens)[2] is gens[2]
+    gens = [{0: 1, 1: 1}, {2: 1}, {0: 1}]
+    escaped = kernel_span_dims(m, gens)[2]
+    assert escaped == {0: 1} and escaped is not gens[2]
     # a common factor of every entry does not change the rank
     assert span_claim(kernel_span_dims(m, [{0: 3, 1: 3}, {2: 3}])) == (True, 2, 2)
     assert span_claim(kernel_span_dims(columns(zeros(2, 2)), [{0: 1}, {1: 1}])) == (True, 2, 2)
@@ -395,7 +398,8 @@ def test_kernel_span_stop_gives_the_full_rank():
                                  for a, b in zip(kernel, kernel[1:])])
         pool = gens + combos + [{j: 3 * x for j, x in g.items()} for g in gens] + [{}]
         for _ in range(4):
-            chosen = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 6))]
+            chosen = [dict(pool[rng.randint(0, len(pool) - 1)])
+                      for _ in range(rng.randint(0, 6))]
             want = (True, m.ncols - m.rank(), rank_sparse(chosen))
             assert span_claim(kernel_span_dims(columns(m), chosen)) == want
 
@@ -408,17 +412,20 @@ def test_kernel_span_outside_the_kernel_gives_the_full_rank():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bound=5)
         gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 2, m.ncols).data)
+        rank = rank_sparse(gens)
+        all_inside = all(not any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))
+                         for g in gens)
         inside, kernel_dim, span_dim = span_claim(kernel_span_dims(columns(m), gens))
-        assert (kernel_dim, span_dim) == (m.ncols - m.rank(), rank_sparse(gens))
-        assert inside == all(not any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))
-                             for g in gens)
+        assert (kernel_dim, span_dim) == (m.ncols - m.rank(), rank)
+        assert inside == all_inside
         above += span_dim > kernel_dim
     assert above
 
 
 def test_kernel_span_escaped_is_the_first_generator_leaving_the_kernel():
     """escaped is the first generator g, in the order given, with m·g != 0,
-    the very row given, else None.  With a kernel basis among rows that
+    a copy of the row given taken before the elimination reduces it, else
+    None.  With a kernel basis among rows that
     leave the kernel, ker(m) lies inside span(gens): no kernel vector is
     outside the echelon form's span, and escaped is the claim's witness."""
     rng = Rng(57)
@@ -428,10 +435,11 @@ def test_kernel_span_escaped_is_the_first_generator_leaving_the_kernel():
         gens = integer_sparse(m.kernel_vectors() + random_matrix(rng, 2, m.ncols).data)
         k = rng.randint(0, len(gens) - 1)
         gens = gens[k:] + gens[:k]
-        kernel_dim, echelon, escaped = kernel_span_dims(columns(m), gens)
-        leaving = [g for g in gens
+        leaving = [dict(g) for g in gens
                    if any(mul_vec(m, [g.get(j, 0) for j in range(m.ncols)]))]
-        assert escaped is (leaving[0] if leaving else None)
+        kernel_dim, echelon, escaped = kernel_span_dims(columns(m), gens)
+        assert escaped == (leaving[0] if leaving else None)
+        assert all(escaped is not g for g in gens)
         assert first_outside_span(echelon, kernel_basis(columns(m), m.nrows)) is None
         covered += escaped is not None and len(echelon) > kernel_dim
     assert covered
@@ -450,9 +458,19 @@ def test_kernel_span_rational_generator_row_is_a_type_error():
                 kernel_span_dims(m, gens)
 
 
+def test_echelon_keeps_each_pivot_row_as_given():
+    """A new pivot row is the reduced row itself, divided in place by its
+    content: the echelon form holds no second copy of it."""
+    rows = [{0: 2, 1: 4}, {0: 1, 2: 3}, {1: 6}]
+    echelon = exact._echelon(rows)
+    assert echelon == {0: {0: 1, 1: 2}, 1: {1: -2, 2: 3}, 2: {2: -1}}
+    assert all(echelon[c] is r for c, r in zip((0, 1, 2), rows))
+
+
 def test_kernel_span_accepts_empty_generator_rows():
+    """Generator rows hold their nonzero entries only, and may be empty."""
     m = [(1,), (-1,), (0,)]
-    assert span_claim(kernel_span_dims(m, [{}, {0: 1, 1: 1}, {2: 0}, {}, {2: 4}])) == (True, 2, 2)
+    assert span_claim(kernel_span_dims(m, [{}, {0: 1, 1: 1}, {}, {}, {2: 4}])) == (True, 2, 2)
     assert span_claim(kernel_span_dims(m, [{}, {0: 1}])) == (False, 2, 1)
     assert span_claim(kernel_span_dims(m, [{}])) == (True, 2, 0)
     assert span_claim(kernel_span_dims(m, [])) == (True, 2, 0)
@@ -598,8 +616,9 @@ def test_kernel_span_dims_eliminates_generator_rows_only(monkeypatch):
     monkeypatch.setattr(exact, "_echelon", recording)
     for m, gens in cases:
         seen.clear()
+        given = [dict(g) for g in gens]
         kernel_span_dims(columns(m), gens)
-        assert seen and all(r in gens for r in seen)
+        assert seen and all(r in given for r in seen)
 
 
 def test_subspace_equality_invariant_under_basis_change():
@@ -797,7 +816,8 @@ def test_integer_rows_decide_as_their_fractions():
         assert kernel_vectors(m) == kernel_vectors(q)
         assert m.solve(rhs) == q.solve(qrhs)
         gens = integer_sparse(q.kernel_vectors()) + [{0: 1}]
-        assert kernel_span_dims(columns(m), gens) == kernel_span_dims(columns(q), gens)
+        assert (kernel_span_dims(columns(m), [dict(g) for g in gens])
+                == kernel_span_dims(columns(q), [dict(g) for g in gens]))
         rm, rq = Rng(trial), Rng(trial)
         assert random_solution(columns(m), rhs, rm) == random_solution(columns(q), qrhs, rq)
         assert rm.randint(0, 10 ** 9) == rq.randint(0, 10 ** 9)

@@ -148,12 +148,15 @@ def test_verifiers_import_no_subspace():
 # scheme is its Line, classify returns the report's class object, one
 # exponent helper (poly.mono_times) adds variables to a monomial, and
 # random_solution draws every member (sample_b_through with no points is an
-# unconstrained one), and a map given by its columns is never made a dense
-# Matrix (tests/oracles.py's matrix_of_columns does that for the oracles).
+# unconstrained one), a map given by its columns is never made a dense
+# Matrix (tests/oracles.py's matrix_of_columns does that for the oracles),
+# and the kernel claims' generator rows come from one builder
+# (verifiers._ideal_rows), on sampled schemes that carry their multipliers.
 MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
              "mono_parse", "from_json", "fermat", "is_fermat", "support_in",
              "LengthTwoScheme", "SchemeClass", "permute_point", "evaluation_matrix",
-             "_pair_exps", "random_deformation", "from_columns", "matrix_of_columns"}
+             "_pair_exps", "random_deformation", "from_columns", "matrix_of_columns",
+             "_normalized_special", "_ideal_product_vectors", "_special_extras"}
 
 
 def defined_names(source):

@@ -251,7 +251,7 @@ def test_linear_forms_at_points_have_distinct_leading_variables():
     for n in (1, 2, 3, 5):
         for t in range(5):
             sub = rng.split("%d-%d" % (n, t))
-            for z in (random_generic_scheme(n, sub), _special_scheme(n, sub),
+            for z in (random_generic_scheme(n, sub), _special_scheme(n, sub)[0],
                       _very_special_scheme(n, sub)):
                 for forms in (iz_linear(z), ip_linear(z.p), ip_linear(z.q)):
                     leads = [next(i for i, c in enumerate(f) if c) for f in forms]

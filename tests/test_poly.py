@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from fermatlines.exact import sample_rational
-from fermatlines.poly import (EulerSection, HomogPoly, all_monomials,
-                              euler_alpha, gen_jd, jd_size_formula, mono_str)
+from fermatlines.poly import (EulerSection, HomogPoly, MonomialSet, all_monomials,
+                              euler_alpha, gen_jd, jd_size_formula, mono_str, order_key)
 from fermatlines.rng import Rng
 from tests.polytext import mono_parse, parse_poly
 
@@ -72,6 +72,19 @@ def test_monomial_set_ordering_and_index():
     assert list(jd.members) == sorted(jd.members, key=lambda m: tuple(-e for e in m))
     for i, m in enumerate(jd.members):
         assert jd.index[m] == i
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 6), (3, 8), (4, 10)])
+def test_monomial_sets_come_in_order_key_order(n, d):
+    """MonomialSet sorts by descending tuples: within one degree that is
+    order_key's graded lex order."""
+    for mset in (gen_jd(n, d), all_monomials(n + 2, d)):
+        assert list(mset.members) == sorted(mset.members, key=order_key)
+
+
+def test_monomial_set_rejects_mixed_degrees():
+    with pytest.raises(ValueError, match="mixed degrees"):
+        MonomialSet(3, [(2, 0, 0), (1, 0, 0)])
 
 
 def test_partial_derivative_examples():

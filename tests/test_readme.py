@@ -46,3 +46,25 @@ def test_the_check_sees_a_stale_citation():
                      ("exact", "no_such_name"), ("lines", "iz_linear"),
                      ("verifiers", "Subspace")]
     assert unresolved(pairs) == [("exact", "no_such_name"), ("verifiers", "Subspace")]
+
+
+def exit_code_line(text):
+    """The codes README's "Exit codes:" sentence lists, each entry's
+    leading number, in order."""
+    listed = text[text.index("Exit codes:") + len("Exit codes:"):]
+    listed = listed[:listed.index(".")]
+    return [int(entry.split()[0]) for entry in listed.split(";")]
+
+
+def test_readme_exit_codes_are_the_clis():
+    """Every cli.EXIT_* constant is listed with its value, and nothing else."""
+    from fermatlines import cli
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        listed = exit_code_line(fh.read())
+    constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(listed) == sorted(constants)
+
+
+def test_the_check_sees_a_missing_exit_code():
+    text = "Exit codes: 0 all PASS; 1 any FAIL; 130 (128 + SIGINT) interrupted.  More."
+    assert exit_code_line(text) == [0, 1, 130]

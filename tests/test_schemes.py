@@ -12,7 +12,8 @@ from fermatlines.verifiers import (_generic_scheme_split_shape, _random_point,
                                    _section_image, _special_scheme, _very_special_scheme,
                                    _x_alpha, random_generic_scheme)
 
-SAMPLERS = {"split": _generic_scheme_split_shape, "special": _special_scheme,
+SAMPLERS = {"split": _generic_scheme_split_shape,
+            "special": lambda n, rng: _special_scheme(n, rng)[0],
             "very-special": _very_special_scheme}
 
 # (sampler, n, seed, next draw of the generator after sampling, scheme_json).
@@ -189,10 +190,23 @@ def test_special_samples_carry_their_tags(n):
     and x1 gives two independent rescaling directions."""
     for seed in range(200):
         rng = Rng(seed)
-        zs = _special_scheme(n, rng)
+        zs, _ = _special_scheme(n, rng)
         assert classify(zs)["tag"] == "special"
         assert rank_sparse([_section_image(_x_alpha(n + 2, i), zs) for i in (0, 1)]) == 2
         assert classify(_very_special_scheme(n, rng))["tag"] == "very-special"
+
+
+def test_special_samples_carry_their_multipliers():
+    """A sampled special scheme is in classify's normalized order, and its
+    sampler returns the multipliers it drew: x_j = c_j x_1 on both points,
+    for every j >= 2, and neither point is a coordinate point."""
+    for seed in range(4):
+        z, cmap = _special_scheme(3, Rng(seed).split("normalized"))
+        assert classify(z)["perm"] == list(range(5))
+        assert set(cmap) == {2, 3, 4}
+        assert all(pt.coords[j] == c * pt.coords[1]
+                   for pt in (z.p, z.q) for j, c in cmap.items())
+        assert not (z.p.is_coordinate_point() or z.q.is_coordinate_point())
 
 
 @pytest.mark.parametrize("n", range(2, 7))

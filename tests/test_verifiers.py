@@ -18,11 +18,10 @@ from fermatlines.family import (DeformationPoint, FamilyShape, eta, omega_basis,
 from fermatlines.lines import (Line, ProjPoint, classify, distinct_root_count,
                                monomial_index, restrict_poly)
 from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alpha,
-                              eval_monomials, gen_jd)
+                              eval_monomials, gen_jd, mono_times)
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
-                                   _b_with_line_power, _nine_by_six, _normalized_special,
-                                   _section_image,
+                                   _b_with_line_power, _nine_by_six, _section_image,
                                    random_generic_scheme, _special_scheme,
                                    _stratum, _tangency_system, _two_by_two,
                                    _very_special_scheme,
@@ -36,9 +35,9 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_xi_special)
 from test_exact import (assert_solution_contract, echelon_of, kernel_basis_oracle,
                         random_solution_reference, span_claim)
-from tests.oracles import (contains_vector, form_add, form_mul, full_tangency_member,
-                           matrix_of_columns, member_poly, restrict, restrict_rational,
-                           support_in)
+from tests.oracles import (contains_vector, elimination_order_reference, form_add, form_mul,
+                           full_tangency_member, matrix_of_columns, member_poly, restrict,
+                           restrict_rational, support_in)
 
 
 def rng_for(label, seed=7):
@@ -192,13 +191,6 @@ def test_kernel_generic_dims():
     assert rep.dims["lhs"] == 68 - 7
 
 
-def test_kernel_generic_rejects_special_scheme_input():
-    z = _special_scheme(2, rng_for("zspec"))
-    rep = verify_kernel_generic(2, 6, rng_for("kg2"), trials=2, z=z)
-    assert rep.verdict == INDETERMINATE
-    assert rep.params.get("skipped") is True
-
-
 def test_kernel_special_passes_and_counts_generators():
     rep = verify_kernel_special(2, 6, rng_for("ks"), trials=3)
     assert rep.verdict == PASS
@@ -206,50 +198,18 @@ def test_kernel_special_passes_and_counts_generators():
     assert rep.dims["lhs"] == rep.dims["rhs"]
 
 
-def test_kernel_special_routes_generic_input_away():
-    z = random_generic_scheme(2, rng_for("zgen"))
-    rep = verify_kernel_special(2, 6, rng_for("ks2"), trials=2, z=z)
-    assert rep.verdict == INDETERMINATE
-    assert rep.params.get("skipped") is True
-
-
-def test_kernel_special_accepts_unnormalized_scheme():
-    # same scheme as the normalized sample but with coordinates shuffled
-    z = Line(ProjPoint([1, 0, 1, 1]), ProjPoint([-1, 0, 1, -1]))
-    # here x1 vanishes on Z; classification must supply the permutation
-    rep = verify_kernel_special(2, 6, rng_for("ks3"), trials=2, z=z)
-    assert rep.verdict == PASS
-
-
-def test_normalized_special_keeps_a_sampled_scheme_and_reads_its_multipliers():
-    """A sampled special scheme is already in classify's normalized order:
-    _normalized_special returns the same points, with x_j = c_j x_1 on both.
-    Its coordinates reversed normalize to points with the same property."""
-    shape = FamilyShape(3, 8)
-    for seed in range(4):
-        z = _special_scheme(3, rng_for("normalized", seed))
-        for scheme in (z, Line(*(ProjPoint(pt.coords[::-1]) for pt in (z.p, z.q)))):
-            zn, cmap = _normalized_special(shape, scheme)
-            assert classify(zn)["perm"] == list(range(5))
-            assert set(cmap) == {2, 3, 4}
-            assert all(pt.coords[j] == c * pt.coords[1]
-                       for pt in (zn.p, zn.q) for j, c in cmap.items())
-        zn, _ = _normalized_special(shape, z)
-        assert (zn.p, zn.q) == (z.p, z.q)
-
-
 def test_containment_of_ideal_part_holds_even_for_special_schemes():
-    from fermatlines.verifiers import _ideal_product_vectors, _xi_matrix_on
+    from fermatlines.verifiers import _ideal_rows, _xi_matrix_on
     from fermatlines.lines import iz_linear
     shape = FamilyShape(2, 6)
-    for maker in (lambda r: _special_scheme(2, r),
+    for maker in (lambda r: _special_scheme(2, r)[0],
                   lambda r: random_generic_scheme(2, r)):
         z = maker(rng_for("containment"))
         k2 = Subspace.from_vectors(len(shape.jd), dense(kernel_basis(
             _xi_matrix_on(shape.jd, z), shape.d + 1), len(shape.jd)))
         k1 = Subspace.from_vectors(
             len(shape.jd),
-            dense(_ideal_product_vectors(iz_linear(z), gen_jd(2, 5), shape.jd),
+            dense(_ideal_rows([(form, gen_jd(2, 5)) for form in iz_linear(z)], shape.jd),
                   len(shape.jd)))
         assert all(contains_vector(k2, v) for v in k1.basis_vectors())
 
@@ -266,29 +226,47 @@ KERNEL_CLAIMS = {
 
 def _recording(monkeypatch, name):
     """Route the verifiers' calls of `name` through a recorder; returns the
-    list of (columns, gens, result) calls."""
+    list of (columns, gens, result) calls, gens copied before the call
+    reduces them in place."""
     calls = []
     real = getattr(verifiers, name)
 
     def record(columns, gens):
+        given = [dict(g) for g in gens]
         result = real(columns, gens)
-        calls.append((columns, gens, result))
+        calls.append((columns, given, result))
         return result
 
     monkeypatch.setattr(verifiers, name, record)
     return calls
 
 
+def _without(pairs, k, h):
+    """The builder's pairs with the monomial h taken out of the k-th pair's
+    monomials."""
+    form, lower = pairs[k]
+    return pairs[:k] + [(form, set(lower) - {h})] + pairs[k + 1:]
+
+
 def _drop_first_product(monkeypatch):
-    products = verifiers._ideal_product_vectors
-    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
-                        lambda *args: products(*args)[1:])
+    """Drop the first ideal-product row L*g, form by form: the first form
+    of I_Z(1) or I_p(1) times the first monomial g of its degree."""
+    rows = verifiers._ideal_rows
+    monkeypatch.setattr(verifiers, "_ideal_rows", lambda pairs, target: rows(
+        _without(pairs, 0, pairs[0][1].members[0]), target))
 
 
 def _drop_last_product(monkeypatch):
-    products = verifiers._ideal_product_vectors
-    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
-                        lambda *args: products(*args)[:-1])
+    """Drop the last ideal-product row L*g, form by form: the last form of
+    I_Z(1) or I_p(1) (the pairs on the first pair's monomials, before
+    kernel-special's extras) times the last monomial g of its degree."""
+    rows = verifiers._ideal_rows
+
+    def dropped(pairs, target):
+        k = max(i for i, (_, lower) in enumerate(pairs) if lower is pairs[0][1])
+        return rows(_without(pairs, k, pairs[k][1].members[-1]), target)
+
+    monkeypatch.setattr(verifiers, "_ideal_rows", dropped)
 
 
 @pytest.mark.parametrize("lemma", sorted(KERNEL_CLAIMS))
@@ -319,9 +297,8 @@ def test_kernel_claim_decision_matches_canonical_subspaces(monkeypatch, lemma):
 def _drop_first_form(monkeypatch):
     """Drop every product of the first linear form: in every basis of I_Z(1)
     and I_p(1), the rows left span less than all of them."""
-    products = verifiers._ideal_product_vectors
-    monkeypatch.setattr(verifiers, "_ideal_product_vectors",
-                        lambda forms, gens, jd: products(forms[1:], gens, jd))
+    rows = verifiers._ideal_rows
+    monkeypatch.setattr(verifiers, "_ideal_rows", lambda pairs, target: rows(pairs[1:], target))
 
 
 def _recombined(forms):
@@ -458,7 +435,7 @@ def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
     v = [Fraction(x) for x in rep.witness["vector"]]
     assert sum(v) == 0
     jd1 = gen_jd(2, 7)
-    gens = dense(verifiers._ideal_product_vectors(forms, gen_jd(2, 6), jd1), len(jd1))
+    gens = dense(verifiers._ideal_rows([(form, gen_jd(2, 6)) for form in forms], jd1), len(jd1))
     assert not contains_vector(Subspace.from_vectors(len(jd1), gens), v)
 
 
@@ -497,6 +474,55 @@ def test_point_ideal_dims_match_the_cut_space(n, d, dim):
     rep = verify_point_ideal(n, d, rng_for("pi-cut"), trials=1)
     assert rep.verdict == PASS
     assert rep.dims == {"lhs": dim, "rhs": dim, "codim": 1}
+
+
+def test_a_generator_outside_the_kernel_is_the_witness(monkeypatch):
+    """kernel-generic at (2, 6) with one row x_0*g appended, g the first
+    monomial of J_(d-1): x_0 does not vanish on the line, so the row leaves
+    ker(m).  The claim FAILs with one more span dimension than the kernel
+    has; the other rows still span the kernel, so no kernel vector is
+    outside the span, and the witness is the escaping row itself."""
+    rows = verifiers._ideal_rows
+    appended = []
+
+    def with_escaping_row(pairs, target):
+        row = {target.index[mono_times(pairs[0][1].members[0], 0)]: 1}
+        appended.append(dense([row], len(target))[0])
+        return rows(pairs, target) + [row]
+
+    monkeypatch.setattr(verifiers, "_ideal_rows", with_escaping_row)
+    rep = verify_kernel_generic(2, 6, rng_for("kg"), trials=2)
+    assert rep.verdict == FAIL and rep.witness["trial"] == 0
+    assert rep.dims["lhs"] == rep.dims["rhs"] + 1 == 62
+    assert rep.witness["vector"] == verifiers._vec_json(appended[0])
+
+
+@pytest.mark.parametrize("n, d, seeds", [(2, 6, range(4)), (3, 8, range(4)), (4, 10, range(3))])
+def test_ideal_rows_come_in_the_reference_elimination_order(monkeypatch, n, d, seeds):
+    """For each kernel claim, _ideal_rows gives the rows, and the order, of
+    the pipeline it replaced (tests/oracles.py): built pair by pair, sorted
+    by leftmost column, the first row of each column ahead of the rest.
+    The seeds draw special schemes with zero multipliers, whose extra rows
+    have one entry."""
+    rows = verifiers._ideal_rows
+    built = []
+
+    def recording(pairs, target):
+        got = rows(pairs, target)
+        built.append((pairs, target, [dict(r) for r in got]))
+        return got
+
+    monkeypatch.setattr(verifiers, "_ideal_rows", recording)
+    zero_multipliers = 0
+    for seed in seeds:
+        for lemma in KERNEL_CLAIMS:
+            built.clear()
+            assert run_lemma(lemma, n, d, 0, seed, trials=1).verdict == PASS
+            [(pairs, target, got)] = built
+            assert got == elimination_order_reference(pairs, target)
+            if lemma == "kernel-special":
+                zero_multipliers += any(form[1] == 0 for form, _ in pairs[n:])
+    assert zero_multipliers
 
 
 def test_kernel_generic_stops_before_its_last_generator(monkeypatch):
@@ -681,21 +707,6 @@ def test_xi_special_at_degree_4_is_infeasible(n):
     assert rep.witness == {"reason": "point conditions are mutually inconsistent"}
 
 
-@pytest.mark.parametrize("swap", [False, True])
-def test_kernel_special_scheme_through_a_coordinate_point_is_infeasible(swap):
-    """No family member passes through (1:0:0:0), in either point order."""
-    points = [ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 1, 0])]
-    if swap:
-        points.reverse()
-    rep = verify_kernel_special(2, 6, rng_for("kscoord"), trials=1,
-                                z=Line(*points))
-    assert rep.verdict == INFEASIBLE
-    assert rep.witness == {"reason": "no family member passes through "
-                           "ProjPoint(1, 0, 0, 0) (all deformation monomials "
-                           "vanish there)"}
-    assert rep.dims == {} and rep.params == {}
-
-
 # ---------------------------------------------------------------------------
 # point ideal
 
@@ -857,7 +868,7 @@ def test_section_images_decide_as_fraction_restrictions(n, d, maker):
     nv = n + 2
     rng = rng_for("images-%s" % maker)
     z = {"generic": random_generic_scheme, "very-special": _very_special_scheme,
-         "special": _special_scheme}[maker](n, rng)
+         "special": lambda n, rng: _special_scheme(n, rng)[0]}[maker](n, rng)
     b, new = verifiers._omega_image(FamilyShape(n, d), z, rng)
     sections = by_terms(omega_basis_oracle(b))
     assert omega_basis(b) == omega_basis_oracle(b)
@@ -997,7 +1008,7 @@ def test_secant_random_configuration_not_well_defined():
 
 def test_secant_rejects_special_scheme():
     shape = FamilyShape(2, 6)
-    z = _special_scheme(2, rng_for("ss"))
+    z, _ = _special_scheme(2, rng_for("ss"))
     b = sample_b_through(shape, [z.p, z.q], rng_for("ssb"))
     with pytest.raises(NonGenericScheme):
         secant_obstruction(b, z)
