@@ -30,7 +30,8 @@ class ProjPoint:
 
     `ints` is the point cleared of denominators: the primitive integer
     vector D * coords, D > 0 the lcm of their denominators, whose first
-    nonzero entry is D."""
+    nonzero entry is D.  Every computation reads `ints`; `coords` serves
+    the JSON, repr and equality."""
 
     __slots__ = ("coords", "ints")
 
@@ -44,10 +45,10 @@ class ProjPoint:
 
     @property
     def nvars(self) -> int:
-        return len(self.coords)
+        return len(self.ints)
 
     def is_coordinate_point(self) -> bool:
-        return sum(1 for x in self.coords if x != 0) == 1
+        return sum(1 for x in self.ints if x) == 1
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
@@ -195,7 +196,7 @@ def classify(z: Line) -> dict:
     """
     nv = z.nvars
     n = nv - 2
-    points = (z.p.coords, z.q.coords)
+    points = (z.p.ints, z.q.ints)
     vanishing = [i for i in range(nv) if not any(p[i] for p in points)]
     drops = [i for i in range(nv) if rank_sparse([p[:i] + p[i + 1:] for p in points]) < 2]
     if not drops:

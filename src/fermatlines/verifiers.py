@@ -15,6 +15,12 @@ The protocol is implemented once, by the `_Trials` runner.  The three
 kernel claims build their generator rows with one builder, `_ideal_rows`,
 whose order is the order in which exact.kernel_span_dims eliminates them,
 as given and in place, and share `_kernel_is_span`.
+
+`systems` builds its coefficient keys c_ijk and its 9x6 integer rows from
+one index rule over the unknowns a_ij x_i^2 d/dx_j (`_SYSTEM_UNKNOWNS`,
+`_SYSTEM_ROWS`, `_SYSTEM_KEYS`) and ranks the rows with
+exact.rank_sparse; the 2x2 degenerate pair is the one Matrix a verifier
+builds.
 """
 
 from __future__ import annotations
@@ -235,7 +241,7 @@ def _generic_scheme_three_independent(n: int, rng: Rng) -> Line:
     """Generic scheme where x0, x1, x2 restrict pairwise independently."""
     for _ in range(_GENERIC_ATTEMPTS):
         z = random_generic_scheme(n, rng)
-        if all(rank_sparse([(p.coords[i], p.coords[j]) for p in (z.p, z.q)]) == 2
+        if all(rank_sparse([(p.ints[i], p.ints[j]) for p in (z.p, z.q)]) == 2
                for i, j in ((0, 1), (1, 2), (0, 2))):
             return z
     raise NonGenericScheme("failed to sample the three-independent shape")
@@ -597,9 +603,16 @@ def verify_xi_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # the self-contained coefficient systems
 
-_SYSTEM_KEYS = [(0, 1, 3), (0, 2, 3), (1, 0, 3), (1, 2, 3), (2, 0, 3), (2, 1, 3),
-                (0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 0, 0), (1, 0, 2), (1, 2, 2),
-                (2, 0, 0), (2, 0, 1), (2, 1, 1)]
+# The unknowns (i, j) of a_ij x_i^2 d/dx_j, i != j in {0, 1, 2}; the rows
+# (i, k), k != i in {0, ..., 3}: the three k = 3 rows, then by i and k,
+# which for k <= 2 is the order of the unknowns; and the drawn keys c_ijk:
+# c_ij3 per unknown, then each c_ijk with j <= k <= 2 and i outside {j, k}
+# (the table is symmetric in j, k), by i, j, k.
+_SYSTEM_UNKNOWNS = [(i, j) for i in range(3) for j in range(3) if i != j]
+_SYSTEM_ROWS = [(i, 3) for i in range(3)] + _SYSTEM_UNKNOWNS
+_SYSTEM_KEYS = ([(i, j, 3) for i, j in _SYSTEM_UNKNOWNS]
+                + [(i, j, k) for i in range(3) for j in range(3) for k in range(j, 3)
+                   if i not in (j, k)])
 
 
 def _draw_coeffs(rng: Rng):
@@ -613,22 +626,12 @@ def _draw_coeffs(rng: Rng):
     return c
 
 
-def _nine_by_six(c) -> Matrix:
-    """The reduced 9-equation system in the unknowns a_i x_i^2 d/dx_j,
-    ordered (01, 02, 10, 12, 20, 21)."""
-    z, one = ZERO, Fraction(1)
-    rows = [
-        [z, z, c[(0, 1, 3)], z, c[(0, 2, 3)], z],
-        [c[(1, 0, 3)], z, z, z, z, c[(1, 2, 3)]],
-        [z, c[(2, 0, 3)], z, c[(2, 1, 3)], z, z],
-        [one, z, c[(0, 1, 1)], z, c[(0, 2, 1)], z],
-        [z, one, c[(0, 1, 2)], z, c[(0, 2, 2)], z],
-        [c[(1, 0, 0)], z, one, z, z, c[(1, 2, 0)]],
-        [c[(1, 0, 2)], z, z, one, z, c[(1, 2, 2)]],
-        [z, c[(2, 0, 0)], z, c[(2, 1, 0)], one, z],
-        [z, c[(2, 0, 1)], z, c[(2, 1, 1)], z, one],
-    ]
-    return Matrix(rows)
+def _nine_by_six(c):
+    """The reduced 9-equation system in the unknowns a_ij x_i^2 d/dx_j,
+    as integer rows: row (i, k) holds 1 at a_ik (k <= 2), c_ijk at a_ji
+    for each j != i, and 0 elsewhere."""
+    return [[c[(i, j, k)] if l == i else int((j, l) == (i, k)) for j, l in _SYSTEM_UNKNOWNS]
+            for i, k in _SYSTEM_ROWS]
 
 
 def _two_by_two(c022, c200, a) -> Matrix:
@@ -649,8 +652,7 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
     for t in range(draws):
         sub = rng.split("draw%d" % t)
         c = _draw_coeffs(sub)
-        m = _nine_by_six(c)
-        kdim = 6 - m.rank()
+        kdim = len(_SYSTEM_UNKNOWNS) - rank_sparse(_nine_by_six(c))
         max_kernel = max(max_kernel, kdim)
         det2 = (c[(1, 0, 2)] * c[(0, 1, 3)] - c[(0, 1, 2)] * c[(1, 0, 3)])
         a = _nonzero_sample(sub)
@@ -677,8 +679,8 @@ def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
     verdict = protocol_verdict(flags)
     if not forced_ok:
         verdict = FAIL
-    dims = {"system_rows": 9, "system_cols": 6, "draws": draws,
-            "singular_draws": singular_draws, "kernel_dim_max": max_kernel}
+    dims = {"system_rows": len(_SYSTEM_ROWS), "system_cols": len(_SYSTEM_UNKNOWNS),
+            "draws": draws, "singular_draws": singular_draws, "kernel_dim_max": max_kernel}
     return LemmaReport("systems", n, d, rng.origin_seed, verdict, dims,
                        witness, _ms_since(t0), {})
 
@@ -697,8 +699,7 @@ def _motion_columns(partials, d: int, line: Line, coords):
     return cols
 
 
-def secant_obstruction(b: DeformationPoint, z: Line,
-                       seed: int = 0, xif=None) -> LemmaReport:
+def secant_obstruction(b: DeformationPoint, z: Line, xif=None) -> LemmaReport:
     """Exact comparison of the three equivalent descriptions of when the
     induced map on the line is well defined: kernel containment, linear
     dependence of the restricted polynomial against its radial derivative,
@@ -720,7 +721,7 @@ def secant_obstruction(b: DeformationPoint, z: Line,
 
     # evaluation map to the tangent spaces at the two points: a section
     # u kills it iff u(p) is radial at both points
-    rho = [{2 * i + k: pt.coords[j], 2 * j + k: -pt.coords[i]}
+    rho = [{2 * i + k: pt.ints[j], 2 * j + k: -pt.ints[i]}
            for k, pt in enumerate((z.p, z.q))
            for i in range(nv) for j in range(i + 1, nv)]
     etahat = list(zip(*_motion_columns(b.f_partials(), d, z, range(nv))))
@@ -749,7 +750,7 @@ def secant_obstruction(b: DeformationPoint, z: Line,
         "reason": "equivalent conditions disagree",
         "conditions": [int(cond_kernel), int(cond_pair), int(cond_monomial)],
         "xi_f": _vec_json(xif)}
-    return LemmaReport("secant", shape.n, d, seed, PASS if agree else FAIL, dims, witness,
+    return LemmaReport("secant", shape.n, d, 0, PASS if agree else FAIL, dims, witness,
                        _ms_since(t0), {})
 
 
@@ -790,14 +791,13 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             # one name for both lines: each draw ends the last line's life
             # before its own cache fills, so one line cache is alive at a time
             z = random_generic_scheme(n, sub)
-            rep_r = secant_obstruction(sample_b_through(shape, [z.p, z.q], sub), z,
-                                       seed=rng.origin_seed)
+            rep_r = secant_obstruction(sample_b_through(shape, [z.p, z.q], sub), z)
             if rep_r.dims["distinct_roots"] < 3:
                 raise _Stop("the drawn secant meets the member in %d < 3 distinct points"
                             % rep_r.dims["distinct_roots"], {"trials": trials, "m": m})
             z = random_generic_scheme(n, sub)
             bc, xif = _b_with_line_power(shape, z, m, sub)
-            rep_c = secant_obstruction(bc, z, seed=rng.origin_seed, xif=xif)
+            rep_c = secant_obstruction(bc, z, xif=xif)
             ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0
                   and rep_c.verdict == PASS and rep_c.dims["well_defined"] == 1
                   and rep_c.dims["overlap"] >= 1)
@@ -852,14 +852,14 @@ def _tangency_system(terms, d: int, line: Line, m: int):
     motion is a binary linear form), one integer row per coefficient of the
     restricted derivative outside the stratum's tangent space.  The normal
     coordinates are the non-pivots of the scan over the columns (p_i, q_i)."""
-    pivots = column_scan(list(zip(line.p.coords, line.q.coords)), 2)[0]
+    pivots = column_scan(list(zip(line.p.ints, line.q.ints)), 2)[0]
     normals = [i for i in range(line.nvars) if i not in pivots]
     cols = _motion_columns(term_partials(terms, line.nvars), d, line, normals)
     keep = [k for k in range(d + 1) if k not in (m - 1, m, m + 1)]
     return [[col[k] for col in cols] for k in keep], normals
 
 
-def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaReport:
+def tangency_deformation_dim(terms, line: Line, m: int) -> LemmaReport:
     """First-order deformations of the line preserving the two-root
     tangency pattern of the form with terms {exponents: coefficient} (any
     positive multiple gives the same count and witness): unknowns are normal
@@ -885,7 +885,7 @@ def tangency_deformation_dim(terms, line: Line, m: int, seed: int = 0) -> LemmaR
         "reason": "the line moves inside the stratum",
         "moving_deformation": _sparse_json(next(free_vectors(columns, pivots, duals)), unknowns),
         "normal_coordinates": normals}
-    return LemmaReport("tangency", line.nvars - 2, d, seed, PASS if dim == 0 else FAIL, dims,
+    return LemmaReport("tangency", line.nvars - 2, d, 0, PASS if dim == 0 else FAIL, dims,
                        witness, _ms_since(t0), {"m": m})
 
 
@@ -905,7 +905,7 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
                       for i in range(2, n + 2) for a in range(d)]
         for sub in run:
             f = {lead: 1, **{mono: _nonzero_draw(sub) for mono in transverse}}
-            rep = tangency_deformation_dim(f, line, m, seed=rng.origin_seed)
+            rep = tangency_deformation_dim(f, line, m)
             run.record(rep.dims["deformations"] == 0 and degenerate > 0,
                        {"deformations": rep.dims["deformations"],
                         "degenerate_deformations": degenerate,

@@ -31,6 +31,11 @@ coordinate line with every transverse term x_i*h (i >= 2) it lacks, each
 given a random nonzero coefficient: the full member whose tangency system
 verifiers._tangency_system must give for a member that carries only what
 the line sees.
+
+SYSTEM_KEYS_REFERENCE and nine_by_six_reference are the coefficient keys
+and the 9x6 rows of the `systems` lemma typed out by hand, entry by entry:
+verifiers._SYSTEM_KEYS and verifiers._nine_by_six build them from their
+index rule.
 """
 
 from fractions import Fraction
@@ -193,3 +198,25 @@ def elimination_order_reference(pairs, target):
     for r in sorted(rows, key=min):
         (rest if firsts and min(firsts[-1]) == min(r) else firsts).append(r)
     return firsts + rest
+
+
+SYSTEM_KEYS_REFERENCE = [(0, 1, 3), (0, 2, 3), (1, 0, 3), (1, 2, 3), (2, 0, 3), (2, 1, 3),
+                         (0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 0, 0), (1, 0, 2), (1, 2, 2),
+                         (2, 0, 0), (2, 0, 1), (2, 1, 1)]
+
+
+def nine_by_six_reference(c):
+    """The 9x6 coefficient system typed out entry by entry, in the unknowns
+    a_ij x_i^2 d/dx_j ordered (01, 02, 10, 12, 20, 21)."""
+    z, one = ZERO, Fraction(1)
+    return [
+        [z, z, c[(0, 1, 3)], z, c[(0, 2, 3)], z],
+        [c[(1, 0, 3)], z, z, z, z, c[(1, 2, 3)]],
+        [z, c[(2, 0, 3)], z, c[(2, 1, 3)], z, z],
+        [one, z, c[(0, 1, 1)], z, c[(0, 2, 1)], z],
+        [z, one, c[(0, 1, 2)], z, c[(0, 2, 2)], z],
+        [c[(1, 0, 0)], z, one, z, z, c[(1, 2, 0)]],
+        [c[(1, 0, 2)], z, z, one, z, c[(1, 2, 2)]],
+        [z, c[(2, 0, 0)], z, c[(2, 1, 0)], one, z],
+        [z, c[(2, 0, 1)], z, c[(2, 1, 1)], z, one],
+    ]

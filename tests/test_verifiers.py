@@ -35,9 +35,10 @@ from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
                                    verify_xi_special)
 from test_exact import (assert_solution_contract, echelon_of, kernel_basis_oracle,
                         random_solution_reference, span_claim)
-from tests.oracles import (contains_vector, elimination_order_reference, form_add, form_mul,
-                           full_tangency_member, matrix_of_columns, member_poly, restrict,
-                           restrict_rational, support_in)
+from tests.oracles import (SYSTEM_KEYS_REFERENCE, contains_vector,
+                           elimination_order_reference, form_add, form_mul,
+                           full_tangency_member, matrix_of_columns, member_poly,
+                           nine_by_six_reference, restrict, restrict_rational, support_in)
 
 
 def rng_for(label, seed=7):
@@ -625,7 +626,7 @@ def _member_without_line_power(shape, z, m, rng):
 def _zero_first_system_column(c):
     # Zeroing one row would not break the claim: the other 8 of the 9
     # equations keep rank 6.  An unknown that enters no equation does.
-    return Matrix([[0] + row[1:] for row in _nine_by_six(c).data])
+    return [[0] + row[1:] for row in _nine_by_six(c)]
 
 
 def _drop_first_tangency_row(terms, d, line, m):
@@ -951,11 +952,24 @@ def test_general_position_draws_have_no_zero_coefficient(lemma, seed):
     assert rep.verdict == PASS, rep.witness
 
 
+SYMBOLIC_TABLE = {key: Fraction(1) for key in
+                  [(i, j, k) for i in range(3) for j in range(4) for k in range(4)]}
+
+
 def test_nine_by_six_shape():
-    c = {key: Fraction(1) for key in
-         [(i, j, k) for i in range(3) for j in range(4) for k in range(4)]}
-    m = _nine_by_six(c)
-    assert m.nrows == 9 and m.ncols == 6
+    rows = _nine_by_six(SYMBOLIC_TABLE)
+    assert len(rows) == 9 and all(len(row) == 6 for row in rows)
+
+
+def test_system_keys_and_rows_follow_the_typed_reference():
+    """The index rule gives the typed key list, in the order _draw_coeffs
+    draws it, and the typed 9x6 rows entry for entry."""
+    assert verifiers._SYSTEM_KEYS == SYSTEM_KEYS_REFERENCE
+    assert _nine_by_six(SYMBOLIC_TABLE) == nine_by_six_reference(SYMBOLIC_TABLE)
+    rng = rng_for("system rule")
+    for t in range(200):
+        c = verifiers._draw_coeffs(rng.split("draw%d" % t))
+        assert _nine_by_six(c) == nine_by_six_reference(c)
 
 
 def test_two_by_two_singular_locus_exactly():
@@ -1306,12 +1320,15 @@ def test_tangency_and_incidence_pass_without_a_matrix(monkeypatch):
     tangency and incidence construct no Matrix.  Nor does a PASS run of any
     other lemma but systems, at (2, 6) and (3, 8): the kernel claims rank by
     column_scan and take I_Z(1) and I_p(1) from it, and no PASS path builds
-    a Subspace.  Only systems ranks its small matrices as Matrix objects."""
+    a Subspace.  systems ranks its 9x6 rows with rank_sparse, so the only
+    Matrix it builds is the 2x2 degenerate pair."""
     built = []
     for cls in (Matrix, Subspace):
-        monkeypatch.setattr(cls, "__init__",
-                            lambda self, *args, init=cls.__init__, **kw:
-                            built.append(type(self)) or init(self, *args, **kw))
+        def recording(self, *args, init=cls.__init__, **kw):
+            init(self, *args, **kw)
+            shape = (self.nrows, self.ncols) if isinstance(self, Matrix) else None
+            built.append((type(self), shape))
+        monkeypatch.setattr(cls, "__init__", recording)
     for m in range(1, 6):
         assert verify_tangency(2, 6, m, rng_for("no matrix"), trials=2).verdict == PASS
         assert verify_incidence(2, 6, m).verdict == PASS
@@ -1320,7 +1337,7 @@ def test_tangency_and_incidence_pass_without_a_matrix(monkeypatch):
         for lemma in sorted(LEMMAS):
             built.clear()
             assert run_lemma(lemma, n, d, d // 2, 7, trials=2).verdict == PASS
-            assert set(built) == ({Matrix} if lemma == "systems" else set()), lemma
+            assert set(built) == ({(Matrix, (2, 2))} if lemma == "systems" else set()), lemma
 
 
 def test_fail_witnesses_build_no_matrix(monkeypatch):
@@ -1366,9 +1383,9 @@ def test_tangency_member_has_the_system_of_a_full_member(monkeypatch, n, d, m):
     members = []
     real = verifiers.tangency_deformation_dim
 
-    def recording(terms, line, m, seed=0):
+    def recording(terms, line, m):
         members.append(terms)
-        return real(terms, line, m, seed)
+        return real(terms, line, m)
 
     monkeypatch.setattr(verifiers, "tangency_deformation_dim", recording)
     rep = verify_tangency(n, d, m, rng_for("full member"), trials=2)
