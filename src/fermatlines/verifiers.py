@@ -11,10 +11,13 @@ The coefficients that `systems` and `tangency` draw are the nonzero
 integers of that range, where the same bound holds with 2*DRAW in place of
 2*DRAW+1.
 
-The protocol is implemented once, by the `_Trials` runner.  The three
-kernel claims build their generator rows with one builder, `_ideal_rows`,
-whose order is the order in which exact.kernel_span_dims eliminates them,
-as given and in place, and share `_kernel_is_span`.
+The protocol is implemented once, by `_sampled`, which runs each sampled
+verifier's nested generator `outcomes(subs)`: its setup, then one
+(ok, dims, witness thunk) per trial, drawn from that trial's own
+sub-generator.  The three kernel claims build their generator rows with
+one builder, `_ideal_rows`, whose order is the order in which
+exact.kernel_span_dims eliminates them, as given and in place, and share
+`_kernel_is_span`.
 
 `systems` builds its coefficient keys c_ijk and its 9x6 integer rows from
 one index rule over the unknowns a_ij x_i^2 d/dx_j (`_SYSTEM_UNKNOWNS`,
@@ -109,58 +112,40 @@ def _ms_since(t0: float) -> int:
 
 
 class _Stop(Exception):
-    """`raise _Stop(reason, params)` ends a sampled run early as
-    INDETERMINATE with those params."""
+    """`raise _Stop(reason)` ends a sampled run early as INDETERMINATE."""
 
 
-class _Trials:
+def _sampled(lemma: str, n: int, d: int, rng: Rng, trials: int, outcomes,
+             **params) -> LemmaReport:
     """The sampling protocol shared by the sampled verifiers.
 
-    Used as `with _Trials(...) as run:`, iterating `for sub in run:` over
-    one sub-generator per trial and calling `run.record` once per trial;
-    `run.report` holds the LemmaReport after the block.  The run is timed
-    as a whole.  The first trial's dims are kept, and the witness thunk is
-    called only for the first failing trial.  InfeasibleSystem,
-    NonGenericScheme and LineInHypersurface end the run as INFEASIBLE with
-    the dims gathered so far, and _Stop ends it as INDETERMINATE.  Any other
+    `outcomes(subs)` is a generator: it does the lemma's setup, then takes
+    one sub-generator per trial from `subs`, rng.split("trial%d" % t), split
+    only as it is taken, and yields that trial's (ok, dims, witness thunk).
+    The run is timed as a whole, setup included.  The first trial's dims
+    are kept, and the witness thunk is called only for the first failing
+    trial.  InfeasibleSystem, NonGenericScheme and LineInHypersurface end
+    the run as INFEASIBLE with the dims gathered so far, and _Stop ends it
+    as INDETERMINATE; either way no later trial is drawn.  Any other
     exception propagates.
     """
-
-    def __init__(self, lemma: str, n: int, d: int, rng: Rng, trials: int, **params):
-        self.lemma, self.n, self.d, self.rng, self.trials = lemma, n, d, rng, trials
-        self.params = {"trials": trials, **params}
-        self.flags = []
-        self.dims = {}
-        self.witness = None
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __iter__(self):
-        for t in range(self.trials):
-            self.t = t
-            yield self.rng.split("trial%d" % t)
-
-    def record(self, ok: bool, dims: dict, witness) -> None:
-        self.flags.append(ok)
-        if not self.dims:
-            self.dims = dims
-        if not ok and self.witness is None:
-            self.witness = {"trial": self.t, **witness()}
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            verdict, witness, params = protocol_verdict(self.flags), self.witness, self.params
-        elif issubclass(exc_type, (InfeasibleSystem, NonGenericScheme, LineInHypersurface)):
-            verdict, witness, params = INFEASIBLE, {"reason": str(exc)}, {}
-        elif issubclass(exc_type, _Stop):
-            verdict, witness, params = INDETERMINATE, {"reason": exc.args[0]}, exc.args[1]
-        else:
-            return False
-        self.report = LemmaReport(self.lemma, self.n, self.d, self.rng.origin_seed,
-                                  verdict, self.dims, witness, _ms_since(self.t0), params)
-        return True
+    t0 = time.perf_counter()
+    params = {"trials": trials, **params}
+    flags, dims, witness = [], {}, None
+    try:
+        subs = (rng.split("trial%d" % t) for t in range(trials))
+        for t, (ok, trial_dims, thunk) in enumerate(outcomes(subs)):
+            flags.append(ok)
+            dims = dims or trial_dims
+            if not ok and witness is None:
+                witness = {"trial": t, **thunk()}
+        verdict = protocol_verdict(flags)
+    except (InfeasibleSystem, NonGenericScheme, LineInHypersurface) as exc:
+        verdict, witness, params = INFEASIBLE, {"reason": str(exc)}, {}
+    except _Stop as exc:
+        verdict, witness = INDETERMINATE, {"reason": str(exc)}
+    return LemmaReport(lemma, n, d, rng.origin_seed, verdict, dims, witness,
+                       _ms_since(t0), params)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +298,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """The sections w_ijk contract into the degree-(d+1) deformation span,
     are independent, and together with the Euler-field multiples exhaust the
     sections that do so (modulo multiples of the defining polynomial)."""
-    with _Trials("w-basis", n, d, rng, trials) as run:
+    def outcomes(subs):
         shape = family_shape(n, d)
         nv = n + 2
         deg2 = all_monomials(nv, 2)
@@ -322,7 +307,7 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         n_unknowns = nv * len(deg2)
         alpha_rows = [_terms_row(_x_alpha(nv, i), deg2) for i in range(nv)]
 
-        for sub in run:
+        for sub in subs:
             b = sample_b_through(shape, [], sub)
             omega_rows = [_terms_row(terms, deg2) for terms in omega_terms(b)]
             rank_omega = rank_sparse(omega_rows)
@@ -351,11 +336,12 @@ def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
                   and euler_ok and f_block_rank == nv
                   and rank_family == expected_total
                   and kernel_total == expected_total)
-            run.record(ok, {"basis": len(omega_rows), "kernel_total": kernel_total},
-                       lambda: {"reason": "membership" if not membership else "dimension",
-                                "rank_basis": rank_omega, "kernel_total": kernel_total,
-                                "b": json.loads(b.to_json())["t"]})
-    return run.report
+            yield (ok, {"basis": len(omega_rows), "kernel_total": kernel_total},
+                   lambda: {"reason": "membership" if not membership else "dimension",
+                            "rank_basis": rank_omega, "kernel_total": kernel_total,
+                            "b": json.loads(b.to_json())["t"]})
+
+    return _sampled("w-basis", n, d, rng, trials, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +389,10 @@ def _kernel_is_span(columns, gens):
     first vector of the kernel's reduced echelon basis outside the span
     (kernel_basis, one sparse vector at a time, each reduced against that
     call's echelon form), else the first generator g with m·g != 0; one of
-    the two exists.  When it holds, `outside` is a
-    thunk with no closure, so no echelon form outlives its trial.
+    the two exists.  A sampled claim yields `outside` inside its witness
+    thunk, which `_sampled` calls only for the first failing trial.  When
+    the claim holds, `outside` is a thunk with no closure, so no echelon
+    form outlives its trial.
     """
     kernel_dim, echelon, escaped = kernel_span_dims(columns, gens)
     if escaped is None and len(echelon) == kernel_dim:
@@ -422,21 +410,22 @@ def verify_kernel_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaRep
     the line is exactly (linear forms of Z) * (deformation span one degree
     down), and the quotient maps isomorphically onto the degree-d forms on
     the line (dimension d+1)."""
-    with _Trials("kernel-generic", n, d, rng, trials) as run:
+    def outcomes(subs):
         jd = family_shape(n, d).jd
         jdm1 = gen_jd(n, d - 1)
-        for sub in run:
+        for sub in subs:
             z = random_generic_scheme(n, sub)
             xi = _xi_matrix_on(jd, z)
             rows = _ideal_rows([(form, jdm1) for form in iz_linear(z)], jd)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, rows)
             qrank = len(xi) - kernel_dim
-            run.record(equal and qrank == d + 1,
-                       {"lhs": span_dim, "rhs": kernel_dim, "quotient": qrank},
-                       lambda: {"reason": "subspace mismatch",
-                                "lhs": span_dim, "rhs": kernel_dim,
-                                "scheme": scheme_json(z), "vector": outside()})
-    return run.report
+            yield (equal and qrank == d + 1,
+                   {"lhs": span_dim, "rhs": kernel_dim, "quotient": qrank},
+                   lambda: {"reason": "subspace mismatch",
+                            "lhs": span_dim, "rhs": kernel_dim,
+                            "scheme": scheme_json(z), "vector": outside()})
+
+    return _sampled("kernel-generic", n, d, rng, trials, outcomes)
 
 
 def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
@@ -445,11 +434,11 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaRep
     explicit generators x0^(d-2) x_i (x_j - c_j x_1), i >= 1, j >= 2: the
     products of den(c_j) x_j - num(c_j) x_1, a form of I_Z(1), with
     x0^(d-2) x_i, listed after I_Z(1)'s own."""
-    with _Trials("kernel-special", n, d, rng, trials) as run:
+    def outcomes(subs):
         jd = family_shape(n, d).jd
         jdm1 = gen_jd(n, d - 1)
         lows = {mono_times((d - 2,) + (0,) * (n + 1), i) for i in range(1, n + 2)}
-        for sub in run:
+        for sub in subs:
             z, cmap = _special_scheme(n, sub)
             xi = _xi_matrix_on(jd, z)
             forms = [[0, -c.numerator] + [c.denominator * (i == j) for i in range(2, n + 2)]
@@ -457,13 +446,14 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaRep
             rows = _ideal_rows([(form, jdm1) for form in iz_linear(z)]
                                + [(form, lows) for form in forms], jd)
             equal, kernel_dim, span_dim, outside = _kernel_is_span(xi, rows)
-            run.record(equal,
-                       {"lhs": kernel_dim, "rhs": span_dim,
-                        "extra_generators": len(forms) * len(lows)},
-                       lambda: {"reason": "subspace mismatch",
-                                "lhs": kernel_dim, "rhs": span_dim,
-                                "scheme": scheme_json(z), "vector": outside()})
-    return run.report
+            yield (equal,
+                   {"lhs": kernel_dim, "rhs": span_dim,
+                    "extra_generators": len(forms) * len(lows)},
+                   lambda: {"reason": "subspace mismatch",
+                            "lhs": kernel_dim, "rhs": span_dim,
+                            "scheme": scheme_json(z), "vector": outside()})
+
+    return _sampled("kernel-special", n, d, rng, trials, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +467,26 @@ def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
     scheme Z supported at p plus one extra linear form s: I_Z(1) is an
     n-dimensional part of the (n+1)-dimensional I_p(1), so for s in I_p(1)
     outside it span(I_Z(1) + s) = I_p(1), and the split span is the point
-    span itself (l*g is linear in l).  Every trial records the one point
+    span itself (l*g is linear in l).  Every trial yields the one point
     decision."""
-    with _Trials("point-ideal", n, d, rng, trials) as run:
-        if p is None:
-            p = ProjPoint([Fraction(1)] * (n + 2))
-        if p.is_coordinate_point():
+    def outcomes(subs):
+        point = ProjPoint([Fraction(1)] * (n + 2)) if p is None else p
+        if point.is_coordinate_point():
             raise CoordinatePointError("the statement excludes coordinate points")
         jd = family_shape(n, d).jd
         jd1 = gen_jd(n, d + 1)
         ambient = len(jd1)
-        # the columns of the rational values at p = X / D, X = p.ints, times
+        # the columns of the rational values at p = X / D, X = point.ints, times
         # D^(d+1) > 0: the same kernel and canonical witness basis
-        evaluation = [(v,) for v in integer_monomial_values(jd1, p.ints)]
-        rows = _ideal_rows([(form, jd) for form in ip_linear(p)], jd1)
+        evaluation = [(v,) for v in integer_monomial_values(jd1, point.ints)]
+        rows = _ideal_rows([(form, jd) for form in ip_linear(point)], jd1)
         equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, rows)
         ok = equal and kernel_dim == ambient - 1
         dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
-        for _ in run:
-            run.record(ok, dims, lambda: {"reason": "point part", "vector": outside()})
-    return run.report
+        for _ in subs:
+            yield ok, dims, lambda: {"reason": "point part", "vector": outside()}
+
+    return _sampled("point-ideal", n, d, rng, trials, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +521,7 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     scheme: contains the listed monomial fields and fills the full quotient
     by the rescaling directions; for a very special scheme it equals the
     explicit (3n+2)-dimensional span."""
-    with _Trials("xi-special", n, d, rng, trials) as run:
+    def outcomes(subs):
         if n < 2:
             raise InfeasibleSystem("needs n >= 2")
         shape = family_shape(n, d)
@@ -539,7 +529,7 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
         amb = 3 * nv
         x00, x01, x11 = (mono_times((0,) * nv, i, j) for i, j in ((0, 0), (0, 1), (1, 1)))
         listed = [{(i, x11): 1} for i in range(nv)] + [{(j, x01): 1} for j in range(1, nv)]
-        for sub in run:
+        for sub in subs:
             zs, _ = _special_scheme(n, sub)
             _, svecs = _omega_image(shape, zs, sub)
             xi_w_special = rank_sparse(svecs)
@@ -564,40 +554,42 @@ def verify_xi_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
             vs_ok = (xi_w_very_special == rank_sparse(ev) == rank_sparse(vv + ev)
                      == 3 * n + 2)
 
-            run.record(member_ok and surjective and vs_ok,
-                       {"target_quotient": amb - 2,
-                        "quotient_rank": quotient_rank,
-                        "xi_w_special": xi_w_special,
-                        "xi_w_very_special": xi_w_very_special},
-                       lambda: {"reason": ("listed field missing" if not member_ok else
-                                           "quotient not filled" if not surjective else
-                                           "very-special span mismatch"),
-                                "quotient_rank": quotient_rank,
-                                "very_special_dim": xi_w_very_special,
-                                "scheme": scheme_json(zs if not (member_ok and surjective)
-                                                      else zv)})
-    return run.report
+            yield (member_ok and surjective and vs_ok,
+                   {"target_quotient": amb - 2,
+                    "quotient_rank": quotient_rank,
+                    "xi_w_special": xi_w_special,
+                    "xi_w_very_special": xi_w_very_special},
+                   lambda: {"reason": ("listed field missing" if not member_ok else
+                                       "quotient not filled" if not surjective else
+                                       "very-special span mismatch"),
+                            "quotient_rank": quotient_rank,
+                            "very_special_dim": xi_w_very_special,
+                            "scheme": scheme_json(zs if not (member_ok and surjective)
+                                                  else zv)})
+
+    return _sampled("xi-special", n, d, rng, trials, outcomes)
 
 
 def verify_xi_generic(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """For generic schemes the quadratic sections restrict onto the whole
     3(n+2)-dimensional space of quadratic sections on the line; both shapes
     of generic scheme are exercised."""
-    with _Trials("xi-generic", n, d, rng, trials) as run:
+    def outcomes(subs):
         if n < 2:
             raise InfeasibleSystem("needs n >= 2")
         shape = family_shape(n, d)
         nv = n + 2
         amb = 3 * nv
-        for sub in run:
+        for sub in subs:
             ranks = [rank_sparse(_omega_image(shape, maker(n, sub), sub)[1])
                      for maker in (_generic_scheme_three_independent,
                                    _generic_scheme_split_shape)]
-            run.record(all(rk == amb for rk in ranks),
-                       {"rank": ranks[0], "target": amb, "basis": nv * comb(nv, 2)},
-                       lambda: {"reason": "restriction not surjective",
-                                "ranks": ranks, "target": amb})
-    return run.report
+            yield (all(rk == amb for rk in ranks),
+                   {"rank": ranks[0], "target": amb, "basis": nv * comb(nv, 2)},
+                   lambda: {"reason": "restriction not surjective",
+                            "ranks": ranks, "target": amb})
+
+    return _sampled("xi-generic", n, d, rng, trials, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -785,26 +777,27 @@ def verify_secant(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     points ends the run as INDETERMINATE and a member containing the line
     as INFEASIBLE."""
     m = d // 2
-    with _Trials("secant", n, d, rng, trials, m=m) as run:
+
+    def outcomes(subs):
         shape = family_shape(n, d)
-        for sub in run:
+        for sub in subs:
             # one name for both lines: each draw ends the last line's life
             # before its own cache fills, so one line cache is alive at a time
             z = random_generic_scheme(n, sub)
             rep_r = secant_obstruction(sample_b_through(shape, [z.p, z.q], sub), z)
             if rep_r.dims["distinct_roots"] < 3:
                 raise _Stop("the drawn secant meets the member in %d < 3 distinct points"
-                            % rep_r.dims["distinct_roots"], {"trials": trials, "m": m})
+                            % rep_r.dims["distinct_roots"])
             z = random_generic_scheme(n, sub)
             bc, xif = _b_with_line_power(shape, z, m, sub)
             rep_c = secant_obstruction(bc, z, xif=xif)
             ok = (rep_r.verdict == PASS and rep_r.dims["well_defined"] == 0
                   and rep_c.verdict == PASS and rep_c.dims["well_defined"] == 1
                   and rep_c.dims["overlap"] >= 1)
-            run.record(ok,
-                       {**rep_c.dims, "random_distinct_roots": rep_r.dims["distinct_roots"]},
-                       lambda: {"random": rep_r.dims, "constructed": rep_c.dims})
-    return run.report
+            yield (ok, {**rep_c.dims, "random_distinct_roots": rep_r.dims["distinct_roots"]},
+                   lambda: {"random": rep_r.dims, "constructed": rep_c.dims})
+
+    return _sampled("secant", n, d, rng, trials, outcomes, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -897,19 +890,20 @@ def verify_tangency(n: int, d: int, m: int, rng: Rng, trials: int = 5) -> LemmaR
     [-DRAW, DRAW]: on the line x_2 = ... = x_(n+1) = 0, dF/dx_i is
     that part of g_i, every other term keeping a factor x_j with j >= 2,
     and the tangency system reads nothing else."""
-    with _Trials("tangency", n, d, rng, trials, m=m) as run:
+    def outcomes(subs):
         line, lead = _stratum(n, d, m)
         cone, normals = _tangency_system({lead: 1}, d, line, m)
         degenerate = 2 * len(normals) - rank_sparse(cone)
         transverse = [mono_times((d - 1 - a, a) + (0,) * n, i)
                       for i in range(2, n + 2) for a in range(d)]
-        for sub in run:
+        for sub in subs:
             f = {lead: 1, **{mono: _nonzero_draw(sub) for mono in transverse}}
             rep = tangency_deformation_dim(f, line, m)
-            run.record(rep.dims["deformations"] == 0 and degenerate > 0,
-                       {"deformations": rep.dims["deformations"],
-                        "degenerate_deformations": degenerate,
-                        "unknowns": rep.dims["unknowns"], "m": m},
-                       lambda: {"deformations": rep.dims["deformations"],
-                                "degenerate": degenerate})
-    return run.report
+            yield (rep.dims["deformations"] == 0 and degenerate > 0,
+                   {"deformations": rep.dims["deformations"],
+                    "degenerate_deformations": degenerate,
+                    "unknowns": rep.dims["unknowns"], "m": m},
+                   lambda: {"deformations": rep.dims["deformations"],
+                            "degenerate": degenerate})
+
+    return _sampled("tangency", n, d, rng, trials, outcomes, m=m)

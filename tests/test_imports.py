@@ -13,7 +13,8 @@ imports none of the dense section helpers it no longer uses nor
 Subspace, lines.py imports no canonical kernel or Subspace, and no
 package module defines a name that now lives only in the tests' oracles
 (tests/oracles.py, tests/polytext.py), was folded into exact's
-elimination, or was deleted with the scheme classes that Line replaced.
+elimination, or was deleted with the scheme classes that Line replaced,
+nor `_Trials`, whose protocol `verifiers._sampled` now runs alone.
 """
 
 import ast
@@ -151,12 +152,14 @@ def test_verifiers_import_no_subspace():
 # unconstrained one), a map given by its columns is never made a dense
 # Matrix (tests/oracles.py's matrix_of_columns does that for the oracles),
 # and the kernel claims' generator rows come from one builder
-# (verifiers._ideal_rows), on sampled schemes that carry their multipliers.
+# (verifiers._ideal_rows), on sampled schemes that carry their multipliers,
+# and one function, verifiers._sampled, runs every sampled claim's trials.
 MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
              "mono_parse", "from_json", "fermat", "is_fermat", "support_in",
              "LengthTwoScheme", "SchemeClass", "permute_point", "evaluation_matrix",
              "_pair_exps", "random_deformation", "from_columns", "matrix_of_columns",
-             "_normalized_special", "_ideal_product_vectors", "_special_extras"}
+             "_normalized_special", "_ideal_product_vectors", "_special_extras",
+             "_Trials"}
 
 
 def defined_names(source):

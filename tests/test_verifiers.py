@@ -1466,15 +1466,17 @@ def test_scheme_json_includes_class():
 # ---------------------------------------------------------------------------
 # the trial runner shared by the sampled verifiers
 
-def _run_trials(body, trials=3):
-    with verifiers._Trials("demo", 2, 6, rng_for("runner"), trials, m=3) as run:
-        body(run)
-    return run.report
+def _run_sampled(outcomes, trials=3, rng=None):
+    rng = rng_for("runner") if rng is None else rng
+    return verifiers._sampled("demo", 2, 6, rng, trials, outcomes, m=3)
 
 
 def test_runner_mixed_flags_are_indeterminate():
-    rep = _run_trials(lambda run: [run.record(t != 1, {"t": t}, lambda: {})
-                                   for t, _ in enumerate(run)])
+    def outcomes(subs):
+        for t, _ in enumerate(subs):
+            yield t != 1, {"t": t}, lambda: {}
+
+    rep = _run_sampled(outcomes)
     assert rep.verdict == INDETERMINATE
     assert rep.dims == {"t": 0}
     assert rep.witness == {"trial": 1}
@@ -1483,10 +1485,9 @@ def test_runner_mixed_flags_are_indeterminate():
 
 
 def test_runner_all_pass_and_all_fail():
-    passed = _run_trials(lambda run: [run.record(True, {}, None) for _ in run])
+    passed = _run_sampled(lambda subs: ((True, {}, None) for _ in subs))
     assert (passed.verdict, passed.witness) == (PASS, None)
-    failed = _run_trials(lambda run: [run.record(False, {"k": 1}, lambda: {"x": 0})
-                                      for _ in run])
+    failed = _run_sampled(lambda subs: ((False, {"k": 1}, lambda: {"x": 0}) for _ in subs))
     assert failed.verdict == FAIL
     assert failed.witness == {"trial": 0, "x": 0}
 
@@ -1498,11 +1499,11 @@ def test_runner_calls_the_witness_thunk_once_for_the_first_failure():
         calls.append(t)
         return {"reason": "bad", "t": t}
 
-    def body(run):
-        for t, _ in enumerate(run):
-            run.record(t == 0, {"t": t}, lambda: witness(t))
+    def outcomes(subs):
+        for t, _ in enumerate(subs):
+            yield t == 0, {"t": t}, lambda: witness(t)
 
-    rep = _run_trials(body, trials=4)
+    rep = _run_sampled(outcomes, trials=4)
     assert calls == [1]
     assert list(rep.witness) == ["trial", "reason", "t"]
     assert rep.witness == {"trial": 1, "reason": "bad", "t": 1}
@@ -1512,20 +1513,26 @@ def test_runner_yields_one_split_generator_per_trial():
     rng = rng_for("runner")
     expected = [rng.split("trial%d" % t).next_u64() for t in range(3)]
     seen = []
-    _run_trials(lambda run: [seen.append(sub.next_u64()) for sub in run])
+
+    def outcomes(subs):
+        for sub in subs:
+            seen.append(sub.next_u64())
+            yield True, {}, None
+
+    _run_sampled(outcomes)
     assert seen == expected
 
 
 @pytest.mark.parametrize("error", [verifiers.InfeasibleSystem, NonGenericScheme,
                                    verifiers.LineInHypersurface])
 def test_runner_infeasible_keeps_the_dims_gathered_so_far(error):
-    def body(run):
-        for t, _ in enumerate(run):
+    def outcomes(subs):
+        for t, _ in enumerate(subs):
             if t == 2:
                 raise error("no solution")
-            run.record(True, {"t": t}, None)
+            yield True, {"t": t}, None
 
-    rep = _run_trials(body)
+    rep = _run_sampled(outcomes)
     assert rep.verdict == INFEASIBLE
     assert rep.dims == {"t": 0}
     assert rep.witness == {"reason": "no solution"}
@@ -1533,22 +1540,68 @@ def test_runner_infeasible_keeps_the_dims_gathered_so_far(error):
 
 
 def test_runner_skipped_exit_is_indeterminate():
-    def body(run):
-        raise verifiers._Stop("scheme is generic; out of scope", {"skipped": True})
+    def outcomes(subs):
+        raise verifiers._Stop("scheme is generic; out of scope")
+        yield
 
-    rep = _run_trials(body)
+    rep = _run_sampled(outcomes)
     assert rep.verdict == INDETERMINATE
     assert rep.dims == {}
     assert rep.witness == {"reason": "scheme is generic; out of scope"}
-    assert rep.params == {"skipped": True}
+    assert rep.params == {"trials": 3, "m": 3}
+
+
+@pytest.mark.parametrize("error", [verifiers._Stop, verifiers.InfeasibleSystem])
+def test_runner_ended_early_draws_no_later_trial(error):
+    """An end at trial 1 of 4 leaves the lemma's rng split exactly twice."""
+    def outcomes(subs):
+        for t, _ in enumerate(subs):
+            if t == 1:
+                raise error("ended at trial 1")
+            yield True, {"t": t}, None
+
+    rng, fresh = rng_for("runner"), rng_for("runner")
+    rep = _run_sampled(outcomes, trials=4, rng=rng)
+    assert rep.verdict == (INDETERMINATE if error is verifiers._Stop else INFEASIBLE)
+    assert rep.dims == {"t": 0}
+    fresh.split("trial0")
+    fresh.split("trial1")
+    assert rng.next_u64() == fresh.next_u64()
+
+
+def test_runner_setup_error_splits_nothing():
+    def outcomes(subs):
+        raise verifiers.InfeasibleSystem("setup failed")
+        yield
+
+    rng = rng_for("runner")
+    rep = _run_sampled(outcomes, trials=4, rng=rng)
+    assert (rep.verdict, rep.dims) == (INFEASIBLE, {})
+    assert rep.witness == {"reason": "setup failed"}
+    assert rng.next_u64() == rng_for("runner").next_u64()
+
+
+SAMPLED = ["w-basis", "kernel-generic", "kernel-special", "point-ideal", "xi-special",
+           "xi-generic", "secant", "tangency"]
+
+
+@pytest.mark.parametrize("lemma", SAMPLED)
+def test_sampled_dims_are_trial_zeros_whatever_the_trial_count(lemma):
+    """Trial 0 draws from its own rng.split("trial0"), so the dims kept do
+    not depend on how many trials follow it."""
+    one = run_lemma(lemma, 2, 6, 3, 0, trials=1)
+    three = run_lemma(lemma, 2, 6, 3, 0, trials=3)
+    assert one.params["trials"] == 1 and three.params["trials"] == 3
+    assert one.dims == three.dims
 
 
 def test_runner_lets_other_exceptions_propagate():
-    def body(run):
+    def outcomes(subs):
         raise ValueError("library misuse")
+        yield
 
     with pytest.raises(ValueError, match="library misuse"):
-        _run_trials(body)
+        _run_sampled(outcomes)
     # library misuse inside a sampled verifier still raises
     with pytest.raises(ValueError, match="multiplicity"):
         verify_tangency(2, 6, 0, rng_for("tm"), trials=1)
