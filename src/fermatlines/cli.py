@@ -5,6 +5,8 @@ Usage pattern: `verify <lemma-id|all> [--n N] [--d D] [--m M] [--seed S]...
 written per (lemma, seed) pair, flushed as soon as that pair is done and in
 registry order, plus a trailing summary object; stdout gets an aligned
 human table, each pair's row also written when the pair is done.
+`--trials K` is the number of draws of each sampled claim; `point-ideal`
+and `incidence` draw nothing, decide once and ignore it.
 `--jobs J` runs the pairs in min(J, pairs, CPUs) forked worker processes;
 `--jobs 1` runs them in this process.  Exit code 0 when everything passes,
 1 on any FAIL, 2 when the worst outcome is INFEASIBLE or INDETERMINATE, 64
@@ -44,12 +46,10 @@ LEMMAS = {
         lambda n, d, m, seed, rng, trials: verify_kernel_generic(n, d, rng, trials),
     "kernel-special":
         lambda n, d, m, seed, rng, trials: verify_kernel_special(n, d, rng, trials),
-    "point-ideal":
-        lambda n, d, m, seed, rng, trials: verify_point_ideal(n, d, rng, trials=trials),
+    "point-ideal": lambda n, d, m, seed, rng, trials: verify_point_ideal(n, d, seed=seed),
     "xi-special": lambda n, d, m, seed, rng, trials: verify_xi_special(n, d, rng, trials),
     "xi-generic": lambda n, d, m, seed, rng, trials: verify_xi_generic(n, d, rng, trials),
-    "systems": lambda n, d, m, seed, rng, trials:
-        verify_generic_systems(rng, draws=trials, singular_draws=trials, n=n, d=d),
+    "systems": lambda n, d, m, seed, rng, trials: verify_generic_systems(n, d, rng, trials),
     "secant": lambda n, d, m, seed, rng, trials: verify_secant(n, d, rng, trials),
     "incidence": lambda n, d, m, seed, rng, trials: verify_incidence(n, d, m, seed=seed),
     "tangency": lambda n, d, m, seed, rng, trials: verify_tangency(n, d, m, rng, trials),
@@ -254,7 +254,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append",
                         default=None, help="seed, repeatable (default 0)")
     parser.add_argument("--trials", type=int, default=None,
-                        help="samples per genericity claim (default 5)")
+                        help="samples per genericity claim (default 5); point-ideal "
+                             "and incidence decide once and ignore it")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the (lemma, seed) runs, at most one "
                              "per run and per CPU (default 1: run in this process)")

@@ -14,7 +14,9 @@ integers of that range, where the same bound holds with 2*DRAW in place of
 The protocol is implemented once, by `_sampled`, which runs each sampled
 verifier's nested generator `outcomes(subs)`: its setup, then one
 (ok, dims, witness thunk) per trial, drawn from that trial's own
-sub-generator.  The three kernel claims build their generator rows with
+sub-generator.  Exactly the eight claims that draw are sampled;
+`point-ideal` and `incidence` draw nothing and decide once, with no
+`trials`.  The three kernel claims build their generator rows with
 one builder, `_ideal_rows`, whose order is the order in which
 exact.kernel_span_dims eliminates them, as given and in place, and share
 `_kernel_is_span`.
@@ -22,8 +24,8 @@ exact.kernel_span_dims eliminates them, as given and in place, and share
 `systems` builds its coefficient keys c_ijk and its 9x6 integer rows from
 one index rule over the unknowns a_ij x_i^2 d/dx_j (`_SYSTEM_UNKNOWNS`,
 `_SYSTEM_ROWS`, `_SYSTEM_KEYS`) and ranks the rows with
-exact.rank_sparse; the 2x2 degenerate pair is the one Matrix a verifier
-builds.
+exact.rank_sparse; each trial draws its table and both 2x2 degenerate
+pairs, the one Matrix a verifier builds, from its own sub-generator.
 """
 
 from __future__ import annotations
@@ -87,17 +89,6 @@ class LemmaReport:
         return json.dumps(self.to_json_obj())
 
 
-def protocol_verdict(flags) -> str:
-    flags = list(flags)
-    if not flags:
-        return INDETERMINATE
-    if all(flags):
-        return PASS
-    if not any(flags):
-        return FAIL
-    return INDETERMINATE
-
-
 def _vec_json(v):
     return [format_fraction(x) for x in v]
 
@@ -124,10 +115,11 @@ def _sampled(lemma: str, n: int, d: int, rng: Rng, trials: int, outcomes,
     only as it is taken, and yields that trial's (ok, dims, witness thunk).
     The run is timed as a whole, setup included.  The first trial's dims
     are kept, and the witness thunk is called only for the first failing
-    trial.  InfeasibleSystem, NonGenericScheme and LineInHypersurface end
-    the run as INFEASIBLE with the dims gathered so far, and _Stop ends it
-    as INDETERMINATE; either way no later trial is drawn.  Any other
-    exception propagates.
+    trial.  The run PASSes when every trial holds, FAILs when none does,
+    and is INDETERMINATE otherwise (or with no trial).  InfeasibleSystem,
+    NonGenericScheme and LineInHypersurface end the run as INFEASIBLE with
+    the dims gathered so far, and _Stop ends it as INDETERMINATE; either
+    way no later trial is drawn.  Any other exception propagates.
     """
     t0 = time.perf_counter()
     params = {"trials": trials, **params}
@@ -139,7 +131,8 @@ def _sampled(lemma: str, n: int, d: int, rng: Rng, trials: int, outcomes,
             dims = dims or trial_dims
             if not ok and witness is None:
                 witness = {"trial": t, **thunk()}
-        verdict = protocol_verdict(flags)
+        kinds = set(flags)
+        verdict = PASS if kinds == {True} else FAIL if kinds == {False} else INDETERMINATE
     except (InfeasibleSystem, NonGenericScheme, LineInHypersurface) as exc:
         verdict, witness, params = INFEASIBLE, {"reason": str(exc)}, {}
     except _Stop as exc:
@@ -373,7 +366,13 @@ def _ideal_rows(pairs, target):
         rows = firsts
         for (form, lower), k in zip(pairs, leads):
             if t[k] and (h := t[:k] + (t[k] - 1,) + t[k + 1:]) in lower:
-                rows.append({index[mono_times(h, i)]: c for i, c in enumerate(form) if c})
+                row, e = {}, list(h)
+                for i, c in enumerate(form):
+                    if c:
+                        e[i] += 1
+                        row[index[tuple(e)]] = c
+                        e[i] -= 1
+                rows.append(row)
                 rows = rest
     firsts += rest
     return firsts
@@ -459,34 +458,34 @@ def verify_kernel_special(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaRep
 # ---------------------------------------------------------------------------
 # point-ideal intersection inside the next deformation span
 
-def verify_point_ideal(n: int, d: int, rng: Rng, p: ProjPoint | None = None,
-                       trials: int = 5) -> LemmaReport:
-    """Vanishing at one non-coordinate point cuts the degree-(d+1)
-    deformation span down to (linear forms at p) * (deformation span), of
-    codimension exactly one.  The same space splits through any two-point
-    scheme Z supported at p plus one extra linear form s: I_Z(1) is an
-    n-dimensional part of the (n+1)-dimensional I_p(1), so for s in I_p(1)
-    outside it span(I_Z(1) + s) = I_p(1), and the split span is the point
-    span itself (l*g is linear in l).  Every trial yields the one point
-    decision."""
-    def outcomes(subs):
-        point = ProjPoint([Fraction(1)] * (n + 2)) if p is None else p
-        if point.is_coordinate_point():
-            raise CoordinatePointError("the statement excludes coordinate points")
-        jd = family_shape(n, d).jd
-        jd1 = gen_jd(n, d + 1)
-        ambient = len(jd1)
-        # the columns of the rational values at p = X / D, X = point.ints, times
-        # D^(d+1) > 0: the same kernel and canonical witness basis
-        evaluation = [(v,) for v in integer_monomial_values(jd1, point.ints)]
-        rows = _ideal_rows([(form, jd) for form in ip_linear(point)], jd1)
-        equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, rows)
-        ok = equal and kernel_dim == ambient - 1
-        dims = {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim}
-        for _ in subs:
-            yield ok, dims, lambda: {"reason": "point part", "vector": outside()}
-
-    return _sampled("point-ideal", n, d, rng, trials, outcomes)
+def verify_point_ideal(n: int, d: int, p: ProjPoint | None = None,
+                       seed: int = 0) -> LemmaReport:
+    """Vanishing at one non-coordinate point p, by default (1, ..., 1), cuts
+    the degree-(d+1) deformation span down to (linear forms at p) *
+    (deformation span), of codimension exactly one.  The same space splits
+    through any two-point scheme Z supported at p plus one extra linear
+    form s: I_Z(1) is an n-dimensional part of the (n+1)-dimensional
+    I_p(1), so for s in I_p(1) outside it span(I_Z(1) + s) = I_p(1), and
+    the split span is the point span itself (l*g is linear in l).  The
+    claim draws nothing, so it is decided once, like incidence; `seed` is
+    only recorded in the report."""
+    t0 = time.perf_counter()
+    p = ProjPoint([Fraction(1)] * (n + 2)) if p is None else p
+    if p.is_coordinate_point():
+        raise CoordinatePointError("the statement excludes coordinate points")
+    jd = family_shape(n, d).jd
+    jd1 = gen_jd(n, d + 1)
+    ambient = len(jd1)
+    # the columns of the rational values at p = X / D, X = p.ints, times
+    # D^(d+1) > 0: the same kernel and canonical witness basis
+    evaluation = [(v,) for v in integer_monomial_values(jd1, p.ints)]
+    rows = _ideal_rows([(form, jd) for form in ip_linear(p)], jd1)
+    equal, kernel_dim, span_dim, outside = _kernel_is_span(evaluation, rows)
+    ok = equal and kernel_dim == ambient - 1
+    witness = None if ok else {"reason": "point part", "vector": outside()}
+    return LemmaReport("point-ideal", n, d, seed, PASS if ok else FAIL,
+                       {"lhs": kernel_dim, "rhs": span_dim, "codim": ambient - kernel_dim},
+                       witness, _ms_since(t0))
 
 
 # ---------------------------------------------------------------------------
@@ -632,49 +631,29 @@ def _two_by_two(c022, c200, a) -> Matrix:
     return Matrix([[-a * c022, Fraction(1)], [a * a, -a * c200]])
 
 
-def verify_generic_systems(rng: Rng, draws: int = 5, singular_draws: int = 5,
-                           n: int = 2, d: int = 6) -> LemmaReport:
+def verify_generic_systems(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """The 9x6 coefficient system has trivial kernel for general
     coefficients; the 2x2 determinant pair is nonzero for general draws; and
-    the degenerate-pair system is singular exactly on c022*c200 = 1."""
-    t0 = time.perf_counter()
-    flags = []
-    witness = None
-    max_kernel = 0
-    for t in range(draws):
-        sub = rng.split("draw%d" % t)
-        c = _draw_coeffs(sub)
-        kdim = len(_SYSTEM_UNKNOWNS) - rank_sparse(_nine_by_six(c))
-        max_kernel = max(max_kernel, kdim)
-        det2 = (c[(1, 0, 2)] * c[(0, 1, 3)] - c[(0, 1, 2)] * c[(1, 0, 3)])
-        a = _nonzero_sample(sub)
-        pair = _two_by_two(c[(0, 2, 2)], c[(2, 0, 0)], a)
-        singular = pair.rank() < 2
-        predicted = c[(0, 2, 2)] * c[(2, 0, 0)] == 1
-        ok = kdim == 0 and det2 != 0 and singular == predicted
-        flags.append(ok)
-        if not ok and witness is None:
-            witness = {"draw": t, "kernel_dim": kdim,
-                       "det_pair": format_fraction(det2)}
-    forced_ok = True
-    for t in range(singular_draws):
-        sub = rng.split("singular%d" % t)
-        c022 = _nonzero_sample(sub, 20)
-        a = _nonzero_sample(sub)
-        pair = _two_by_two(c022, 1 / c022, a)
-        kdim = 2 - pair.rank()
-        if kdim != 1:
-            forced_ok = False
-            if witness is None:
-                witness = {"singular_draw": t, "kernel_dim": kdim,
-                           "c022": format_fraction(c022)}
-    verdict = protocol_verdict(flags)
-    if not forced_ok:
-        verdict = FAIL
-    dims = {"system_rows": len(_SYSTEM_ROWS), "system_cols": len(_SYSTEM_UNKNOWNS),
-            "draws": draws, "singular_draws": singular_draws, "kernel_dim_max": max_kernel}
-    return LemmaReport("systems", n, d, rng.origin_seed, verdict, dims,
-                       witness, _ms_since(t0), {})
+    the degenerate-pair system is singular exactly on c022*c200 = 1.  Each
+    trial draws its coefficient table, the general pair's a, and a forced
+    pair (c022, c200 = 1/c022, a) from its own sub-generator."""
+    def outcomes(subs):
+        for sub in subs:
+            c = _draw_coeffs(sub)
+            kdim = len(_SYSTEM_UNKNOWNS) - rank_sparse(_nine_by_six(c))
+            det2 = c[(1, 0, 2)] * c[(0, 1, 3)] - c[(0, 1, 2)] * c[(1, 0, 3)]
+            singular = _two_by_two(c[(0, 2, 2)], c[(2, 0, 0)], _nonzero_sample(sub)).rank() < 2
+            predicted = c[(0, 2, 2)] * c[(2, 0, 0)] == 1
+            c022 = _nonzero_sample(sub, 20)
+            forced_kernel = 2 - _two_by_two(c022, 1 / c022, _nonzero_sample(sub)).rank()
+            yield (kdim == 0 and det2 != 0 and singular == predicted and forced_kernel == 1,
+                   {"system_rows": len(_SYSTEM_ROWS), "system_cols": len(_SYSTEM_UNKNOWNS),
+                    "kernel_dim": kdim},
+                   lambda: {"kernel_dim": kdim, "det_pair": format_fraction(det2),
+                            "forced_kernel_dim": forced_kernel,
+                            "c022": format_fraction(c022)})
+
+    return _sampled("systems", n, d, rng, trials, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,12 @@ def test_acceptance_3_kernel_lemmas():
 
 def test_acceptance_4_point_ideal():
     for n, d in ((1, 4), (2, 6)):
-        rep = verify_point_ideal(n, d, Rng(0).split("point-ideal"), trials=5)
+        rep = verify_point_ideal(n, d)
         assert rep.verdict == PASS, rep.to_json()
         assert rep.dims["codim"] == 1
         assert rep.dims["lhs"] == jd_size_formula(n, d + 1) - 1
     with pytest.raises(CoordinatePointError):
-        verify_point_ideal(2, 6, Rng(0).split("point-ideal"),
-                           p=ProjPoint([0, 0, 1, 0]), trials=1)
+        verify_point_ideal(2, 6, p=ProjPoint([0, 0, 1, 0]))
     announce(4, "point-ideal intersection has codimension exactly 1 at "
                 "(1,4) and (2,6); coordinate points are rejected")
 
@@ -109,14 +108,14 @@ def test_acceptance_5_restriction_surjectivity():
 
 
 def test_acceptance_6_generic_systems():
-    rep = verify_generic_systems(Rng(0).split("systems"), draws=20,
-                                 singular_draws=5)
+    rep = verify_generic_systems(2, 6, Rng(0).split("systems"), trials=20)
     assert rep.verdict == PASS, rep.to_json()
-    assert rep.dims["kernel_dim_max"] == 0
-    assert rep.dims["draws"] == 20 and rep.dims["singular_draws"] == 5
+    assert rep.dims["kernel_dim"] == 0
+    assert rep.params == {"trials": 20}
     announce(6, "the 9x6 coefficient system is nonsingular on 20 random "
                 "draws and the degenerate pair is singular exactly on the "
-                "unit-product locus (20 random + 5 constructed draws)")
+                "unit-product locus (20 trials, each with a random and a "
+                "constructed pair)")
 
 
 def test_acceptance_7_secant_obstruction():

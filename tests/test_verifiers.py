@@ -1,5 +1,6 @@
 """Verifier-level behavior: spot values, independent oracles, error routes."""
 
+import json
 import weakref
 from fractions import Fraction
 
@@ -221,7 +222,7 @@ def test_containment_of_ideal_part_holds_even_for_special_schemes():
 KERNEL_CLAIMS = {
     "kernel-generic": lambda: verify_kernel_generic(2, 6, rng_for("kg"), trials=2),
     "kernel-special": lambda: verify_kernel_special(2, 6, rng_for("ks"), trials=2),
-    "point-ideal": lambda: verify_point_ideal(2, 6, rng_for("pi"), trials=2),
+    "point-ideal": lambda: verify_point_ideal(2, 6, seed=7),
 }
 
 
@@ -326,7 +327,9 @@ def test_kernel_claim_fails_without_the_first_forms_products_in_any_basis(monkey
             _drop_first_form(mp)
             calls = _recording(mp, "_kernel_is_span")
             rep = KERNEL_CLAIMS[lemma]()
-        assert rep.verdict == FAIL and rep.witness["trial"] == 0
+        assert rep.verdict == FAIL
+        # point-ideal decides once, so its witness names no trial
+        assert rep.witness.get("trial") == (None if lemma == "point-ideal" else 0)
         columns, gens, _ = calls[0]
         v = [Fraction(x) for x in rep.witness["vector"]]
         assert not any(map(sum, zip(*[[x * c for c in col] for x, col in zip(v, columns)])))
@@ -431,7 +434,7 @@ def test_point_ideal_point_part_witness_is_its_own_vector(monkeypatch):
     p = ProjPoint([1] * 4)      # the default point; every monomial is 1 there
     forms = verifiers.ip_linear(p)[1:]
     monkeypatch.setattr(verifiers, "ip_linear", lambda q: forms)
-    rep = verify_point_ideal(2, 6, Rng(7).split("point-ideal"), trials=2)
+    rep = verify_point_ideal(2, 6)
     assert rep.verdict == FAIL and rep.witness["reason"] == "point part"
     v = [Fraction(x) for x in rep.witness["vector"]]
     assert sum(v) == 0
@@ -472,7 +475,7 @@ def cut_space_dim(n, d):
 @pytest.mark.parametrize("n, d, dim", [(2, 6, 103), (3, 8, 689), (4, 10, 4331)])
 def test_point_ideal_dims_match_the_cut_space(n, d, dim):
     assert cut_space_dim(n, d) == dim
-    rep = verify_point_ideal(n, d, rng_for("pi-cut"), trials=1)
+    rep = verify_point_ideal(n, d)
     assert rep.verdict == PASS
     assert rep.dims == {"lhs": dim, "rhs": dim, "codim": 1}
 
@@ -634,10 +637,6 @@ def _drop_first_tangency_row(terms, d, line, m):
     return rows[1:], normals
 
 
-def _systems(n, d, rng, trials):
-    return verify_generic_systems(rng, draws=trials, singular_draws=trials, n=n, d=d)
-
-
 def _tangency(n, d, rng, trials):
     return verify_tangency(n, d, d // 2, rng, trials)
 
@@ -648,11 +647,9 @@ MUTATIONS = {
     "xi-special": ("_section_image", _zero_first_block, verify_xi_special),
     "xi-generic": ("_section_image", _zero_first_block, verify_xi_generic),
     "secant": ("_b_with_line_power", _member_without_line_power, verify_secant),
-    "systems": ("_nine_by_six", _zero_first_system_column, _systems),
+    "systems": ("_nine_by_six", _zero_first_system_column, verify_generic_systems),
     "tangency": ("_tangency_system", _drop_first_tangency_row, _tangency),
 }
-# The witness key that names the first failing trial, where it is not "trial".
-TRIAL_KEY = {"systems": "draw"}
 
 
 @pytest.mark.parametrize("lemma", sorted(MUTATIONS))
@@ -662,7 +659,21 @@ def test_sampled_claim_fails_with_a_witness_when_broken(monkeypatch, lemma):
     rep = verify(2, 6, rng_for(lemma), trials=2)
     assert rep.verdict == FAIL
     assert rep.witness is not None
-    assert rep.witness[TRIAL_KEY.get(lemma, "trial")] == 0
+    assert rep.witness["trial"] == 0
+
+
+def test_systems_fails_when_the_forced_pair_stays_regular(monkeypatch):
+    """With the degenerate pair replaced by the 2x2 identity, the general
+    pair still agrees with its prediction (regular, c022*c200 != 1), but the
+    forced pair c200 = 1/c022 is no longer singular: every trial FAILs on
+    its forced half, with forced kernel dimension 0."""
+    monkeypatch.setattr(verifiers, "_two_by_two",
+                        lambda c022, c200, a: Matrix([[1, 0], [0, 1]]))
+    rep = verify_generic_systems(2, 6, rng_for("systems"), trials=2)
+    assert rep.verdict == FAIL
+    assert rep.dims == {"system_rows": 9, "system_cols": 6, "kernel_dim": 0}
+    assert rep.witness["trial"] == 0
+    assert rep.witness["kernel_dim"] == 0 and rep.witness["forced_kernel_dim"] == 0
 
 
 def test_xi_special_names_an_unfilled_quotient(monkeypatch):
@@ -712,14 +723,14 @@ def test_xi_special_at_degree_4_is_infeasible(n):
 # point ideal
 
 def test_point_ideal_all_ones():
-    rep = verify_point_ideal(2, 6, rng_for("pi"), trials=3)
+    rep = verify_point_ideal(2, 6)
     assert rep.verdict == PASS
     assert rep.dims["codim"] == 1
     assert rep.dims["lhs"] == len(gen_jd(2, 7)) - 1
 
 
 def test_point_ideal_small_case():
-    rep = verify_point_ideal(1, 4, rng_for("pi14"), trials=3)
+    rep = verify_point_ideal(1, 4)
     assert rep.verdict == PASS
     assert rep.dims["lhs"] == len(gen_jd(1, 5)) - 1 == 11
 
@@ -727,12 +738,12 @@ def test_point_ideal_small_case():
 def test_point_ideal_rejects_coordinate_point():
     p = ProjPoint([1, 0, 0, 0])
     with pytest.raises(CoordinatePointError):
-        verify_point_ideal(2, 6, rng_for("pi2"), p=p, trials=1)
+        verify_point_ideal(2, 6, p=p)
 
 
 def test_point_ideal_other_point():
     p = ProjPoint([1, 2, 0, 5])
-    rep = verify_point_ideal(2, 6, rng_for("pi3"), p=p, trials=2)
+    rep = verify_point_ideal(2, 6, p=p)
     assert rep.verdict == PASS and rep.dims["codim"] == 1
 
 
@@ -748,7 +759,7 @@ def test_point_ideal_integer_row_has_the_rational_kernel(monkeypatch, coords):
     is_span = verifiers._kernel_is_span
     monkeypatch.setattr(verifiers, "_kernel_is_span",
                         lambda columns, gens: maps.append(columns) or is_span(columns, gens))
-    verify_point_ideal(2, 6, rng_for("pi-row"), p=p, trials=1)
+    verify_point_ideal(2, 6, p=p)
     evaluation = matrix_of_columns(maps[0])
     assert all(type(x) is int for x in evaluation.data[0])
     rational = [(x,) for x in eval_monomials(gen_jd(2, 7), p.coords)]
@@ -936,9 +947,9 @@ def test_xi_special_terms_match_section_arithmetic(monkeypatch, n, d):
 # coefficient systems
 
 def test_systems_pass():
-    rep = verify_generic_systems(rng_for("sys"), draws=8, singular_draws=5)
+    rep = verify_generic_systems(2, 6, rng_for("sys"), trials=8)
     assert rep.verdict == PASS
-    assert rep.dims["kernel_dim_max"] == 0
+    assert rep.dims["kernel_dim"] == 0
 
 
 @pytest.mark.parametrize("lemma,seed", [("systems", 35), ("systems", 1000122),
@@ -1581,8 +1592,8 @@ def test_runner_setup_error_splits_nothing():
     assert rng.next_u64() == rng_for("runner").next_u64()
 
 
-SAMPLED = ["w-basis", "kernel-generic", "kernel-special", "point-ideal", "xi-special",
-           "xi-generic", "secant", "tangency"]
+SAMPLED = ["w-basis", "kernel-generic", "kernel-special", "xi-special", "xi-generic",
+           "systems", "secant", "tangency"]
 
 
 @pytest.mark.parametrize("lemma", SAMPLED)
@@ -1593,6 +1604,30 @@ def test_sampled_dims_are_trial_zeros_whatever_the_trial_count(lemma):
     three = run_lemma(lemma, 2, 6, 3, 0, trials=3)
     assert one.params["trials"] == 1 and three.params["trials"] == 3
     assert one.dims == three.dims
+
+
+def test_sampled_runs_exactly_the_claims_that_draw(monkeypatch):
+    """run_lemma sends each of the eight claims that draw through _sampled
+    once, and point-ideal and incidence, which draw nothing, never: they
+    decide once, and their stripped reports do not depend on trials."""
+    seen = []
+    real = verifiers._sampled
+
+    def recording(lemma, *args, **params):
+        seen.append(lemma)
+        return real(lemma, *args, **params)
+
+    monkeypatch.setattr(verifiers, "_sampled", recording)
+    for lemma in LEMMAS:
+        run_lemma(lemma, 2, 6, 3, 0, trials=1)
+    assert seen == SAMPLED
+    seen.clear()
+    for lemma in ("point-ideal", "incidence"):
+        one, three = (run_lemma(lemma, 2, 6, 3, 0, trials=t).to_json_obj() for t in (1, 3))
+        for rep in (one, three):
+            rep.pop("elapsed_ms")
+        assert json.dumps(one) == json.dumps(three)
+    assert seen == []
 
 
 def test_runner_lets_other_exceptions_propagate():
