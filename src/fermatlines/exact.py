@@ -303,14 +303,14 @@ def image(columns, g):
 
 def column_scan(columns, size):
     """(pivots, annihilator, duals) of the map with the rational `columns`,
-    a sequence of columns each of length `size`: pivots are the indices of
-    the leftmost independent columns, annihilator is a list of integer
-    functionals spanning the annihilator of every column, so it has
-    size - rank members, and duals holds one (functional, value) per pivot
-    column c, in order: an integer functional zero on every other pivot
-    column, and its nonzero value on column c.  A column in the span of the
-    pivot columns is then sum x_c*col_c, x_c its dual's value on it over
-    that value.
+    an iterable of columns each of length `size`, taken once and in order:
+    pivots are the indices of the leftmost independent columns,
+    annihilator is a list of integer functionals spanning the annihilator
+    of every column, so it has size - rank members, and duals holds one
+    (functional, value) per pivot column c, in order: an integer
+    functional zero on every other pivot column, and its nonzero value on
+    column c.  A column in the span of the pivot columns is then
+    sum x_c*col_c, x_c its dual's value on it over that value.
 
     The scan reads the columns in order and keeps the functionals spanning
     the annihilator of the pivot columns so far, starting from the unit
@@ -319,7 +319,8 @@ def column_scan(columns, size):
     the others, and the earlier duals, are combined with it to vanish on
     the column and divided by their content.  The duals' values are
     computed only at pivot columns.  No column is read once the
-    annihilator is empty (rank `size`).
+    annihilator is empty (rank `size`), so of a lazy iterable only one
+    column past the last one read is computed.
 
     A functional combined with a later one keeps its own leading variable,
     and no other survivor's variable enters it: the annihilator is, form by
@@ -328,13 +329,14 @@ def column_scan(columns, size):
     the first nonzero functional instead gives the same pivots but forms
     sharing one leading variable."""
     annihilator = [[int(i == k) for i in range(size)] for k in range(size)]
-    pivots, duals = [], []
+    pivots, duals, pivot_columns = [], [], []
     for j, column in enumerate(columns):
         if not annihilator:
             break
         values = [sum(map(mul, a, column)) for a in annihilator]
         if any(values):
             pivots.append(j)
+            pivot_columns.append(column)
             k = max(k for k, w in enumerate(values) if w)
             a = annihilator.pop(k)
             forms = annihilator + duals
@@ -343,8 +345,8 @@ def column_scan(columns, size):
             forms = [_primitive([values[0] * x - u * y for x, y in zip(b, a)]) if u else b
                      for b, u in zip(forms, values[1:])]
             annihilator, duals = forms[:len(annihilator)], forms[len(annihilator):] + [a]
-    return pivots, annihilator, [(b, sum(map(mul, b, columns[c])))
-                                 for b, c in zip(duals, pivots)]
+    return pivots, annihilator, [(b, sum(map(mul, b, column)))
+                                 for b, column in zip(duals, pivot_columns)]
 
 
 def free_vectors(columns, pivots, duals):

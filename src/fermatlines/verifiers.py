@@ -16,10 +16,13 @@ verifier's nested generator `outcomes(subs)`: its setup, then one
 (ok, dims, witness thunk) per trial, drawn from that trial's own
 sub-generator.  Exactly the eight claims that draw are sampled;
 `point-ideal` and `incidence` draw nothing and decide once, with no
-`trials`.  The three kernel claims build their generator rows with
-one builder, `_ideal_rows`, whose order is the order in which
-exact.kernel_span_dims eliminates them, as given and in place, and share
-`_kernel_is_span`.
+`trials`.  Four claims are decided by `_kernel_is_span`, one call per
+trial or decision: the three kernel claims, whose generator rows one
+builder, `_ideal_rows`, makes in the order in which
+exact.kernel_span_dims eliminates them, as given and in place, and
+`w-basis`, whose generators are the w_ijk and the Euler-field multiples.
+`incidence` ranks the line-power conditions (`_line_power_columns`) that
+`secant`'s constructed members solve.
 
 `systems` builds its coefficient keys c_ijk and its 9x6 integer rows from
 one index rule over the unknowns a_ij x_i^2 d/dx_j (`_SYSTEM_UNKNOWNS`,
@@ -247,10 +250,11 @@ def _x_alpha(nv: int, i: int):
 
 
 def _terms_row(terms, deg2):
-    """The sparse row of a quadratic section with sparse terms
-    {(component, exponents): coefficient}: its coefficient of
-    deg2[k] d/dx_j sits at column j*len(deg2) + k."""
-    return {c * len(deg2) + deg2.index[e]: v for (c, e), v in terms.items()}
+    """The sparse integer row of a quadratic section with sparse terms
+    {(component, exponents): coefficient}, cleared of denominators: its
+    coefficient of deg2[k] d/dx_j sits at column j*len(deg2) + k."""
+    nums, _ = clear_denominators(terms.values())
+    return {c * len(deg2) + deg2.index[e]: v for (c, e), v in zip(terms, nums)}
 
 
 def _w_basis_rows(b: DeformationPoint, deg2):
@@ -281,58 +285,36 @@ def _w_basis_rows(b: DeformationPoint, deg2):
     return list(rows.values())
 
 
-def _eta_in_span(rows, vec) -> bool:
-    """Whether the section with sparse row `vec` (of `_terms_row`) lies in
-    the kernel of the section block of `_w_basis_rows`."""
-    return all(sum(x * row[k] for k, x in vec.items() if k in row) == 0 for row in rows)
-
-
 def verify_w_basis(n: int, d: int, rng: Rng, trials: int = 5) -> LemmaReport:
     """The sections w_ijk contract into the degree-(d+1) deformation span,
     are independent, and together with the Euler-field multiples exhaust the
-    sections that do so (modulo multiples of the defining polynomial)."""
+    sections that do so (modulo multiples of the defining polynomial).
+
+    One kernel claim: the map's columns are those of _w_basis_rows (eta,
+    then the quotient by the deformation span, on the section unknowns and
+    the multiples x_i*F), and the generators are the w_ijk and, for each i,
+    x_i times the Euler field paired with -d at its x_i*F column, since
+    eta(x_i*E) = d*x_i*F (Euler's identity).  The kernel is their span, of
+    dimension exactly their number, nv*C(nv, 2) + nv."""
     def outcomes(subs):
         shape = family_shape(n, d)
         nv = n + 2
         deg2 = all_monomials(nv, 2)
-        expected_basis = nv * comb(nv, 2)
-        expected_total = expected_basis + nv
         n_unknowns = nv * len(deg2)
-        alpha_rows = [_terms_row(_x_alpha(nv, i), deg2) for i in range(nv)]
-
         for sub in subs:
             b = sample_b_through(shape, [], sub)
-            omega_rows = [_terms_row(terms, deg2) for terms in omega_terms(b)]
-            rank_omega = rank_sparse(omega_rows)
-            rank_family = rank_sparse(omega_rows + alpha_rows)
-
-            # eta of the Euler field is d*F (Euler's identity), read off
-            # the exponent shifts of the integer partials
-            euler = {}
-            for j, partial in enumerate(b.f_partials()):
-                for mm, c in partial.items():
-                    m = mono_times(mm, j)
-                    euler[m] = euler.get(m, 0) + c
-            euler_ok = ({m: c for m, c in euler.items() if c}
-                        == {m: d * c for m, c in b.f_poly().items()})
-
-            # kernel of (eta followed by the quotient collapsing the
-            # deformation span and multiples of F), on the (n+2)^2
-            # coordinates outside the deformation index set
             rows = _w_basis_rows(b, deg2)
-            membership = all(_eta_in_span(rows, v) for v in omega_rows)
-            f_block_rank = rank_sparse({k: c for k, c in row.items() if k >= n_unknowns}
-                                       for row in rows)
-            kernel_total = (n_unknowns + nv) - rank_sparse(rows)
-
-            ok = (membership and rank_omega == expected_basis == len(omega_rows)
-                  and euler_ok and f_block_rank == nv
-                  and rank_family == expected_total
-                  and kernel_total == expected_total)
-            yield (ok, {"basis": len(omega_rows), "kernel_total": kernel_total},
-                   lambda: {"reason": "membership" if not membership else "dimension",
-                            "rank_basis": rank_omega, "kernel_total": kernel_total,
-                            "b": json.loads(b.to_json())["t"]})
+            columns = [[row.get(j, 0) for row in rows] for j in range(n_unknowns + nv)]
+            gens = [_terms_row(terms, deg2) for terms in omega_terms(b)]
+            basis = len(gens)
+            gens += [{**_terms_row(_x_alpha(nv, i), deg2), n_unknowns + i: -d}
+                     for i in range(nv)]
+            equal, kernel_dim, span_dim, outside = _kernel_is_span(columns, gens)
+            yield (equal and kernel_dim == len(gens) == nv * comb(nv, 2) + nv,
+                   {"basis": basis, "kernel_total": kernel_dim},
+                   lambda: {"reason": "subspace mismatch", "lhs": span_dim,
+                            "rhs": kernel_dim, "b": json.loads(b.to_json())["t"],
+                            "vector": outside()})
 
     return _sampled("w-basis", n, d, rng, trials, outcomes)
 
@@ -725,18 +707,26 @@ def secant_obstruction(b: DeformationPoint, z: Line, xif=None) -> LemmaReport:
                        _ms_since(t0), {})
 
 
+def _line_power_columns(monomials, line: Line, m: int):
+    """The columns of the d line-power conditions on span(monomials), each
+    computed as it is taken: a monomial's restriction to the line
+    (_xi_matrix_on) without entry m, so a member solving them restricts to
+    a multiple of s^(d-m) t^m."""
+    return (col[:m] + col[m + 1:] for col in map(line.integer_restriction, monomials))
+
+
 def _b_with_line_power(shape: FamilyShape, z: Line, m: int, rng: Rng):
     """(b, restriction): a family member b through Z whose restriction to
     the line, also returned, is a nonzero multiple of s^(d-m) t^m.  The
-    system's columns are those of _xi_matrix_on without entry m.  It is
-    solved once: the s^(d-m) t^m coefficient is affine in the drawn
-    coordinates, so unless it vanishes identically it vanishes with
-    probability at most 1/(2*DRAW+1)."""
+    system's columns are _line_power_columns.  It is solved once: the
+    s^(d-m) t^m coefficient is affine in the drawn coordinates, so unless
+    it vanishes identically it vanishes with probability at most
+    1/(2*DRAW+1)."""
     d = shape.d
     fermat = restrict_poly(DeformationPoint(shape).f_poly(), d, z)
-    columns = [col[:m] + col[m + 1:] for col in _xi_matrix_on(shape.jd, z)]
     rhs = [-fermat[k] for k in range(d + 1) if k != m]
-    sol = random_solution(columns, rhs, rng.split("power0"))
+    sol = random_solution(list(_line_power_columns(shape.jd, z, m)), rhs,
+                          rng.split("power0"))
     if sol is None:
         raise InfeasibleSystem("line-power conditions are inconsistent")
     b = DeformationPoint(shape, dict(zip(shape.jd, sol)))
@@ -804,15 +794,22 @@ def _stratum(n: int, d: int, m: int):
 
 
 def verify_incidence(n: int, d: int, m: int, seed: int = 0) -> LemmaReport:
-    """Unknowns minus equations of the tangency system of the stratum's cone
-    member, checked against the count incidence_dimension."""
+    """The count incidence_dimension is 2n + 2 minus the rank of the d
+    line-power conditions (_line_power_columns) at a general line: it holds
+    when they are independent.  They are ranked at the line through
+    (1, ..., 1) and (0, 1, ..., n+1), where x_i restricts to s + i*t; rank
+    d there gives rank d at the general line, rank being lower
+    semicontinuous.  The claim draws nothing, so it is decided once; `seed`
+    is only recorded in the report."""
     t0 = time.perf_counter()
     formula = incidence_dimension(n, d, m)
-    line, lead = _stratum(n, d, m)
-    rows, normals = _tangency_system({lead: 1}, d, line, m)
-    offset = 2 * len(normals) - len(rows)
+    line = Line(ProjPoint([1] * (n + 2)), ProjPoint(list(range(n + 2))))
+    # from the x_(n+1)-heavy end of J_d: monomials free of x_0 = s reach
+    # the low powers of s at once, so the scan stops after about 2d columns
+    columns = _line_power_columns(reversed(family_shape(n, d).jd.members), line, m)
+    offset = 2 * n + 2 - len(column_scan(columns, d)[0])
     witness = None if offset == formula else {
-        "reason": "system shape disagrees with the count",
+        "reason": "the line-power conditions are dependent",
         "system_offset": offset, "formula_offset": formula}
     return LemmaReport("incidence", n, d, seed, FAIL if witness else PASS,
                        {"offset": offset, "m": m}, witness, _ms_since(t0), {"m": m})

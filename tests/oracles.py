@@ -6,8 +6,8 @@ the product of the restrictions, and so on).  contains_vector is the dense
 reduction against a canonical Subspace that exact's sparse reduction
 against an echelon form (exact.first_outside_span, as the kernel claims'
 witnesses use it on kernel_span_dims' echelon form) is checked against,
-and support_in the monomial-support test that
-verifiers._eta_in_span is checked against.  sylvester_root_count is the
+and support_in the monomial-support test that membership in the kernel
+of verifiers._w_basis_rows is checked against.  sylvester_root_count is the
 Sylvester-rank root count that lines.distinct_root_count's Bezoutian is
 checked against.  matrix_of_columns turns a map given by its columns
 into the dense Matrix those oracles take.

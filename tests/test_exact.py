@@ -579,6 +579,25 @@ def test_kernel_basis_is_the_reduced_basis_and_duals_separate_pivots():
     assert deficient >= 40
 
 
+def test_column_scan_takes_its_columns_once_and_lazily():
+    """column_scan takes an iterable of columns once, in order: over a
+    generator it gives the scan of the list, and once its rank is `size`
+    it takes at most one more column."""
+    rng = Rng(59)
+    stopped = 0
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 9)
+        cols = deficient_columns(rng, nrows, ncols)
+        taken = []
+        scan = exact.column_scan((taken.append(c) or c for c in cols), nrows)
+        assert scan == exact.column_scan(cols, nrows)
+        pivots = scan[0]
+        read = pivots[-1] + 1 if len(pivots) == nrows else ncols
+        assert len(taken) == min(read + 1, ncols)
+        stopped += len(taken) < ncols
+    assert stopped >= 10
+
+
 def test_random_solution_runs_no_elimination(monkeypatch):
     """random_solution reads its pivot variables off column_scan's duals:
     with _echelon gone it still gives the rref reference's solutions."""

@@ -159,7 +159,7 @@ MOVED_OUT = {"BinaryForm", "contains_vector", "_pair_rank", "_pair_independent",
              "LengthTwoScheme", "SchemeClass", "permute_point", "evaluation_matrix",
              "_pair_exps", "random_deformation", "from_columns", "matrix_of_columns",
              "_normalized_special", "_ideal_product_vectors", "_special_extras",
-             "_Trials", "protocol_verdict"}
+             "_Trials", "protocol_verdict", "_eta_in_span"}
 
 
 def defined_names(source):

@@ -9,7 +9,7 @@ import pytest
 import fermatlines.exact as exact
 import fermatlines.family as family
 import fermatlines.verifiers as verifiers
-from fermatlines.cli import LEMMAS, run_lemma
+from fermatlines.cli import LEMMAS, REGISTRY, run_lemma
 from fermatlines.errors import (CoordinatePointError, NonGenericScheme,
                                 NotInTangencyStratum)
 from fermatlines.exact import (Matrix, Subspace, clear_denominators, first_outside_span,
@@ -22,7 +22,8 @@ from fermatlines.poly import (EulerSection, HomogPoly, all_monomials, euler_alph
                               eval_monomials, gen_jd, mono_times)
 from fermatlines.rng import Rng
 from fermatlines.verifiers import (FAIL, INDETERMINATE, INFEASIBLE, PASS,
-                                   _b_with_line_power, _nine_by_six, _section_image,
+                                   _b_with_line_power, _line_power_columns, _nine_by_six,
+                                   _section_image,
                                    random_generic_scheme, _special_scheme,
                                    _stratum, _tangency_system, _two_by_two,
                                    _very_special_scheme,
@@ -60,10 +61,15 @@ def test_w_basis_small_dims():
     assert rep.dims == {"basis": 9, "kernel_total": 12}
 
 
-def test_w_basis_sextic_dims():
+def test_w_basis_sextic_dims(monkeypatch):
+    """Each trial is decided by one _kernel_is_span call; nothing else is
+    ranked."""
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    monkeypatch.setattr(verifiers, "rank_sparse", None)
     rep = verify_w_basis(2, 6, rng_for("w26"), trials=3)
     assert rep.verdict == PASS
     assert rep.dims == {"basis": 24, "kernel_total": 28}
+    assert len(calls) == 3
 
 
 def test_w_basis_kernel_against_dense_oracle():
@@ -101,21 +107,23 @@ def test_w_basis_kernel_against_dense_oracle():
 
 @pytest.mark.parametrize("n, d", [(2, 6), (3, 8)])
 def test_w_basis_row_membership_matches_eta(n, d):
-    """The rows' membership test agrees with forming eta(w) as a product:
-    every w_ijk lies inside the deformation span, and every w_iik without
-    its c_ijk correction lies outside under both."""
+    """Membership in the kernel of the rows (m*g = 0 on the section
+    columns) agrees with forming eta(w) as a product: every w_ijk lies
+    inside the deformation span, and every w_iik without its c_ijk
+    correction lies outside under both."""
     nv = n + 2
     b = sample_b_through(FamilyShape(n, d), [], rng_for("rows%d" % n))
     deg2 = all_monomials(nv, 2)
     jd1 = gen_jd(n, d + 1)
     rows = verifiers._w_basis_rows(b, deg2)
+    columns = [[row.get(j, 0) for row in rows] for j in range(nv * len(deg2))]
     squares = [(k, tuple(2 if j == i else 0 for j in range(nv)))
                for i in range(nv) for k in range(nv) if k != i]
     cases = [(terms, w, True) for terms, w in zip(omega_terms(b), omega_basis(b))]
     cases += [({(k, e): 1}, EulerSection.single(nv, k, HomogPoly.monomial(nv, e)), False)
               for k, e in squares]
     for terms, w, inside in cases:
-        assert verifiers._eta_in_span(rows, verifiers._terms_row(terms, deg2)) is inside
+        assert (not any(exact.image(columns, verifiers._terms_row(terms, deg2)))) is inside
         assert support_in(eta(b, w), jd1) is inside
 
 
@@ -139,50 +147,69 @@ def test_members_draw_integer_free_coordinates():
     assert len(pivots) == 2 and any(coords[j].denominator > 1 for j in pivots)
 
 
-def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
-    """With every c_ijk forced to 0 the w_iik stay independent but their
-    eta leaves the deformation span."""
-    monkeypatch.setattr(family, "c_coeff", lambda b, i, j, k: 0)
-    rep = verify_w_basis(2, 6, rng_for("w-basis"), trials=2)
+def _assert_w_basis_fails_outside_the_span(rep, calls, span_dim):
+    """A w-basis FAIL at trial 0 whose witness is a vector of that trial's
+    kernel outside the span of its generators (kernel dim 28 at (2, 6))."""
     assert rep.verdict == FAIL
     assert rep.witness["trial"] == 0
-    assert rep.witness["reason"] == "membership"
-    assert rep.witness["rank_basis"] == 24
+    assert rep.witness["reason"] == "subspace mismatch"
+    assert (rep.witness["lhs"], rep.witness["rhs"]) == (span_dim, 28)
+    assert rep.dims["kernel_total"] == 28
+    columns, gens, _ = calls[0]
+    assert len(rep.witness["vector"]) == len(columns)
+    vector = {j: Fraction(x) for j, x in enumerate(rep.witness["vector"]) if Fraction(x)}
+    assert not any(exact.image(columns, vector))
+    assert rank_sparse(gens + [vector]) == rank_sparse(gens) + 1
+    return vector
+
+
+def test_w_basis_fails_on_membership_without_the_corrections(monkeypatch):
+    """With every c_ijk forced to 0 the w_iik stay independent but their
+    eta leaves the deformation span: the kernel, of unchanged dimension, is
+    not their span."""
+    monkeypatch.setattr(family, "c_coeff", lambda b, i, j, k: 0)
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    rep = verify_w_basis(2, 6, rng_for("w-basis"), trials=2)
+    _assert_w_basis_fails_outside_the_span(rep, calls, 28)
+    columns, gens, _ = calls[0]
+    assert any(any(exact.image(columns, g)) for g in gens)
 
 
 def test_w_basis_fails_on_the_f_block_alone(monkeypatch):
-    """Without the x_0*F column the multiples of F have rank n+1 < n+2 in
-    the quotient while membership and the kernel count keep their values:
-    the F-block check alone makes w-basis FAIL."""
+    """Without the x_0*F column, the F block alone broken, that unknown enters no row, so its unit
+    vector is in the kernel, while x_0 times the Euler field, whose eta is
+    d*x_0*F, leaves it: the witness is that unit vector."""
     nv = 4
     column = nv * len(all_monomials(nv, 2))
     w_basis_rows = verifiers._w_basis_rows
     monkeypatch.setattr(verifiers, "_w_basis_rows", lambda b, deg2: [
         {j: c for j, c in row.items() if j != column} for row in w_basis_rows(b, deg2)])
+    calls = _recording(monkeypatch, "_kernel_is_span")
     rep = run_lemma("w-basis", 2, 6, 0, 0, trials=2)
-    assert rep.verdict == FAIL
-    assert rep.witness["trial"] == 0
-    assert rep.witness["reason"] == "dimension"
-    assert rep.witness["rank_basis"] == 24
-    assert rep.dims["kernel_total"] == rep.witness["kernel_total"] == 28
+    assert _assert_w_basis_fails_outside_the_span(rep, calls, 28) == {column: 1}
 
 
 def test_w_basis_fails_on_the_euler_identity_alone(monkeypatch):
     """With every integer partial of den*F doubled, sum_j x_j dF/dx_j is
-    2d*F, not d*F, while membership, the basis rank, the F-block and the
-    kernel count keep their values (doubling the section block of every row
-    keeps its kernel): the Euler-identity check alone makes w-basis FAIL."""
+    2d*F, not d*F, and only the Euler identity breaks: x_i times the Euler
+    field paired with -d at x_i*F leaves the kernel, whose dimension
+    doubling the section block keeps."""
     partials = DeformationPoint.f_partials
     monkeypatch.setattr(DeformationPoint, "f_partials", lambda b: tuple(
         {m: 2 * c for m, c in p.items()} for p in partials(b)))
+    calls = _recording(monkeypatch, "_kernel_is_span")
     rep = run_lemma("w-basis", 2, 6, 0, 0, trials=2)
-    assert rep.verdict == FAIL
-    assert rep.witness["trial"] == 0
-    assert rep.witness["reason"] == "dimension"
-    assert rep.witness["rank_basis"] == 24
-    assert rep.dims["kernel_total"] == rep.witness["kernel_total"] == 28
+    _assert_w_basis_fails_outside_the_span(rep, calls, 28)
 
 
+def test_w_basis_fails_without_the_last_section(monkeypatch):
+    """Without the last w_ijk the generators span 27 of the kernel's 28
+    dimensions."""
+    monkeypatch.setattr(verifiers, "omega_terms", _drop_last_omega)
+    calls = _recording(monkeypatch, "_kernel_is_span")
+    rep = verify_w_basis(2, 6, rng_for("w-basis"), trials=2)
+    assert rep.dims["basis"] == 23
+    _assert_w_basis_fails_outside_the_span(rep, calls, 27)
 # ---------------------------------------------------------------------------
 # kernel lemmas
 
@@ -641,6 +668,14 @@ def _tangency(n, d, rng, trials):
     return verify_tangency(n, d, d // 2, rng, trials)
 
 
+def _on_the_stratum_line(monomials, line, m):
+    """The line-power conditions on _stratum's coordinate line, whatever
+    line they are asked for: J_d restricts there only to s^a t^b with
+    2 <= a, b <= d-2, so they have rank at most d-3."""
+    monomials = list(monomials)
+    return _line_power_columns(monomials, _stratum(line.nvars - 2, sum(monomials[0]), m)[0], m)
+
+
 # lemma -> (verifiers attribute replaced, its mutant, verifier)
 MUTATIONS = {
     "w-basis": ("omega_terms", _drop_last_omega, verify_w_basis),
@@ -660,6 +695,27 @@ def test_sampled_claim_fails_with_a_witness_when_broken(monkeypatch, lemma):
     assert rep.verdict == FAIL
     assert rep.witness is not None
     assert rep.witness["trial"] == 0
+
+
+# lemma -> a mutant of its mathematics, applied by monkeypatch
+FAILING_MUTANTS = {
+    **{lemma: lambda mp, name=name, mutant=mutant: mp.setattr(verifiers, name, mutant)
+       for lemma, (name, mutant, _) in MUTATIONS.items()},
+    **dict.fromkeys(KERNEL_CLAIMS, _drop_first_product),
+    "incidence": lambda mp: mp.setattr(verifiers, "_line_power_columns", _on_the_stratum_line),
+}
+
+
+def test_every_lemma_fails_under_a_mutant_of_its_mathematics(monkeypatch):
+    """Every lemma the CLI runs can come out FAIL: each has a mutant that
+    changes the mathematics it checks, and under it the lemma FAILs with a
+    witness at (2, 6)."""
+    assert set(FAILING_MUTANTS) == set(REGISTRY)
+    for lemma in REGISTRY:
+        with monkeypatch.context() as mp:
+            FAILING_MUTANTS[lemma](mp)
+            rep = run_lemma(lemma, 2, 6, 3, 7, trials=2)
+        assert rep.verdict == FAIL and rep.witness, lemma
 
 
 def test_systems_fails_when_the_forced_pair_stays_regular(monkeypatch):
@@ -1229,25 +1285,54 @@ def test_incidence_values():
             assert incidence_dimension(n, 2 * n + 2, m) == 0
 
 
-def test_incidence_bounds():
+def test_incidence_bounds(monkeypatch):
+    """incidence_dimension's ValueErrors come before any line is built."""
     with pytest.raises(ValueError):
         incidence_dimension(2, 6, 0)
     with pytest.raises(ValueError):
         incidence_dimension(2, 6, 6)
     rep = verify_incidence(3, 8, 4)
     assert rep.verdict == PASS and rep.dims["offset"] == 0
+    built = []
+    monkeypatch.setattr(verifiers, "Line", lambda *points: built.append(points))
+    for n, m in ((0, 3), (2, 0), (2, 6)):
+        with pytest.raises(ValueError):
+            verify_incidence(n, 6, m)
+    assert built == []
 
 
-def test_incidence_reads_its_offset_from_the_tangency_system(monkeypatch):
-    """With the first row of tangency's system dropped, the system has one
-    more unknown than equations beyond the count, and incidence FAILs
-    naming both offsets."""
-    monkeypatch.setattr(verifiers, "_tangency_system", _drop_first_tangency_row)
-    rep = verify_incidence(2, 6, 3)
-    assert rep.verdict == FAIL
-    assert rep.dims == {"offset": 1, "m": 3}
-    assert rep.witness == {"reason": "system shape disagrees with the count",
-                           "system_offset": 1, "formula_offset": 0}
+def test_incidence_fails_on_the_stratum_coordinate_line(monkeypatch):
+    """Ranked on _stratum's coordinate line, the line-power conditions have
+    rank at most d-3: the offset exceeds the count by 3 or more and
+    incidence FAILs, naming both offsets."""
+    monkeypatch.setattr(verifiers, "_line_power_columns", _on_the_stratum_line)
+    for n, d in ((1, 4), (2, 6), (2, 5), (3, 8)):
+        for m in range(1, d):
+            formula = incidence_dimension(n, d, m)
+            rep = verify_incidence(n, d, m)
+            assert rep.verdict == FAIL
+            assert rep.dims["offset"] >= formula + 3
+            assert rep.witness == {"reason": "the line-power conditions are dependent",
+                                   "system_offset": rep.dims["offset"],
+                                   "formula_offset": formula}
+
+
+def test_incidence_line_restricts_j_d_onto_every_binary_form(monkeypatch):
+    """incidence ranks at the line where x_i restricts to s + i*t.  At n = 1
+    the restrictions of J_d there span all d+1 coefficients, for
+    4 <= d <= 24; the monomials of J_d in x_0, x_1, x_2 restrict the same
+    way at every n, so removing entry m leaves rank d at every n."""
+    lines = []
+    real = verifiers._line_power_columns
+    monkeypatch.setattr(verifiers, "_line_power_columns",
+                        lambda jd, line, m: lines.append(line) or real(jd, line, m))
+    for d in range(4, 25):
+        assert verify_incidence(1, d, 1).verdict == PASS
+        assert rank_sparse(verifiers._xi_matrix_on(gen_jd(1, d), lines[-1])) == d + 1
+    for n in range(1, 5):
+        verify_incidence(n, 2 * n + 2, 1)
+        assert [lines[-1].integer_restriction(mono_times((0,) * (n + 2), i))
+                for i in range(n + 2)] == [(1, i) for i in range(n + 2)]
 
 
 def build_tangency_instance(n=2, d=6, m=3, seed=5, zero_transverse=False):
